@@ -1,12 +1,11 @@
 """Maslov-type indices, metaplectic Gaussian calculus, and spinor-holonomy
 verification on embedded Lagrangian submanifolds of standard phase space."""
 
-from .core import (DEFAULT_TOLERANCES, KahlerPair, LagrangianFrame,
-                   SymplecticMatrix, Tolerances, UnitaryComplex, embed_unitary,
-                   intersection_dim, l0_frame, lagrangian_from_souriau,
-                   line_frame, random_lagrangian, random_unitary, souriau_map,
-                   souriau_intersection_dim, standard_j,
-                   unitary_from_symplectic)
+from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
+                   Tolerances, UnitaryComplex, embed_unitary, intersection_dim,
+                   l0_frame, lagrangian_from_souriau, line_frame,
+                   random_lagrangian, random_unitary, souriau_intersection_dim,
+                   souriau_map, standard_j, unitary_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      ImmersionError, InvariantViolation, MaslovError,
                      SamplingError, SpecError, StateDomainError,
@@ -18,9 +17,9 @@ from .geometry import (LagrangianChart, ParamPath, TransportResult,
                        transport_frame, verify_corollary1, verify_theorem1,
                        verify_theorem2)
 from .index import (CoverPoint, DeckAction, LagrangianPath, clm_index,
-                    clm_index_mod4, cover_action, kashiwara_signature,
-                    leray_index, leray_transverse, lift_path, m_l_index,
-                    mu_hat_on_cover, mu_hat_on_cover_mod8, random_cover_point)
+                    cover_action, kashiwara_signature, leray_index,
+                    leray_transverse, lift_path, mu_hat_on_cover,
+                    random_cover_point)
 from .metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                           GaussianAmplitude, JHat, Polynomial,
                           QuadraticFourier, adjoint_quad_fourier,

@@ -31,8 +31,8 @@ from .geometry import (ParamPath, circle_chart, curve_chart_from_series,
                        gradient_graph_chart, product_torus_chart,
                        tangent_lagrangian_path, transport_frame,
                        verify_corollary1, verify_theorem1, verify_theorem2)
-from .index import (CoverPoint, clm_index, clm_index_mod4, kashiwara_signature,
-                    leray_index, lift_path)
+from .index import (CoverPoint, clm_index, kashiwara_signature, leray_index,
+                    lift_path)
 from .metaplectic import ground_state, lift_frame_path_trace
 
 SPEC_VERSION = "1"
@@ -220,7 +220,7 @@ def _run_index(spec, tol):
                            "spec.index.clm.path")
         tangent = tangent_lagrangian_path(chart, ppath, tol)
         results["mu_clm"] = clm_index(tangent, tol)
-        results["mu_clm_mod4"] = clm_index_mod4(tangent, tol)
+        results["mu_clm_mod4"] = results["mu_clm"] % 4
     if not results:
         raise SpecError("spec.index", "no index requested")
     return results, True
@@ -230,8 +230,7 @@ def _run_holonomy(spec, tol, refine_max):
     chart = build_chart(_require(spec, "chart", "spec", dict))
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
-    S_fr = geometry._frame_conjugated_path(tr, tol)
-    states = lift_frame_path_trace(S_fr, ground_state(chart.n), tol,
+    states = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
                                    max_depth=refine_max)
     theta0 = float(np.angle(np.linalg.det(tr.tangent_path.souriau[0])))
     lifts = lift_path(tr.tangent_path, theta0, tol)
@@ -250,7 +249,7 @@ def _run_holonomy(spec, tol, refine_max):
     return results, True
 
 
-def _run_verify(spec, tol, refine_max):
+def _run_verify(spec, tol):
     theorem = spec.get("theorem", "auto")
     if theorem not in ("auto", "1", "2", "corollary1"):
         raise SpecError("spec.theorem", "must be auto, 1, 2 or corollary1")
@@ -272,7 +271,7 @@ def _run_verify(spec, tol, refine_max):
     return rep, rep["pass"]
 
 
-def _run_report(spec, tol, refine_max):
+def _run_report(spec, tol):
     """Built-in catalog battery; deterministic."""
     circ = circle_chart()
     torus = product_torus_chart()
@@ -312,8 +311,11 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
                         "unknown convention profile %r" % convention)
     command = _require(spec, "command", "spec", str)
     tol = parse_tolerances(spec.get("tolerances"), phase_override=tol_phase)
-    refine_max = int(refine_max if refine_max is not None
-                     else spec.get("refine_max", 12))
+    if refine_max is None:
+        refine_max = spec.get("refine_max")
+    if refine_max is not None and command != "holonomy":
+        raise SpecError("spec.refine_max", "only the holonomy command refines on request")
+    refine_max = int(12 if refine_max is None else refine_max)
     seed = seed if seed is not None else spec.get("seed", 0)
 
     if command == "index":
@@ -321,9 +323,9 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     elif command == "holonomy":
         results, ok = _run_holonomy(spec, tol, refine_max)
     elif command == "verify":
-        results, ok = _run_verify(spec, tol, refine_max)
+        results, ok = _run_verify(spec, tol)
     elif command == "report":
-        results, ok = _run_report(spec, tol, refine_max)
+        results, ok = _run_report(spec, tol)
     else:
         raise SpecError("spec.command", "unknown command %r" % command)
 

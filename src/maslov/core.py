@@ -64,30 +64,6 @@ def omega_gram(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (standard_j(n) @ F).T @ G
 
 
-@dataclass(frozen=True)
-class KahlerPair:
-    """The fixed compatible pair (J0, g0) on R^{2n}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvariantViolation("n must be a positive integer")
-        # g0(u, v) = omega(u, J0 v) must be the standard inner product
-        J = standard_j(self.n)
-        G = omega_gram(np.eye(2 * self.n), J @ np.eye(2 * self.n))
-        if np.max(np.abs(G - np.eye(2 * self.n))) > DEFAULT_TOLERANCES.residual_tol:
-            raise InvariantViolation("compatibility g = omega(., J0 .) failed")
-
-    @property
-    def j0(self):
-        return standard_j(self.n)
-
-    @property
-    def g0(self):
-        return np.eye(2 * self.n)
-
-
 def _as_array(x, dtype=float):
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
@@ -132,6 +108,12 @@ class SymplecticMatrix:
         return S[:n, :n], S[:n, n:], S[n:, :n], S[n:, n:]
 
 
+def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
+    """max |U_k^* U_k - I| for every matrix of a stack."""
+    Uh = np.conj(np.swapaxes(U, -1, -2))
+    return np.max(np.abs(Uh @ U - np.eye(U.shape[-1])), axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class UnitaryComplex:
     """An n x n complex matrix U with U*U = I (within residual_tol)."""
@@ -142,7 +124,7 @@ class UnitaryComplex:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvariantViolation("unitary matrix must be square")
-        resid = np.max(np.abs(entries.conj().T @ entries - np.eye(entries.shape[0])))
+        resid = _unitarity_residuals(entries)
         if resid > tol.residual_tol:
             raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
         object.__setattr__(self, "entries", _as_array(entries, dtype=complex))
@@ -198,42 +180,81 @@ def embed_unitary(U, tol: Tolerances = DEFAULT_TOLERANCES) -> SymplecticMatrix:
     return SymplecticMatrix(np.block([[A, -B], [B, A]]), tol)
 
 
-def unitary_from_symplectic(S: SymplecticMatrix,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Recover U with embed_unitary(U) = S; S must lie in the unitary image."""
-    A, B, C, D = S.blocks
-    resid = max(np.max(np.abs(A - D)), np.max(np.abs(B + C)))
-    if resid > tol.residual_tol * 10:
-        raise InvariantViolation(
-            "matrix is not in the unitary image: block residual %.3e" % resid)
+def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Stack of the U_k with embed_unitary(U_k) = S_k along a path of
+    unitary-image symplectic matrices.  One batched block and unitarity check
+    names the first sample outside the unitary image."""
+    if not len(symp_path):
+        raise InvariantViolation("empty symplectic path")
+    S = np.array([s.entries for s in symp_path])
+    n = S.shape[-1] // 2
+    A, B, C, D = S[:, :n, :n], S[:, :n, n:], S[:, n:, :n], S[:, n:, n:]
     U = A + 1j * C
-    UnitaryComplex(U, tol)  # validates
+    block = np.maximum(np.max(np.abs(A - D), axis=(1, 2)),
+                       np.max(np.abs(B + C), axis=(1, 2)))
+    unit = _unitarity_residuals(U)
+    bad = np.flatnonzero(~((block <= 10 * tol.residual_tol) & (unit <= tol.residual_tol)))
+    if bad.size:
+        k = bad[0]
+        raise InvariantViolation(
+            "sample %d is not in the unitary image: block residual %.3e, "
+            "unitarity residual %.3e" % (k, block[k], unit[k]))
     return U
 
 
-def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryComplex:
-    """Souriau image w = r r^T of span(L), a symmetric unitary.
+def unitary_from_symplectic(S: SymplecticMatrix,
+                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Recover U with embed_unitary(U) = S; S must lie in the unitary image."""
+    return unitaries_from_symplectic([S], tol)[0]
 
-    For an orthonormal frame with blocks X (positions) and Y (momenta) the
-    matrix V = X + iY is unitary and w = -V V^T; this is r r^T for the
-    unitary r = Y - iX carrying L0 onto span(L).
+
+def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Souriau images of a stack of frames F of shape (N, 2n, n), as (V, w).
+
+    V_k = X_k + iY_k is the unitary of the orthonormalized frame with blocks
+    X (positions) and Y (momenta), and w_k = -V_k V_k^T; this is r r^T for
+    the unitary r = Y - iX carrying L0 onto span(F_k).  One unitarity
+    residual of V checks that every frame is Lagrangian of full rank and
+    names the first that is not.
     """
-    F = L.orthonormalized().columns
-    n = L.n
-    X, Y = F[:n], F[n:]
-    V = X + 1j * Y
-    w = -(V @ V.T)
-    w = (w + w.T) / 2  # symmetric by construction; tidy roundoff
-    return UnitaryComplex(w, tol)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
+        raise InvariantViolation("frames must form an (N, 2n, n) stack")
+    n = F.shape[2]
+    Q, R = np.linalg.qr(F)
+    # keep a deterministic column orientation
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    V = Q[:, :n] + 1j * Q[:, n:]
+    resid = _unitarity_residuals(V)
+    bad = np.flatnonzero(~(resid <= tol.residual_tol))  # NaN frames fail too
+    if bad.size:
+        raise InvariantViolation("frame %d is not Lagrangian: unitarity residual %.3e"
+                                 % (bad[0], resid[bad[0]]))
+    w = -(V @ np.swapaxes(V, 1, 2))
+    w = (w + np.swapaxes(w, 1, 2)) / 2  # symmetric by construction; tidy roundoff
+    return V, w
+
+
+def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryComplex:
+    """Souriau image of span(L), a symmetric unitary: the one-frame case of
+    souriau_images."""
+    return UnitaryComplex(souriau_images(L.columns[None], tol)[1][0], tol)
+
+
+def souriau_sqrt(w: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Principal square root r of a symmetric unitary w, through a real
+    orthonormal eigenbasis; r is symmetric unitary again, so r r^T = w."""
+    V = _real_eigenbasis(w, tol)
+    lam = np.diagonal(V.T @ w @ V)
+    return V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
 
 
 def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
     """Inverse of the Souriau map.
 
-    Factors the symmetric unitary w as r r^T through a real orthonormal
-    eigenbasis (w is normal with commuting real and imaginary parts), then
-    returns the frame embed_unitary(r) L0.  Any admissible r yields the same
-    subspace.
+    Factors the symmetric unitary w as r r^T with r = souriau_sqrt(w) (w is
+    normal with commuting real and imaginary parts), then returns the frame
+    embed_unitary(r) L0.  Any admissible r yields the same subspace.
     """
     if isinstance(w, UnitaryComplex):
         w = w.entries
@@ -241,12 +262,8 @@ def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> Lagrangi
     if np.max(np.abs(w - w.T)) > tol.residual_tol:
         raise InvariantViolation("Souriau matrix must be symmetric")
     UnitaryComplex(w, tol)
-    n = w.shape[0]
-    V = _real_eigenbasis(w, tol)
-    lam = np.diagonal(V.T @ w @ V)
-    r = V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
-    A, B = r.real, r.imag
-    return LagrangianFrame(np.vstack([-B, A]), tol)
+    r = souriau_sqrt(w, tol)
+    return LagrangianFrame(np.vstack([-r.imag, r.real]), tol)
 
 
 def _real_eigenbasis(w, tol):

@@ -15,15 +15,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, intersection_dim, omega_gram, standard_j)
+from .core import (DEFAULT_TOLERANCES, LagrangianFrame, Tolerances,
+                   embed_unitary, intersection_dim, omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, clm_index
 from .metaplectic import (Dilate, apply_generator, apply_to_delta,
                           apply_word_to_delta, det_branch_power,
                           endpoint_positive_factor, ground_state,
-                          hermite_state, lift_frame_path,
+                          hermite_state, lift_frame_path_trace,
                           pin_branch_orthogonal, pin_branch_transverse,
                           quarter_turn, root_i_power)
 
@@ -211,16 +211,25 @@ class ParamPath:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Frames and comparison matrices produced by parallel transport."""
+    """Frames produced by parallel transport."""
 
     params: np.ndarray          # dense parameter values along [0, 1]
-    frames: list                # orthonormal tangent frames, one per sample
-    S: list                     # SymplecticMatrix with S(t) fullframe(0) = fullframe(t)
+    frames: np.ndarray          # unitaries V = X + iY of the frames, (N, n, n)
     tangent_path: LagrangianPath
     refinement_depth: int
     max_frame_step: float
     orthonormality_residual: float
     tangency_residual: float
+
+    @property
+    def start_relative(self) -> np.ndarray:
+        """The path V_0^* V_k: the transport re-expressed in the start frame,
+        starting at I.  Its embedding is T^{-1} S_k T for the comparison
+        matrices S_k = embed(V_k V_0^*) and T = embed(-i V_0), which carries
+        the vertical basepoint onto the start tangent plane; so the induced
+        path t -> embed(V_0^* V_k) L0 is the tangent-plane path up to that
+        fixed T, and all vertical-basepoint index formulas apply to it."""
+        return self.frames[0].conj().T @ self.frames
 
 
 def induced_metric(chart: LagrangianChart, u,
@@ -240,6 +249,11 @@ def _tangent_basis(chart, u, tol):
         raise ImmersionError("chart Jacobian rank deficient at %r" % (u,))
     Q, R = np.linalg.qr(J)
     return Q * np.sign(np.diagonal(R))
+
+
+def _tangency(F, B) -> float:
+    """Sup-norm distance of the frame columns from span(B)."""
+    return float(np.max(np.abs(F - B @ (B.T @ F))))
 
 
 def _project_frame(F, B):
@@ -266,19 +280,20 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
         gap = np.max(np.abs(chart.at(us[0]) - chart.at(us[-1])))
         if gap > 1e-7:
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
+    B = _tangent_basis(chart, us[0], tol)
     if initial_frame is None:
-        F0 = _tangent_basis(chart, us[0], tol)
+        F0 = B
     else:
         F0 = np.asarray(initial_frame, dtype=float)
-        B = _tangent_basis(chart, us[0], tol)
-        if np.max(np.abs(F0.T @ F0 - np.eye(n))) > 1e-8 or \
-           np.max(np.abs(F0 - B @ (B.T @ F0))) > 1e-8:
+        if np.max(np.abs(F0.T @ F0 - np.eye(n))) > 1e-8 or _tangency(F0, B) > 1e-8:
             raise InvariantViolation("initial frame must be orthonormal and tangent")
 
     t_dense = [0.0]
     frames = [F0]
     depth_used = 0
     max_step = 0.0
+    # tangency residual, spot-checked at the original samples
+    tangency = _tangency(F0, B)
     N = len(us)
     for k in range(N - 1):
         seg = [(us[k], us[k + 1], (k) / (N - 1.0), (k + 1) / (N - 1.0), 0)]
@@ -298,53 +313,25 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
             max_step = max(max_step, step)
             frames.append(Fb)
             t_dense.append(tb)
+        # the last accepted step ended on sample k + 1, with B its tangent basis
+        tangency = max(tangency, _tangency(frames[-1], B))
 
-    J = standard_j(n)
-    ortho_resid = 0.0
-    S_list, lag_frames = [], []
-    full0 = np.hstack([frames[0], J @ frames[0]])
-    for F in frames:
-        ortho_resid = max(ortho_resid, float(np.max(np.abs(F.T @ F - np.eye(n)))))
-        full = np.hstack([F, J @ F])
-        S_list.append(SymplecticMatrix(full @ full0.T, tol))
-        lag_frames.append(LagrangianFrame(F, tol))
-    # tangency residual spot-checked at the original samples
-    tangency = 0.0
-    pos = {round(t, 15): i for i, t in enumerate(t_dense)}
-    for k in range(N):
-        idx = pos.get(round(k / (N - 1.0), 15))
-        if idx is None:
-            continue
-        B = _tangent_basis(chart, us[k], tol)
-        F = frames[idx]
-        tangency = max(tangency, float(np.max(np.abs(F - B @ (B.T @ F)))))
-    tangent = LagrangianPath(lag_frames, params=t_dense, tol=tol)
-    return TransportResult(np.asarray(t_dense), frames, S_list, tangent,
+    F = np.array(frames)
+    ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
+    tangent = LagrangianPath(F, params=t_dense, tol=tol)
+    return TransportResult(np.asarray(t_dense), F[:, :n] + 1j * F[:, n:], tangent,
                            depth_used, max_step, ortho_resid, tangency)
 
 
 def tangent_lagrangian_path(chart: LagrangianChart, path: ParamPath,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
     """The path of tangent planes t -> span(Jac(u(t))), orthonormalized."""
-    frames = [LagrangianFrame(_tangent_basis(chart, u, tol), tol) for u in path.samples]
-    return LagrangianPath(frames, tol=tol)
+    return LagrangianPath(np.array([_tangent_basis(chart, u, tol) for u in path.samples]),
+                          tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # verifiers
-
-
-def _frame_conjugated_path(tr: TransportResult, tol: Tolerances):
-    """Transport path re-expressed in the start frame: S_fr = T^{-1} S T with
-    T = fullframe(0) J0^T, the fixed unitary-image matrix carrying the
-    vertical basepoint onto the start tangent plane.  The induced path
-    t -> S_fr(t) L0 is the tangent-plane path up to the fixed T, so all
-    vertical-basepoint index formulas apply to it verbatim."""
-    n = tr.frames[0].shape[1]
-    J = standard_j(n)
-    T = np.hstack([tr.frames[0], J @ tr.frames[0]]) @ J.T
-    Ti = T.T  # T is orthogonal
-    return [SymplecticMatrix(Ti @ S.entries @ T, tol) for S in tr.S]
 
 
 def _phase_pair(z):
@@ -367,9 +354,7 @@ def verify_theorem1(chart: LagrangianChart, path: ParamPath,
         raise CaseError("theorem-1 verification needs a closed path")
     tr = transport_frame(chart, path, tol=tol)
     mu = clm_index(tr.tangent_path, tol)
-    S_fr = _frame_conjugated_path(tr, tol)
-    lifted = lift_frame_path(S_fr, ground_state(chart.n), tol)
-    phase = lifted.c
+    phase = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)[-1].c
     m = pin_branch_orthogonal(phase, tol)
     predicted = quarter_turn(mu % 4)
     resid = abs(phase - predicted)
@@ -437,9 +422,9 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
     floor = tol.rank_floor(2 * n)
     if np.any((sv >= floor) & (sv < 10 * floor)):
         warnings.append("endpoint intersection is near-degenerate")
-    S_fr = _frame_conjugated_path(tr, tol)
-    lifted = lift_frame_path(S_fr, ground_state(n), tol)
-    phase = lifted.c
+    U = tr.start_relative
+    phase = lift_frame_path_trace(U, ground_state(n), tol)[-1].c
+    S_end = embed_unitary(U[-1], tol)
     mu = clm_index(tr.tangent_path, tol)
     notes = [
         "endpoint tangent plane is taken at the path endpoint (transport direction)",
@@ -462,7 +447,7 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
     }
 
     if d == 0:
-        qf = pin_branch_transverse(S_fr[-1], phase, tol)
+        qf = pin_branch_transverse(S_end, phase, tol)
         m = qf.m
         dual = apply_to_delta(qf)
         c_y = endpoint_positive_factor(qf)
@@ -505,7 +490,7 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
         return report
 
     if d == n:
-        A_blk, B_blk, C_blk, D_blk = S_fr[-1].blocks
+        A_blk, B_blk, C_blk, D_blk = S_end.blocks
         if np.max(np.abs(B_blk)) > 1e-6 or np.max(np.abs(C_blk)) > 1e-6:
             raise CaseError("tangent-case endpoint is not orthogonal-type")
         m = pin_branch_orthogonal(phase, tol)

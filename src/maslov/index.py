@@ -16,14 +16,15 @@ mu(beta^r x, y) = mu(x, y) + 2r.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, lagrangian_from_souriau,
-                   intersection_dim, omega_gram, souriau_map)
+                   Tolerances, UnitaryComplex, intersection_dim,
+                   lagrangian_from_souriau, omega_gram, souriau_images,
+                   souriau_map, souriau_sqrt)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      SamplingError, TransversalityError)
 
@@ -190,110 +191,117 @@ def leray_index(x: CoverPoint, y: CoverPoint,
 # Lagrangian paths and their lifting
 
 
-def _souriau_sqrt_factor(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Unitary r with r r^T = w for symmetric unitary w (real eigenbasis route)."""
-    from .core import _real_eigenbasis
-    V = _real_eigenbasis(w, tol)
-    lam = np.diagonal(V.T @ w @ V)
-    return V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
-
-
-def _symmetric_sqrt(u: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Principal square root of a symmetric unitary, symmetric unitary again."""
-    from .core import _real_eigenbasis
-    V = _real_eigenbasis(u, tol)
-    half = np.exp(0.5j * np.angle(np.diagonal(V.T @ u @ V)))
-    return V @ np.diag(half) @ V.T
-
-
 def _souriau_midpoint(wa: np.ndarray, wb: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Geodesic midpoint r_a (r_a^{-1} w_b r_a^{-T})^{1/2} r_a^T of two
     symmetric unitaries in W(n, C); exactly symmetric unitary again."""
-    ra = _souriau_sqrt_factor(wa, tol)
+    ra = souriau_sqrt(wa, tol)
     u = ra.conj().T @ wb @ ra.conj()
     u = (u + u.T) / 2
-    w = ra @ _symmetric_sqrt(u, tol) @ ra.T
+    w = ra @ souriau_sqrt(u, tol) @ ra.T
     return (w + w.T) / 2
 
 
+class _FrameView(Sequence):
+    """The samples of a unitary stack as frames [Re V_k; Im V_k], built and
+    validated on access."""
+
+    def __init__(self, V: np.ndarray, tol: Tolerances):
+        self._V, self._tol = V, tol
+
+    def __len__(self):
+        return len(self._V)
+
+    def __getitem__(self, k) -> LagrangianFrame:
+        V = self._V[k]
+        return LagrangianFrame(np.vstack([V.real, V.imag]), self._tol)
+
+
 class LagrangianPath:
-    """Sampled path in Lag(n), stored as frames plus cached Souriau images.
+    """Sampled path in Lag(n): the unitaries V_k = X_k + iY_k of its
+    orthonormal frames, their Souriau images w_k = -V_k V_k^T and the
+    sample parameters.
 
     Construction refines (by geodesic subdivision in the Souriau model) until
     consecutive images differ by less than MAX_SOURIAU_STEP in sup norm, so
     phase unwrapping along the path is unambiguous.
     """
 
-    def __init__(self, frames: Sequence[LagrangianFrame], params=None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
+        """frames: LagrangianFrame objects, or an (N, 2n, n) array of frame columns."""
         if len(frames) < 2:
             raise InvariantViolation("a path needs at least two samples")
-        n = frames[0].n
-        if any(f.n != n for f in frames):
-            raise DimensionMismatch("inconsistent frame dimensions along path")
+        if not isinstance(frames, np.ndarray):
+            if len({f.n for f in frames}) > 1:
+                raise DimensionMismatch("inconsistent frame dimensions along path")
+            frames = [f.columns for f in frames]
         if params is None:
             params = np.linspace(0.0, 1.0, len(frames))
         params = np.asarray(params, dtype=float)
         if len(params) != len(frames) or np.any(np.diff(params) <= 0):
             raise InvariantViolation("params must be strictly increasing, one per frame")
         self.tol = tol
-        self.n = n
-        self.frames = list(frames)
-        self.params = list(params)
-        self.souriau = [souriau_map(f, tol).entries for f in self.frames]
-        self.refinement_depth = 0
-        self._refine(MAX_SOURIAU_STEP)
+        V, w = souriau_images(frames, tol)
+        self.n = V.shape[1]
+        self.unitaries, self.souriau, self.params = self._refine(V, w, params)
 
-    def _refine(self, bound: float):
-        depth = 0
-        k = 0
-        while k < len(self.souriau) - 1:
-            if np.max(np.abs(self.souriau[k + 1] - self.souriau[k])) < bound:
-                k += 1
-                continue
-            depth += 1
-            if depth > _MAX_REFINE_DEPTH * len(self.souriau):
-                raise SamplingError("path refinement exhausted; sampling too coarse")
-            wm = _souriau_midpoint(self.souriau[k], self.souriau[k + 1], self.tol)
-            self.souriau.insert(k + 1, wm)
-            self.frames.insert(k + 1, lagrangian_from_souriau(wm, self.tol))
-            self.params.insert(k + 1, 0.5 * (self.params[k] + self.params[k + 1]))
-        self.refinement_depth = max(self.refinement_depth, depth)
+    @property
+    def frames(self) -> Sequence[LagrangianFrame]:
+        return _FrameView(self.unitaries, self.tol)
+
+    def _refine(self, V, w, params):
+        """Bisect each step whose Souriau images differ by MAX_SOURIAU_STEP or
+        more.  A midpoint w_m gets the unitary V_m = i r_m with
+        r_m = souriau_sqrt(w_m), so that -V_m V_m^T = r_m^2 = w_m."""
+        out = [(V[0], w[0], params[0])]
+        for k in range(1, len(w)):
+            pending = [(V[k], w[k], params[k], 0)]
+            while pending:
+                _, wa, ta = out[-1]
+                Vb, wb, tb, depth = pending[-1]
+                if np.max(np.abs(wb - wa)) < MAX_SOURIAU_STEP:
+                    out.append(pending.pop()[:3])
+                    continue
+                if depth >= _MAX_REFINE_DEPTH:
+                    raise SamplingError("path refinement exhausted; sampling too coarse")
+                wm = _souriau_midpoint(wa, wb, self.tol)
+                pending[-1] = (Vb, wb, tb, depth + 1)
+                pending.append((1j * souriau_sqrt(wm, self.tol), wm,
+                                0.5 * (ta + tb), depth + 1))
+        if len(out) == len(w):
+            return V, w, params
+        V, w, params = zip(*out)
+        return np.array(V), np.array(w), np.array(params)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.souriau)
 
 
 def lift_path(path: LagrangianPath, theta0: float,
               tol: Tolerances = DEFAULT_TOLERANCES) -> list[CoverPoint]:
     """Continuous lift of the path to the cover, unwrapping arg det w from
-    theta0.  Segments whose det-phase step reaches pi/2 are subdivided."""
-    w0 = path.souriau[0]
-    if abs(np.linalg.det(w0) - np.exp(1j * theta0)) > tol.phase_tol:
+    theta0.  Steps whose det-phase change reaches pi/2 are bisected."""
+    ws = path.souriau
+    if abs(np.linalg.det(ws[0]) - np.exp(1j * theta0)) > tol.phase_tol:
         raise InvariantViolation("theta0 does not lift the initial sample")
-    ws = list(path.souriau)
-    keep = list(range(len(ws)))  # positions of the original samples
-    k = 0
-    guard = 0
-    while k < len(ws) - 1:
-        a1 = np.angle(np.linalg.det(ws[k]))
-        a2 = np.angle(np.linalg.det(ws[k + 1]))
-        step = (a2 - a1 + np.pi) % (2 * np.pi) - np.pi
-        if abs(step) < np.pi / 2:
-            k += 1
-            continue
-        guard += 1
-        if guard > _MAX_REFINE_DEPTH * len(ws):
-            raise SamplingError("phase unwrapping did not converge under refinement")
-        ws.insert(k + 1, _souriau_midpoint(ws[k], ws[k + 1], tol))
-        keep = [i if i <= k else i + 1 for i in keep]
-    thetas = [theta0]
-    prev = np.angle(np.linalg.det(ws[0]))
-    for w in ws[1:]:
-        cur = np.angle(np.linalg.det(w))
-        thetas.append(thetas[-1] + (cur - prev + np.pi) % (2 * np.pi) - np.pi)
-        prev = cur
-    return [CoverPoint(ws[i], thetas[i], tol) for i in keep]
+    phases = np.angle(np.linalg.det(ws))
+    points = [CoverPoint(ws[0], theta0, tol)]
+    wa, pa, theta = ws[0], phases[0], theta0
+    for k in range(1, len(ws)):
+        pending = [(ws[k], phases[k], 0)]
+        while pending:
+            wb, pb, depth = pending[-1]
+            turn = (pb - pa + np.pi) % (2 * np.pi)  # the phase step, plus pi
+            if abs(turn - np.pi) < np.pi / 2:
+                pending.pop()
+                wa, pa, theta = wb, pb, theta + turn - np.pi
+                continue
+            if depth >= _MAX_REFINE_DEPTH:
+                raise SamplingError("phase unwrapping did not converge under refinement")
+            wm = _souriau_midpoint(wa, wb, tol)
+            pending[-1] = (wb, pb, depth + 1)
+            pending.append((wm, np.angle(np.linalg.det(wm)), depth + 1))
+        points.append(CoverPoint(ws[k], theta, tol))
+    return points
 
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -310,16 +318,11 @@ def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int
     return num // 2
 
 
-def clm_index_mod4(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    return clm_index(path, tol) % 4
-
-
 def induced_lagrangian_path(symp_path: Sequence[SymplecticMatrix],
                             L: LagrangianFrame,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
     """The Lagrangian path t -> S(t) . L induced by a symplectic path."""
-    frames = [LagrangianFrame(S.entries @ L.columns, tol) for S in symp_path]
-    return LagrangianPath(frames, tol=tol)
+    return LagrangianPath(np.array([S.entries @ L.columns for S in symp_path]), tol=tol)
 
 
 def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
@@ -334,22 +337,6 @@ def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
     theta0 = float(np.angle(np.linalg.det(path.souriau[0])))
     lifts = lift_path(path, theta0, tol)
     return leray_index(lifts[-1], lifts[0], tol)
-
-
-def mu_hat_on_cover_mod8(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Mod-8 reduction mu_{L,2} of mu_hat_on_cover."""
-    return mu_hat_on_cover(symp_path, L, tol) % 8
-
-
-def m_l_index(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Alternative normalization m_L = M(S . L-path) + n.
-
-    Exposed for reference only; no verification below consumes it.
-    """
-    path = induced_lagrangian_path(symp_path, L, tol)
-    return clm_index(path, tol) + path.n
 
 
 def random_cover_point(n: int, rng: np.random.Generator,

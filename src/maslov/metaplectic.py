@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   unitary_from_symplectic)
+                   embed_unitary, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
 
@@ -443,12 +442,6 @@ def mu_hat_composed(qf1: QuadraticFourier, qf2: QuadraticFourier,
 # path lifting
 
 
-def sigma_matrix(n: int) -> np.ndarray:
-    """The fixed Fourier element's matrix [[0, -I], [I, 0]]."""
-    from .core import standard_j
-    return standard_j(n)
-
-
 def _step_bound(n: int) -> float:
     """Per-step size limit keeping every branch increment under a quarter
     turn: the scalar factor's phase is at most n times half the largest
@@ -458,6 +451,7 @@ def _step_bound(n: int) -> float:
 
 def _unitary_sqrt(V: np.ndarray) -> np.ndarray:
     """Principal square root of a unitary matrix (complex Schur route)."""
+    import scipy.linalg  # only here: importing it costs more than the rest of maslov
     T, Z = scipy.linalg.schur(V, output="complex")
     lam = np.diagonal(T)
     return Z @ np.diag(np.exp(0.5j * np.angle(lam))) @ Z.conj().T
@@ -475,14 +469,12 @@ def _step_word(V: np.ndarray, s: GaussianAmplitude,
     with the principal determinant branch, which is the continuous lift for
     steps within the size bound.  States with a polynomial factor go through
     the generator word instead: the step has a singular upper-right block
-    near the identity, so it is composed with the fixed Fourier element,
-    S = (S Sigma) Sigma^{-1}, every factor then having an invertible block,
-    and the branch integer of the (S Sigma)-word is rounded so the scalar
-    increment stays within a quarter turn of 1.  Both routes realize the same
-    operator.
+    near the identity, so it is composed with the fixed Fourier element
+    J0 = embed(iI), S = (S J0) J0^{-1} with S J0 = embed(iV), every factor
+    then having an invertible block, and the branch integer of the
+    (S J0)-word is rounded so the scalar increment stays within a quarter
+    turn of 1.  Both routes realize the same operator.
     """
-    from .core import embed_unitary
-    n = V.shape[0]
     A, B = V.real, V.imag
     if s.poly.is_constant():
         # blocks of embed(V) are [[A, -B], [B, A]], so the law reads
@@ -493,9 +485,7 @@ def _step_word(V: np.ndarray, s: GaussianAmplitude,
         Mn = ((A @ s.M) - 1j * B) @ np.linalg.inv(Z)
         Mn = (Mn + Mn.T) / 2
         return GaussianAmplitude(s.c * fac, Mn, s.poly, tol)
-    S_step = embed_unitary(V, tol).entries
-    qf = quad_fourier_from_symplectic(
-        SymplecticMatrix(S_step @ sigma_matrix(n), tol), 0, tol)
+    qf = quad_fourier_from_symplectic(embed_unitary(1j * V, tol), 0, tol)
     out = apply_generator(JHat(), s, tol)
     out = apply_quad_fourier(qf, out, tol)
     ratio = out.c / s.c
@@ -505,15 +495,15 @@ def _step_word(V: np.ndarray, s: GaussianAmplitude,
     return out.scaled(quarter_turn(m))
 
 
-def lift_frame_path_trace(symp_path: Sequence[SymplecticMatrix],
-                          s0: GaussianAmplitude,
+def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
                           tol: Tolerances = DEFAULT_TOLERANCES,
                           max_depth: int = 12) -> list[GaussianAmplitude]:
-    """States of the continuous metaplectic lift at every path sample."""
-    if not symp_path:
-        raise InvariantViolation("empty symplectic path")
-    Us = [unitary_from_symplectic(S, tol) for S in symp_path]
-    n = Us[0].shape[0]
+    """States of the continuous metaplectic lift at every sample of a path of
+    unitaries Us, shape (N, n, n), starting at the identity."""
+    Us = np.asarray(Us, dtype=complex)
+    if Us.ndim != 3 or not len(Us):
+        raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
+    n = Us.shape[-1]
     if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
         raise InvariantViolation("path must start at the identity")
     if s0.n != n:
@@ -548,7 +538,8 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     MAX_UNITARY_STEP of the identity; the per-step branch is then unambiguous.
     The endpoint is sampling-independent within phase_tol.
     """
-    return lift_frame_path_trace(symp_path, s0, tol, max_depth)[-1]
+    Us = unitaries_from_symplectic(symp_path, tol)
+    return lift_frame_path_trace(Us, s0, tol, max_depth)[-1]
 
 
 # ---------------------------------------------------------------------------

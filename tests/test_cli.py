@@ -146,3 +146,24 @@ def test_convention_profile_guard(monkeypatch):
     monkeypatch.setenv("MASLOV_CONVENTION_LEDGER", "paper-v1")
     _, code, _ = run(load_spec("kashiwara_index"))
     assert code == 0
+
+
+@pytest.mark.parametrize("spec", [
+    load_spec("kashiwara_index"),
+    load_spec("circle_verify"),
+    {"command": "report"},
+], ids=["index", "verify", "report"])
+def test_refine_max_rejected_outside_holonomy(spec):
+    for kwargs, fields in (({}, {"refine_max": 20}), ({"refine_max": 20}, {})):
+        with pytest.raises(SpecError) as err:
+            run({**spec, **fields}, **kwargs)
+        assert "spec.refine_max" in str(err.value)
+
+
+def test_refine_max_reaches_holonomy():
+    spec = load_spec("circle_holonomy")
+    _, code, _ = run({**spec, "refine_max": 20})
+    assert code == 0
+    from maslov.errors import SamplingError
+    with pytest.raises(SamplingError):
+        run({**spec, "refine_max": 0})

@@ -4,12 +4,12 @@ inverse, and intersection dimensions."""
 import numpy as np
 import pytest
 
-from maslov.core import (KahlerPair, LagrangianFrame,
-                         SymplecticMatrix, Tolerances,
+from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
                          embed_unitary, intersection_dim, l0_frame,
-                         lagrangian_from_souriau, line_frame, random_lagrangian,
-                         random_unitary, souriau_intersection_dim, souriau_map,
-                         standard_j, unitary_from_symplectic)
+                         lagrangian_from_souriau, line_frame, omega_gram,
+                         random_lagrangian, random_unitary,
+                         souriau_images, souriau_intersection_dim,
+                         souriau_map, standard_j, unitary_from_symplectic)
 from maslov.errors import DimensionMismatch, InvariantViolation
 
 
@@ -87,6 +87,26 @@ def test_souriau_frame_choice_invariance(rng):
         G = rng.normal(size=(n, n)) + np.eye(n) * 2
         L2 = LagrangianFrame(L.columns @ G)
         assert np.max(np.abs(souriau_map(L).entries - souriau_map(L2).entries)) < 1e-9
+
+
+def test_souriau_images_stack_matches_single_frames(rng):
+    for n in (1, 2, 3):
+        Ls = [random_lagrangian(n, rng) for _ in range(5)]
+        V, w = souriau_images(np.array([L.columns for L in Ls]))
+        assert V.shape == w.shape == (5, n, n)
+        for L, wk in zip(Ls, w):
+            assert np.array_equal(souriau_map(L).entries, wk)
+        assert np.max(np.abs(w + V @ np.swapaxes(V, 1, 2))) < 1e-15
+
+
+def test_souriau_images_name_the_first_bad_frame(rng):
+    F = np.array([random_lagrangian(2, rng).columns for _ in range(4)])
+    F[2] = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]  # q1 and p1: not isotropic
+    with pytest.raises(InvariantViolation, match="frame 2 "):
+        souriau_images(F)
+    F[2], F[3, 0, 0] = F[0], np.nan
+    with pytest.raises(InvariantViolation, match="frame 3 "):
+        souriau_images(F)
 
 
 def test_inverse_souriau_examples():
@@ -175,7 +195,9 @@ def test_unitary_from_symplectic_round_trip(rng):
 
 
 def test_kahler_pair_and_tolerances():
-    KahlerPair(2)  # compatibility check runs in the constructor
+    # g0(u, v) = omega(u, J0 v) is the standard inner product
+    I4 = np.eye(4)
+    assert np.max(np.abs(omega_gram(I4, standard_j(2) @ I4) - I4)) < 1e-15
     with pytest.raises(InvariantViolation):
         Tolerances(residual_tol=0.0)
     assert Tolerances().rank_floor(4) >= 4 * np.finfo(float).eps

@@ -69,25 +69,26 @@ def test_custom_series_chart_matches_circle():
 def test_transport_flat_plane_is_trivial():
     chart = flat_plane_chart(line_frame(0.4))
     tr = transport_frame(chart, ParamPath.line([0.0], [2.0], 20))
-    for S in tr.S:
-        assert np.max(np.abs(S.entries - np.eye(2))) < 1e-12
+    assert tr.frames.shape == (len(tr.params), 1, 1)
+    assert np.max(np.abs(tr.frames - tr.frames[0])) < 1e-12
+    assert np.max(np.abs(tr.start_relative - 1.0)) < 1e-12
 
 
 def test_transport_circle_full_loop():
     tr = transport_frame(circle_chart(), ParamPath.circle_arc(1.0, 300))
-    assert np.max(np.abs(tr.S[-1].entries - np.eye(2))) < 1e-10
+    # the frame unitaries V(t) turn as e^{it}, the embedding of rotation R(t)
+    U = tr.start_relative[:, 0, 0]
+    assert abs(U[-1] - 1.0) < 1e-10
     assert np.max(np.abs(tr.frames[-1] - tr.frames[0])) < 1e-10
-    # the S(t) path is the full rotation loop: half-way it is rotation by pi
-    mid = len(tr.S) // 2
+    mid = len(U) // 2
     tmid = tr.params[mid] * 2 * np.pi
-    R = np.array([[np.cos(tmid), -np.sin(tmid)], [np.sin(tmid), np.cos(tmid)]])
-    assert np.max(np.abs(tr.S[mid].entries - R)) < 1e-6
+    assert abs(U[mid] - np.exp(1j * tmid)) < 1e-6
+    assert np.max(np.abs(np.abs(U) - 1.0)) < 1e-12
 
 
 def test_transport_quarter_circle_rotation():
     tr = transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 100))
-    R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.max(np.abs(tr.S[-1].entries - R)) < 1e-10
+    assert abs(tr.start_relative[-1, 0, 0] - 1j) < 1e-10
 
 
 def test_transport_residuals_and_refinement():

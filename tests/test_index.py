@@ -6,13 +6,12 @@ import scipy.linalg
 
 from maslov.core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                          embed_unitary, intersection_dim, l0_frame, line_frame,
-                         random_lagrangian, random_unitary)
+                         random_lagrangian, random_unitary, souriau_map)
 from maslov.errors import InvariantViolation, TransversalityError
 from maslov.index import (CoverPoint, DeckAction, LagrangianPath, clm_index,
-                          clm_index_mod4, cover_action, induced_lagrangian_path,
+                          cover_action, induced_lagrangian_path,
                           kashiwara_signature, leray_index, leray_transverse,
-                          lift_path, m_l_index, mu_hat_on_cover,
-                          mu_hat_on_cover_mod8, random_cover_point,
+                          lift_path, mu_hat_on_cover, random_cover_point,
                           _auxiliary_transverse)
 
 
@@ -259,7 +258,7 @@ def test_clm_constant_path():
 def test_clm_circle_loop_with_crossing_oracle():
     path, ts = circle_tangent_path(1.0, 400)
     assert clm_index(path) == 2
-    assert clm_index_mod4(path) == 2
+    assert clm_index(path) % 4 == 2
     # oracle: transversal crossings of the tangent-angle path with the
     # reference line (the endpoint tangent), each counted with the sign of
     # the angular velocity; the loop crosses twice, positively
@@ -309,7 +308,7 @@ def test_mu_hat_on_cover_rotation_loop():
     path = rotation_path(2 * np.pi, 200)
     mu = mu_hat_on_cover(path, l0_frame(1))
     assert abs(mu) == 4
-    assert mu_hat_on_cover_mod8(path, l0_frame(1)) == 4
+    assert mu % 8 == 4
     # consistency with the CLM route
     tangent = induced_lagrangian_path(path, l0_frame(1))
     assert (2 * clm_index(tangent)) % 8 == 4
@@ -332,10 +331,18 @@ def test_mu_hat_on_cover_matches_clm_random(rng):
         assert mu % 8 == (2 * clm_index(induced) + (n - d)) % 8
 
 
-def test_m_l_index_offset():
-    path = rotation_path(2 * np.pi, 200)
-    tangent = induced_lagrangian_path(path, l0_frame(1))
-    assert m_l_index(path, l0_frame(1)) == clm_index(tangent) + 1
+def test_path_from_frame_stack_matches_frame_list():
+    ts = np.linspace(0.0, 2 * np.pi, 12)  # coarse: refinement inserts midpoints
+    frames = [line_frame(t + np.pi / 2) for t in ts]
+    from_list = LagrangianPath(frames)
+    from_stack = LagrangianPath(np.array([f.columns for f in frames]))
+    assert np.array_equal(from_list.souriau, from_stack.souriau)
+    assert len(from_stack.frames) == len(from_stack) == len(from_stack.params) > 12
+    # every sample's frame, midpoints included, spans the Lagrangian of its image
+    for k in range(len(from_stack)):
+        L = from_stack.frames[k]
+        assert isinstance(L, LagrangianFrame)
+        assert np.max(np.abs(souriau_map(L).entries - from_stack.souriau[k])) < 1e-12
 
 
 def test_path_refinement_kicks_in():

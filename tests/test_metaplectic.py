@@ -15,7 +15,7 @@ import scipy.linalg
 from maslov.core import (SymplecticMatrix, embed_unitary, l0_frame,
                          random_unitary)
 from maslov.errors import CaseError, InvariantViolation, StateDomainError
-from maslov.index import mu_hat_on_cover_mod8
+from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
                                 QuadraticFourier, adjoint_quad_fourier,
@@ -359,6 +359,24 @@ def test_lift_orthogonal_endpoint_phases(rng):
         assert min(abs(out.c - r) for r in (1, 1j, -1, -1j)) < 1e-9
 
 
+def test_lift_rejects_non_unitary_sample_and_names_it():
+    path = [rotation(t) for t in np.linspace(0, 1.0, 10)]
+    path[6] = SymplecticMatrix(np.diag([2.0, 0.5]))  # symplectic, not unitary
+    with pytest.raises(InvariantViolation, match="sample 6 "):
+        lift_frame_path(path, ground_state(1))
+
+
+def test_lift_trace_matches_symplectic_route(rng):
+    from maslov.core import unitaries_from_symplectic
+    from maslov.metaplectic import lift_frame_path_trace
+    path = random_unitary_path(2, rng, k=30)
+    Us = unitaries_from_symplectic(path)
+    assert Us.shape == (30, 2, 2)
+    trace = lift_frame_path_trace(Us, ground_state(2))
+    assert len(trace) == 30
+    assert trace[-1].c == lift_frame_path(path, ground_state(2)).c
+
+
 def test_lift_branch_stability_under_doubling(rng):
     from maslov.core import unitary_from_symplectic
     from maslov.metaplectic import _unitary_sqrt
@@ -392,7 +410,7 @@ def test_lift_factorization_consistency(rng):
             continue
         lift = lift_frame_path(path, ground_state(n))
         qf = pin_branch_transverse(S, lift.c)
-        assert mu_hat(qf) == mu_hat_on_cover_mod8(path, l0_frame(n))
+        assert mu_hat(qf) == mu_hat_on_cover(path, l0_frame(n)) % 8
         done += 1
 
 
