@@ -366,17 +366,6 @@ def test_lift_rejects_non_unitary_sample_and_names_it():
         lift_frame_path(path, ground_state(1))
 
 
-def test_lift_trace_matches_symplectic_route(rng):
-    from maslov.core import unitaries_from_symplectic
-    from maslov.metaplectic import lift_frame_path_trace
-    path = random_unitary_path(2, rng, k=30)
-    Us = unitaries_from_symplectic(path)
-    assert Us.shape == (30, 2, 2)
-    trace = lift_frame_path_trace(Us, ground_state(2))
-    assert len(trace) == 30
-    assert trace[-1].c == lift_frame_path(path, ground_state(2)).c
-
-
 def test_lift_branch_stability_under_doubling(rng):
     from maslov.core import unitary_from_symplectic
     from maslov.metaplectic import _unitary_sqrt
