@@ -4,15 +4,15 @@ verification on embedded Lagrangian submanifolds of standard phase space."""
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                    Tolerances, UnitaryComplex, embed_unitary, intersection_dim,
                    l0_frame, lagrangian_from_souriau, line_frame,
-                   random_lagrangian, random_unitary, souriau_intersection_dim,
-                   souriau_map, standard_j, unitary_from_symplectic)
+                   random_lagrangian, random_unitary, souriau_map,
+                   standard_j, unitary_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      ImmersionError, InvariantViolation, MaslovError,
                      SamplingError, SpecError, StateDomainError,
                      TransversalityError)
 from .geometry import (LagrangianChart, ParamPath, TransportResult,
                        circle_chart, curve_chart_from_series,
-                       flat_plane_chart, gradient_graph_chart, induced_metric,
+                       flat_plane_chart, gradient_graph_chart,
                        product_torus_chart, tangent_lagrangian_path,
                        transport_frame, verify_corollary1, verify_theorem1,
                        verify_theorem2)

@@ -233,14 +233,13 @@ def _run_holonomy(spec, tol, refine_max):
     states = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
                                    max_depth=refine_max)
     theta0 = float(np.angle(np.linalg.det(tr.tangent_path.souriau[0])))
-    lifts = lift_path(tr.tangent_path, theta0, tol)
-    rows = [(t, pt.theta, st.c.real, st.c.imag)
-            for t, pt, st in zip(tr.params, lifts, states)]
-    phase = states[-1].c
+    theta = lift_path(tr.tangent_path, theta0, tol)
+    rows = zip(tr.params, theta, states.c.real, states.c.imag)
+    phase = states.c[-1]
     label, resid = fourth_root_label(phase, tol)
     results = {
         "trace": [[float(v) for v in row] for row in rows],
-        "theta_total": float(lifts[-1].theta - lifts[0].theta),
+        "theta_total": float(theta[-1] - theta[0]),
         "phase": [phase.real, phase.imag],
         "phase_label": label,
         "phase_label_residual": resid,

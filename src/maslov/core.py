@@ -84,7 +84,7 @@ class SymplecticMatrix:
         n = entries.shape[0] // 2
         J = standard_j(n)
         resid = np.max(np.abs(entries.T @ J @ entries - J))
-        if resid > tol.residual_tol:
+        if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation(
                 "not symplectic: ||S^T J S - J||_inf = %.3e" % resid)
         object.__setattr__(self, "entries", _as_array(entries))
@@ -125,7 +125,7 @@ class UnitaryComplex:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvariantViolation("unitary matrix must be square")
         resid = _unitarity_residuals(entries)
-        if resid > tol.residual_tol:
+        if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
         object.__setattr__(self, "entries", _as_array(entries, dtype=complex))
 
@@ -291,17 +291,6 @@ def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,
     sv = np.linalg.svd(F, compute_uv=False)
     rank = int(np.sum(sv > tol.rank_floor(2 * L1.n)))
     return 2 * L1.n - rank
-
-
-def souriau_intersection_dim(w1, w2, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Intersection dimension read off the Souriau images: the multiplicity of
-    eigenvalue 1 of w1 w2^{-1} (cross-check of intersection_dim)."""
-    if isinstance(w1, UnitaryComplex):
-        w1 = w1.entries
-    if isinstance(w2, UnitaryComplex):
-        w2 = w2.entries
-    lam = np.linalg.eigvals(w1 @ np.linalg.inv(w2))
-    return int(np.sum(np.abs(lam - 1.0) < tol.rank_floor(w1.shape[0]) * 100))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> UnitaryComplex:

@@ -1,11 +1,18 @@
-"""Embedded Lagrangian submanifolds of standard phase space: charts, induced
-metric, discrete Levi-Civita frame transport, tangent-plane Lagrangian paths,
-and the end-to-end holonomy verifiers.
+"""Embedded Lagrangian submanifolds of standard phase space: charts, discrete
+Levi-Civita frame transport, tangent-plane Lagrangian paths, and the
+end-to-end holonomy verifiers.
 
-Transport uses projection onto successive tangent spaces with Gram-Schmidt
-re-orthonormalization and step halving; this converges to Levi-Civita
-transport of the induced metric without touching second derivatives of the
-chart.
+Transport works on the orthonormal tangent bases B_k of the sampled points,
+taken for a whole level of samples at once.  Between consecutive bases it
+uses the polar transfer P_k = polar(B_{k+1}^T B_k), the orthogonal factor of
+the projection of one tangent space onto the next, and builds the frames as
+F_k = B_k G_k with G_{k+1} = P_k G_k.  Polar factors are right-equivariant,
+polar(C G) = polar(C) G, so this equals projecting the previous frame onto
+the next tangent space and re-orthonormalizing it by its polar factor, and
+it converges to Levi-Civita transport of the induced metric without
+touching second derivatives of the chart.  Segments are bisected level by
+level until the spectral step norm ||B_{k+1} P_k - B_k||_2, which does not
+depend on the frame, is at most FRAME_INCREMENT_BOUND.
 """
 
 from __future__ import annotations
@@ -232,35 +239,48 @@ class TransportResult:
         return self.frames[0].conj().T @ self.frames
 
 
-def induced_metric(chart: LagrangianChart, u,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Pullback metric Jac^T Jac of the ambient inner product at u."""
-    J = chart.jac(u)
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] < tol.rank_floor(2 * chart.n):
-        raise ImmersionError("chart Jacobian rank deficient at %r" % (u,))
-    return J.T @ J
+def _polar(C: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor of every matrix of a stack."""
+    U, _, Wh = np.linalg.svd(C)
+    return U @ Wh
 
 
-def _tangent_basis(chart, u, tol):
-    J = chart.jac(u)
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] < tol.rank_floor(2 * chart.n):
-        raise ImmersionError("chart Jacobian rank deficient at %r" % (u,))
+def _tangent_bases(chart, us, tol) -> np.ndarray:
+    """Orthonormal tangent bases at the parameters us, shape (N, 2n, n), with
+    the sign of each column fixed by its QR pivot.  One stacked singular
+    value check names the first point where the Jacobian is rank deficient
+    or not finite."""
+    J = np.array([chart.jac(u) for u in us])
+    finite = np.all(np.isfinite(J), axis=(1, 2))
+    sv = np.linalg.svd(np.where(finite[:, None, None], J, 0.0), compute_uv=False)
+    bad = np.flatnonzero(~(finite & (sv[:, -1] >= tol.rank_floor(2 * chart.n))))
+    if bad.size:
+        raise ImmersionError("chart Jacobian rank deficient at %r" % (us[bad[0]],))
     Q, R = np.linalg.qr(J)
-    return Q * np.sign(np.diagonal(R))
+    return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+
+
+def _transfers(Ba: np.ndarray, Bb: np.ndarray):
+    """Polar transfers P = polar(Bb^T Ba) of a stack of segments between
+    tangent bases, and their spectral step norms ||Bb P - Ba||_2."""
+    P = _polar(np.swapaxes(Bb, 1, 2) @ Ba)
+    return P, np.linalg.norm(Bb @ P - Ba, ord=2, axis=(1, 2))
+
+
+def _running_products(P: np.ndarray, G0: np.ndarray) -> np.ndarray:
+    """The stack G_0 = G0, G_{k+1} = P_k G_k, by a doubling scan: after the
+    round with shift s, G_k holds the product of the 2s factors ending at k."""
+    G = np.concatenate([G0[None], P])
+    s = 1
+    while s < len(G):
+        G[s:] = G[s:] @ G[:-s]
+        s *= 2
+    return G
 
 
 def _tangency(F, B) -> float:
     """Sup-norm distance of the frame columns from span(B)."""
-    return float(np.max(np.abs(F - B @ (B.T @ F))))
-
-
-def _project_frame(F, B):
-    """Project frame columns onto span(B) and re-orthonormalize."""
-    G = B @ (B.T @ F)
-    Q, R = np.linalg.qr(G)
-    return Q * np.sign(np.diagonal(R))
+    return float(np.max(np.abs(F - B @ (np.swapaxes(B, -1, -2) @ F))))
 
 
 def transport_frame(chart: LagrangianChart, path: ParamPath,
@@ -269,9 +289,13 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
                     max_depth: int = 30) -> TransportResult:
     """Discrete Levi-Civita transport of a tangent frame along the path.
 
-    Each step projects the previous frame onto the new tangent space and
-    re-orthonormalizes; segments are halved until the per-step frame change
-    is below FRAME_INCREMENT_BOUND.
+    The tangent bases B_k of all samples of a level come from one stacked
+    factorization, and the polar transfers P_k = polar(B_{k+1}^T B_k) from
+    one batched SVD.  Every segment whose spectral step norm
+    ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
+    whole level at a time, up to max_depth levels.  The norm bounds every
+    column of the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k,
+    for the frames F_k = B_k G_k with G_{k+1} = P_k G_k.
     """
     us = path.samples
     n = chart.n
@@ -280,54 +304,44 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
         gap = np.max(np.abs(chart.at(us[0]) - chart.at(us[-1])))
         if gap > 1e-7:
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
-    B = _tangent_basis(chart, us[0], tol)
+    B = _tangent_bases(chart, us, tol)
     if initial_frame is None:
-        F0 = B
+        G0 = np.eye(n)
     else:
         F0 = np.asarray(initial_frame, dtype=float)
-        if np.max(np.abs(F0.T @ F0 - np.eye(n))) > 1e-8 or _tangency(F0, B) > 1e-8:
+        if np.max(np.abs(F0.T @ F0 - np.eye(n))) > 1e-8 or _tangency(F0, B[0]) > 1e-8:
             raise InvariantViolation("initial frame must be orthonormal and tangent")
+        G0 = _polar(B[0].T @ F0)
 
-    t_dense = [0.0]
-    frames = [F0]
-    depth_used = 0
-    max_step = 0.0
-    # tangency residual, spot-checked at the original samples
-    tangency = _tangency(F0, B)
-    N = len(us)
-    for k in range(N - 1):
-        seg = [(us[k], us[k + 1], (k) / (N - 1.0), (k + 1) / (N - 1.0), 0)]
-        while seg:
-            ua, ub, ta, tb, depth = seg.pop()
-            B = _tangent_basis(chart, ub, tol)
-            Fb = _project_frame(frames[-1], B)
-            step = np.max(np.linalg.norm(Fb - frames[-1], axis=0))
-            if step > FRAME_INCREMENT_BOUND:
-                if depth >= max_depth:
-                    raise SamplingError("transport refinement exhausted")
-                um, tm = (ua + ub) / 2.0, (ta + tb) / 2.0
-                seg.append((um, ub, tm, tb, depth + 1))
-                seg.append((ua, um, ta, tm, depth + 1))
-                depth_used = max(depth_used, depth + 1)
-                continue
-            max_step = max(max_step, step)
-            frames.append(Fb)
-            t_dense.append(tb)
-        # the last accepted step ended on sample k + 1, with B its tangent basis
-        tangency = max(tangency, _tangency(frames[-1], B))
+    u = us
+    t = np.arange(len(us)) / (len(us) - 1.0)
+    P, step = _transfers(B[:-1], B[1:])
+    for depth in range(max_depth + 1):
+        bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))  # NaN steps fail too
+        if not bad.size:
+            break
+        if depth == max_depth:
+            raise SamplingError("transport refinement exhausted at t = %.17g" % t[bad[0]])
+        um, tm = (u[bad] + u[bad + 1]) / 2.0, (t[bad] + t[bad + 1]) / 2.0
+        Bm = _tangent_bases(chart, um, tol)
+        P[bad], step[bad] = _transfers(B[bad], Bm)
+        Pb, sb = _transfers(Bm, B[bad + 1])
+        P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
+        u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
+        B = np.insert(B, bad + 1, Bm, axis=0)
 
-    F = np.array(frames)
+    F = B @ _running_products(P, G0)
+    max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
     ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
-    tangent = LagrangianPath(F, params=t_dense, tol=tol)
-    return TransportResult(np.asarray(t_dense), F[:, :n] + 1j * F[:, n:], tangent,
-                           depth_used, max_step, ortho_resid, tangency)
+    tangent = LagrangianPath(F, params=t, tol=tol)
+    return TransportResult(t, F[:, :n] + 1j * F[:, n:], tangent, depth,
+                           max_step, ortho_resid, _tangency(F, B))
 
 
 def tangent_lagrangian_path(chart: LagrangianChart, path: ParamPath,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
     """The path of tangent planes t -> span(Jac(u(t))), orthonormalized."""
-    return LagrangianPath(np.array([_tangent_basis(chart, u, tol) for u in path.samples]),
-                          tol=tol)
+    return LagrangianPath(_tangent_bases(chart, path.samples, tol), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class CoverPoint:
             raise InvariantViolation("cover point needs a symmetric w")
         UnitaryComplex(w, tol)
         resid = abs(np.linalg.det(w) - np.exp(1j * theta))
-        if resid > tol.phase_tol:
+        if not resid <= tol.phase_tol:  # a NaN theta fails too
             raise InvariantViolation(
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e" % resid)
         wc = w.copy()
@@ -150,18 +150,17 @@ def _auxiliary_transverse(x: CoverPoint, y: CoverPoint,
     """Deterministic sweep for a lift of a Lagrangian transverse to both
     pi(x) and pi(y): candidates e^{2 i phi} I over a fixed 32-point grid."""
     n = x.n
-    best, best_gap = None, 0.0
+    best_phi, best_gap = None, 0.0
     for k in range(32):
         phi = np.pi * (k + 0.414) / 32.0
-        w3 = np.exp(2j * phi) * np.eye(n)
         gap = min(
             np.min(np.abs(np.linalg.eigvals(x.w * np.exp(-2j * phi)) - 1.0)),
             np.min(np.abs(np.linalg.eigvals(y.w * np.exp(-2j * phi)) - 1.0)))
         if gap > best_gap:
-            best, best_gap = CoverPoint(w3, 2.0 * n * phi, tol), gap
-    if best is None or best_gap < tol.rank_floor(n) * 100:
+            best_phi, best_gap = phi, gap
+    if best_phi is None or best_gap < tol.rank_floor(n) * 100:
         raise ConditioningError("no common transverse Lagrangian found on the grid")
-    return best
+    return CoverPoint(np.exp(2j * best_phi) * np.eye(n), 2.0 * n * best_phi, tol)
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
@@ -249,68 +248,84 @@ class LagrangianPath:
         return _FrameView(self.unitaries, self.tol)
 
     def _refine(self, V, w, params):
-        """Bisect each step whose Souriau images differ by MAX_SOURIAU_STEP or
-        more.  A midpoint w_m gets the unitary V_m = i r_m with
-        r_m = souriau_sqrt(w_m), so that -V_m V_m^T = r_m^2 = w_m."""
-        out = [(V[0], w[0], params[0])]
-        for k in range(1, len(w)):
-            pending = [(V[k], w[k], params[k], 0)]
-            while pending:
-                _, wa, ta = out[-1]
-                Vb, wb, tb, depth = pending[-1]
-                if np.max(np.abs(wb - wa)) < MAX_SOURIAU_STEP:
-                    out.append(pending.pop()[:3])
-                    continue
-                if depth >= _MAX_REFINE_DEPTH:
-                    raise SamplingError("path refinement exhausted; sampling too coarse")
-                wm = _souriau_midpoint(wa, wb, self.tol)
-                pending[-1] = (Vb, wb, tb, depth + 1)
-                pending.append((1j * souriau_sqrt(wm, self.tol), wm,
-                                0.5 * (ta + tb), depth + 1))
-        if len(out) == len(w):
-            return V, w, params
-        V, w, params = zip(*out)
-        return np.array(V), np.array(w), np.array(params)
+        """Bisect every step whose Souriau images differ by MAX_SOURIAU_STEP
+        or more, a whole level at a time.  A midpoint w_m gets the unitary
+        V_m = i r_m with r_m = souriau_sqrt(w_m), so that -V_m V_m^T = w_m."""
+        for depth in range(_MAX_REFINE_DEPTH + 1):
+            step = np.max(np.abs(w[1:] - w[:-1]), axis=(1, 2))
+            bad = np.flatnonzero(~(step < MAX_SOURIAU_STEP))
+            if not bad.size:
+                break
+            if depth == _MAX_REFINE_DEPTH:
+                raise SamplingError("path refinement exhausted; sampling too coarse")
+            wm = np.array([_souriau_midpoint(w[k], w[k + 1], self.tol) for k in bad])
+            Vm = np.array([1j * souriau_sqrt(m, self.tol) for m in wm])
+            tm = 0.5 * (params[bad] + params[bad + 1])
+            V, w = np.insert(V, bad + 1, Vm, axis=0), np.insert(w, bad + 1, wm, axis=0)
+            params = np.insert(params, bad + 1, tm)
+        return V, w, params
 
     def __len__(self):
         return len(self.souriau)
 
 
+def _split_phase_step(wa, pa, wb, pb, tol: Tolerances) -> float:
+    """Det-phase increment from wa to wb, summed over geodesic bisections of
+    the step until every piece turns by less than pi/2."""
+    total = 0.0
+    pending = [(wb, pb, 0)]
+    while pending:
+        wc, pc, depth = pending[-1]
+        turn = (pc - pa + np.pi) % (2 * np.pi)  # the phase step, plus pi
+        if abs(turn - np.pi) < np.pi / 2:
+            pending.pop()
+            total += turn - np.pi
+            wa, pa = wc, pc
+            continue
+        if depth >= _MAX_REFINE_DEPTH:
+            raise SamplingError("phase unwrapping did not converge under refinement")
+        wm = _souriau_midpoint(wa, wc, tol)
+        pending[-1] = (wc, pc, depth + 1)
+        pending.append((wm, np.angle(np.linalg.det(wm)), depth + 1))
+    return total
+
+
 def lift_path(path: LagrangianPath, theta0: float,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> list[CoverPoint]:
-    """Continuous lift of the path to the cover, unwrapping arg det w from
-    theta0.  Steps whose det-phase change reaches pi/2 are bisected."""
-    ws = path.souriau
-    if abs(np.linalg.det(ws[0]) - np.exp(1j * theta0)) > tol.phase_tol:
-        raise InvariantViolation("theta0 does not lift the initial sample")
-    phases = np.angle(np.linalg.det(ws))
-    points = [CoverPoint(ws[0], theta0, tol)]
-    wa, pa, theta = ws[0], phases[0], theta0
-    for k in range(1, len(ws)):
-        pending = [(ws[k], phases[k], 0)]
-        while pending:
-            wb, pb, depth = pending[-1]
-            turn = (pb - pa + np.pi) % (2 * np.pi)  # the phase step, plus pi
-            if abs(turn - np.pi) < np.pi / 2:
-                pending.pop()
-                wa, pa, theta = wb, pb, theta + turn - np.pi
-                continue
-            if depth >= _MAX_REFINE_DEPTH:
-                raise SamplingError("phase unwrapping did not converge under refinement")
-            wm = _souriau_midpoint(wa, wb, tol)
-            pending[-1] = (wb, pb, depth + 1)
-            pending.append((wm, np.angle(np.linalg.det(wm)), depth + 1))
-        points.append(CoverPoint(ws[k], theta, tol))
-    return points
+              tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Continuous lift of the path to the cover: the unwrapped det-phases
+    theta_k, shape (N,), starting at theta0, so that (w_k, theta_k) is the
+    lift of sample k.  Steps whose det-phase change reaches pi/2 are
+    bisected; one residual |det w_k - e^{i theta_k}| over the whole path
+    checks the result."""
+    dets = np.linalg.det(path.souriau)
+    phases = np.angle(dets)
+    steps = (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi
+    for k in np.flatnonzero(~(np.abs(steps) < np.pi / 2)):
+        steps[k] = _split_phase_step(path.souriau[k], phases[k],
+                                     path.souriau[k + 1], phases[k + 1], tol)
+    theta = np.cumsum(np.concatenate([[float(theta0)], steps]))
+    resid = np.abs(dets - np.exp(1j * theta))
+    bad = np.flatnonzero(~(resid <= tol.phase_tol))
+    if bad.size:
+        raise InvariantViolation(
+            "sample %d: theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e"
+            % (bad[0], resid[bad[0]]))
+    return theta
+
+
+def _endpoint_lifts(path: LagrangianPath, tol: Tolerances):
+    """Cover points (end, start) of the lift of the path from the principal
+    det-phase of its first sample."""
+    theta0 = float(np.angle(np.linalg.det(path.souriau[0])))
+    theta = lift_path(path, theta0, tol)
+    return (CoverPoint(path.souriau[-1], theta[-1], tol),
+            CoverPoint(path.souriau[0], theta[0], tol))
 
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Cappell-Lee-Miller index of the path against the constant path at its
     endpoint, computed through the cover as (mu(end, start) - n + dim cap)/2."""
-    theta0 = float(np.angle(np.linalg.det(path.souriau[0])))
-    lifts = lift_path(path, theta0, tol)
-    x, y = lifts[-1], lifts[0]
-    mu = leray_index(x, y, tol)
+    mu = leray_index(*_endpoint_lifts(path, tol), tol)
     d = intersection_dim(path.frames[0], path.frames[-1], tol)
     num = mu - path.n + d
     if num % 2:
@@ -333,10 +348,8 @@ def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
     S0 = symp_path[0].entries
     if np.max(np.abs(S0 - np.eye(S0.shape[0]))) > tol.residual_tol * 100:
         raise InvariantViolation("symplectic path must start at the identity")
-    path = induced_lagrangian_path(symp_path, L, tol)
-    theta0 = float(np.angle(np.linalg.det(path.souriau[0])))
-    lifts = lift_path(path, theta0, tol)
-    return leray_index(lifts[-1], lifts[0], tol)
+    return leray_index(*_endpoint_lifts(induced_lagrangian_path(symp_path, L, tol), tol),
+                       tol)
 
 
 def random_cover_point(n: int, rng: np.random.Generator,

@@ -29,13 +29,14 @@ composition cocycle; the test suite checks both.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   embed_unitary, unitaries_from_symplectic)
+                   _unitarity_residuals, embed_unitary,
+                   unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
 
@@ -459,32 +460,15 @@ def _unitary_sqrt(V: np.ndarray) -> np.ndarray:
 
 def _step_word(V: np.ndarray, s: GaussianAmplitude,
                tol: Tolerances) -> GaussianAmplitude:
-    """Apply the lift of a single near-identity unitary-image step, branch
-    chosen by continuity.
+    """Apply the lift of a single near-identity unitary-image step to a
+    state, through the generator word, branch chosen by continuity.
 
-    Pure Gaussian states use the closed fractional-linear law
-
-        M -> (D M - i C)(A + i B M)^{-1},   c -> c det(A + i B M)^{-1/2}
-
-    with the principal determinant branch, which is the continuous lift for
-    steps within the size bound.  States with a polynomial factor go through
-    the generator word instead: the step has a singular upper-right block
-    near the identity, so it is composed with the fixed Fourier element
-    J0 = embed(iI), S = (S J0) J0^{-1} with S J0 = embed(iV), every factor
-    then having an invertible block, and the branch integer of the
-    (S J0)-word is rounded so the scalar increment stays within a quarter
-    turn of 1.  Both routes realize the same operator.
+    The step has a singular upper-right block near the identity, so it is
+    composed with the fixed Fourier element J0 = embed(iI),
+    S = (S J0) J0^{-1} with S J0 = embed(iV), every factor then having an
+    invertible block, and the branch integer of the (S J0)-word is rounded
+    so the scalar increment stays within a quarter turn of 1.
     """
-    A, B = V.real, V.imag
-    if s.poly.is_constant():
-        # blocks of embed(V) are [[A, -B], [B, A]], so the law reads
-        # M' = (A M - i B)(A - i B M)^{-1}, c' = c det(A - i B M)^{-1/2}
-        Z = A - 1j * (B @ s.M)
-        lam = np.linalg.eigvals(Z)
-        fac = np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam)))
-        Mn = ((A @ s.M) - 1j * B) @ np.linalg.inv(Z)
-        Mn = (Mn + Mn.T) / 2
-        return GaussianAmplitude(s.c * fac, Mn, s.poly, tol)
     qf = quad_fourier_from_symplectic(embed_unitary(1j * V, tol), 0, tol)
     out = apply_generator(JHat(), s, tol)
     out = apply_quad_fourier(qf, out, tol)
@@ -495,37 +479,106 @@ def _step_word(V: np.ndarray, s: GaussianAmplitude,
     return out.scaled(quarter_turn(m))
 
 
+def _adjoint(U: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(U, -1, -2))
+
+
+def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int):
+    """Insert geodesic midpoints sqrt(V) U_a into every step V = U_b U_a^*
+    with max |eig(V) - 1| > bound, a whole level at a time, up to max_depth
+    levels.  Returns the dense path, its steps and the dense positions of
+    the input samples."""
+    U, is_input = Us, np.ones(len(Us), dtype=bool)
+    for depth in range(max_depth + 1):
+        V = U[1:] @ _adjoint(U[:-1])
+        err = np.max(np.abs(np.linalg.eigvals(V) - 1.0), axis=1)
+        bad = np.flatnonzero(~(err <= bound))  # NaN steps fail too
+        if not bad.size:
+            break
+        if depth == max_depth:
+            raise SamplingError("unitary path refinement exhausted at step %d" % bad[0])
+        Um = np.array([_unitary_sqrt(V[k]) @ U[k] for k in bad])
+        U, is_input = np.insert(U, bad + 1, Um, axis=0), np.insert(is_input, bad + 1, False)
+    return U, V, np.flatnonzero(is_input)
+
+
+def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
+                tol: Tolerances):
+    """Scalars and matrices of a pure Gaussian state along a dense unitary
+    path U with steps V, by the closed fractional-linear law.
+
+    embed(W) for W = A + iB has blocks [[A, -B], [B, A]], so the state at
+    the sample with W_k = U_k U_0^* has M_k = (A M_0 - i B)(A - i B M_0)^{-1}.
+    The scalar is the running product of the per-step factors
+    det(A - i B M)^{-1/2}, with A + iB the step and M the state before it,
+    on the principal branch: the continuous one for steps within the size
+    bound.  One batched check over the path keeps Re M_k positive definite.
+    """
+    n = s0.n
+    W = U @ _adjoint(U[0])
+    A, B = W.real, W.imag
+    M = ((A @ s0.M) - 1j * B) @ np.linalg.inv(A - 1j * (B @ s0.M))
+    M = (M + np.swapaxes(M, 1, 2)) / 2
+    low = np.linalg.eigvalsh(M.real)[:, 0]
+    bad = np.flatnonzero(~(low >= tol.rank_floor(n)))
+    if bad.size:
+        raise StateDomainError("Re(M) must be positive definite; min eig %.3e at "
+                               "dense sample %d" % (low[bad[0]], bad[0]))
+    d = np.linalg.det(V.real - 1j * (V.imag @ M[:-1]))
+    fac = np.abs(d) ** -0.5 * np.exp(-0.5j * np.angle(d))
+    return np.cumprod(np.concatenate([[s0.c], fac])), M
+
+
+class LiftTrace(Sequence):
+    """States of a lifted path at the samples of its input path: scalars c,
+    shape (N,), matrices M, shape (N, n, n), and one polynomial factor per
+    sample.  Item k is built as a GaussianAmplitude on access."""
+
+    def __init__(self, c: np.ndarray, M: np.ndarray, polys: Sequence,
+                 tol: Tolerances):
+        self.c, self.M, self.polys, self._tol = c, M, polys, tol
+
+    def __len__(self):
+        return len(self.c)
+
+    def __getitem__(self, k) -> GaussianAmplitude:
+        return GaussianAmplitude(self.c[k], self.M[k], self.polys[k], self._tol)
+
+
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
                           tol: Tolerances = DEFAULT_TOLERANCES,
-                          max_depth: int = 12) -> list[GaussianAmplitude]:
+                          max_depth: int = 12) -> LiftTrace:
     """States of the continuous metaplectic lift at every sample of a path of
-    unitaries Us, shape (N, n, n), starting at the identity."""
+    unitaries Us, shape (N, n, n), starting at the identity.
+
+    Steps are bisected geodesically in U(n) until each is within the step
+    bound of the identity, where the per-step branch is unambiguous.  Pure
+    Gaussian states take the closed law as one batch; states with a
+    polynomial factor go through the generator word one step at a time.
+    """
     Us = np.asarray(Us, dtype=complex)
-    if Us.ndim != 3 or not len(Us):
+    if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
     n = Us.shape[-1]
+    resid = _unitarity_residuals(Us)
+    bad = np.flatnonzero(~(resid <= tol.residual_tol))
+    if bad.size:
+        raise InvariantViolation("sample %d is not unitary: residual %.3e"
+                                 % (bad[0], resid[bad[0]]))
     if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
         raise InvariantViolation("path must start at the identity")
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
-    state = s0
-    trace = [state]
-    bound = _step_bound(n)
-    for k in range(len(Us) - 1):
-        stack = [(Us[k], Us[k + 1], 0)]
-        while stack:
-            Ua, Ub, depth = stack.pop()
-            V = Ub @ Ua.conj().T
-            if np.max(np.abs(np.linalg.eigvals(V) - 1.0)) > bound:
-                if depth >= max_depth:
-                    raise SamplingError("unitary path refinement exhausted")
-                Um = _unitary_sqrt(V) @ Ua
-                stack.append((Um, Ub, depth + 1))
-                stack.append((Ua, Um, depth + 1))
-                continue
-            state = _step_word(V, state, tol)
-        trace.append(state)
-    return trace
+    U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth)
+    if s0.poly.is_constant():
+        c, M = _closed_law(U, V, s0, tol)
+        return LiftTrace(c[keep], M[keep], [s0.poly] * len(keep), tol)
+    states = [s0]
+    for step in V:
+        states.append(_step_word(step, states[-1], tol))
+    states = [states[k] for k in keep]
+    return LiftTrace(np.array([s.c for s in states]), np.array([s.M for s in states]),
+                     [s.poly for s in states], tol)
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,

@@ -5,16 +5,23 @@ import numpy as np
 import pytest
 
 from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
-                         embed_unitary, intersection_dim, l0_frame,
-                         lagrangian_from_souriau, line_frame, omega_gram,
-                         random_lagrangian, random_unitary,
-                         souriau_images, souriau_intersection_dim,
-                         souriau_map, standard_j, unitary_from_symplectic)
+                         UnitaryComplex, embed_unitary, intersection_dim,
+                         l0_frame, lagrangian_from_souriau, line_frame,
+                         omega_gram, random_lagrangian, random_unitary,
+                         souriau_images, souriau_map, standard_j,
+                         unitary_from_symplectic)
 from maslov.errors import DimensionMismatch, InvariantViolation
 
 
 def same_span(F1, F2):
     return intersection_dim(F1, F2) == F1.n
+
+
+def souriau_intersection_dim(w1, w2, tol=Tolerances()):
+    """Intersection dimension read off the Souriau images: the multiplicity of
+    eigenvalue 1 of w1 w2^{-1} (cross-check of intersection_dim)."""
+    lam = np.linalg.eigvals(w1.entries @ np.linalg.inv(w2.entries))
+    return int(np.sum(np.abs(lam - 1.0) < tol.rank_floor(w1.n) * 100))
 
 
 def test_embed_identity():
@@ -168,6 +175,15 @@ def test_transversality_criterion_cross_check(rng):
     # and in a degenerate configuration
     assert souriau_intersection_dim(souriau_map(l0_frame(2)),
                                     souriau_map(l0_frame(2))) == 2
+
+
+def test_matrix_types_reject_nan():
+    with pytest.raises(InvariantViolation):
+        UnitaryComplex(np.array([[np.nan]]))
+    with pytest.raises(InvariantViolation):
+        SymplecticMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(InvariantViolation):
+        SymplecticMatrix(np.diag([1.0, np.nan]))
 
 
 def test_frame_validation():

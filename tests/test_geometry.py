@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from maslov.core import line_frame
-from maslov.errors import CaseError, InvariantViolation
-from maslov.geometry import (FRAME_INCREMENT_BOUND, ParamPath, circle_chart,
-                             curve_chart_from_series, flat_plane_chart,
-                             gradient_graph_chart, induced_metric,
+from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
+                           SamplingError)
+from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
+                             circle_chart, curve_chart_from_series,
+                             flat_plane_chart, gradient_graph_chart,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
                              verify_theorem1, verify_theorem2)
@@ -16,6 +17,12 @@ from maslov.index import clm_index, lift_path
 
 def phase_of(report):
     return complex(report["phase"][0], report["phase"][1])
+
+
+def induced_metric(chart, u):
+    """Pullback metric Jac^T Jac of the ambient inner product at u."""
+    J = chart.jac(u)
+    return J.T @ J
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +106,88 @@ def test_transport_residuals_and_refinement():
     assert len(tr.frames) > 40  # refinement inserted samples
 
 
+def cosine_gradient_chart(waves):
+    """Graph u -> (u, grad phi(u)) of phi(u) = sum_j a_j cos(<k_j, u> + b_j):
+    a Lagrangian chart whose Hessian is not constant and not diagonal."""
+    n = len(waves[0][1])
+    a = np.array([w[0] for w in waves])
+    K = np.array([w[1] for w in waves], dtype=float)
+    b = np.array([w[2] for w in waves])
+
+    def point(u):
+        return np.concatenate([u, -(a * np.sin(K @ u + b)) @ K])
+
+    def jac(u):
+        H = -(K.T * (a * np.cos(K @ u + b))) @ K
+        return np.vstack([np.eye(n), H])
+
+    return LagrangianChart(n, point=point, jacobian=jac, tag="gradient_graph")
+
+
+def reference_transport(chart, us):
+    """Project each frame onto the next tangent space and orthonormalize it
+    by its polar factor, one sample at a time."""
+    def basis(u):
+        Q, R = np.linalg.qr(chart.jac(u))
+        return Q * np.sign(np.diagonal(R))
+
+    frames = [basis(us[0])]
+    for u in us[1:]:
+        B = basis(u)
+        W, _, Zh = np.linalg.svd(B @ (B.T @ frames[-1]), full_matrices=False)
+        frames.append(W @ Zh)
+    return np.array(frames)
+
+
+CURVED_LOOPS = {
+    2: ([(0.6, (1.0, 0.0), 0.3), (0.5, (0.0, 1.0), -0.4), (0.4, (1.0, 1.0), 0.1),
+         (0.3, (2.0, -1.0), 0.7)],
+        lambda t: np.stack([0.2 + np.cos(t), -0.1 + 0.8 * np.sin(t)], axis=1)),
+    3: ([(0.5, (1.0, 0.0, 0.0), 0.2), (0.4, (0.0, 1.0, 1.0), -0.3),
+         (0.4, (1.0, -1.0, 0.0), 0.5), (0.3, (0.0, 1.0, 2.0), 0.1)],
+        lambda t: np.stack([np.cos(t), 0.7 * np.sin(t), 0.5 * np.sin(2 * t)], axis=1)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CURVED_LOOPS))
+def test_transport_on_curved_gradient_graph(n):
+    waves, loop = CURVED_LOOPS[n]
+    chart = cosine_gradient_chart(waves)
+    path = ParamPath(loop(np.linspace(0.0, 2 * np.pi, 120)), closed=True)
+    tr = transport_frame(chart, path)
+    N = len(path.samples)
+    t = tr.params
+    assert np.all(np.diff(t) > 0)
+    assert np.all(np.isin(np.arange(N) / (N - 1.0), t))
+    # batched frames against the sequential reference on the same dense samples
+    us = np.stack([np.interp(t, np.linspace(0.0, 1.0, N), path.samples[:, j])
+                   for j in range(n)], axis=1)
+    F = reference_transport(chart, us)
+    assert np.max(np.abs(tr.frames - (F[:, :n] + 1j * F[:, n:]))) < 1e-12
+    step = np.linalg.norm(np.diff(F, axis=0), axis=1)
+    assert np.max(step) <= FRAME_INCREMENT_BOUND
+    assert tr.max_frame_step <= FRAME_INCREMENT_BOUND
+    # a graph over the position plane never meets the vertical: mu = 0
+    rep = verify_theorem1(chart, path)
+    assert rep["mu_clm"] == 0 and rep["phase_label"] == "1"
+    assert rep["pass"]
+
+
+def test_transport_names_rank_deficient_point():
+    # the Jacobian (u - 1/2, 0) vanishes at the middle sample only
+    chart = LagrangianChart(1, point=lambda u: np.array([(u[0] - 0.5) ** 2 / 2, 0.0]),
+                            jacobian=lambda u: np.array([[u[0] - 0.5], [0.0]]))
+    with pytest.raises(ImmersionError, match=r"\[0\.5\]"):
+        transport_frame(chart, ParamPath.line([0.0], [1.0], 11))
+
+
+def test_transport_refinement_exhaustion():
+    path = ParamPath.circle_arc(1.0, 10)
+    with pytest.raises(SamplingError, match="transport refinement exhausted"):
+        transport_frame(circle_chart(), path, max_depth=2)
+    assert transport_frame(circle_chart(), path).refinement_depth > 2
+
+
 def test_transport_rejects_bad_initial_frame():
     with pytest.raises(InvariantViolation):
         transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 30),
@@ -111,8 +200,8 @@ def test_transport_rejects_bad_initial_frame():
 
 def test_tangent_path_circle_winding():
     path = tangent_lagrangian_path(circle_chart(), ParamPath.circle_arc(1.0, 200))
-    lifts = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
-    assert abs(lifts[-1].theta - lifts[0].theta - 4 * np.pi) < 1e-9
+    theta = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
+    assert abs(theta[-1] - theta[0] - 4 * np.pi) < 1e-9
 
 
 def test_tangent_path_flat_constant():
@@ -125,8 +214,8 @@ def test_tangent_path_torus_winding_multiplicative():
     chart = product_torus_chart()
     for a, b in ((1, 0), (1, 1), (2, 1)):
         path = tangent_lagrangian_path(chart, ParamPath.torus_loop((a, b), 200))
-        lifts = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
-        assert abs(lifts[-1].theta - lifts[0].theta - 4 * np.pi * (a + b)) < 1e-8
+        theta = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
+        assert abs(theta[-1] - theta[0] - 4 * np.pi * (a + b)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

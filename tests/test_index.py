@@ -205,20 +205,28 @@ def test_cover_point_validation():
         CoverPoint(np.array([[0.0 + 0j, 1.0], [0.5, 0.0]]), 0.0)
 
 
+def test_cover_point_rejects_nan():
+    with pytest.raises(InvariantViolation):
+        CoverPoint(np.array([[1.0 + 0j]]), np.nan)
+    with pytest.raises(InvariantViolation):
+        CoverPoint(np.array([[np.nan + 0j]]), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # path lifting and the CLM index
 
 
 def test_lift_constant_path():
     path = LagrangianPath([line_frame(0.4)] * 5)
-    lifts = lift_path(path, np.angle(np.linalg.det(path.souriau[0])))
-    assert np.allclose([p.theta for p in lifts], lifts[0].theta)
+    theta = lift_path(path, np.angle(np.linalg.det(path.souriau[0])))
+    assert theta.shape == (5,)
+    assert np.allclose(theta, theta[0])
 
 
 def test_lift_circle_tangent_loop_winding():
     path, ts = circle_tangent_path(1.0, 300)
-    lifts = lift_path(path, 0.0)
-    assert abs((lifts[-1].theta - lifts[0].theta) - 4 * np.pi) < 1e-9
+    theta = lift_path(path, 0.0)
+    assert abs((theta[-1] - theta[0]) - 4 * np.pi) < 1e-9
     # oracle: dense accumulation of principal steps of arg det w
     alphas = ts + np.pi / 2
     dets = -np.exp(2j * alphas)
@@ -241,8 +249,8 @@ def test_lift_product_path_multiplicative():
         F[1, 1], F[3, 1] = fixed[0, 0], fixed[1, 0]
         frames.append(LagrangianFrame(F))
     path = LagrangianPath(frames)
-    lifts = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
-    assert abs((lifts[-1].theta - lifts[0].theta) - 4 * np.pi) < 1e-9
+    theta = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
+    assert abs((theta[-1] - theta[0]) - 4 * np.pi) < 1e-9
 
 
 def test_lift_rejects_wrong_theta0():

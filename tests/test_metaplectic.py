@@ -13,8 +13,9 @@ import pytest
 import scipy.linalg
 
 from maslov.core import (SymplecticMatrix, embed_unitary, l0_frame,
-                         random_unitary)
-from maslov.errors import CaseError, InvariantViolation, StateDomainError
+                         random_unitary, unitary_from_symplectic)
+from maslov.errors import (CaseError, InvariantViolation, SamplingError,
+                           StateDomainError)
 from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
@@ -23,7 +24,8 @@ from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 apply_to_delta, apply_word_to_delta,
                                 endpoint_positive_factor, gaussian_integral,
                                 ground_state, hermite_state, l2_inner,
-                                l2_norm_squared, lift_frame_path, mu_hat,
+                                l2_norm_squared, lift_frame_path,
+                                lift_frame_path_trace, mu_hat,
                                 mu_hat_composed, oscillator_level,
                                 pin_branch_orthogonal, pin_branch_transverse,
                                 quad_fourier_from_symplectic, quarter_turn,
@@ -427,6 +429,56 @@ def test_lift_polynomial_state_against_word(rng):
     xs = [(0.0,), (0.7,), (-1.3,)]
     for x in xs:
         assert abs(moved(x) - direct(x)) < 1e-9
+
+
+def closed_law_reference(Us, s):
+    """Sequential closed-law lift of a pure Gaussian state, one bisected
+    step at a time, with the product of principal eigenvalue roots as the
+    scalar factor; returns (c, M) at every input sample."""
+    from maslov.metaplectic import _step_bound, _unitary_sqrt
+    bound = _step_bound(Us.shape[-1])
+    c, M = s.c, s.M
+    out = [(c, M)]
+    for Ua, Ub in zip(Us[:-1], Us[1:]):
+        stack = [(Ua, Ub)]
+        while stack:
+            Ua, Ub = stack.pop()
+            V = Ub @ Ua.conj().T
+            if np.max(np.abs(np.linalg.eigvals(V) - 1.0)) > bound:
+                Um = _unitary_sqrt(V) @ Ua
+                stack += [(Um, Ub), (Ua, Um)]
+                continue
+            Z = V.real - 1j * (V.imag @ M)
+            c = c * np.prod(np.linalg.eigvals(Z) ** -0.5)
+            M = (V.real @ M - 1j * V.imag) @ np.linalg.inv(Z)
+            M = (M + M.T) / 2
+        out.append((c, M))
+    return out
+
+
+def test_lift_closed_law_matches_sequential_reference(rng):
+    for n in (1, 2, 3):
+        Us = np.array([unitary_from_symplectic(S)
+                       for S in random_unitary_path(n, rng, k=12, scale=4.0)])
+        X, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        s = GaussianAmplitude(0.7 * np.exp(0.4j), np.eye(n) + 0.3 * X @ X.T
+                              + 0.5j * (B + B.T))
+        trace = lift_frame_path_trace(Us, s)
+        ref = closed_law_reference(Us, s)
+        assert len(trace) == len(ref) == len(Us)
+        for k, (c, M) in enumerate(ref):
+            assert abs(trace.c[k] - c) < 1e-12
+            assert np.max(np.abs(trace.M[k] - M)) < 1e-12
+        assert abs(trace[-1].c - ref[-1][0]) < 1e-12
+
+
+def test_lift_refinement_exhaustion():
+    # one step of angle 3 needs three bisection levels under the n = 1 bound
+    Us = np.exp(1j * np.array([0.0, 3.0]))[:, None, None]
+    with pytest.raises(SamplingError, match="refinement exhausted"):
+        lift_frame_path_trace(Us, ground_state(1), max_depth=2)
+    out = lift_frame_path_trace(Us, ground_state(1), max_depth=3)[-1]
+    assert abs(out.c - np.exp(1.5j)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
