@@ -230,12 +230,12 @@ def _run_holonomy(spec, tol, refine_max):
     chart = build_chart(_require(spec, "chart", "spec", dict))
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
-    states = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
-                                   max_depth=refine_max)
+    c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
+                                    max_depth=refine_max)
     theta0 = float(np.angle(np.linalg.det(tr.tangent_path.souriau[0])))
     theta = lift_path(tr.tangent_path, theta0, tol)
-    rows = zip(tr.params, theta, states.c.real, states.c.imag)
-    phase = states.c[-1]
+    rows = zip(tr.params, theta, c.real, c.imag)
+    phase = c[-1]
     label, resid = fourth_root_label(phase, tol)
     results = {
         "trace": [[float(v) for v in row] for row in rows],

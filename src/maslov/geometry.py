@@ -268,13 +268,11 @@ def _transfers(Ba: np.ndarray, Bb: np.ndarray):
 
 
 def _running_products(P: np.ndarray, G0: np.ndarray) -> np.ndarray:
-    """The stack G_0 = G0, G_{k+1} = P_k G_k, by a doubling scan: after the
-    round with shift s, G_k holds the product of the 2s factors ending at k."""
-    G = np.concatenate([G0[None], P])
-    s = 1
-    while s < len(G):
-        G[s:] = G[s:] @ G[:-s]
-        s *= 2
+    """The stack G_0 = G0, G_{k+1} = P_k G_k."""
+    G = np.empty((len(P) + 1,) + G0.shape)
+    G[0] = G0
+    for k in range(len(P)):
+        G[k + 1] = P[k] @ G[k]
     return G
 
 
@@ -368,7 +366,7 @@ def verify_theorem1(chart: LagrangianChart, path: ParamPath,
         raise CaseError("theorem-1 verification needs a closed path")
     tr = transport_frame(chart, path, tol=tol)
     mu = clm_index(tr.tangent_path, tol)
-    phase = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)[-1].c
+    phase = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)[0][-1]
     m = pin_branch_orthogonal(phase, tol)
     predicted = quarter_turn(mu % 4)
     resid = abs(phase - predicted)
@@ -437,7 +435,7 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
     if np.any((sv >= floor) & (sv < 10 * floor)):
         warnings.append("endpoint intersection is near-degenerate")
     U = tr.start_relative
-    phase = lift_frame_path_trace(U, ground_state(n), tol)[-1].c
+    phase = lift_frame_path_trace(U, ground_state(n), tol)[0][-1]
     S_end = embed_unitary(U[-1], tol)
     mu = clm_index(tr.tangent_path, tol)
     notes = [

@@ -511,8 +511,11 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     the sample with W_k = U_k U_0^* has M_k = (A M_0 - i B)(A - i B M_0)^{-1}.
     The scalar is the running product of the per-step factors
     det(A - i B M)^{-1/2}, with A + iB the step and M the state before it,
-    on the principal branch: the continuous one for steps within the size
-    bound.  One batched check over the path keeps Re M_k positive definite.
+    each taken as the product of the principal roots of the eigenvalues of
+    A - i B M.  The principal root of the determinant itself is not enough:
+    for n >= 2 the eigenvalue arguments of a step can add up past pi (a
+    strongly chirped M), and its branch then jumps by a sign.  One batched
+    check over the path keeps Re M_k positive definite.
     """
     n = s0.n
     W = U @ _adjoint(U[0])
@@ -524,32 +527,18 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     if bad.size:
         raise StateDomainError("Re(M) must be positive definite; min eig %.3e at "
                                "dense sample %d" % (low[bad[0]], bad[0]))
-    d = np.linalg.det(V.real - 1j * (V.imag @ M[:-1]))
-    fac = np.abs(d) ** -0.5 * np.exp(-0.5j * np.angle(d))
+    lam = np.linalg.eigvals(V.real - 1j * (V.imag @ M[:-1]))
+    fac = np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam)), axis=1)
     return np.cumprod(np.concatenate([[s0.c], fac])), M
-
-
-class LiftTrace(Sequence):
-    """States of a lifted path at the samples of its input path: scalars c,
-    shape (N,), matrices M, shape (N, n, n), and one polynomial factor per
-    sample.  Item k is built as a GaussianAmplitude on access."""
-
-    def __init__(self, c: np.ndarray, M: np.ndarray, polys: Sequence,
-                 tol: Tolerances):
-        self.c, self.M, self.polys, self._tol = c, M, polys, tol
-
-    def __len__(self):
-        return len(self.c)
-
-    def __getitem__(self, k) -> GaussianAmplitude:
-        return GaussianAmplitude(self.c[k], self.M[k], self.polys[k], self._tol)
 
 
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
                           tol: Tolerances = DEFAULT_TOLERANCES,
-                          max_depth: int = 12) -> LiftTrace:
+                          max_depth: int = 12):
     """States of the continuous metaplectic lift at every sample of a path of
-    unitaries Us, shape (N, n, n), starting at the identity.
+    unitaries Us, shape (N, n, n), starting at the identity, as the arrays
+    (c, M, polys): scalars of shape (N,), matrices of shape (N, n, n) and
+    one polynomial factor per sample.
 
     Steps are bisected geodesically in U(n) until each is within the step
     bound of the identity, where the per-step branch is unambiguous.  Pure
@@ -572,13 +561,13 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth)
     if s0.poly.is_constant():
         c, M = _closed_law(U, V, s0, tol)
-        return LiftTrace(c[keep], M[keep], [s0.poly] * len(keep), tol)
+        return c[keep], M[keep], [s0.poly] * len(keep)
     states = [s0]
     for step in V:
         states.append(_step_word(step, states[-1], tol))
     states = [states[k] for k in keep]
-    return LiftTrace(np.array([s.c for s in states]), np.array([s.M for s in states]),
-                     [s.poly for s in states], tol)
+    return (np.array([s.c for s in states]), np.array([s.M for s in states]),
+            [s.poly for s in states])
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
@@ -592,7 +581,8 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     The endpoint is sampling-independent within phase_tol.
     """
     Us = unitaries_from_symplectic(symp_path, tol)
-    return lift_frame_path_trace(Us, s0, tol, max_depth)[-1]
+    c, M, polys = lift_frame_path_trace(Us, s0, tol, max_depth)
+    return GaussianAmplitude(c[-1], M[-1], polys[-1], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -457,19 +457,30 @@ def closed_law_reference(Us, s):
 
 
 def test_lift_closed_law_matches_sequential_reference(rng):
+    # paths t -> expm(t H) sampled at k points, with a complex M_0
+    cases = []
     for n in (1, 2, 3):
-        Us = np.array([unitary_from_symplectic(S)
-                       for S in random_unitary_path(n, rng, k=12, scale=4.0)])
+        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         X, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-        s = GaussianAmplitude(0.7 * np.exp(0.4j), np.eye(n) + 0.3 * X @ X.T
-                              + 0.5j * (B + B.T))
-        trace = lift_frame_path_trace(Us, s)
+        cases.append((2.0 * (Z - Z.conj().T), 12, GaussianAmplitude(
+            0.7 * np.exp(0.4j), np.eye(n) + 0.3 * X @ X.T + 0.5j * (B + B.T))))
+    # M_0 = (1 - 10i) I at n = 2 with one step e^{0.19i} I, within the step
+    # bound: each eigenvalue of A - iBM has argument -2.94, the two add up
+    # past -pi, and the principal root of the determinant would flip the sign
+    cases.append((0.19j * np.eye(2), 2, GaussianAmplitude(1.0, (1.0 - 10.0j) * np.eye(2))))
+    for H, k, s in cases:
+        Us = np.array([scipy.linalg.expm(t * H) for t in np.linspace(0.0, 1.0, k)])
+        cs, Ms, polys = lift_frame_path_trace(Us, s)
         ref = closed_law_reference(Us, s)
-        assert len(trace) == len(ref) == len(Us)
-        for k, (c, M) in enumerate(ref):
-            assert abs(trace.c[k] - c) < 1e-12
-            assert np.max(np.abs(trace.M[k] - M)) < 1e-12
-        assert abs(trace[-1].c - ref[-1][0]) < 1e-12
+        assert len(cs) == len(Ms) == len(polys) == len(ref) == len(Us)
+        for j, (c, M) in enumerate(ref):
+            assert abs(cs[j] - c) < 1e-12
+            assert np.max(np.abs(Ms[j] - M)) < 1e-12
+        end = lift_frame_path([embed_unitary(U) for U in Us], s)
+        assert abs(end.c - cs[-1]) < 1e-12 and np.max(np.abs(end.M - Ms[-1])) < 1e-12
+        # the same path in 400 steps: the lift does not depend on the sampling
+        fine = np.array([scipy.linalg.expm(t * H) for t in np.linspace(0.0, 1.0, 401)])
+        assert abs(lift_frame_path_trace(fine, s)[0][-1] - cs[-1]) < 1e-10
 
 
 def test_lift_refinement_exhaustion():
@@ -477,8 +488,8 @@ def test_lift_refinement_exhaustion():
     Us = np.exp(1j * np.array([0.0, 3.0]))[:, None, None]
     with pytest.raises(SamplingError, match="refinement exhausted"):
         lift_frame_path_trace(Us, ground_state(1), max_depth=2)
-    out = lift_frame_path_trace(Us, ground_state(1), max_depth=3)[-1]
-    assert abs(out.c - np.exp(1.5j)) < 1e-12
+    cs, _, _ = lift_frame_path_trace(Us, ground_state(1), max_depth=3)
+    assert abs(cs[-1] - np.exp(1.5j)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
