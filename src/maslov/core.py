@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import ConditioningError, DimensionMismatch, InvariantViolation
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class Tolerances:
 
     def rank_floor(self, dim):
         # rank_tol may never undercut machine precision at the given size
-        return max(self.rank_tol, np.finfo(float).eps * dim)
+        return max(self.rank_tol, _EPS * dim)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -177,7 +180,8 @@ def embed_unitary(U, tol: Tolerances = DEFAULT_TOLERANCES) -> SymplecticMatrix:
     if not isinstance(U, UnitaryComplex):
         U = UnitaryComplex(U, tol)
     A, B = U.entries.real, U.entries.imag
-    return SymplecticMatrix(np.block([[A, -B], [B, A]]), tol)
+    return SymplecticMatrix(np.concatenate([np.concatenate([A, -B], axis=1),
+                                            np.concatenate([B, A], axis=1)]), tol)
 
 
 def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -241,12 +245,31 @@ def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> Uni
     return UnitaryComplex(souriau_images(L.columns[None], tol)[1][0], tol)
 
 
+#: angle t of the combination cos t Re w + sin t Im w whose eigenbasis
+#: diagonalizes a symmetric unitary w; any t off the few values where two
+#: eigenvalues of a given w collide will do, so it is no round fraction of pi
+_SOURIAU_MIX_ANGLE = 1.0
+
+
 def souriau_sqrt(w: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Principal square root r of a symmetric unitary w, through a real
-    orthonormal eigenbasis; r is symmetric unitary again, so r r^T = w."""
-    V = _real_eigenbasis(w, tol)
+    orthonormal eigenbasis; r is symmetric unitary again, so r r^T = w.
+
+    Re w and Im w are commuting real symmetric matrices, so they share the
+    eigenbasis of the generic combination cos t Re w + sin t Im w.  That
+    basis splits two eigenvalues e^{ia}, e^{ib} of w unless cos(a - t) and
+    cos(b - t) nearly coincide, so the r r^T = w residual is checked and a
+    miss raises ConditioningError.
+    """
+    _, V = np.linalg.eigh(np.cos(_SOURIAU_MIX_ANGLE) * w.real
+                          + np.sin(_SOURIAU_MIX_ANGLE) * w.imag)
     lam = np.diagonal(V.T @ w @ V)
-    return V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
+    r = V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
+    resid = np.max(np.abs(r @ r.T - w))
+    if not resid <= tol.residual_tol:
+        raise ConditioningError("Souriau square root misses its round trip: "
+                                "max|r r^T - w| = %.3e" % resid)
+    return r
 
 
 def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
@@ -264,22 +287,6 @@ def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> Lagrangi
     UnitaryComplex(w, tol)
     r = souriau_sqrt(w, tol)
     return LagrangianFrame(np.vstack([-r.imag, r.real]), tol)
-
-
-def _real_eigenbasis(w, tol):
-    """Common real orthonormal eigenbasis of Re(w) and Im(w) for symmetric unitary w."""
-    X, Y = w.real, w.imag
-    ev, V = np.linalg.eigh(X)
-    cols, start = [], 0
-    n = w.shape[0]
-    group_tol = max(1e-7, 100 * tol.residual_tol)
-    for k in range(1, n + 1):
-        if k == n or abs(ev[k] - ev[start]) > group_tol:
-            Vg = V[:, start:k]
-            _, W = np.linalg.eigh(Vg.T @ Y @ Vg)
-            cols.append(Vg @ W)
-            start = k
-    return np.hstack(cols)
 
 
 def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,

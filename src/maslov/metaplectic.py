@@ -29,6 +29,8 @@ composition cocycle; the test suite checks both.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -64,8 +66,10 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
     eigenvalues have positive real part on this domain, so the result is the
     unique continuous branch that is positive on real SPD matrices.
     """
+    if not np.isfinite(M).all():
+        raise StateDomainError("canonical determinant branch needs a finite matrix")
     lam = np.linalg.eigvals(M)
-    if np.min(lam.real) <= 0:
+    if not np.min(lam.real) > 0:
         raise StateDomainError("canonical determinant branch needs Re(eigenvalues) > 0")
     return complex(np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam))))
 
@@ -74,18 +78,120 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
 # polynomials
 
 
-class Polynomial:
-    """Multivariate polynomial with complex coefficients, kept as a mapping
-    from exponent tuples to coefficients."""
+class _MonomialBasis:
+    """The monomials x^gamma in n variables of total degree at most D.
 
-    __slots__ = ("n", "coeffs")
+    They are graded by degree and, within a degree, in lexicographically
+    descending exponent order, so the basis of degree D is a prefix of the
+    basis of degree D + 1.  A monomial of degree d >= 1 is x_j times its
+    parent of degree d - 1, with j its first nonzero coordinate (``levels``
+    holds, per degree, the slice bounds, these j and the parents).  The
+    derivatives D_j and the shifts S_c (multiplication by x_c, truncated at
+    degree D) have at most one nonzero entry per column, at the position of
+    x^gamma / x_c (``down``); the push-throughs use them as dense (n, K, K)
+    stacks, built on first use, and the product as a gather.
+    """
+
+    def __init__(self, n: int, D: int):
+        exps = [(0,) * n]
+        for d in range(1, D + 1):
+            for combo in itertools.combinations_with_replacement(range(n), d):
+                exps.append(tuple(combo.count(j) for j in range(n)))
+        K = len(exps)
+        self.n, self.D, self.size = n, D, K
+        self.index = {e: k for k, e in enumerate(exps)}
+        self.exps = np.array(exps, dtype=int)
+        self.deg = self.exps.sum(axis=1)
+        # down[c, k] is the position of gamma_k - e_c, or K (one past the
+        # basis) where x_c does not divide x^gamma_k
+        unit = np.eye(n, dtype=int)
+        self.down = np.array([[self.index.get(tuple(e - unit[c]), K) for e in self.exps]
+                              for c in range(n)], dtype=int)
+        bounds = np.searchsorted(self.deg, np.arange(D + 2))
+        self.levels = []
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            step = np.argmax(self.exps[lo:hi] > 0, axis=1)
+            self.levels.append((lo, hi, step, self.down[step, np.arange(lo, hi)]))
+        for a in (self.exps, self.deg, self.down):  # shared by every caller
+            a.setflags(write=False)
+
+    def shifts(self, V: np.ndarray) -> np.ndarray:
+        """The stack (S_c V)_c, shape (n, K, m), for columns V of shape (K, m)."""
+        return np.concatenate([V, np.zeros_like(V[:1])])[self.down]
+
+    @functools.cached_property
+    def shift_ops(self) -> np.ndarray:
+        """The matrices S_c, shape (n, K, K)."""
+        S = self.shifts(np.eye(self.size))
+        S.setflags(write=False)
+        return S
+
+    @functools.cached_property
+    def diff_ops(self) -> np.ndarray:
+        """The matrices D_j, shape (n, K, K): D_j x^gamma = gamma_j x^(gamma - e_j)."""
+        D = np.zeros((self.n, self.size + 1, self.size))
+        D[np.arange(self.n)[:, None], self.down, np.arange(self.size)] = self.exps.T
+        D = D[:, :-1]
+        D.setflags(write=False)
+        return D
+
+    def push(self, a: np.ndarray, X, v: np.ndarray | None = None) -> np.ndarray:
+        """sum_gamma a_gamma X^gamma v for commuting operators X_j on this
+        basis, a given over a prefix of it and v defaulting to the constant 1.
+        X maps columns of shape (K, m) to the stack (X_j V)_j of shape
+        (n, K, m).  The images X^gamma v are built one degree at a time, each
+        level by one application of X to the level below."""
+        img = np.zeros((self.size, len(a)), dtype=complex)
+        if v is None:
+            img[0, 0] = 1.0
+        else:
+            img[:, 0] = v
+        plo = 0
+        for lo, hi, step, parent in self.levels:
+            if hi > len(a):
+                break
+            img[:, lo:hi] = X(img[:, plo:lo])[step, :, parent - plo].T
+            plo = lo
+        return img @ a
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int, D: int) -> _MonomialBasis:
+    return _MonomialBasis(n, D)
+
+
+def _mix(T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_c T_jc S_c for a stack S of shape (n, K, m)."""
+    return (T @ S.reshape(len(S), -1)).reshape(S.shape)
+
+
+class Polynomial:
+    """Multivariate polynomial with complex coefficients, stored as the dense
+    vector ``vec`` over the graded monomial basis ``basis`` of its arity and
+    a degree bound.  ``Polynomial(n, {exponent: coeff})`` builds one from a
+    mapping, and ``coeffs`` gives the nonzero entries back as one."""
+
+    __slots__ = ("basis", "vec")
 
     def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        self.coeffs = {}
+        terms = {}
         for k, v in (coeffs or {}).items():
+            k = tuple(int(e) for e in k)
+            if len(k) != n or min(k, default=0) < 0:
+                raise DimensionMismatch("exponent %r is not a multi-index of length %d"
+                                        % (k, n))
             if v != 0:
-                self.coeffs[tuple(int(e) for e in k)] = complex(v)
+                terms[k] = complex(v)
+        self.basis = _basis(n, max(map(sum, terms), default=0))
+        self.vec = np.zeros(self.basis.size, dtype=complex)
+        for k, v in terms.items():
+            self.vec[self.basis.index[k]] = v
+
+    @classmethod
+    def _dense(cls, basis: _MonomialBasis, vec: np.ndarray) -> "Polynomial":
+        p = cls.__new__(cls)
+        p.basis, p.vec = basis, vec
+        return p
 
     @classmethod
     def constant(cls, value, n: int) -> "Polynomial":
@@ -97,88 +203,69 @@ class Polynomial:
         e[j] = 1
         return cls(n, {tuple(e): 1.0})
 
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients, keyed by exponent tuple."""
+        return {tuple(int(e) for e in self.basis.exps[k]): complex(self.vec[k])
+                for k in np.flatnonzero(self.vec)}
+
     def is_constant(self):
-        return all(sum(k) == 0 for k in self.coeffs)
+        return not np.any(self.vec[1:])
 
     @property
     def degree(self):
-        return max((sum(k) for k in self.coeffs), default=0)
+        return int(self.basis.deg[self.vec != 0].max(initial=0))
+
+    def _padded(self, D: int) -> np.ndarray:
+        """The coefficients over the basis of degree D >= the own one."""
+        out = np.zeros(_basis(self.n, D).size, dtype=complex)
+        out[:len(self.vec)] = self.vec
+        return out
+
+    def _check_arity(self, other: "Polynomial"):
+        if other.n != self.n:
+            raise DimensionMismatch("polynomials in %d and %d variables" % (self.n, other.n))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Polynomial(self.n, out)
+        self._check_arity(other)
+        D = max(self.basis.D, other.basis.D)
+        return Polynomial._dense(_basis(self.n, D), self._padded(D) + other._padded(D))
 
     def __mul__(self, other):
+        """p q = p(S) q, the shifts S_c acting on q over the basis of the
+        summed degrees."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + v1 * v2
-        return Polynomial(self.n, out)
+        self._check_arity(other)
+        b = _basis(self.n, self.basis.D + other.basis.D)
+        return Polynomial._dense(b, b.push(self.vec, b.shifts, other._padded(b.D)))
 
     __rmul__ = __mul__
 
     def scale(self, a) -> "Polynomial":
-        return Polynomial(self.n, {k: a * v for k, v in self.coeffs.items()})
+        return Polynomial._dense(self.basis, a * self.vec)
 
     def conjugate(self) -> "Polynomial":
-        return Polynomial(self.n, {k: np.conj(v) for k, v in self.coeffs.items()})
+        return Polynomial._dense(self.basis, self.vec.conj())
 
     def diff(self, j: int) -> "Polynomial":
-        out = {}
-        for k, v in self.coeffs.items():
-            if k[j] > 0:
-                kk = list(k)
-                kk[j] -= 1
-                out[tuple(kk)] = out.get(tuple(kk), 0) + v * k[j]
-        return Polynomial(self.n, out)
+        low = _basis(self.n, max(self.basis.D - 1, 0))
+        return Polynomial._dense(low, (self.basis.diff_ops[j] @ self.vec)[:low.size])
 
     def compose_linear(self, T: np.ndarray) -> "Polynomial":
-        """p(T x): substitute each coordinate by the linear form given by T's rows."""
-        forms = [Polynomial(self.n, {tuple(int(i == c) for i in range(self.n)): T[j, c]
-                                     for c in range(self.n) if T[j, c] != 0})
-                 for j in range(self.n)]
-        out = Polynomial(self.n)
-        for k, v in self.coeffs.items():
-            term = Polynomial.constant(v, self.n)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    term = term * forms[j]
-            out = out + term
-        return out
+        """p(T x): substitute each coordinate x_j by the linear form (T x)_j,
+        that is p(X) 1 with the commuting multiplications X_j = sum_c T_jc S_c."""
+        b = self.basis
+        X = _mix(np.asarray(T), b.shift_ops)
+        return Polynomial._dense(b, b.push(self.vec, lambda V: X @ V))
 
     def __call__(self, x) -> complex:
         x = np.atleast_1d(np.asarray(x))
-        total = 0j
-        for k, v in self.coeffs.items():
-            total += v * np.prod([x[j] ** e for j, e in enumerate(k)])
-        return complex(total)
-
-
-def _gaussian_moment(Sigma: np.ndarray, gamma: tuple, cache: dict) -> complex:
-    """Centered Gaussian moment E[x^gamma] with (complex symmetric) covariance
-    Sigma, by the Isserlis/Stein recursion."""
-    if sum(gamma) == 0:
-        return 1.0 + 0j
-    if sum(gamma) % 2:
-        return 0j
-    if gamma in cache:
-        return cache[gamma]
-    i = next(j for j, e in enumerate(gamma) if e > 0)
-    rest = list(gamma)
-    rest[i] -= 1
-    total = 0j
-    for j in range(len(gamma)):
-        if rest[j] > 0:
-            red = list(rest)
-            red[j] -= 1
-            total += Sigma[i, j] * rest[j] * _gaussian_moment(Sigma, tuple(red), cache)
-    cache[gamma] = total
-    return total
+        return complex(np.prod(x ** self.basis.exps, axis=1) @ self.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +284,18 @@ class GaussianAmplitude:
                  tol: Tolerances = DEFAULT_TOLERANCES):
         M = np.asarray(M, dtype=complex)
         n = M.shape[0]
-        if np.max(np.abs(M - M.T)) > tol.residual_tol:
+        if poly is None:
+            poly = Polynomial.constant(1.0, n)
+        if poly.n != n:
+            raise DimensionMismatch("polynomial arity does not match M")
+        if not (np.isfinite(c) and np.isfinite(M).all() and np.isfinite(poly.vec).all()):
+            raise InvariantViolation("state data c, M and poly must be finite")
+        if not np.max(np.abs(M - M.T)) <= tol.residual_tol:
             raise InvariantViolation("Gaussian matrix must be symmetric")
         M = (M + M.T) / 2
         ev = np.linalg.eigvalsh(M.real)
         if ev[0] < tol.rank_floor(n):
             raise StateDomainError("Re(M) must be positive definite; min eig %.3e" % ev[0])
-        if poly is None:
-            poly = Polynomial.constant(1.0, n)
-        if poly.n != n:
-            raise DimensionMismatch("polynomial arity does not match M")
         M.setflags(write=False)
         object.__setattr__(self, "c", complex(c))
         object.__setattr__(self, "M", M)
@@ -232,9 +321,21 @@ def ground_state(n: int) -> GaussianAmplitude:
 def gaussian_integral(s: GaussianAmplitude) -> complex:
     """Closed form of Int s(x) dx over R^n."""
     Sigma = np.linalg.inv(s.M)
-    cache = {}
-    mean = sum(v * _gaussian_moment(Sigma, k, cache) for k, v in s.poly.coeffs.items())
+    mean = _gaussian_moments(Sigma, s.poly.basis) @ s.poly.vec
     return s.c * (2 * np.pi) ** (s.n / 2) * det_branch_power(s.M, -0.5) * mean
+
+
+def _gaussian_moments(Sigma: np.ndarray, basis: _MonomialBasis) -> np.ndarray:
+    """Centered Gaussian moments E[x^gamma] over a monomial basis, with
+    (complex symmetric) covariance Sigma, one degree at a time by the
+    Isserlis/Stein recursion E[x_i x^g] = sum_j Sigma_ij g_j E[x^(g - e_j)];
+    the odd degrees stay zero."""
+    mom = np.zeros(basis.size + 1, dtype=complex)  # last entry: the zero pad
+    mom[0] = 1.0
+    for lo, hi, step, parent in basis.levels[1::2]:
+        mom[lo:hi] = np.sum(Sigma[step].T * basis.exps[parent].T * mom[basis.down[:, parent]],
+                            axis=0)
+    return mom[:-1]
 
 
 def l2_inner(s1: GaussianAmplitude, s2: GaussianAmplitude) -> complex:
@@ -281,7 +382,9 @@ class Dilate:
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
         A = np.asarray(A, dtype=float)
-        if abs(np.linalg.det(A)) < tol.rank_floor(A.shape[0]):
+        if not np.isfinite(A).all():
+            raise InvariantViolation("dilation matrix must be finite")
+        if not abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[0]):
             raise InvariantViolation("dilation matrix must be invertible")
         A = A.copy()
         A.setflags(write=False)
@@ -295,7 +398,9 @@ class Chirp:
 
     def __init__(self, B, tol: Tolerances = DEFAULT_TOLERANCES):
         B = np.asarray(B, dtype=float)
-        if np.max(np.abs(B - B.T)) > tol.residual_tol:
+        if not np.isfinite(B).all():
+            raise InvariantViolation("chirp matrix must be finite")
+        if not np.max(np.abs(B - B.T)) <= tol.residual_tol:
             raise InvariantViolation("chirp matrix must be symmetric")
         B = (B + B.T) / 2
         B.setflags(write=False)
@@ -314,19 +419,12 @@ def _fourier_poly(poly: Polynomial, N: np.ndarray) -> Polynomial:
 
     F[x^gamma u_M] = det(M)^{-1/2} (i d/dx)^gamma u_N with N = M^{-1}; each
     derivative conjugated by u_N acts on polynomials as
-    R -> i (dR/dx_j - (N x)_j R), preserving degree.
+    X_j = i (D_j - sum_c N_jc S_c), preserving degree, so the image is
+    p(X) 1.  The X_j commute because N is symmetric.
     """
-    n = poly.n
-    nx = [Polynomial(n, {tuple(int(i == c) for i in range(n)): N[j, c]
-                         for c in range(n) if N[j, c] != 0}) for j in range(n)]
-    out = Polynomial(n)
-    for gamma, a in poly.coeffs.items():
-        term = Polynomial.constant(1.0, n)
-        for j, e in enumerate(gamma):
-            for _ in range(e):
-                term = (term.diff(j) + nx[j] * term.scale(-1.0)).scale(1j)
-        out = out + term.scale(a)
-    return out
+    b = poly.basis
+    X = 1j * (b.diff_ops - _mix(N, b.shift_ops))
+    return Polynomial._dense(b, b.push(poly.vec, lambda V: X @ V))
 
 
 def apply_generator(gen, s: GaussianAmplitude,
@@ -364,9 +462,12 @@ class QuadraticFourier:
         P = np.asarray(P, dtype=float)
         L = np.asarray(L, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        if np.max(np.abs(P - P.T)) > tol.residual_tol or np.max(np.abs(Q - Q.T)) > tol.residual_tol:
+        if not (np.isfinite(P).all() and np.isfinite(L).all() and np.isfinite(Q).all()):
+            raise InvariantViolation("P, L and Q must be finite")
+        if not (np.max(np.abs(P - P.T)) <= tol.residual_tol
+                and np.max(np.abs(Q - Q.T)) <= tol.residual_tol):
             raise InvariantViolation("P and Q must be symmetric")
-        if abs(np.linalg.det(L)) < tol.rank_floor(L.shape[0]):
+        if not abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[0]):
             raise InvariantViolation("L must be invertible")
         for name, a in (("P", (P + P.T) / 2), ("L", L.copy()), ("Q", (Q + Q.T) / 2)):
             a.setflags(write=False)
@@ -703,17 +804,17 @@ def oscillator_level(s: GaussianAmplitude, tol: Tolerances = DEFAULT_TOLERANCES)
     """
     if np.max(np.abs(s.M - np.eye(s.n))) > tol.residual_tol:
         return None
-    out = Polynomial(s.n)
-    for j in range(s.n):
-        dj = s.poly.diff(j)
-        out = out + dj.diff(j).scale(-1.0) + Polynomial.coordinate(j, s.n) * dj.scale(2.0)
-    # out must equal 2 l * poly for an eigenstate
-    k0, v0 = max(s.poly.coeffs.items(), key=lambda kv: abs(kv[1]))
-    cand = out.coeffs.get(k0, 0j) / (2.0 * v0)
+    b, p = s.poly.basis, s.poly.vec
+    # x_j d_j summed over j is the degree; out must equal 2 l * poly
+    out = 2.0 * b.deg * p - np.einsum("jkl,jl->k", b.diff_ops, b.diff_ops @ p)
+    k0 = int(np.argmax(np.abs(p)))
+    v0 = p[k0]
+    if v0 == 0:
+        return None
+    cand = out[k0] / (2.0 * v0)
     if abs(cand - round(cand.real)) > tol.phase_tol:
         return None
     l = int(round(cand.real))
-    resid = out + s.poly.scale(-2.0 * l)
-    if any(abs(v) > 1e-8 * abs(v0) for v in resid.coeffs.values()):
+    if np.any(np.abs(out - 2.0 * l * p) > 1e-8 * abs(v0)):
         return None
     return l

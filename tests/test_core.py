@@ -4,13 +4,15 @@ inverse, and intersection dimensions."""
 import numpy as np
 import pytest
 
-from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
-                         UnitaryComplex, embed_unitary, intersection_dim,
-                         l0_frame, lagrangian_from_souriau, line_frame,
-                         omega_gram, random_lagrangian, random_unitary,
-                         souriau_images, souriau_map, standard_j,
+from maslov.core import (_SOURIAU_MIX_ANGLE, LagrangianFrame,
+                         SymplecticMatrix, Tolerances, UnitaryComplex,
+                         embed_unitary, intersection_dim, l0_frame,
+                         lagrangian_from_souriau, line_frame, omega_gram,
+                         random_lagrangian, random_unitary, souriau_images,
+                         souriau_map, souriau_sqrt, standard_j,
                          unitary_from_symplectic)
-from maslov.errors import DimensionMismatch, InvariantViolation
+from maslov.errors import (ConditioningError, DimensionMismatch,
+                           InvariantViolation)
 
 
 def same_span(F1, F2):
@@ -135,6 +137,34 @@ def test_inverse_souriau_round_trip(rng):
 def test_inverse_souriau_rejects_bad_input():
     with pytest.raises(InvariantViolation):
         lagrangian_from_souriau(np.array([[0.0 + 0j, 1.0], [0.5, 0.0]]))
+
+
+def symmetric_unitary(seed, phases):
+    """Q diag(e^{i phases}) Q^T for a seeded real orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(phases),) * 2))
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.T
+
+
+def test_souriau_sqrt_near_coincident_spectrum():
+    # eigenvalues e^{ia}, e^{ib} with cos a - cos b = 1.05e-7, just above
+    # the 1e-7 cut of a grouping of Re w's spectrum: splitting them there
+    # left max|r r^T - w| up to 4e-9 on these inputs, above residual_tol
+    a = 0.6
+    for seed in range(20):
+        w = symmetric_unitary(seed, [a, -(a - 1.05e-7 / np.sin(a)), 2.0])
+        r = souriau_sqrt(w)
+        assert np.max(np.abs(r @ r.T - w)) < 1e-13
+        assert np.max(np.abs(r - r.T)) < 1e-13
+        assert np.max(np.abs(r.conj().T @ r - np.eye(3))) < 1e-13
+
+
+def test_souriau_sqrt_names_a_missed_round_trip():
+    # e^{i(t + 0.8)} and e^{i(t - 0.8)} give cos t Re w + sin t Im w a double
+    # eigenvalue, whose eigenbasis need not diagonalize w
+    t = _SOURIAU_MIX_ANGLE
+    w = symmetric_unitary(0, [t + 0.8, t - 0.8, 2.5])
+    with pytest.raises(ConditioningError, match="round trip"):
+        souriau_sqrt(w)
 
 
 def test_intersection_dim_examples():

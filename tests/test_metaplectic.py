@@ -11,17 +11,21 @@ directly on a grid, independently of the generator-word implementation.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maslov.core import (SymplecticMatrix, embed_unitary, l0_frame,
                          random_unitary, unitary_from_symplectic)
-from maslov.errors import (CaseError, InvariantViolation, SamplingError,
-                           StateDomainError)
+from maslov.errors import (CaseError, DimensionMismatch, InvariantViolation,
+                           SamplingError, StateDomainError)
 from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
-                                QuadraticFourier, adjoint_quad_fourier,
-                                apply_generator, apply_quad_fourier,
-                                apply_to_delta, apply_word_to_delta,
+                                QuadraticFourier, _fourier_poly,
+                                adjoint_quad_fourier, apply_generator,
+                                apply_quad_fourier, apply_to_delta,
+                                apply_word_to_delta, det_branch_power,
                                 endpoint_positive_factor, gaussian_integral,
                                 ground_state, hermite_state, l2_inner,
                                 l2_norm_squared, lift_frame_path,
@@ -143,6 +147,176 @@ def test_state_validation():
         GaussianAmplitude(1.0, np.array([[-1.0]]))
     with pytest.raises(InvariantViolation):
         GaussianAmplitude(1.0, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_metaplectic_types_reject_nan():
+    nan, inf, I = np.nan, np.inf, np.eye(1)
+    for c, M, poly in ((1.0, [[nan]], None), (nan, I, None), (1.0, [[inf]], None),
+                       (1.0, I, Polynomial(1, {(2,): nan})),
+                       (1.0, I, Polynomial(1, {(1,): inf}))):
+        with pytest.raises(InvariantViolation):
+            GaussianAmplitude(c, M, poly)
+    for make in (lambda: Chirp([[nan]]), lambda: Chirp([[inf]]),
+                 lambda: Dilate([[nan]], 0), lambda: Dilate([[inf]], 0),
+                 lambda: QuadraticFourier([[nan]], I, I, 0),
+                 lambda: QuadraticFourier(I, [[nan]], I, 0),
+                 lambda: QuadraticFourier(I, [[inf]], I, 0),
+                 lambda: QuadraticFourier(I, I, [[inf]], 0)):
+        with pytest.raises(InvariantViolation):
+            make()
+    with pytest.raises(StateDomainError):
+        det_branch_power(np.array([[nan]]), -0.5)
+
+
+def test_polynomial_surface():
+    p = Polynomial(2, {(2, 0): 1.5, (0, 1): -1j, (1, 1): 0})
+    assert p.coeffs == {(2, 0): 1.5 + 0j, (0, 1): -1j}
+    assert p.degree == 2 and not p.is_constant()
+    assert Polynomial.constant(3.0, 2).is_constant() and Polynomial(2).degree == 0
+    assert abs(p([0.5, 2.0]) - (0.375 - 2j)) < 1e-15
+    assert (p * Polynomial.coordinate(1, 2)).coeffs == {(2, 1): 1.5 + 0j, (0, 2): -1j}
+    assert p.diff(0).coeffs == {(1, 0): 3.0 + 0j}
+    assert (p + p.scale(-1.0)).coeffs == {}
+    with pytest.raises(DimensionMismatch):
+        Polynomial(2, {(1,): 1.0})
+    with pytest.raises(DimensionMismatch):
+        p + Polynomial.constant(1.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# polynomial push-through: dense operators against dict arithmetic
+
+
+def _dict_add_to(out, k, v):
+    out[k] = out.get(k, 0) + v
+
+
+def _dict_times_linear(term, row):
+    """term * sum_c row_c x_c, on exponent-tuple dicts."""
+    out = {}
+    for k, v in term.items():
+        for c, r in enumerate(row):
+            if r != 0:
+                _dict_add_to(out, k[:c] + (k[c] + 1,) + k[c + 1:], r * v)
+    return out
+
+
+def dict_fourier_poly(coeffs, N, n):
+    """Reference push-through of the Fourier transform in dict arithmetic:
+    each x^gamma becomes prod_j (i (d_j - (N x)_j))^{gamma_j} applied to 1,
+    one factor at a time."""
+    out = {}
+    for gamma, a in coeffs.items():
+        term = {(0,) * n: 1.0 + 0j}
+        for j, e in enumerate(gamma):
+            for _ in range(e):
+                new = _dict_times_linear(term, -1j * N[j])
+                for k, v in term.items():
+                    if k[j]:
+                        _dict_add_to(new, k[:j] + (k[j] - 1,) + k[j + 1:], 1j * k[j] * v)
+                term = new
+        for k, v in term.items():
+            _dict_add_to(out, k, a * v)
+    return out
+
+
+def dict_compose_linear(coeffs, T, n):
+    """Reference p(T x) in dict arithmetic: each x_j of each monomial
+    replaced by the linear form (T x)_j, one factor at a time."""
+    out = {}
+    for gamma, a in coeffs.items():
+        term = {(0,) * n: complex(a)}
+        for j, e in enumerate(gamma):
+            for _ in range(e):
+                term = _dict_times_linear(term, T[j])
+        for k, v in term.items():
+            _dict_add_to(out, k, v)
+    return out
+
+
+def coeff_drift(got, want):
+    """max |got - want| over exponents, relative to the largest |want|."""
+    keys = set(got) | set(want)
+    scale = max((abs(v) for v in want.values()), default=0.0) or 1.0
+    return max((abs(got.get(k, 0) - want.get(k, 0)) for k in keys), default=0.0) / scale
+
+
+DIMS = st.integers(1, 4)
+UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def polynomials(draw, n, max_degree=4):
+    """Up to eight monomials of degree <= max_degree with complex
+    coefficients of modulus at most 2*sqrt(2)."""
+    terms = draw(st.lists(st.tuples(st.lists(st.integers(0, n - 1), max_size=max_degree),
+                                    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                          min_size=1, max_size=8))
+    coeffs = {}
+    for idx, re, im in terms:
+        coeffs[tuple(idx.count(j) for j in range(n))] = complex(re, im)
+    return Polynomial(n, coeffs)
+
+
+def square(n, elements=UNIT):
+    return arrays(np.float64, (n, n), elements=elements)
+
+
+@st.composite
+def gaussian_matrices(draw, n):
+    """Complex symmetric A A^T + I/2 + i (B + B^T)/2, so Re >= I/2."""
+    A, B = draw(square(n)), draw(square(n))
+    return A @ A.T + 0.5 * np.eye(n) + 0.5j * (B + B.T)
+
+
+@given(st.data())
+def test_push_through_matches_dict_reference(data):
+    n = data.draw(DIMS)
+    p = data.draw(polynomials(n))
+    N = data.draw(gaussian_matrices(n))
+    assert coeff_drift(_fourier_poly(p, N).coeffs, dict_fourier_poly(p.coeffs, N, n)) < 1e-12
+    T = data.draw(square(n, st.floats(-2.0, 2.0)))
+    assert coeff_drift(p.compose_linear(T).coeffs, dict_compose_linear(p.coeffs, T, n)) < 1e-12
+
+
+@given(st.data())
+def test_jhat_twice_is_reflection(data):
+    # JHat^2 = i^{-n} F^2 and F^2 s(x) = s(-x)
+    n = data.draw(DIMS)
+    p = data.draw(polynomials(n))
+    M = data.draw(gaussian_matrices(n))
+    s = GaussianAmplitude(0.8 - 0.6j, M, p)
+    out = apply_generator(JHat(), apply_generator(JHat(), s))
+    assert np.max(np.abs(out.M - M)) < 1e-12 * np.max(np.abs(M))
+    reflected = {k: root_i_power(-2 * n) * s.c * (-1) ** sum(k) * v for k, v in p.coeffs.items()}
+    assert coeff_drift({k: out.c * v for k, v in out.poly.coeffs.items()}, reflected) < 1e-9
+
+
+@given(st.data())
+def test_compose_linear_is_a_right_action(data):
+    # (p o A) o B = p o (A B) for the substitution p -> p(T x)
+    n = data.draw(DIMS)
+    p = data.draw(polynomials(n))
+    A, B = data.draw(square(n)), data.draw(square(n))
+    got = p.compose_linear(A).compose_linear(B).coeffs
+    want = p.compose_linear(A @ B).coeffs
+    norm = max(1.0, np.max(np.sum(np.abs(A), axis=1)) * np.max(np.sum(np.abs(B), axis=1)))
+    scale = max((abs(v) for v in p.coeffs.values()), default=0.0) * norm ** p.degree
+    assert max((abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)),
+               default=0.0) <= 1e-12 * scale
+
+
+@given(st.data())
+def test_generators_preserve_norm(data):
+    n = data.draw(DIMS)
+    s = GaussianAmplitude(1.0, data.draw(gaussian_matrices(n)), data.draw(polynomials(n)))
+    norm = l2_norm_squared(s)
+    B = data.draw(square(n))
+    A = np.eye(n) + 0.5 * data.draw(square(n))
+    if abs(np.linalg.det(A)) < 0.1:
+        A = np.eye(n) + 0.1 * A
+    for gen in (Chirp(B + B.T), Dilate(A, data.draw(st.integers(0, 3))), JHat()):
+        assert abs(l2_norm_squared(apply_generator(gen, s)) - norm) <= 1e-9 * norm
 
 
 # ---------------------------------------------------------------------------
