@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,9 @@ def _canon(obj, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
+        if all(type(v) is float and math.isfinite(v) for v in obj):
+            out.append("[" + ",".join(map("%.17g".__mod__, obj)) + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:

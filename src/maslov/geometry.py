@@ -41,7 +41,12 @@ FRAME_INCREMENT_BOUND = 1e-2
 @dataclass(frozen=True)
 class LagrangianChart:
     """Parametrized embedding of an n-dimensional patch into R^{2n} with
-    vanishing pullback of the symplectic form."""
+    vanishing pullback of the symplectic form.
+
+    Both callables take a stack of parameters, shape (N, n): point returns the
+    points, (N, 2n), and jacobian the Jacobians, (N, 2n, n).  Without a
+    jacobian, central differences of point are taken on the whole stack.
+    """
 
     n: int
     point: Callable
@@ -49,32 +54,47 @@ class LagrangianChart:
     tag: str = "custom"
     fd_step: float = 1e-6
 
-    def jac(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def points(self, us) -> np.ndarray:
+        """The points at a parameter stack, shape (N, 2n)."""
+        us = np.asarray(us, dtype=float)
+        return np.asarray(self.point(us), dtype=float).reshape(len(us), 2 * self.n)
+
+    def jacobians(self, us) -> np.ndarray:
+        """The Jacobians at a parameter stack, shape (N, 2n, n)."""
+        us = np.asarray(us, dtype=float)
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(u), dtype=float).reshape(2 * self.n, self.n)
-        J = np.empty((2 * self.n, self.n))
+            return np.asarray(self.jacobian(us), dtype=float).reshape(
+                len(us), 2 * self.n, self.n)
+        J = np.empty((len(us), 2 * self.n, self.n))
         for j in range(self.n):
             e = np.zeros(self.n)
             e[j] = self.fd_step
-            J[:, j] = (np.asarray(self.point(u + e)) - np.asarray(self.point(u - e))) \
-                / (2 * self.fd_step)
+            J[:, :, j] = (self.points(us + e) - self.points(us - e)) / (2 * self.fd_step)
         return J
 
     def at(self, u) -> np.ndarray:
-        return np.asarray(self.point(np.atleast_1d(np.asarray(u, dtype=float))),
-                          dtype=float).reshape(2 * self.n)
+        return self.points(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
+
+    def jac(self, u) -> np.ndarray:
+        return self.jacobians(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
 
     def check(self, u, tol: Tolerances = DEFAULT_TOLERANCES):
         """Validate the Lagrangian and immersion conditions at u."""
         J = self.jac(u)
+        if not np.all(np.isfinite(J)):
+            raise ImmersionError("chart Jacobian not finite at %r" % (u,))
         sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] < tol.rank_floor(2 * self.n):
+        if not sv[-1] >= tol.rank_floor(2 * self.n):
             raise ImmersionError("chart Jacobian rank deficient at %r" % (u,))
         resid = np.max(np.abs(omega_gram(J, J)))
-        if resid > max(1e3 * tol.residual_tol, 1e-9) * sv[0] ** 2:
+        if not resid <= max(1e3 * tol.residual_tol, 1e-9) * sv[0] ** 2:
             raise InvariantViolation(
                 "chart is not Lagrangian at %r: pullback residual %.3e" % (u, resid))
+
+
+def _constant(M: np.ndarray) -> Callable:
+    """The stacked callable us -> (M, ..., M), one copy per parameter."""
+    return lambda us: np.broadcast_to(M, (len(us),) + M.shape)
 
 
 def circle_chart(radius: float = 1.0) -> LagrangianChart:
@@ -82,24 +102,24 @@ def circle_chart(radius: float = 1.0) -> LagrangianChart:
     r = float(radius)
     return LagrangianChart(
         1,
-        point=lambda u: np.array([r * np.cos(u[0]), r * np.sin(u[0])]),
-        jacobian=lambda u: np.array([[-r * np.sin(u[0])], [r * np.cos(u[0])]]),
+        point=lambda us: np.stack([r * np.cos(us[:, 0]), r * np.sin(us[:, 0])], axis=1),
+        jacobian=lambda us: np.stack([-r * np.sin(us[:, 0]), r * np.cos(us[:, 0])],
+                                     axis=1)[:, :, None],
         tag="circle")
 
 
 def product_torus_chart(radii=(1.0, 1.0)) -> LagrangianChart:
     """Clifford-type torus (u1, u2) -> (r1 cos u1, r2 cos u2, r1 sin u1, r2 sin u2)."""
-    r1, r2 = float(radii[0]), float(radii[1])
+    r = np.array([float(radii[0]), float(radii[1])])
 
-    def pt(u):
-        return np.array([r1 * np.cos(u[0]), r2 * np.cos(u[1]),
-                         r1 * np.sin(u[0]), r2 * np.sin(u[1])])
+    def pt(us):
+        return np.concatenate([r * np.cos(us), r * np.sin(us)], axis=1)
 
-    def jac(u):
-        return np.array([[-r1 * np.sin(u[0]), 0.0],
-                         [0.0, -r2 * np.sin(u[1])],
-                         [r1 * np.cos(u[0]), 0.0],
-                         [0.0, r2 * np.cos(u[1])]])
+    def jac(us):
+        J = np.zeros((len(us), 4, 2))
+        J[:, [0, 1], [0, 1]] = -r * np.sin(us)
+        J[:, [2, 3], [0, 1]] = r * np.cos(us)
+        return J
 
     return LagrangianChart(2, point=pt, jacobian=jac, tag="product_torus")
 
@@ -117,11 +137,12 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
         c = [float(v) for v in phi_coeffs]
         dc = [j * c[j] for j in range(1, len(c))]
         ddc = [j * dc[j] for j in range(1, len(dc))]
-        ev1 = lambda cs, x: sum(v * x ** j for j, v in enumerate(cs))
+        ev1 = lambda cs, x: sum((v * x ** j for j, v in enumerate(cs)), np.zeros_like(x))
         return LagrangianChart(
             1,
-            point=lambda u: np.array([u[0], ev1(dc, u[0])]),
-            jacobian=lambda u: np.array([[1.0], [ev1(ddc, u[0])]]),
+            point=lambda us: np.stack([us[:, 0], ev1(dc, us[:, 0])], axis=1),
+            jacobian=lambda us: np.stack([np.ones(len(us)), ev1(ddc, us[:, 0])],
+                                         axis=1)[:, :, None],
             tag="gradient_graph")
     H = np.asarray(hessian, dtype=float)
     if np.max(np.abs(H - H.T)) > 1e-12:
@@ -129,16 +150,16 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
     n = H.shape[0]
     return LagrangianChart(
         n,
-        point=lambda u: np.concatenate([u, H @ u]),
-        jacobian=lambda u: np.vstack([np.eye(n), H]),
+        point=lambda us: np.concatenate([us, us @ H.T], axis=1),
+        jacobian=_constant(np.vstack([np.eye(n), H])),
         tag="gradient_graph")
 
 
 def flat_plane_chart(frame: LagrangianFrame) -> LagrangianChart:
     """Affine Lagrangian plane u -> F u spanned by a fixed frame."""
     F = frame.orthonormalized().columns
-    return LagrangianChart(frame.n, point=lambda u: F @ u,
-                           jacobian=lambda u: F, tag="flat_plane")
+    return LagrangianChart(frame.n, point=lambda us: us @ F.T,
+                           jacobian=_constant(F), tag="flat_plane")
 
 
 def curve_chart_from_series(qspec: dict, pspec: dict) -> LagrangianChart:
@@ -154,14 +175,16 @@ def curve_chart_from_series(qspec: dict, pspec: dict) -> LagrangianChart:
         pol = [float(v) for v in spec.get("poly", [])]
 
         def f(x):
-            return (sum(a * np.cos(k * x) for k, a in cos)
-                    + sum(a * np.sin(k * x) for k, a in sin)
-                    + sum(v * x ** j for j, v in enumerate(pol)))
+            zero = np.zeros_like(x)
+            return (sum((a * np.cos(k * x) for k, a in cos), zero)
+                    + sum((a * np.sin(k * x) for k, a in sin), zero)
+                    + sum((v * x ** j for j, v in enumerate(pol)), zero))
 
         def df(x):
-            return (sum(-a * k * np.sin(k * x) for k, a in cos)
-                    + sum(a * k * np.cos(k * x) for k, a in sin)
-                    + sum(j * v * x ** (j - 1) for j, v in enumerate(pol) if j > 0))
+            zero = np.zeros_like(x)
+            return (sum((-a * k * np.sin(k * x) for k, a in cos), zero)
+                    + sum((a * k * np.cos(k * x) for k, a in sin), zero)
+                    + sum((j * v * x ** (j - 1) for j, v in enumerate(pol) if j > 0), zero))
 
         return f, df
 
@@ -169,8 +192,8 @@ def curve_chart_from_series(qspec: dict, pspec: dict) -> LagrangianChart:
     p, dp = build(pspec)
     return LagrangianChart(
         1,
-        point=lambda u: np.array([q(u[0]), p(u[0])]),
-        jacobian=lambda u: np.array([[dq(u[0])], [dp(u[0])]]),
+        point=lambda us: np.stack([q(us[:, 0]), p(us[:, 0])], axis=1),
+        jacobian=lambda us: np.stack([dq(us[:, 0]), dp(us[:, 0])], axis=1)[:, :, None],
         tag="custom")
 
 
@@ -250,7 +273,7 @@ def _tangent_bases(chart, us, tol) -> np.ndarray:
     the sign of each column fixed by its QR pivot.  One stacked singular
     value check names the first point where the Jacobian is rank deficient
     or not finite."""
-    J = np.array([chart.jac(u) for u in us])
+    J = chart.jacobians(us)
     finite = np.all(np.isfinite(J), axis=(1, 2))
     sv = np.linalg.svd(np.where(finite[:, None, None], J, 0.0), compute_uv=False)
     bad = np.flatnonzero(~(finite & (sv[:, -1] >= tol.rank_floor(2 * chart.n))))
@@ -262,9 +285,15 @@ def _tangent_bases(chart, us, tol) -> np.ndarray:
 
 def _transfers(Ba: np.ndarray, Bb: np.ndarray):
     """Polar transfers P = polar(Bb^T Ba) of a stack of segments between
-    tangent bases, and their spectral step norms ||Bb P - Ba||_2."""
-    P = _polar(np.swapaxes(Bb, 1, 2) @ Ba)
-    return P, np.linalg.norm(Bb @ P - Ba, ord=2, axis=(1, 2))
+    tangent bases, and their spectral step norms ||Bb P - Ba||_2, both from
+    one SVD Bb^T Ba = U diag(s) W^T.  P = U W^T, and the columns of
+    (Bb P - Ba) W = Bb U - Ba W are orthogonal with norms sqrt(2 (1 - s_i)),
+    so the step norm is the largest of these column norms.  They are taken
+    from the column differences, which keeps their accuracy at machine
+    precision: the closed form sqrt(2 (1 - s_min)) cancels as s_min -> 1."""
+    U, _, Wh = np.linalg.svd(np.swapaxes(Bb, 1, 2) @ Ba)
+    E = Bb @ U - Ba @ np.swapaxes(Wh, 1, 2)
+    return U @ Wh, np.max(np.linalg.norm(E, axis=1), axis=1)
 
 
 def _running_products(P: np.ndarray, G0: np.ndarray) -> np.ndarray:
@@ -300,14 +329,15 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     chart.check(us[0], tol)
     if path.closed:
         gap = np.max(np.abs(chart.at(us[0]) - chart.at(us[-1])))
-        if gap > 1e-7:
+        if not gap <= 1e-7:  # a non-finite endpoint fails too
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
     B = _tangent_bases(chart, us, tol)
     if initial_frame is None:
         G0 = np.eye(n)
     else:
         F0 = np.asarray(initial_frame, dtype=float)
-        if np.max(np.abs(F0.T @ F0 - np.eye(n))) > 1e-8 or _tangency(F0, B[0]) > 1e-8:
+        if not (np.all(np.isfinite(F0)) and np.max(np.abs(F0.T @ F0 - np.eye(n))) <= 1e-8
+                and _tangency(F0, B[0]) <= 1e-8):
             raise InvariantViolation("initial frame must be orthonormal and tangent")
         G0 = _polar(B[0].T @ F0)
 

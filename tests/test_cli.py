@@ -2,9 +2,13 @@
 golden files."""
 
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maslov.cli import canonical_json, main, run
 from maslov.errors import SpecError
@@ -62,6 +66,46 @@ def test_determinism_byte_identical():
     _, _, p1 = run(load_spec("circle_verify"))
     _, _, p2 = run(load_spec("circle_verify"))
     assert p1 == p2
+
+
+def recursive_canonical_json(obj) -> str:
+    """The canonical encoding, item by item, with no fast path."""
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return "%.17g" % v if math.isfinite(v) else '"%s"' % repr(v)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(recursive_canonical_json, obj)) + "]"
+    return "{" + ",".join(json.dumps(str(k), ensure_ascii=True) + ":"
+                          + recursive_canonical_json(obj[k]) for k in sorted(obj)) + "}"
+
+
+SCALARS = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(-10 ** 20, 10 ** 20),
+    st.integers(-9, 9).map(np.int64), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf, 0.1, 1.0]))
+
+
+@given(st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4)), max_leaves=30))
+def test_canonical_json_matches_recursive_encoder(obj):
+    assert canonical_json(obj) == recursive_canonical_json(obj) + "\n"
+
+
+def test_canonical_json_float_rows():
+    rows = [[0.1, -0.0, 1e300], (2.5,), [], [1.0, np.float64(0.5)], [1.0, math.nan],
+            [1.0, 2], [True, 1.0]]
+    assert canonical_json(rows) == (
+        '[[0.10000000000000001,-0,1.0000000000000001e+300],[2.5],[],[1,0.5],'
+        '[1,"nan"],[1,2],[true,1]]\n')
 
 
 def test_golden_reports_reproduce():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from maslov.core import line_frame
+from maslov.core import line_frame, random_lagrangian, random_unitary
 from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
                            SamplingError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
@@ -11,7 +13,7 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              flat_plane_chart, gradient_graph_chart,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
-                             verify_theorem1, verify_theorem2)
+                             verify_theorem1, verify_theorem2, _transfers)
 from maslov.index import clm_index, lift_path
 
 
@@ -55,7 +57,7 @@ def test_chart_lagrangian_validation():
     # (u1, u2) -> (u1, u2, u2, u1): omega pullback = du1^du2 + du2^du1 = 0; make
     # it fail with (u1, u2, u2, 2 u1)
     from maslov.geometry import LagrangianChart
-    bad = LagrangianChart(2, point=lambda u: np.array([u[0], u[1], u[1], 2 * u[0]]),
+    bad = LagrangianChart(2, point=lambda us: us[:, [0, 1, 1, 0]] * [1.0, 1.0, 1.0, 2.0],
                           jacobian=None, tag="custom")
     with pytest.raises(InvariantViolation):
         bad.check([0.1, 0.2])
@@ -67,6 +69,77 @@ def test_custom_series_chart_matches_circle():
     for u in (0.0, 0.4, 2.2):
         assert np.allclose(chart.at([u]), ref.at([u]))
         assert np.allclose(chart.jac([u]), ref.jac([u]))
+
+
+def builtin_charts(n, rng):
+    """Every built-in chart of dimension n, with seeded parameters."""
+    A = rng.normal(size=(n, n))
+    charts = [gradient_graph_chart(hessian=A + A.T),
+              flat_plane_chart(random_lagrangian(n, rng))]
+    if n == 1:
+        a, b, c = rng.uniform(0.2, 1.5, 3)
+        charts += [circle_chart(rng.uniform(0.5, 3.0)),
+                   gradient_graph_chart(phi_coeffs=rng.normal(size=5)),
+                   curve_chart_from_series({"cos": [[1, a], [3, b]], "poly": [0.1, c]},
+                                           {"sin": [[1, a], [2, -b]], "cos": [[2, c]]}),
+                   curve_chart_from_series({}, {"sin": [[2, a]]})]
+    if n == 2:
+        charts.append(product_torus_chart(rng.uniform(0.5, 2.0, 2)))
+    return charts
+
+
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_jacobian_matches_differences_of_stacked_point(n, seed):
+    rng = np.random.default_rng(seed)
+    us = rng.uniform(-3.0, 3.0, size=(7, n))
+    h = 1e-5
+    for chart in builtin_charts(n, rng):
+        J, X = chart.jacobians(us), chart.points(us)
+        assert J.shape == (7, 2 * n, n) and X.shape == (7, 2 * n)
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd = (chart.point(us + e) - chart.point(us - e)) / (2 * h)
+            assert np.max(np.abs(J[:, :, j] - fd)) < 1e-6, chart.tag
+        # the finite-difference fallback differentiates the stacked point
+        fallback = LagrangianChart(n, point=chart.point, tag="custom")
+        assert np.max(np.abs(fallback.jacobians(us) - J)) < 1e-6, chart.tag
+        for k, u in enumerate(us):
+            assert np.array_equal(J[k], chart.jac(u)), chart.tag
+            assert np.allclose(chart.at(u), X[k], rtol=0, atol=1e-12)
+
+
+def reference_transfers(Ba, Bb):
+    """Polar factor and spectral step norm ||Bb P - Ba||_2, two SVDs."""
+    U, _, Wh = np.linalg.svd(np.swapaxes(Bb, 1, 2) @ Ba)
+    P = U @ Wh
+    return P, np.linalg.norm(Bb @ P - Ba, ord=2, axis=(1, 2))
+
+
+def as_basis(V):
+    return np.concatenate([V.real, V.imag], axis=-2)
+
+
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_transfers_match_two_svd_reference(n, seed):
+    # segments from the plane of V to that of exp(i a H) V, ||H||_2 = 1, for
+    # a from 1e-4 to 0.5, with a random orthogonal change of basis at the end
+    rng = np.random.default_rng(seed)
+    V = np.array([random_unitary(n, rng).entries for _ in range(6)])
+    X = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    H = X + np.conj(np.swapaxes(X, 1, 2))
+    H /= np.linalg.norm(H, ord=2, axis=(1, 2))[:, None, None]
+    angle = 10.0 ** np.linspace(-4.0, np.log10(0.5), 6)
+    lam, E = np.linalg.eigh(H)
+    W = (E * np.exp(1j * angle[:, None] * lam)[:, None, :]) @ np.conj(np.swapaxes(E, 1, 2))
+    O = np.linalg.qr(rng.normal(size=(6, n, n)))[0]
+    Ba, Bb = as_basis(V), as_basis(W @ V @ O)
+    P, step = _transfers(Ba, Bb)
+    P_ref, step_ref = reference_transfers(Ba, Bb)
+    assert np.array_equal(P, P_ref)
+    assert np.max(np.abs(step - step_ref)) <= 1e-12
+    # identical bases: zero to machine precision (sqrt(2 (1 - s_min)) gives ~3e-8)
+    assert np.max(_transfers(Ba, Ba)[1]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +187,12 @@ def cosine_gradient_chart(waves):
     K = np.array([w[1] for w in waves], dtype=float)
     b = np.array([w[2] for w in waves])
 
-    def point(u):
-        return np.concatenate([u, -(a * np.sin(K @ u + b)) @ K])
+    def point(us):
+        return np.concatenate([us, -(a * np.sin(us @ K.T + b)) @ K], axis=1)
 
-    def jac(u):
-        H = -(K.T * (a * np.cos(K @ u + b))) @ K
-        return np.vstack([np.eye(n), H])
+    def jac(us):
+        H = -np.einsum("wi,nw,wj->nij", K, a * np.cos(us @ K.T + b), K)
+        return np.concatenate([np.broadcast_to(np.eye(n), H.shape), H], axis=1)
 
     return LagrangianChart(n, point=point, jacobian=jac, tag="gradient_graph")
 
@@ -175,10 +248,38 @@ def test_transport_on_curved_gradient_graph(n):
 
 def test_transport_names_rank_deficient_point():
     # the Jacobian (u - 1/2, 0) vanishes at the middle sample only
-    chart = LagrangianChart(1, point=lambda u: np.array([(u[0] - 0.5) ** 2 / 2, 0.0]),
-                            jacobian=lambda u: np.array([[u[0] - 0.5], [0.0]]))
+    chart = LagrangianChart(1, point=lambda us: np.stack([(us[:, 0] - 0.5) ** 2 / 2,
+                                                          0.0 * us[:, 0]], axis=1),
+                            jacobian=lambda us: np.stack([us - 0.5, 0.0 * us], axis=1))
     with pytest.raises(ImmersionError, match=r"\[0\.5\]"):
         transport_frame(chart, ParamPath.line([0.0], [1.0], 11))
+
+
+def test_chart_check_names_non_finite_jacobian():
+    circle = circle_chart()
+    nan_jacobian = LagrangianChart(1, point=circle.point,
+                                   jacobian=lambda us: np.full((len(us), 2, 1), np.nan))
+    with pytest.raises(ImmersionError, match="not finite"):
+        nan_jacobian.check([0.3])
+    # central differences of an infinite point are not finite either
+    inf_point = LagrangianChart(
+        1, point=lambda us: np.concatenate([us, np.full_like(us, np.inf)], axis=1))
+    with pytest.raises(ImmersionError, match="not finite"), np.errstate(invalid="ignore"):
+        inf_point.check([0.3])
+
+
+def test_transport_rejects_non_finite_closing_point():
+    circle = circle_chart()
+    chart = LagrangianChart(1, point=lambda us: np.where(us < 6.0, circle.point(us), np.nan),
+                            jacobian=circle.jacobian)
+    with pytest.raises(InvariantViolation, match="endpoints differ by nan"):
+        transport_frame(chart, ParamPath.circle_arc(1.0, 50))
+
+
+def test_transport_rejects_non_finite_initial_frame():
+    with pytest.raises(InvariantViolation, match="initial frame"):
+        transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 30),
+                        initial_frame=np.full((2, 1), np.nan))
 
 
 def test_transport_refinement_exhaustion():
