@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _unitarity_residuals, embed_unitary,
-                   unitaries_from_symplectic)
+                   _unitarity_residuals, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
 
@@ -59,19 +58,40 @@ def root_i_power(k: int) -> complex:
     return np.exp(0.25j * np.pi * k)
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _check(ok, error, message: str, values=None):
+    """Raise error(message) unless ok holds everywhere.  For a stack, the
+    message names the first failing entry along the leading axis and is
+    %-formatted with the entry of values there."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    where = np.unravel_index(np.argmin(ok), ok.shape)
+    if values is not None:
+        message %= np.broadcast_to(values, ok.shape)[where]
+    if where:
+        message += " at stack entry %d" % where[0]
+    raise error(message)
+
+
 def det_branch_power(M: np.ndarray, power: float) -> complex:
     """det(M)^{power} on the canonical branch for Re M positive definite.
 
     Computed as the product of principal powers of the eigenvalues; all
     eigenvalues have positive real part on this domain, so the result is the
-    unique continuous branch that is positive on real SPD matrices.
+    unique continuous branch that is positive on real SPD matrices.  M may
+    be a stack (..., n, n).
     """
-    if not np.isfinite(M).all():
-        raise StateDomainError("canonical determinant branch needs a finite matrix")
+    _check(np.isfinite(M).all(axis=(-2, -1)), StateDomainError,
+           "canonical determinant branch needs a finite matrix")
     lam = np.linalg.eigvals(M)
-    if not np.min(lam.real) > 0:
-        raise StateDomainError("canonical determinant branch needs Re(eigenvalues) > 0")
-    return complex(np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam))))
+    _check(np.min(lam.real, axis=-1) > 0, StateDomainError,
+           "canonical determinant branch needs Re(eigenvalues) > 0")
+    return np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +106,11 @@ class _MonomialBasis:
     basis of degree D + 1.  A monomial of degree d >= 1 is x_j times its
     parent of degree d - 1, with j its first nonzero coordinate (``levels``
     holds, per degree, the slice bounds, these j and the parents).  The
-    derivatives D_j and the shifts S_c (multiplication by x_c, truncated at
-    degree D) have at most one nonzero entry per column, at the position of
-    x^gamma / x_c (``down``); the push-throughs use them as dense (n, K, K)
-    stacks, built on first use, and the product as a gather.
+    shifts S_c (multiplication by x_c, truncated at degree D) and the
+    derivatives D_j act on coefficient vectors as gathers: (S_c v)_gamma is
+    v at gamma - e_c (``down``), and (D_j v)_gamma is (gamma_j + 1) times v
+    at gamma + e_j (``up``); both tables point one past the basis, at a zero
+    pad, where there is no such monomial.
     """
 
     def __init__(self, n: int, D: int):
@@ -102,57 +123,39 @@ class _MonomialBasis:
         self.index = {e: k for k, e in enumerate(exps)}
         self.exps = np.array(exps, dtype=int)
         self.deg = self.exps.sum(axis=1)
-        # down[c, k] is the position of gamma_k - e_c, or K (one past the
-        # basis) where x_c does not divide x^gamma_k
         unit = np.eye(n, dtype=int)
-        self.down = np.array([[self.index.get(tuple(e - unit[c]), K) for e in self.exps]
-                              for c in range(n)], dtype=int)
+        self.down, self.up = (np.array([[self.index.get(tuple(e + s * unit[c]), K)
+                                         for e in self.exps] for c in range(n)], dtype=int)
+                              for s in (-1, 1))
         bounds = np.searchsorted(self.deg, np.arange(D + 2))
         self.levels = []
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             step = np.argmax(self.exps[lo:hi] > 0, axis=1)
             self.levels.append((lo, hi, step, self.down[step, np.arange(lo, hi)]))
-        for a in (self.exps, self.deg, self.down):  # shared by every caller
+        for a in (self.exps, self.deg, self.down, self.up):  # shared by every caller
             a.setflags(write=False)
 
-    def shifts(self, V: np.ndarray) -> np.ndarray:
-        """The stack (S_c V)_c, shape (n, K, m), for columns V of shape (K, m)."""
-        return np.concatenate([V, np.zeros_like(V[:1])])[self.down]
+    def diff(self, v: np.ndarray, j: int) -> np.ndarray:
+        """D_j v for a coefficient vector v over this basis."""
+        return (self.exps[:, j] + 1) * np.append(v, 0)[self.up[j]]
 
-    @functools.cached_property
-    def shift_ops(self) -> np.ndarray:
-        """The matrices S_c, shape (n, K, K)."""
-        S = self.shifts(np.eye(self.size))
-        S.setflags(write=False)
-        return S
-
-    @functools.cached_property
-    def diff_ops(self) -> np.ndarray:
-        """The matrices D_j, shape (n, K, K): D_j x^gamma = gamma_j x^(gamma - e_j)."""
-        D = np.zeros((self.n, self.size + 1, self.size))
-        D[np.arange(self.n)[:, None], self.down, np.arange(self.size)] = self.exps.T
-        D = D[:, :-1]
-        D.setflags(write=False)
-        return D
-
-    def push(self, a: np.ndarray, X, v: np.ndarray | None = None) -> np.ndarray:
-        """sum_gamma a_gamma X^gamma v for commuting operators X_j on this
-        basis, a given over a prefix of it and v defaulting to the constant 1.
-        X maps columns of shape (K, m) to the stack (X_j V)_j of shape
-        (n, K, m).  The images X^gamma v are built one degree at a time, each
-        level by one application of X to the level below."""
-        img = np.zeros((self.size, len(a)), dtype=complex)
-        if v is None:
-            img[0, 0] = 1.0
-        else:
-            img[:, 0] = v
-        plo = 0
+    def images(self, G: np.ndarray, diff: complex = 0.0) -> np.ndarray:
+        """The matrices whose column gamma is X^gamma 1, shape (..., K, K),
+        for the commuting operators X_j = diff D_j + sum_c G_jc S_c on this
+        basis, G of shape (..., n, n).  Each degree is one gathered step from
+        the degree below: the column of x_j x^gamma' is X_j applied to the
+        column of x^gamma'."""
+        K = self.size
+        img = np.zeros(G.shape[:-2] + (K + 1, K), dtype=complex)  # last row: the pad
+        img[..., 0, 0] = 1.0
         for lo, hi, step, parent in self.levels:
-            if hi > len(a):
-                break
-            img[:, lo:hi] = X(img[:, plo:lo])[step, :, parent - plo].T
-            plo = lo
-        return img @ a
+            V = img[..., parent]
+            new = sum(G[..., None, step, c] * V[..., self.down[c], :] for c in range(self.n))
+            if diff:
+                new = new + diff * (self.exps[:, step] + 1) * V[..., self.up[step].T,
+                                                                 np.arange(hi - lo)]
+            img[..., :K, lo:hi] = new
+        return img[..., :K, :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,16 +163,24 @@ def _basis(n: int, D: int) -> _MonomialBasis:
     return _MonomialBasis(n, D)
 
 
-def _mix(T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """sum_c T_jc S_c for a stack S of shape (n, K, m)."""
-    return (T @ S.reshape(len(S), -1)).reshape(S.shape)
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int, D1: int, D2: int) -> np.ndarray:
+    """The position of x^(gamma + delta) in the basis of degree D1 + D2, for
+    gamma over the basis of degree D1 (rows) and delta over that of D2."""
+    index = _basis(n, D1 + D2).index
+    t = np.array([[index[tuple(g + d)] for d in _basis(n, D2).exps]
+                  for g in _basis(n, D1).exps], dtype=int)
+    t.setflags(write=False)
+    return t
 
 
 class Polynomial:
     """Multivariate polynomial with complex coefficients, stored as the dense
     vector ``vec`` over the graded monomial basis ``basis`` of its arity and
     a degree bound.  ``Polynomial(n, {exponent: coeff})`` builds one from a
-    mapping, and ``coeffs`` gives the nonzero entries back as one."""
+    mapping, and ``coeffs`` gives the nonzero entries back as one.  The
+    factor of a stack of states (see ``GaussianAmplitude``) holds a stack of
+    vectors, shape (..., K); the other methods take a single one."""
 
     __slots__ = ("basis", "vec")
 
@@ -236,13 +247,16 @@ class Polynomial:
         return Polynomial._dense(_basis(self.n, D), self._padded(D) + other._padded(D))
 
     def __mul__(self, other):
-        """p q = p(S) q, the shifts S_c acting on q over the basis of the
-        summed degrees."""
+        """p q, each product of coefficients added at the position of the
+        summed exponents."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_arity(other)
         b = _basis(self.n, self.basis.D + other.basis.D)
-        return Polynomial._dense(b, b.push(self.vec, b.shifts, other._padded(b.D)))
+        vec = np.zeros(b.size, dtype=complex)
+        np.add.at(vec, _pair_table(self.n, self.basis.D, other.basis.D),
+                  np.outer(self.vec, other.vec))
+        return Polynomial._dense(b, vec)
 
     __rmul__ = __mul__
 
@@ -254,18 +268,27 @@ class Polynomial:
 
     def diff(self, j: int) -> "Polynomial":
         low = _basis(self.n, max(self.basis.D - 1, 0))
-        return Polynomial._dense(low, (self.basis.diff_ops[j] @ self.vec)[:low.size])
+        return Polynomial._dense(low, self.basis.diff(self.vec, j)[:low.size])
 
     def compose_linear(self, T: np.ndarray) -> "Polynomial":
         """p(T x): substitute each coordinate x_j by the linear form (T x)_j,
         that is p(X) 1 with the commuting multiplications X_j = sum_c T_jc S_c."""
-        b = self.basis
-        X = _mix(np.asarray(T), b.shift_ops)
-        return Polynomial._dense(b, b.push(self.vec, lambda V: X @ V))
+        return _push(self, np.asarray(T))
 
     def __call__(self, x) -> complex:
         x = np.atleast_1d(np.asarray(x))
         return complex(np.prod(x ** self.basis.exps, axis=1) @ self.vec)
+
+
+def _push(poly: Polynomial, G: np.ndarray, diff: complex = 0.0) -> Polynomial:
+    """p(X) 1 for X_j = diff D_j + sum_c G_jc S_c (see ``_MonomialBasis.images``);
+    the factor and G may be stacks."""
+    return Polynomial._dense(poly.basis, _apply(poly.basis.images(G, diff), poly.vec))
+
+
+def _apply(op: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """op @ v for every coefficient vector v of a stack, with broadcasting."""
+    return (op @ vec[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,13 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
-    """The state x -> c * poly(x) * exp(-<M x, x>/2)."""
+    """The state x -> c * poly(x) * exp(-<M x, x>/2).
+
+    A stack of states carries leading axes on c, on M (shape (..., n, n)) and
+    on the coefficient vectors ``poly.vec`` (shape (..., K)); they broadcast
+    together, each entry one state, and a failed check names the first bad
+    entry.
+    """
 
     c: complex
     M: np.ndarray
@@ -283,27 +312,29 @@ class GaussianAmplitude:
     def __init__(self, c, M, poly: Polynomial | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         M = np.asarray(M, dtype=complex)
-        n = M.shape[0]
+        n = M.shape[-1]
         if poly is None:
             poly = Polynomial.constant(1.0, n)
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
-        if not (np.isfinite(c) and np.isfinite(M).all() and np.isfinite(poly.vec).all()):
-            raise InvariantViolation("state data c, M and poly must be finite")
-        if not np.max(np.abs(M - M.T)) <= tol.residual_tol:
-            raise InvariantViolation("Gaussian matrix must be symmetric")
-        M = (M + M.T) / 2
-        ev = np.linalg.eigvalsh(M.real)
-        if ev[0] < tol.rank_floor(n):
-            raise StateDomainError("Re(M) must be positive definite; min eig %.3e" % ev[0])
+        c = np.asarray(c, dtype=complex)
+        _check(np.isfinite(c) & np.isfinite(M).all(axis=(-2, -1))
+               & np.isfinite(poly.vec).all(axis=-1),
+               InvariantViolation, "state data c, M and poly must be finite")
+        _check(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
+               InvariantViolation, "Gaussian matrix must be symmetric")
+        M = (M + _T(M)) / 2
+        low = np.linalg.eigvalsh(M.real)[..., 0]
+        _check(low >= tol.rank_floor(n), StateDomainError,
+               "Re(M) must be positive definite; min eig %.3e", low)
         M.setflags(write=False)
-        object.__setattr__(self, "c", complex(c))
+        object.__setattr__(self, "c", c if c.ndim else complex(c))
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "poly", poly)
 
     @property
     def n(self):
-        return self.M.shape[0]
+        return self.M.shape[-1]
 
     def __call__(self, x) -> complex:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -339,11 +370,17 @@ def _gaussian_moments(Sigma: np.ndarray, basis: _MonomialBasis) -> np.ndarray:
 
 
 def l2_inner(s1: GaussianAmplitude, s2: GaussianAmplitude) -> complex:
-    """Closed form of the L2 inner product Int s1(x) conj(s2(x)) dx."""
+    """Closed form of the L2 inner product Int s1(x) conj(s2(x)) dx: the
+    two coefficient vectors paired through the Gram matrix
+    G[gamma, delta] = E[x^(gamma + delta)] of the Gaussian moments of
+    M1 + conj(M2), gathered from the moments over the summed-degree basis."""
     if s1.n != s2.n:
         raise DimensionMismatch("states over different n")
-    return gaussian_integral(GaussianAmplitude(
-        s1.c * np.conj(s2.c), s1.M + s2.M.conj(), s1.poly * s2.poly.conjugate()))
+    n, D1, D2 = s1.n, s1.poly.basis.D, s2.poly.basis.D
+    M = s1.M + s2.M.conj()
+    mom = _gaussian_moments(np.linalg.inv(M), _basis(n, D1 + D2))
+    mean = s1.poly.vec @ mom[_pair_table(n, D1, D2)] @ s2.poly.vec.conj()
+    return s1.c * np.conj(s2.c) * (2 * np.pi) ** (n / 2) * det_branch_power(M, -0.5) * mean
 
 
 def l2_norm_squared(s: GaussianAmplitude) -> float:
@@ -377,15 +414,17 @@ class DistributionState:
 
 @dataclass(frozen=True)
 class Dilate:
+    """f -> |det A|^{1/2} i^m f(A^T x); A may be a stack (..., n, n)."""
+
     A: np.ndarray
     m: int
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
         A = np.asarray(A, dtype=float)
-        if not np.isfinite(A).all():
-            raise InvariantViolation("dilation matrix must be finite")
-        if not abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[0]):
-            raise InvariantViolation("dilation matrix must be invertible")
+        _check(np.isfinite(A).all(axis=(-2, -1)), InvariantViolation,
+               "dilation matrix must be finite")
+        _check(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
+               "dilation matrix must be invertible")
         A = A.copy()
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -394,15 +433,17 @@ class Dilate:
 
 @dataclass(frozen=True)
 class Chirp:
+    """Multiplication by e^{-i <B x, x>/2}; B may be a stack (..., n, n)."""
+
     B: np.ndarray
 
     def __init__(self, B, tol: Tolerances = DEFAULT_TOLERANCES):
         B = np.asarray(B, dtype=float)
-        if not np.isfinite(B).all():
-            raise InvariantViolation("chirp matrix must be finite")
-        if not np.max(np.abs(B - B.T)) <= tol.residual_tol:
-            raise InvariantViolation("chirp matrix must be symmetric")
-        B = (B + B.T) / 2
+        _check(np.isfinite(B).all(axis=(-2, -1)), InvariantViolation,
+               "chirp matrix must be finite")
+        _check(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
+               InvariantViolation, "chirp matrix must be symmetric")
+        B = (B + _T(B)) / 2
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
 
@@ -422,25 +463,25 @@ def _fourier_poly(poly: Polynomial, N: np.ndarray) -> Polynomial:
     X_j = i (D_j - sum_c N_jc S_c), preserving degree, so the image is
     p(X) 1.  The X_j commute because N is symmetric.
     """
-    b = poly.basis
-    X = 1j * (b.diff_ops - _mix(N, b.shift_ops))
-    return Polynomial._dense(b, b.push(poly.vec, lambda V: X @ V))
+    return _push(poly, -1j * N, 1j)
 
 
 def apply_generator(gen, s: GaussianAmplitude,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> GaussianAmplitude:
-    """Apply one generator to a state; exact on (c, M, poly) data."""
+    """Apply one generator to a state; exact on (c, M, poly) data.  The
+    generator and the state may be stacks, whose leading axes broadcast:
+    each entry of the result is one generator applied to one state."""
     if isinstance(gen, Dilate):
         A = gen.A
         c = s.c * np.sqrt(abs(np.linalg.det(A))) * quarter_turn(gen.m)
-        M = A @ s.M @ A.T
-        return GaussianAmplitude(c, M, s.poly.compose_linear(A.T), tol)
+        M = A @ s.M @ _T(A)
+        return GaussianAmplitude(c, M, s.poly.compose_linear(_T(A)), tol)
     if isinstance(gen, Chirp):
         return GaussianAmplitude(s.c, s.M + 1j * gen.B, s.poly, tol)
     if isinstance(gen, JHat):
         c = s.c * det_branch_power(s.M, -0.5) * root_i_power(-s.n)
         Minv = np.linalg.inv(s.M)
-        Minv = (Minv + Minv.T) / 2
+        Minv = (Minv + _T(Minv)) / 2
         return GaussianAmplitude(c, Minv, _fourier_poly(s.poly, Minv), tol)
     raise InvariantViolation("unknown generator %r" % (gen,))
 
@@ -451,7 +492,8 @@ def apply_generator(gen, s: GaussianAmplitude,
 
 @dataclass(frozen=True)
 class QuadraticFourier:
-    """Generating data (P, L, Q) of a free quadratic form plus branch integer m."""
+    """Generating data (P, L, Q) of a free quadratic form plus branch integer
+    m; P, L and Q may be stacks (..., n, n) sharing m."""
 
     P: np.ndarray
     L: np.ndarray
@@ -462,21 +504,22 @@ class QuadraticFourier:
         P = np.asarray(P, dtype=float)
         L = np.asarray(L, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        if not (np.isfinite(P).all() and np.isfinite(L).all() and np.isfinite(Q).all()):
-            raise InvariantViolation("P, L and Q must be finite")
-        if not (np.max(np.abs(P - P.T)) <= tol.residual_tol
-                and np.max(np.abs(Q - Q.T)) <= tol.residual_tol):
-            raise InvariantViolation("P and Q must be symmetric")
-        if not abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[0]):
-            raise InvariantViolation("L must be invertible")
-        for name, a in (("P", (P + P.T) / 2), ("L", L.copy()), ("Q", (Q + Q.T) / 2)):
+        _check(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-2, -1))
+               & np.isfinite(Q).all(axis=(-2, -1)),
+               InvariantViolation, "P, L and Q must be finite")
+        _check(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
+                          np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= tol.residual_tol,
+               InvariantViolation, "P and Q must be symmetric")
+        _check(abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[-1]), InvariantViolation,
+               "L must be invertible")
+        for name, a in (("P", (P + _T(P)) / 2), ("L", L.copy()), ("Q", (Q + _T(Q)) / 2)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "m", int(m) % 4)
 
     @property
     def n(self):
-        return self.L.shape[0]
+        return self.L.shape[-1]
 
     def with_branch(self, m: int) -> "QuadraticFourier":
         return QuadraticFourier(self.P, self.L, self.Q, m)
@@ -487,16 +530,21 @@ def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
     """Generating data of a symplectic matrix with invertible upper-right
     block: (P, L, Q) = (D B^{-1}, B^{-1}, B^{-1} A)."""
     A, B, C, D = S.blocks
-    if abs(np.linalg.det(B)) < tol.rank_floor(S.n):
-        raise CaseError(
-            "B-block is singular: no free generating function; "
-            "compose with the fixed Fourier factor first")
+    return _quad_fourier_from_blocks(A, B, D, m, tol)
+
+
+def _quad_fourier_from_blocks(A, B, D, m: int, tol: Tolerances) -> QuadraticFourier:
+    """quad_fourier_from_symplectic on the blocks A, B and D, which may be
+    stacks; a failed check names the first bad entry."""
+    _check(abs(np.linalg.det(B)) >= tol.rank_floor(B.shape[-1]), CaseError,
+           "B-block is singular: no free generating function; "
+           "compose with the fixed Fourier factor first")
     Bi = np.linalg.inv(B)
     P, L, Q = D @ Bi, Bi, Bi @ A
-    if np.max(np.abs(P - P.T)) > 1e3 * tol.residual_tol or \
-       np.max(np.abs(Q - Q.T)) > 1e3 * tol.residual_tol:
-        raise InvariantViolation("block data is not symmetric; input not symplectic?")
-    return QuadraticFourier((P + P.T) / 2, L, (Q + Q.T) / 2, m, tol)
+    _check(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
+                      np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= 1e3 * tol.residual_tol,
+           InvariantViolation, "block data is not symmetric; input not symplectic?")
+    return QuadraticFourier((P + _T(P)) / 2, L, (Q + _T(Q)) / 2, m, tol)
 
 
 def symplectic_from_quad_fourier(qf: QuadraticFourier,
@@ -514,7 +562,7 @@ def apply_quad_fourier(qf: QuadraticFourier, s: GaussianAmplitude,
     """Apply the quadratic Fourier transform as its four-generator word."""
     s = apply_generator(Chirp(-qf.Q, tol), s, tol)
     s = apply_generator(JHat(), s, tol)
-    s = apply_generator(Dilate(qf.L.T, qf.m, tol), s, tol)
+    s = apply_generator(Dilate(_T(qf.L), qf.m, tol), s, tol)
     return apply_generator(Chirp(-qf.P, tol), s, tol)
 
 
@@ -557,27 +605,6 @@ def _unitary_sqrt(V: np.ndarray) -> np.ndarray:
     T, Z = scipy.linalg.schur(V, output="complex")
     lam = np.diagonal(T)
     return Z @ np.diag(np.exp(0.5j * np.angle(lam))) @ Z.conj().T
-
-
-def _step_word(V: np.ndarray, s: GaussianAmplitude,
-               tol: Tolerances) -> GaussianAmplitude:
-    """Apply the lift of a single near-identity unitary-image step to a
-    state, through the generator word, branch chosen by continuity.
-
-    The step has a singular upper-right block near the identity, so it is
-    composed with the fixed Fourier element J0 = embed(iI),
-    S = (S J0) J0^{-1} with S J0 = embed(iV), every factor then having an
-    invertible block, and the branch integer of the (S J0)-word is rounded
-    so the scalar increment stays within a quarter turn of 1.
-    """
-    qf = quad_fourier_from_symplectic(embed_unitary(1j * V, tol), 0, tol)
-    out = apply_generator(JHat(), s, tol)
-    out = apply_quad_fourier(qf, out, tol)
-    ratio = out.c / s.c
-    if not np.isfinite(ratio) or ratio == 0:
-        raise StateDomainError("degenerate scalar increment along the path")
-    m = int(round(-2.0 * np.angle(ratio) / np.pi)) % 4
-    return out.scaled(quarter_turn(m))
 
 
 def _adjoint(U: np.ndarray) -> np.ndarray:
@@ -633,6 +660,79 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     return np.cumprod(np.concatenate([[s0.c], fac])), M
 
 
+def _word_matrices(M0: np.ndarray, P: np.ndarray, L: np.ndarray,
+                   Q: np.ndarray) -> np.ndarray:
+    """Pass (a) of the word lift: the Gaussian matrix at every dense sample,
+    one step after another on bare arrays, as the word JHat, Chirp(-Q),
+    JHat, Dilate(L^T), Chirp(-P) of each step moves it:
+    M -> sym(M^{-1}) -> . - iQ -> sym(.^{-1}) -> sym(L^T . L) -> . - iP,
+    with sym(X) = (X + X^T) / 2 and (P, L, Q) stacks over the steps."""
+    iP, iQ, LT = 1j * -P, 1j * -Q, _T(L)
+    Ms = np.empty((len(L) + 1,) + M0.shape, dtype=complex)
+    Ms[0] = M = M0
+    k = 0
+    try:
+        for k in range(len(L)):
+            M = np.linalg.inv(M)
+            M = np.linalg.inv((M + M.T) / 2 + iQ[k])
+            M = LT[k] @ ((M + M.T) / 2) @ L[k]
+            Ms[k + 1] = M = (M + M.T) / 2 + iP[k]
+    except np.linalg.LinAlgError:
+        raise StateDomainError("singular Gaussian matrix in the word at dense step %d"
+                               % k) from None
+    return Ms
+
+
+def _word_lift(V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
+    """Scalars (S + 1,), matrices (S + 1, n, n) and coefficient vectors
+    (S + 1, K) of a state with a polynomial factor along the S dense steps V.
+
+    A step has a singular upper-right block near the identity, so it is
+    composed with the fixed Fourier element J0 = embed(iI): the state goes
+    through JHat, then the quadratic Fourier word of S J0 = embed(iV) at
+    branch 0, and the branch integer m_k is rounded so that the scalar
+    increment stays within a quarter turn of 1.  Pass (a) gives the M_k;
+    pass (b) applies each generator of the word once to the stack of steps,
+    entry k starting from (1, M_k, x^gamma) for every basis monomial.  It
+    gives the step factors f_k, checks every intermediate state and M_{k+1}
+    against pass (a), and leaves the push-through operators F(M_1), F(M_3)
+    and C(L) of every step.  The coefficient vector takes one product with
+    each, as a single state would: their product, formed first, would lose
+    digits to cancellation, since F(M_3) nearly undoes F(M_1).
+    """
+    resid = _unitarity_residuals(1j * V)
+    _check(resid <= tol.residual_tol, InvariantViolation,
+           "not unitary: ||U*U - I||_inf = %.3e", resid)
+    V = V[:, None]  # steps on the leading axis, monomials on the second
+    # embed(iV) has the blocks A = D = -Im V, B = -Re V
+    qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
+    M = _word_matrices(s0.M, qf.P[:, 0], qf.L[:, 0], qf.Q[:, 0])
+    basis = s0.poly.basis
+    monomials = Polynomial._dense(basis, np.eye(basis.size))
+    s = GaussianAmplitude(np.ones(V.shape[:2]), M[:-1, None], monomials, tol)
+    ops = []  # entry (k, gamma) of each: the image of x^gamma under a generator
+    for gen in (JHat(), Chirp(-qf.Q, tol), JHat(), Dilate(_T(qf.L), 0, tol),
+                Chirp(-qf.P, tol)):
+        s = apply_generator(gen, s, tol)
+        if s.poly is not monomials:
+            ops.append(s.poly.vec)
+            s = GaussianAmplitude(s.c, s.M, monomials, tol)
+    drift = np.max(np.abs(s.M[:, 0] - M[1:]), axis=(-2, -1))
+    _check(drift <= tol.residual_tol * np.max(np.abs(M[1:]), axis=(-2, -1)),
+           ConditioningError, "the word's two passes differ on M by %.3e", drift)
+    f = s.c[:, 0]
+    _check(np.isfinite(f) & (f != 0), StateDomainError,
+           "degenerate scalar increment along the path")
+    m = np.round(-2.0 * np.angle(f) / np.pi).astype(int) % 4
+    c = np.cumprod(np.concatenate([[s0.c], f * quarter_turn(m)]))
+    F1, F3, C = (np.ascontiguousarray(_T(op)) for op in ops)  # columns: the images
+    vecs = np.empty((len(M), basis.size), dtype=complex)
+    vecs[0] = a = s0.poly.vec
+    for k in range(len(F1)):
+        vecs[k + 1] = a = _apply(C[k], _apply(F3[k], _apply(F1[k], a)))
+    return c, M, vecs
+
+
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
                           tol: Tolerances = DEFAULT_TOLERANCES,
                           max_depth: int = 12):
@@ -644,7 +744,8 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     Steps are bisected geodesically in U(n) until each is within the step
     bound of the identity, where the per-step branch is unambiguous.  Pure
     Gaussian states take the closed law as one batch; states with a
-    polynomial factor go through the generator word one step at a time.
+    polynomial factor go through the generator word of every step, in two
+    passes (see ``_word_lift``).
     """
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
@@ -663,12 +764,8 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     if s0.poly.is_constant():
         c, M = _closed_law(U, V, s0, tol)
         return c[keep], M[keep], [s0.poly] * len(keep)
-    states = [s0]
-    for step in V:
-        states.append(_step_word(step, states[-1], tol))
-    states = [states[k] for k in keep]
-    return (np.array([s.c for s in states]), np.array([s.M for s in states]),
-            [s.poly for s in states])
+    c, M, vecs = _word_lift(V, s0, tol)
+    return c[keep], M[keep], [Polynomial._dense(s0.poly.basis, vecs[k]) for k in keep]
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
@@ -806,7 +903,7 @@ def oscillator_level(s: GaussianAmplitude, tol: Tolerances = DEFAULT_TOLERANCES)
         return None
     b, p = s.poly.basis, s.poly.vec
     # x_j d_j summed over j is the degree; out must equal 2 l * poly
-    out = 2.0 * b.deg * p - np.einsum("jkl,jl->k", b.diff_ops, b.diff_ops @ p)
+    out = 2.0 * b.deg * p - sum(b.diff(b.diff(p, j), j) for j in range(s.n))
     k0 = int(np.argmax(np.abs(p)))
     v0 = p[k0]
     if v0 == 0:

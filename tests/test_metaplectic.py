@@ -11,18 +11,20 @@ directly on a grid, independently of the generator-word implementation.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maslov.core import (SymplecticMatrix, embed_unitary, l0_frame,
-                         random_unitary, unitary_from_symplectic)
+from maslov.core import (DEFAULT_TOLERANCES, SymplecticMatrix, embed_unitary,
+                         l0_frame, random_unitary, unitary_from_symplectic)
 from maslov.errors import (CaseError, DimensionMismatch, InvariantViolation,
                            SamplingError, StateDomainError)
 from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
                                 QuadraticFourier, _fourier_poly,
+                                _refine_unitary_path, _step_bound,
+                                _word_matrices,
                                 adjoint_quad_fourier, apply_generator,
                                 apply_quad_fourier, apply_to_delta,
                                 apply_word_to_delta, det_branch_power,
@@ -317,6 +319,73 @@ def test_generators_preserve_norm(data):
         A = np.eye(n) + 0.1 * A
     for gen in (Chirp(B + B.T), Dilate(A, data.draw(st.integers(0, 3))), JHat()):
         assert abs(l2_norm_squared(apply_generator(gen, s)) - norm) <= 1e-9 * norm
+
+
+def dict_product(p, q, n):
+    """Reference p q in dict arithmetic."""
+    out = {}
+    for g, a in p.items():
+        for d, b in q.items():
+            _dict_add_to(out, tuple(x + y for x, y in zip(g, d)), a * b)
+    return out
+
+
+@given(st.data())
+def test_l2_inner_matches_product_route(data):
+    # the Gram pairing against the integral of the product state
+    n = data.draw(DIMS)
+    s1 = GaussianAmplitude(0.9 - 0.4j, data.draw(gaussian_matrices(n)), data.draw(polynomials(n)))
+    s2 = GaussianAmplitude(-0.3 + 1.2j, data.draw(gaussian_matrices(n)),
+                           data.draw(polynomials(n)))
+    prod = Polynomial(n, dict_product(s1.poly.coeffs, s2.poly.conjugate().coeffs, n))
+    want = gaussian_integral(GaussianAmplitude(s1.c * np.conj(s2.c), s1.M + s2.M.conj(), prod))
+    scale = np.sqrt(l2_norm_squared(s1) * l2_norm_squared(s2))  # bounds |<s1, s2>|
+    assert abs(l2_inner(s1, s2) - want) <= 1e-12 * scale
+
+
+def test_stacked_generators_act_entrywise(rng):
+    # a stack of generators on a stack of states equals each generator on
+    # its own state
+    n, S = 2, 3
+    basis = hermite_state(3, n).poly.basis
+    vecs = rng.normal(size=(S, basis.size)) + 1j * rng.normal(size=(S, basis.size))
+    cs = 0.5 + np.arange(S) - 0.3j
+    Ms = np.array([(1.0 + k) * np.eye(n) + 0.2j * k for k in range(S)])
+    stack = GaussianAmplitude(cs, Ms, Polynomial._dense(basis, vecs))
+    B = rng.normal(size=(S, n, n))
+    B = B + np.swapaxes(B, 1, 2)
+    A = np.eye(n) + 0.3 * rng.normal(size=(S, n, n))
+    for gen, singles in ((JHat(), [JHat()] * S), (Chirp(B), [Chirp(b) for b in B]),
+                         (Dilate(A, 3), [Dilate(a, 3) for a in A])):
+        out = apply_generator(gen, stack)
+        for k, single in enumerate(singles):
+            want = apply_generator(single, GaussianAmplitude(
+                cs[k], Ms[k], Polynomial._dense(basis, vecs[k])))
+            assert abs(out.c[k] - want.c) <= 1e-14 * abs(want.c)
+            assert np.max(np.abs(out.M[k] - want.M)) <= 1e-14 * np.max(np.abs(want.M))
+            assert np.max(np.abs(out.poly.vec[k] - want.poly.vec)) \
+                <= 1e-13 * np.max(np.abs(want.poly.vec))
+
+
+def test_stacks_name_their_bad_entry():
+    I = np.eye(2)
+    B = np.stack([I] * 4)
+    B[2, 0, 1] = 0.5
+    with pytest.raises(InvariantViolation, match="symmetric at stack entry 2$"):
+        Chirp(B)
+    A = np.stack([I] * 4)
+    A[1] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(InvariantViolation, match="invertible at stack entry 1$"):
+        Dilate(A, 0)
+    M = np.stack([I] * 4).astype(complex)
+    M[3] = np.diag([1.0, -0.5])
+    with pytest.raises(StateDomainError, match="min eig -5.000e-01 at stack entry 3$"):
+        GaussianAmplitude(np.ones(4), M)
+    # the sequential Gaussian pass of the word lift raises a typed error at
+    # a singular matrix, naming the dense step
+    P = Q = np.zeros((3, 2, 2))
+    with pytest.raises(StateDomainError, match="dense step 0$"):
+        _word_matrices(np.zeros((2, 2), dtype=complex), P, np.stack([I] * 3), Q)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +724,106 @@ def test_lift_closed_law_matches_sequential_reference(rng):
         # the same path in 400 steps: the lift does not depend on the sampling
         fine = np.array([scipy.linalg.expm(t * H) for t in np.linspace(0.0, 1.0, 401)])
         assert abs(lift_frame_path_trace(fine, s)[0][-1] - cs[-1]) < 1e-10
+
+
+def reference_step_word(V, s, tol=DEFAULT_TOLERANCES):
+    """Lift of one near-identity dense step V applied to the state s through
+    the generator word, from the public single-state API alone.  The step
+    has a singular upper-right block, so the word is JHat followed by the
+    quadratic Fourier word of embed(iV) at branch 0, and the branch integer
+    m is rounded so that the scalar increment stays within a quarter turn
+    of 1.  Returns the moved state and m."""
+    qf = quad_fourier_from_symplectic(embed_unitary(1j * V, tol), 0, tol)
+    out = apply_quad_fourier(qf, apply_generator(JHat(), s, tol), tol)
+    m = int(round(-2.0 * np.angle(out.c / s.c) / np.pi)) % 4
+    return out.scaled(quarter_turn(m)), m
+
+
+@st.composite
+def unitary_paths(draw, n):
+    """t -> expm(t s H) at 3..5 samples, H anti-Hermitian with spectral
+    radius 1 and s in [2, 4]: the fastest eigenvalue turns by 0.5 to 2 per
+    input step, above the step bound, so the lift bisects, and below pi, so
+    the geodesic steps follow the path."""
+    Z = draw(square(n)) + 1j * draw(square(n))
+    H = (Z - Z.conj().T) / 2 + 0.5j * np.eye(n)
+    radius = np.max(np.abs(np.linalg.eigvals(H)))
+    assume(radius > 0.1)
+    H = H / radius
+    scale = draw(st.floats(2.0, 4.0))
+    k = draw(st.integers(3, 5))
+    return np.array([scipy.linalg.expm(t * scale * H) for t in np.linspace(0.0, 1.0, k)]), H * scale
+
+
+def rel_drift(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@given(st.data())
+def test_word_lift_matches_reference_step_word(data):
+    # the two-pass word lift against the word applied one dense step at a time
+    n = data.draw(DIMS)
+    p = data.draw(polynomials(n))
+    assume(not p.is_constant())
+    s0 = GaussianAmplitude(0.8 + 0.5j, data.draw(gaussian_matrices(n)), p)
+    Us, _ = data.draw(unitary_paths(n))
+    U, V, keep = _refine_unitary_path(Us, _step_bound(n), 12)
+    assert len(U) > len(Us)
+    ref, ms = [s0], []
+    for step in V:
+        s, m = reference_step_word(step, ref[-1])
+        ref.append(s)
+        ms.append(m)
+    cs, Ms, polys = lift_frame_path_trace(Us, s0)
+    for j, k in enumerate(keep):
+        assert abs(cs[j] - ref[k].c) <= 1e-12 * abs(ref[k].c)
+        assert rel_drift(Ms[j], ref[k].M) <= 1e-12
+        assert rel_drift(polys[j].vec, ref[k].poly.vec) <= 1e-12
+    # per-step branch integers: on the dense path every sample is an input,
+    # and the lift's increment c_{k+1} / c_k against the unrounded word factor
+    # of the step is i^{m_k}
+    cd = lift_frame_path_trace(U, s0)[0]
+    raw = [r1.c / (r0.c * quarter_turn(m)) for r0, r1, m in zip(ref, ref[1:], ms)]
+    got = [int(round(2.0 * np.angle(cd[k + 1] / (cd[k] * raw[k])) / np.pi)) % 4
+           for k in range(len(V))]
+    assert got == ms
+
+
+def fock_bargmann_image(gamma, T):
+    """p(X) 1 for p = z^gamma and the creation operators
+    X_j = sum_c T_jc (2 x_c - d_c), in dict arithmetic."""
+    n = len(gamma)
+    term = {(0,) * n: 1.0 + 0j}
+    for j, e in enumerate(gamma):
+        for _ in range(e):
+            new = {}
+            for k, v in term.items():
+                for c in range(n):
+                    up = k[:c] + (k[c] + 1,) + k[c + 1:]
+                    _dict_add_to(new, up, 2.0 * T[j, c] * v)
+                    if k[c]:
+                        down = k[:c] + (k[c] - 1,) + k[c + 1:]
+                        _dict_add_to(new, down, -k[c] * T[j, c] * v)
+            term = new
+    return term
+
+
+@given(st.data())
+def test_hermite_lift_matches_fock_bargmann(data):
+    # U(n) commutes with the oscillator: along t -> U(t) = expm(t H) the lift
+    # of H_gamma e^{-|x|^2/2} is det(U)^{1/2} = e^{t tr(H) / 2} times p(X) 1
+    # with X_j = sum_c (U^T)_jc (2 x_c - d_c) and p = z^gamma
+    n = data.draw(DIMS)
+    gamma = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=4)).count(j)
+                  for j in range(n))
+    Us, H = data.draw(unitary_paths(n))
+    cs, Ms, polys = lift_frame_path_trace(Us, hermite_state(gamma, n))
+    for t, U, c, M, poly in zip(np.linspace(0.0, 1.0, len(Us)), Us, cs, Ms, polys):
+        assert np.max(np.abs(M - np.eye(n))) <= 1e-12
+        want = {k: np.exp(0.5 * t * np.trace(H)) * v
+                for k, v in fock_bargmann_image(gamma, U.T).items()}
+        got = {k: c * v for k, v in poly.coeffs.items()}
+        assert coeff_drift(got, want) <= 1e-12
 
 
 def test_lift_refinement_exhaustion():
