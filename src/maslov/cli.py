@@ -287,8 +287,9 @@ def _run_report(spec, tol):
         ("torus_loop_10", lambda: verify_theorem1(torus, ParamPath.torus_loop((1, 0), 400), tol)),
         ("torus_loop_01", lambda: verify_theorem1(torus, ParamPath.torus_loop((0, 1), 400), tol)),
         ("torus_loop_11", lambda: verify_theorem1(torus, ParamPath.torus_loop((1, 1), 400), tol)),
-        ("torus_corollary1", lambda: verify_corollary1(
-            torus, [ParamPath.torus_loop((1, 0), 400), ParamPath.torus_loop((0, 1), 400)], tol)),
+        # the loops (1, 0) and (0, 1) were verified just above
+        ("torus_corollary1", lambda: geometry.corollary1_from_reports(
+            torus, [results["torus_loop_10"], results["torus_loop_01"]])),
     ]
     results = {}
     ok = True

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, SamplingError
 
 
 _EPS = float(np.finfo(float).eps)
@@ -115,6 +115,36 @@ def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
     """max |U_k^* U_k - I| for every matrix of a stack."""
     Uh = np.conj(np.swapaxes(U, -1, -2))
     return np.max(np.abs(Uh @ U - np.eye(U.shape[-1])), axis=(-2, -1))
+
+
+def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
+                     max_depth: int, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Dense (X, t) of a path of unitaries X, shape (N, n, n), sampled at the
+    parameters t: every step whose step_sizes(X) entry exceeds bound gets
+    its geodesic midpoint, a whole level at a time, up to max_depth levels.
+
+    The midpoint of a step from X_a to X_b is polar(X_a + X_b), one batched
+    SVD per level.  That is (X_b X_a^*)^{1/2} X_a with the principal root,
+    since polar(I + V) is the principal root of a unitary V without an
+    eigenvalue -1; on symmetric unitaries it is the Souriau geodesic
+    midpoint, symmetric again.  A step with X_a + X_b singular below
+    rank_floor is antipodal: no midpoint is preferred, and it raises.
+    """
+    for depth in range(max_depth + 1):
+        bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too
+        if not bad.size:
+            return X, t
+        if depth == max_depth:
+            raise SamplingError("path refinement exhausted on the step from t = %.6g to %.6g"
+                                % (t[bad[0]], t[bad[0] + 1]))
+        W, s, Zh = np.linalg.svd(X[bad] + X[bad + 1])
+        low = np.flatnonzero(~(s[:, -1] >= tol.rank_floor(X.shape[-1])))
+        if low.size:
+            k = bad[low[0]]
+            raise SamplingError("antipodal step from t = %.6g to %.6g: sigma_min of "
+                                "X_a + X_b is %.3e" % (t[k], t[k + 1], s[low[0], -1]))
+        X = np.insert(X, bad + 1, W @ Zh, axis=0)
+        t = np.insert(t, bad + 1, (t[bad] + t[bad + 1]) / 2)
 
 
 @dataclass(frozen=True)
@@ -245,39 +275,16 @@ def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> Uni
     return UnitaryComplex(souriau_images(L.columns[None], tol)[1][0], tol)
 
 
-#: angle t of the combination cos t Re w + sin t Im w whose eigenbasis
-#: diagonalizes a symmetric unitary w; any t off the few values where two
-#: eigenvalues of a given w collide will do, so it is no round fraction of pi
-_SOURIAU_MIX_ANGLE = 1.0
-
-
-def souriau_sqrt(w: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Principal square root r of a symmetric unitary w, through a real
-    orthonormal eigenbasis; r is symmetric unitary again, so r r^T = w.
-
-    Re w and Im w are commuting real symmetric matrices, so they share the
-    eigenbasis of the generic combination cos t Re w + sin t Im w.  That
-    basis splits two eigenvalues e^{ia}, e^{ib} of w unless cos(a - t) and
-    cos(b - t) nearly coincide, so the r r^T = w residual is checked and a
-    miss raises ConditioningError.
-    """
-    _, V = np.linalg.eigh(np.cos(_SOURIAU_MIX_ANGLE) * w.real
-                          + np.sin(_SOURIAU_MIX_ANGLE) * w.imag)
-    lam = np.diagonal(V.T @ w @ V)
-    r = V @ np.diag(np.exp(0.5j * np.angle(lam))) @ V.T
-    resid = np.max(np.abs(r @ r.T - w))
-    if not resid <= tol.residual_tol:
-        raise ConditioningError("Souriau square root misses its round trip: "
-                                "max|r r^T - w| = %.3e" % resid)
-    return r
-
-
 def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
-    """Inverse of the Souriau map.
+    """Inverse of the Souriau map: an orthonormal frame of the Lagrangian
+    with Souriau image w.
 
-    Factors the symmetric unitary w as r r^T with r = souriau_sqrt(w) (w is
-    normal with commuting real and imaginary parts), then returns the frame
-    embed_unitary(r) L0.  Any admissible r yields the same subspace.
+    For the unitary V = X + iY of an orthonormal frame, w = -V V^T gives
+    w conj(V) = -V, so the plane is {(x, y) : (x + iy) + w (x - iy) = 0}, the
+    -1 eigenspace of the real symmetric involution
+    R = [[Re w, Im w], [Im w, -Re w]] (R^2 = I as w is symmetric unitary).
+    The spectrum of R is +1 and -1, n times each, so one eigh separates
+    the plane with a gap of 2, whatever the eigenvalues of w.
     """
     if isinstance(w, UnitaryComplex):
         w = w.entries
@@ -285,8 +292,8 @@ def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> Lagrangi
     if np.max(np.abs(w - w.T)) > tol.residual_tol:
         raise InvariantViolation("Souriau matrix must be symmetric")
     UnitaryComplex(w, tol)
-    r = souriau_sqrt(w, tol)
-    return LagrangianFrame(np.vstack([-r.imag, r.real]), tol)
+    _, E = np.linalg.eigh(np.block([[w.real, w.imag], [w.imag, -w.real]]))
+    return LagrangianFrame(E[:, :w.shape[0]], tol)
 
 
 def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,

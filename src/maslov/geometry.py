@@ -271,15 +271,16 @@ def _polar(C: np.ndarray) -> np.ndarray:
 def _tangent_bases(chart, us, tol) -> np.ndarray:
     """Orthonormal tangent bases at the parameters us, shape (N, 2n, n), with
     the sign of each column fixed by its QR pivot.  One stacked singular
-    value check names the first point where the Jacobian is rank deficient
-    or not finite."""
+    value check of the n x n factors R (J = QR has the singular values of R)
+    names the first point where the Jacobian is rank deficient or not
+    finite."""
     J = chart.jacobians(us)
     finite = np.all(np.isfinite(J), axis=(1, 2))
-    sv = np.linalg.svd(np.where(finite[:, None, None], J, 0.0), compute_uv=False)
+    Q, R = np.linalg.qr(np.where(finite[:, None, None], J, 0.0))
+    sv = np.linalg.svd(R, compute_uv=False)
     bad = np.flatnonzero(~(finite & (sv[:, -1] >= tol.rank_floor(2 * chart.n))))
     if bad.size:
         raise ImmersionError("chart Jacobian rank deficient at %r" % (us[bad[0]],))
-    Q, R = np.linalg.qr(J)
     return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
 
 
@@ -428,19 +429,23 @@ def _sampling_stats(tr: TransportResult) -> dict:
     }
 
 
-def verify_corollary1(chart: LagrangianChart, loops: Sequence[ParamPath],
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
-    """A parallel ground-state section exists iff every loop's CLM index
+def corollary1_from_reports(chart: LagrangianChart, reports: Sequence[dict]) -> dict:
+    """The Corollary 1 report of a chart from the Theorem 1 reports of its
+    loops: a parallel ground-state section exists iff every loop's CLM index
     vanishes mod 4."""
-    per_loop = []
-    for loop in loops:
-        rep = verify_theorem1(chart, loop, tol)
-        per_loop.append({"mu_clm": rep["mu_clm"], "mu_clm_mod4": rep["mu_clm_mod4"],
-                         "phase": rep["phase"], "pass": rep["pass"]})
+    per_loop = [{"mu_clm": rep["mu_clm"], "mu_clm_mod4": rep["mu_clm_mod4"],
+                 "phase": rep["phase"], "pass": rep["pass"]} for rep in reports]
     dim = 1 if all(r["mu_clm_mod4"] == 0 for r in per_loop) else 0
     return {"theorem": "corollary1", "chart": chart.tag,
             "dim_parallel": dim, "loops": per_loop,
             "pass": all(r["pass"] for r in per_loop)}
+
+
+def verify_corollary1(chart: LagrangianChart, loops: Sequence[ParamPath],
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+    """Corollary 1 on the given loops, each verified by Theorem 1."""
+    return corollary1_from_reports(chart, [verify_theorem1(chart, loop, tol)
+                                           for loop in loops])
 
 
 def verify_theorem2(chart: LagrangianChart, path: ParamPath,

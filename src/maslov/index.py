@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, intersection_dim,
-                   lagrangian_from_souriau, omega_gram, souriau_images,
-                   souriau_map, souriau_sqrt)
+                   Tolerances, UnitaryComplex, bisect_geodesics,
+                   intersection_dim, lagrangian_from_souriau, omega_gram,
+                   souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
-                     SamplingError, TransversalityError)
+                     TransversalityError)
 
 # Sign of the last term in the Kashiwara form
 #   Q(z1, z2, z3) = omega(z1, z2) + omega(z2, z3) + KASHIWARA_LAST_SIGN * omega(z3, z1).
@@ -35,7 +35,8 @@ from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
 # Leray formula above, which is the ground truth fixing the convention.
 KASHIWARA_LAST_SIGN = -1.0
 
-#: Maximum allowed sup-norm step between consecutive Souriau images of a path.
+#: Bound on sqrt(n) times the Frobenius norm of a step between consecutive
+#: Souriau images of a path.
 MAX_SOURIAU_STEP = 0.5
 
 _MAX_REFINE_DEPTH = 24
@@ -190,39 +191,30 @@ def leray_index(x: CoverPoint, y: CoverPoint,
 # Lagrangian paths and their lifting
 
 
-def _souriau_midpoint(wa: np.ndarray, wb: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Geodesic midpoint r_a (r_a^{-1} w_b r_a^{-T})^{1/2} r_a^T of two
-    symmetric unitaries in W(n, C); exactly symmetric unitary again."""
-    ra = souriau_sqrt(wa, tol)
-    u = ra.conj().T @ wb @ ra.conj()
-    u = (u + u.T) / 2
-    w = ra @ souriau_sqrt(u, tol) @ ra.T
-    return (w + w.T) / 2
-
-
 class _FrameView(Sequence):
-    """The samples of a unitary stack as frames [Re V_k; Im V_k], built and
-    validated on access."""
+    """The samples of a Souriau stack as frames, built and validated on access
+    by lagrangian_from_souriau."""
 
-    def __init__(self, V: np.ndarray, tol: Tolerances):
-        self._V, self._tol = V, tol
+    def __init__(self, w: np.ndarray, tol: Tolerances):
+        self._w, self._tol = w, tol
 
     def __len__(self):
-        return len(self._V)
+        return len(self._w)
 
     def __getitem__(self, k) -> LagrangianFrame:
-        V = self._V[k]
-        return LagrangianFrame(np.vstack([V.real, V.imag]), self._tol)
+        return lagrangian_from_souriau(self._w[k], self._tol)
 
 
 class LagrangianPath:
-    """Sampled path in Lag(n): the unitaries V_k = X_k + iY_k of its
-    orthonormal frames, their Souriau images w_k = -V_k V_k^T and the
-    sample parameters.
+    """Sampled path in Lag(n): the Souriau images w_k of its samples and the
+    sample parameters; frames[k] is built from w_k on access.
 
-    Construction refines (by geodesic subdivision in the Souriau model) until
-    consecutive images differ by less than MAX_SOURIAU_STEP in sup norm, so
-    phase unwrapping along the path is unambiguous.
+    Construction bisects every step with sqrt(n) ||w_{k+1} - w_k||_F above
+    MAX_SOURIAU_STEP at its geodesic midpoint (see bisect_geodesics).  The
+    bound does not depend on the frames, and it keeps the det-phase of every
+    step within pi/4: for the eigenvalues l_j of w_{k+1} w_k^*,
+    sum |arg l_j| <= (pi/2) sum |l_j - 1| <= (pi/2) sqrt(n) ||w_{k+1} - w_k||_F.
+    So phase unwrapping along the path is unambiguous.
     """
 
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -239,70 +231,30 @@ class LagrangianPath:
         if len(params) != len(frames) or np.any(np.diff(params) <= 0):
             raise InvariantViolation("params must be strictly increasing, one per frame")
         self.tol = tol
-        V, w = souriau_images(frames, tol)
-        self.n = V.shape[1]
-        self.unitaries, self.souriau, self.params = self._refine(V, w, params)
+        w = souriau_images(frames, tol)[1]
+        self.n = w.shape[1]
+        self.souriau, self.params = bisect_geodesics(
+            w, params, lambda w: np.sqrt(self.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2)),
+            MAX_SOURIAU_STEP, _MAX_REFINE_DEPTH, tol)
 
     @property
     def frames(self) -> Sequence[LagrangianFrame]:
-        return _FrameView(self.unitaries, self.tol)
-
-    def _refine(self, V, w, params):
-        """Bisect every step whose Souriau images differ by MAX_SOURIAU_STEP
-        or more, a whole level at a time.  A midpoint w_m gets the unitary
-        V_m = i r_m with r_m = souriau_sqrt(w_m), so that -V_m V_m^T = w_m."""
-        for depth in range(_MAX_REFINE_DEPTH + 1):
-            step = np.max(np.abs(w[1:] - w[:-1]), axis=(1, 2))
-            bad = np.flatnonzero(~(step < MAX_SOURIAU_STEP))
-            if not bad.size:
-                break
-            if depth == _MAX_REFINE_DEPTH:
-                raise SamplingError("path refinement exhausted; sampling too coarse")
-            wm = np.array([_souriau_midpoint(w[k], w[k + 1], self.tol) for k in bad])
-            Vm = np.array([1j * souriau_sqrt(m, self.tol) for m in wm])
-            tm = 0.5 * (params[bad] + params[bad + 1])
-            V, w = np.insert(V, bad + 1, Vm, axis=0), np.insert(w, bad + 1, wm, axis=0)
-            params = np.insert(params, bad + 1, tm)
-        return V, w, params
+        return _FrameView(self.souriau, self.tol)
 
     def __len__(self):
         return len(self.souriau)
-
-
-def _split_phase_step(wa, pa, wb, pb, tol: Tolerances) -> float:
-    """Det-phase increment from wa to wb, summed over geodesic bisections of
-    the step until every piece turns by less than pi/2."""
-    total = 0.0
-    pending = [(wb, pb, 0)]
-    while pending:
-        wc, pc, depth = pending[-1]
-        turn = (pc - pa + np.pi) % (2 * np.pi)  # the phase step, plus pi
-        if abs(turn - np.pi) < np.pi / 2:
-            pending.pop()
-            total += turn - np.pi
-            wa, pa = wc, pc
-            continue
-        if depth >= _MAX_REFINE_DEPTH:
-            raise SamplingError("phase unwrapping did not converge under refinement")
-        wm = _souriau_midpoint(wa, wc, tol)
-        pending[-1] = (wc, pc, depth + 1)
-        pending.append((wm, np.angle(np.linalg.det(wm)), depth + 1))
-    return total
 
 
 def lift_path(path: LagrangianPath, theta0: float,
               tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Continuous lift of the path to the cover: the unwrapped det-phases
     theta_k, shape (N,), starting at theta0, so that (w_k, theta_k) is the
-    lift of sample k.  Steps whose det-phase change reaches pi/2 are
-    bisected; one residual |det w_k - e^{i theta_k}| over the whole path
+    lift of sample k.  Every step of a LagrangianPath turns det w by at most
+    pi/4, so its increment is the wrapped difference of the principal
+    phases; one residual |det w_k - e^{i theta_k}| over the whole path
     checks the result."""
     dets = np.linalg.det(path.souriau)
-    phases = np.angle(dets)
-    steps = (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi
-    for k in np.flatnonzero(~(np.abs(steps) < np.pi / 2)):
-        steps[k] = _split_phase_step(path.souriau[k], phases[k],
-                                     path.souriau[k + 1], phases[k + 1], tol)
+    steps = (np.diff(np.angle(dets)) + np.pi) % (2 * np.pi) - np.pi
     theta = np.cumsum(np.concatenate([[float(theta0)], steps]))
     resid = np.abs(dets - np.exp(1j * theta))
     bad = np.flatnonzero(~(resid <= tol.phase_tol))

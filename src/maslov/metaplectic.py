@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _unitarity_residuals, unitaries_from_symplectic)
+                   _unitarity_residuals, bisect_geodesics,
+                   unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
-                     InvariantViolation, SamplingError, StateDomainError)
+                     InvariantViolation, StateDomainError)
 
 DELTA = "delta"
 CONST = "const"
@@ -599,35 +600,26 @@ def _step_bound(n: int) -> float:
     return min(MAX_UNITARY_STEP, 2.0 * np.sin(np.pi / (8.0 * n)))
 
 
-def _unitary_sqrt(V: np.ndarray) -> np.ndarray:
-    """Principal square root of a unitary matrix (complex Schur route)."""
-    import scipy.linalg  # only here: importing it costs more than the rest of maslov
-    T, Z = scipy.linalg.schur(V, output="complex")
-    lam = np.diagonal(T)
-    return Z @ np.diag(np.exp(0.5j * np.angle(lam))) @ Z.conj().T
-
-
 def _adjoint(U: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(U, -1, -2))
 
 
-def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int):
-    """Insert geodesic midpoints sqrt(V) U_a into every step V = U_b U_a^*
-    with max |eig(V) - 1| > bound, a whole level at a time, up to max_depth
-    levels.  Returns the dense path, its steps and the dense positions of
-    the input samples."""
-    U, is_input = Us, np.ones(len(Us), dtype=bool)
-    for depth in range(max_depth + 1):
-        V = U[1:] @ _adjoint(U[:-1])
-        err = np.max(np.abs(np.linalg.eigvals(V) - 1.0), axis=1)
-        bad = np.flatnonzero(~(err <= bound))  # NaN steps fail too
-        if not bad.size:
-            break
-        if depth == max_depth:
-            raise SamplingError("unitary path refinement exhausted at step %d" % bad[0])
-        Um = np.array([_unitary_sqrt(V[k]) @ U[k] for k in bad])
-        U, is_input = np.insert(U, bad + 1, Um, axis=0), np.insert(is_input, bad + 1, False)
-    return U, V, np.flatnonzero(is_input)
+def _steps(U: np.ndarray) -> np.ndarray:
+    """The steps U_{k+1} U_k^* of a stack of unitaries."""
+    return U[1:] @ _adjoint(U[:-1])
+
+
+def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
+                         tol: Tolerances = DEFAULT_TOLERANCES):
+    """Bisect geodesically every step V of the path Us with
+    max |eig(V) - 1| > bound (see bisect_geodesics), parametrized by the
+    sample index.  Returns the dense path, its steps and the dense positions
+    of the input samples."""
+    t = np.arange(len(Us), dtype=float)
+    U, td = bisect_geodesics(
+        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(_steps(U)) - 1.0), axis=1),
+        bound, max_depth, tol)
+    return U, _steps(U), np.searchsorted(td, t)
 
 
 def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
@@ -760,7 +752,7 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
         raise InvariantViolation("path must start at the identity")
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
-    U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth)
+    U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth, tol)
     if s0.poly.is_constant():
         c, M = _closed_law(U, V, s0, tol)
         return c[keep], M[keep], [s0.poly] * len(keep)

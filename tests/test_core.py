@@ -4,15 +4,13 @@ inverse, and intersection dimensions."""
 import numpy as np
 import pytest
 
-from maslov.core import (_SOURIAU_MIX_ANGLE, LagrangianFrame,
-                         SymplecticMatrix, Tolerances, UnitaryComplex,
-                         embed_unitary, intersection_dim, l0_frame,
-                         lagrangian_from_souriau, line_frame, omega_gram,
-                         random_lagrangian, random_unitary, souriau_images,
-                         souriau_map, souriau_sqrt, standard_j,
+from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
+                         UnitaryComplex, embed_unitary, intersection_dim,
+                         l0_frame, lagrangian_from_souriau, line_frame,
+                         omega_gram, random_lagrangian, random_unitary,
+                         souriau_images, souriau_map, standard_j,
                          unitary_from_symplectic)
-from maslov.errors import (ConditioningError, DimensionMismatch,
-                           InvariantViolation)
+from maslov.errors import DimensionMismatch, InvariantViolation
 
 
 def same_span(F1, F2):
@@ -145,26 +143,20 @@ def symmetric_unitary(seed, phases):
     return (Q * np.exp(1j * np.asarray(phases))) @ Q.T
 
 
-def test_souriau_sqrt_near_coincident_spectrum():
-    # eigenvalues e^{ia}, e^{ib} with cos a - cos b = 1.05e-7, just above
-    # the 1e-7 cut of a grouping of Re w's spectrum: splitting them there
-    # left max|r r^T - w| up to 4e-9 on these inputs, above residual_tol
-    a = 0.6
+@pytest.mark.parametrize("phases", [
+    # cos a - cos b = 1.05e-7: nearly coincident real parts
+    [0.6, -(0.6 - 1.05e-7 / np.sin(0.6)), 2.0],
+    # e^{i(1 + 0.8)} and e^{i(1 - 0.8)}: a double eigenvalue of every
+    # combination cos 1 Re w + sin 1 Im w
+    [1.8, 0.2, 2.5],
+    [0.7, 0.7, -1.1],
+])
+def test_inverse_souriau_round_trip_on_clustered_spectra(phases):
     for seed in range(20):
-        w = symmetric_unitary(seed, [a, -(a - 1.05e-7 / np.sin(a)), 2.0])
-        r = souriau_sqrt(w)
-        assert np.max(np.abs(r @ r.T - w)) < 1e-13
-        assert np.max(np.abs(r - r.T)) < 1e-13
-        assert np.max(np.abs(r.conj().T @ r - np.eye(3))) < 1e-13
-
-
-def test_souriau_sqrt_names_a_missed_round_trip():
-    # e^{i(t + 0.8)} and e^{i(t - 0.8)} give cos t Re w + sin t Im w a double
-    # eigenvalue, whose eigenbasis need not diagonalize w
-    t = _SOURIAU_MIX_ANGLE
-    w = symmetric_unitary(0, [t + 0.8, t - 0.8, 2.5])
-    with pytest.raises(ConditioningError, match="round trip"):
-        souriau_sqrt(w)
+        w = symmetric_unitary(seed, phases)
+        F = lagrangian_from_souriau(w).columns
+        assert np.max(np.abs(F.T @ F - np.eye(3))) < 1e-13
+        assert np.max(np.abs(souriau_map(LagrangianFrame(F)).entries - w)) < 1e-13
 
 
 def test_intersection_dim_examples():

@@ -65,6 +65,13 @@ def rotation(t):
                                       [np.sin(t), np.cos(t)]]))
 
 
+def schur_sqrt(V):
+    """Principal square root of a unitary matrix by a complex Schur form,
+    independent of the library's geodesic midpoints."""
+    T, Z = scipy.linalg.schur(V, output="complex")
+    return Z @ np.diag(np.exp(0.5j * np.angle(np.diagonal(T)))) @ Z.conj().T
+
+
 def random_unitary_path(n, rng, k=40, scale=None):
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     H = (X - X.conj().T) / 2
@@ -613,7 +620,6 @@ def test_lift_rejects_non_unitary_sample_and_names_it():
 
 def test_lift_branch_stability_under_doubling(rng):
     from maslov.core import unitary_from_symplectic
-    from maslov.metaplectic import _unitary_sqrt
     for _ in range(20):
         n = int(rng.integers(1, 3))
         base = random_unitary_path(n, rng, k=30)
@@ -624,7 +630,7 @@ def test_lift_branch_stability_under_doubling(rng):
             mid.append(a)
             Ua = unitary_from_symplectic(a)
             Ub = unitary_from_symplectic(b)
-            Um = _unitary_sqrt(Ub @ Ua.conj().T) @ Ua
+            Um = schur_sqrt(Ub @ Ua.conj().T) @ Ua
             mid.append(SymplecticMatrix(embed_unitary(Um).entries))
         mid.append(base[-1])
         out2 = lift_frame_path(mid, ground_state(n))
@@ -678,7 +684,6 @@ def closed_law_reference(Us, s):
     """Sequential closed-law lift of a pure Gaussian state, one bisected
     step at a time, with the product of principal eigenvalue roots as the
     scalar factor; returns (c, M) at every input sample."""
-    from maslov.metaplectic import _step_bound, _unitary_sqrt
     bound = _step_bound(Us.shape[-1])
     c, M = s.c, s.M
     out = [(c, M)]
@@ -688,7 +693,7 @@ def closed_law_reference(Us, s):
             Ua, Ub = stack.pop()
             V = Ub @ Ua.conj().T
             if np.max(np.abs(np.linalg.eigvals(V) - 1.0)) > bound:
-                Um = _unitary_sqrt(V) @ Ua
+                Um = schur_sqrt(V) @ Ua
                 stack += [(Um, Ub), (Ua, Um)]
                 continue
             Z = V.real - 1j * (V.imag @ M)
