@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +36,19 @@ from .index import (CoverPoint, clm_index, kashiwara_signature, leray_index,
 from .metaplectic import ground_state, lift_frame_path_trace
 
 SPEC_VERSION = "1"
-CONVENTION_PROFILES = ("paper-v1",)
+
+#: Top-level spec fields every command reads.
+COMMON_FIELDS = frozenset({"spec_version", "command", "tolerances", "output", "seed"})
+#: Further top-level spec fields read by each command, and by each theorem
+#: of verify; a spec that carries any other field is rejected.
+COMMAND_FIELDS = {
+    "index": {"index"},
+    "holonomy": {"chart", "path", "refine_max"},
+    "verify 1": {"theorem", "chart", "path"},
+    "verify 2": {"theorem", "chart", "path", "levels"},
+    "verify corollary1": {"theorem", "chart", "loops"},
+    "report": set(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +117,34 @@ def _require(d, key, path, typ=None):
     return v
 
 
-def _check_keys(d, allowed, path):
+def _check_keys(d, allowed, path, problem="unknown field"):
     if not isinstance(d, dict):
         raise SpecError(path, "expected an object")
     for k in d:
         if k not in allowed:
-            raise SpecError("%s.%s" % (path, k), "unknown field")
+            raise SpecError("%s.%s" % (path, k), problem)
+
+
+def _check_fields(spec, command):
+    """Reject every top-level field that the command (for verify, the
+    theorem, as "verify 1") does not read."""
+    _check_keys(spec, COMMON_FIELDS | COMMAND_FIELDS[command], "spec",
+                "not read by %s" % command)
+
+
+def _tolerance(value, path) -> float:
+    if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise SpecError(path, "must be a finite positive number")
+    return float(value)
 
 
 def parse_tolerances(spec, path="tolerances",
                      phase_override=None) -> Tolerances:
     spec = spec or {}
     _check_keys(spec, {"residual_tol", "rank_tol", "phase_tol"}, path)
-    kw = {}
-    for k in ("residual_tol", "rank_tol", "phase_tol"):
-        if k in spec:
-            if not isinstance(spec[k], (int, float)) or spec[k] <= 0:
-                raise SpecError("%s.%s" % (path, k), "must be a positive number")
-            kw[k] = float(spec[k])
+    kw = {k: _tolerance(v, "%s.%s" % (path, k)) for k, v in spec.items()}
     if phase_override is not None:
-        kw["phase_tol"] = float(phase_override)
+        kw["phase_tol"] = _tolerance(phase_override, "--tol-phase")
     return Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **kw})
 
 
@@ -181,11 +200,11 @@ def build_path(spec, chart, path="path") -> ParamPath:
     raise SpecError("%s.kind" % path, "unknown path kind %r" % kind)
 
 
-def _cover_point_from_spec(spec, path):
+def _cover_point_from_spec(spec, path, tol):
     _check_keys(spec, {"w_re", "w_im", "theta"}, path)
     w = np.asarray(_require(spec, "w_re", path, list), dtype=float) \
         + 1j * np.asarray(_require(spec, "w_im", path, list), dtype=float)
-    return CoverPoint(w, float(_require(spec, "theta", path, (int, float))))
+    return CoverPoint(w, float(_require(spec, "theta", path, (int, float))), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +212,7 @@ def _cover_point_from_spec(spec, path):
 
 
 def _run_index(spec, tol):
+    _check_fields(spec, "index")
     payload = _require(spec, "index", "spec", dict)
     _check_keys(payload, {"kashiwara", "leray", "clm"}, "spec.index")
     results = {}
@@ -211,9 +231,9 @@ def _run_index(spec, tol):
         le = payload["leray"]
         _check_keys(le, {"x", "y"}, "spec.index.leray")
         x = _cover_point_from_spec(_require(le, "x", "spec.index.leray", dict),
-                                   "spec.index.leray.x")
+                                   "spec.index.leray.x", tol)
         y = _cover_point_from_spec(_require(le, "y", "spec.index.leray", dict),
-                                   "spec.index.leray.y")
+                                   "spec.index.leray.y", tol)
         results["mu"] = leray_index(x, y, tol)
     if "clm" in payload:
         cl = payload["clm"]
@@ -230,7 +250,10 @@ def _run_index(spec, tol):
     return results, True
 
 
-def _run_holonomy(spec, tol, refine_max):
+def _run_holonomy(spec, tol):
+    _check_fields(spec, "holonomy")
+    refine_max = spec.get("refine_max")
+    refine_max = 12 if refine_max is None else int(refine_max)
     chart = build_chart(_require(spec, "chart", "spec", dict))
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
@@ -258,6 +281,7 @@ def _run_verify(spec, tol):
         raise SpecError("spec.theorem", "must be auto, 1, 2 or corollary1")
     chart = build_chart(_require(spec, "chart", "spec", dict))
     if theorem == "corollary1":
+        _check_fields(spec, "verify corollary1")
         loop_specs = _require(spec, "loops", "spec", list)
         loops = [build_path(ls, chart, "spec.loops[%d]" % i)
                  for i, ls in enumerate(loop_specs)]
@@ -266,6 +290,7 @@ def _run_verify(spec, tol):
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     if theorem == "auto":
         theorem = "1" if ppath.closed else "2"
+    _check_fields(spec, "verify " + theorem)
     if theorem == "1":
         rep = verify_theorem1(chart, ppath, tol)
     else:
@@ -276,6 +301,7 @@ def _run_verify(spec, tol):
 
 def _run_report(spec, tol):
     """Built-in catalog battery; deterministic."""
+    _check_fields(spec, "report")
     circ = circle_chart()
     torus = product_torus_chart()
     cases = [
@@ -300,42 +326,31 @@ def _run_report(spec, tol):
     return results, ok
 
 
+_COMMANDS = {"index": _run_index, "holonomy": _run_holonomy,
+             "verify": _run_verify, "report": _run_report}
+
+
 def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
-        seed=None, refine_max=None, convention=None):
-    """Execute one experiment spec; returns (report, exit_code)."""
-    _check_keys(spec, {"spec_version", "command", "chart", "path", "theorem",
-                       "loops", "levels", "index", "tolerances", "output",
-                       "seed", "refine_max"}, "spec")
+        seed=None, refine_max=None):
+    """Execute one experiment spec; returns (report, exit_code).  The
+    refine_max argument (the --refine-max flag) overrides the spec field,
+    and like it is read by the holonomy command only."""
+    if not isinstance(spec, dict):
+        raise SpecError("spec", "expected an object")
+    command = _require(spec, "command", "spec", str)
+    if command not in _COMMANDS:
+        raise SpecError("spec.command", "unknown command %r" % command)
     version = spec.get("spec_version", SPEC_VERSION)
     if str(version) != SPEC_VERSION:
         raise SpecError("spec.spec_version", "unsupported version %r" % version)
-    convention = convention or os.environ.get("MASLOV_CONVENTION_LEDGER", "paper-v1")
-    if convention not in CONVENTION_PROFILES:
-        raise SpecError("environment.MASLOV_CONVENTION_LEDGER",
-                        "unknown convention profile %r" % convention)
-    command = _require(spec, "command", "spec", str)
     tol = parse_tolerances(spec.get("tolerances"), phase_override=tol_phase)
-    if refine_max is None:
-        refine_max = spec.get("refine_max")
-    if refine_max is not None and command != "holonomy":
-        raise SpecError("spec.refine_max", "only the holonomy command refines on request")
-    refine_max = int(12 if refine_max is None else refine_max)
     seed = seed if seed is not None else spec.get("seed", 0)
-
-    if command == "index":
-        results, ok = _run_index(spec, tol)
-    elif command == "holonomy":
-        results, ok = _run_holonomy(spec, tol, refine_max)
-    elif command == "verify":
-        results, ok = _run_verify(spec, tol)
-    elif command == "report":
-        results, ok = _run_report(spec, tol)
-    else:
-        raise SpecError("spec.command", "unknown command %r" % command)
+    given = spec if refine_max is None else {**spec, "refine_max": refine_max}
+    results, ok = _COMMANDS[command](given, tol)
 
     report = {
         "spec_version": SPEC_VERSION,
-        "convention_profile": convention,
+        "convention_profile": "paper-v1",
         "command": command,
         "seed": int(seed),
         "inputs": spec,

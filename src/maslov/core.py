@@ -41,8 +41,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("residual_tol", "rank_tol", "phase_tol"):
-            if not getattr(self, name) > 0:
-                raise InvariantViolation("%s must be strictly positive" % name)
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise InvariantViolation("%s must be finite and strictly positive" % name)
 
     def rank_floor(self, dim):
         # rank_tol may never undercut machine precision at the given size
@@ -62,9 +62,26 @@ def standard_j(n: int) -> np.ndarray:
 
 
 def omega_gram(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Matrix of omega(F_i, G_j) for two column collections in R^{2n}."""
-    n = F.shape[0] // 2
-    return (standard_j(n) @ F).T @ G
+    """Matrix of omega(F_i, G_j) for two column collections in R^{2n}, or for
+    every pair of two stacks of them."""
+    return np.swapaxes(standard_j(F.shape[-2] // 2) @ F, -1, -2) @ G
+
+
+def check_stack(ok, error, message: str, *values, entry: str = "stack entry"):
+    """Raise error(message) unless ok holds everywhere; a comparison with a
+    NaN is False, so NaN data fails too.  For a stack, message is
+    %-formatted with each of values at the first failing entry along the
+    leading axis (a value with more axes than ok gives its row there), and
+    " at <entry> k" names that entry, unless entry is None."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    where = np.unravel_index(np.argmin(ok), ok.shape)
+    if values:
+        message %= tuple(v[where] if np.ndim(v) else v for v in values)
+    if where and entry:
+        message += " at %s %d" % (entry, where[0])
+    raise error(message)
 
 
 def _as_array(x, dtype=float):
@@ -138,11 +155,9 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
             raise SamplingError("path refinement exhausted on the step from t = %.6g to %.6g"
                                 % (t[bad[0]], t[bad[0] + 1]))
         W, s, Zh = np.linalg.svd(X[bad] + X[bad + 1])
-        low = np.flatnonzero(~(s[:, -1] >= tol.rank_floor(X.shape[-1])))
-        if low.size:
-            k = bad[low[0]]
-            raise SamplingError("antipodal step from t = %.6g to %.6g: sigma_min of "
-                                "X_a + X_b is %.3e" % (t[k], t[k + 1], s[low[0], -1]))
+        check_stack(s[:, -1] >= tol.rank_floor(X.shape[-1]), SamplingError,
+                    "antipodal step from t = %.6g to %.6g: sigma_min of X_a + X_b is %.3e",
+                    t[bad], t[bad + 1], s[:, -1], entry=None)
         X = np.insert(X, bad + 1, W @ Zh, axis=0)
         t = np.insert(t, bad + 1, (t[bad] + t[bad + 1]) / 2)
 
@@ -178,6 +193,8 @@ class LagrangianFrame:
         columns = np.asarray(columns, dtype=float)
         if columns.ndim != 2 or columns.shape[0] != 2 * columns.shape[1]:
             raise InvariantViolation("frame must be a 2n x n matrix")
+        if not np.all(np.isfinite(columns)):
+            raise InvariantViolation("frame entries must be finite")
         n = columns.shape[1]
         iso = np.max(np.abs(omega_gram(columns, columns)))
         sv = np.linalg.svd(columns, compute_uv=False)
@@ -227,12 +244,9 @@ def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -
     block = np.maximum(np.max(np.abs(A - D), axis=(1, 2)),
                        np.max(np.abs(B + C), axis=(1, 2)))
     unit = _unitarity_residuals(U)
-    bad = np.flatnonzero(~((block <= 10 * tol.residual_tol) & (unit <= tol.residual_tol)))
-    if bad.size:
-        k = bad[0]
-        raise InvariantViolation(
-            "sample %d is not in the unitary image: block residual %.3e, "
-            "unitarity residual %.3e" % (k, block[k], unit[k]))
+    check_stack((block <= 10 * tol.residual_tol) & (unit <= tol.residual_tol),
+                InvariantViolation, "not in the unitary image: block residual %.3e, "
+                "unitarity residual %.3e", block, unit, entry="sample")
     return U
 
 
@@ -260,10 +274,8 @@ def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
     Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
     V = Q[:, :n] + 1j * Q[:, n:]
     resid = _unitarity_residuals(V)
-    bad = np.flatnonzero(~(resid <= tol.residual_tol))  # NaN frames fail too
-    if bad.size:
-        raise InvariantViolation("frame %d is not Lagrangian: unitarity residual %.3e"
-                                 % (bad[0], resid[bad[0]]))
+    check_stack(resid <= tol.residual_tol, InvariantViolation,
+                "not Lagrangian: unitarity residual %.3e", resid, entry="frame")
     w = -(V @ np.swapaxes(V, 1, 2))
     w = (w + np.swapaxes(w, 1, 2)) / 2  # symmetric by construction; tidy roundoff
     return V, w

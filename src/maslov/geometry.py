@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, Tolerances,
-                   embed_unitary, intersection_dim, omega_gram)
+                   check_stack, embed_unitary, intersection_dim, omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, clm_index
@@ -79,17 +79,9 @@ class LagrangianChart:
         return self.jacobians(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
 
     def check(self, u, tol: Tolerances = DEFAULT_TOLERANCES):
-        """Validate the Lagrangian and immersion conditions at u."""
-        J = self.jac(u)
-        if not np.all(np.isfinite(J)):
-            raise ImmersionError("chart Jacobian not finite at %r" % (u,))
-        sv = np.linalg.svd(J, compute_uv=False)
-        if not sv[-1] >= tol.rank_floor(2 * self.n):
-            raise ImmersionError("chart Jacobian rank deficient at %r" % (u,))
-        resid = np.max(np.abs(omega_gram(J, J)))
-        if not resid <= max(1e3 * tol.residual_tol, 1e-9) * sv[0] ** 2:
-            raise InvariantViolation(
-                "chart is not Lagrangian at %r: pullback residual %.3e" % (u, resid))
+        """Validate the immersion and Lagrangian conditions at u: the
+        one-point case of the chart check in _tangent_bases."""
+        _tangent_bases(self, np.atleast_1d(np.asarray(u, dtype=float))[None], tol)
 
 
 def _constant(M: np.ndarray) -> Callable:
@@ -262,25 +254,23 @@ class TransportResult:
         return self.frames[0].conj().T @ self.frames
 
 
-def _polar(C: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of every matrix of a stack."""
-    U, _, Wh = np.linalg.svd(C)
-    return U @ Wh
-
-
 def _tangent_bases(chart, us, tol) -> np.ndarray:
     """Orthonormal tangent bases at the parameters us, shape (N, 2n, n), with
-    the sign of each column fixed by its QR pivot.  One stacked singular
-    value check of the n x n factors R (J = QR has the singular values of R)
-    names the first point where the Jacobian is rank deficient or not
-    finite."""
+    the sign of each column fixed by its QR pivot.  This is the chart check:
+    three stacked checks, each naming the first bad parameter, that the
+    Jacobians are finite, of full rank (J = QR has the singular values of
+    the n x n factor R) and isotropic (omega vanishes on the orthonormal
+    bases within max(1e3 residual_tol, 1e-9))."""
     J = chart.jacobians(us)
-    finite = np.all(np.isfinite(J), axis=(1, 2))
-    Q, R = np.linalg.qr(np.where(finite[:, None, None], J, 0.0))
-    sv = np.linalg.svd(R, compute_uv=False)
-    bad = np.flatnonzero(~(finite & (sv[:, -1] >= tol.rank_floor(2 * chart.n))))
-    if bad.size:
-        raise ImmersionError("chart Jacobian rank deficient at %r" % (us[bad[0]],))
+    check_stack(np.all(np.isfinite(J), axis=(1, 2)), ImmersionError,
+                "chart Jacobian not finite at u = %s", us, entry=None)
+    Q, R = np.linalg.qr(J)
+    check_stack(np.linalg.svd(R, compute_uv=False)[:, -1] >= tol.rank_floor(2 * chart.n),
+                ImmersionError, "chart Jacobian rank deficient at u = %s", us, entry=None)
+    resid = np.max(np.abs(omega_gram(Q, Q)), axis=(1, 2))
+    check_stack(resid <= max(1e3 * tol.residual_tol, 1e-9), InvariantViolation,
+                "chart is not Lagrangian at u = %s: pullback residual %.3e", us, resid,
+                entry=None)
     return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
 
 
@@ -297,10 +287,10 @@ def _transfers(Ba: np.ndarray, Bb: np.ndarray):
     return U @ Wh, np.max(np.linalg.norm(E, axis=1), axis=1)
 
 
-def _running_products(P: np.ndarray, G0: np.ndarray) -> np.ndarray:
-    """The stack G_0 = G0, G_{k+1} = P_k G_k."""
-    G = np.empty((len(P) + 1,) + G0.shape)
-    G[0] = G0
+def _running_products(P: np.ndarray) -> np.ndarray:
+    """The stack G_0 = I, G_{k+1} = P_k G_k."""
+    G = np.empty((len(P) + 1,) + P.shape[1:])
+    G[0] = np.eye(P.shape[-1])
     for k in range(len(P)):
         G[k + 1] = P[k] @ G[k]
     return G
@@ -312,7 +302,6 @@ def _tangency(F, B) -> float:
 
 
 def transport_frame(chart: LagrangianChart, path: ParamPath,
-                    initial_frame: np.ndarray = None,
                     tol: Tolerances = DEFAULT_TOLERANCES,
                     max_depth: int = 30) -> TransportResult:
     """Discrete Levi-Civita transport of a tangent frame along the path.
@@ -323,27 +312,16 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
     whole level at a time, up to max_depth levels.  The norm bounds every
     column of the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k,
-    for the frames F_k = B_k G_k with G_{k+1} = P_k G_k.
+    for the frames F_k = B_k G_k with G_0 = I and G_{k+1} = P_k G_k.
     """
-    us = path.samples
+    u = path.samples
     n = chart.n
-    chart.check(us[0], tol)
     if path.closed:
-        gap = np.max(np.abs(chart.at(us[0]) - chart.at(us[-1])))
+        gap = np.max(np.abs(chart.at(u[0]) - chart.at(u[-1])))
         if not gap <= 1e-7:  # a non-finite endpoint fails too
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
-    B = _tangent_bases(chart, us, tol)
-    if initial_frame is None:
-        G0 = np.eye(n)
-    else:
-        F0 = np.asarray(initial_frame, dtype=float)
-        if not (np.all(np.isfinite(F0)) and np.max(np.abs(F0.T @ F0 - np.eye(n))) <= 1e-8
-                and _tangency(F0, B[0]) <= 1e-8):
-            raise InvariantViolation("initial frame must be orthonormal and tangent")
-        G0 = _polar(B[0].T @ F0)
-
-    u = us
-    t = np.arange(len(us)) / (len(us) - 1.0)
+    B = _tangent_bases(chart, u, tol)
+    t = np.arange(len(u)) / (len(u) - 1.0)
     P, step = _transfers(B[:-1], B[1:])
     for depth in range(max_depth + 1):
         bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))  # NaN steps fail too
@@ -359,7 +337,7 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
         u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
         B = np.insert(B, bad + 1, Bm, axis=0)
 
-    F = B @ _running_products(P, G0)
+    F = B @ _running_products(P)
     max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
     ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
     tangent = LagrangianPath(F, params=t, tol=tol)

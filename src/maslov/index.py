@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, bisect_geodesics,
+                   Tolerances, UnitaryComplex, bisect_geodesics, check_stack,
                    intersection_dim, lagrangian_from_souriau, omega_gram,
                    souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
@@ -121,12 +121,20 @@ def _relative_eigs(x: CoverPoint, y: CoverPoint):
     return np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
 
 
-def _round_int(value: float, tol: Tolerances, what: str) -> int:
-    r = round(value)
-    if abs(value - r) > tol.phase_tol:
+def _transverse_index(dtheta: float, lam: np.ndarray, n: int, tol: Tolerances) -> int:
+    """The closed Souriau form (dtheta + i Tr Log(-w_x w_y^{-1})) / pi of a
+    transverse pair, from dtheta = theta_x - theta_y and the eigenvalues lam
+    of w_x w_y^{-1}, rounded and checked against the parity mu = n mod 2."""
+    # Tr Log(-w_x w_y^{-1}); eigenvalues are unit modulus, never on (-inf, 0]
+    trlog = np.sum(np.log(-lam))
+    val = (dtheta + (1j * trlog).real) / np.pi
+    mu = round(val)
+    if abs(val - mu) > tol.phase_tol:
         raise ConditioningError(
-            "%s = %.12g is not within phase_tol of an integer" % (what, value))
-    return int(r)
+            "transverse Leray index = %.12g is not within phase_tol of an integer" % val)
+    if (mu - n) % 2:
+        raise ConditioningError("Leray parity violated: mu = %d at n = %d" % (mu, n))
+    return int(mu)
 
 
 def leray_transverse(x: CoverPoint, y: CoverPoint,
@@ -137,52 +145,56 @@ def leray_transverse(x: CoverPoint, y: CoverPoint,
     lam = _relative_eigs(x, y)
     if np.min(np.abs(lam - 1.0)) < tol.rank_floor(x.n) * 100:
         raise TransversalityError("underlying Lagrangians intersect")
-    # Tr Log(-w_x w_y^{-1}); eigenvalues are unit modulus, never on (-inf, 0]
-    trlog = np.sum(np.log(-lam))
-    val = (x.theta - y.theta + (1j * trlog).real) / np.pi
-    mu = _round_int(val, tol, "transverse Leray index")
-    if (mu - x.n) % 2:
-        raise ConditioningError("Leray parity violated: mu = %d at n = %d" % (mu, x.n))
-    return mu
+    return _transverse_index(x.theta - y.theta, lam, x.n, tol)
 
 
-def _auxiliary_transverse(x: CoverPoint, y: CoverPoint,
-                          tol: Tolerances) -> CoverPoint:
-    """Deterministic sweep for a lift of a Lagrangian transverse to both
-    pi(x) and pi(y): candidates e^{2 i phi} I over a fixed 32-point grid."""
-    n = x.n
-    best_phi, best_gap = None, 0.0
-    for k in range(32):
-        phi = np.pi * (k + 0.414) / 32.0
-        gap = min(
-            np.min(np.abs(np.linalg.eigvals(x.w * np.exp(-2j * phi)) - 1.0)),
-            np.min(np.abs(np.linalg.eigvals(y.w * np.exp(-2j * phi)) - 1.0)))
-        if gap > best_gap:
-            best_phi, best_gap = phi, gap
-    if best_phi is None or best_gap < tol.rank_floor(n) * 100:
+#: Phases phi of the candidate auxiliary Lagrangians e^{2 i phi} I.
+_AUXILIARY_PHASES = np.pi * (np.arange(32) + 0.414) / 32.0
+
+
+def _auxiliary_transverse(ex: np.ndarray, ey: np.ndarray, tol: Tolerances) -> float:
+    """Phase phi of the auxiliary Lagrangian z = e^{2 i phi} I transverse to
+    both pi(x) and pi(y), from the spectra ex of w_x and ey of w_y: over a
+    fixed 32-point grid, the first phi with the largest gap
+    min |e^{-2 i phi} lambda - 1| over both spectra, since e^{-2 i phi} ex
+    and e^{-2 i phi} ey are the spectra of w_x w_z^{-1} and w_y w_z^{-1}."""
+    rot = np.exp(-2j * _AUXILIARY_PHASES)[:, None]
+    gaps = np.minimum(np.min(np.abs(rot * ex - 1.0), axis=1),
+                      np.min(np.abs(rot * ey - 1.0), axis=1))
+    k = int(np.argmax(gaps))
+    if not gaps[k] >= tol.rank_floor(len(ex)) * 100:
         raise ConditioningError("no common transverse Lagrangian found on the grid")
-    return CoverPoint(np.exp(2j * best_phi) * np.eye(n), 2.0 * n * best_phi, tol)
+    return float(_AUXILIARY_PHASES[k])
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Leray index of an arbitrary cover pair.
 
-    Transverse pairs use the closed form; otherwise an auxiliary lift z
-    transverse to both is chosen and the coboundary identity
+    Transverse pairs use the closed form; otherwise an auxiliary Lagrangian
+    z = e^{2 i phi} I transverse to both, lifted with theta_z = 2 n phi, is
+    chosen and the coboundary identity
     mu(x, y) = mu(x, z) - mu(y, z) + tau(L_x, L_y, L_z) is applied.  The
-    result does not depend on the lift of z (the deck shifts cancel).
+    result does not depend on the lift of z (the deck shifts cancel).  Each
+    spectrum is taken once: the legs read the rotated spectra of w_x and
+    w_y, and the frames of x and y serve both the triple signature and the
+    intersection dimension of the parity check.
     """
     if x.n != y.n:
         raise DimensionMismatch("cover points over different n")
+    n = x.n
     lam = _relative_eigs(x, y)
-    if np.min(np.abs(lam - 1.0)) > tol.rank_floor(x.n) * 100:
-        return leray_transverse(x, y, tol)
-    z = _auxiliary_transverse(x, y, tol)
-    tau = kashiwara_signature(x.frame(tol), y.frame(tol), z.frame(tol), tol)
-    mu = leray_transverse(x, z, tol) - leray_transverse(y, z, tol) + tau
-    d = intersection_dim(x.frame(tol), y.frame(tol), tol)
-    if (mu - (x.n - d)) % 2:
+    if np.min(np.abs(lam - 1.0)) > tol.rank_floor(n) * 100:
+        return _transverse_index(x.theta - y.theta, lam, n, tol)
+    ex, ey = np.linalg.eigvals(np.stack([x.w, y.w]))
+    phi = _auxiliary_transverse(ex, ey, tol)
+    rot, theta_z = np.exp(-2j * phi), 2.0 * n * phi
+    Lx, Ly = x.frame(tol), y.frame(tol)
+    Lz = lagrangian_from_souriau(np.exp(2j * phi) * np.eye(n), tol)
+    tau = kashiwara_signature(Lx, Ly, Lz, tol)
+    mu = (_transverse_index(x.theta - theta_z, rot * ex, n, tol)
+          - _transverse_index(y.theta - theta_z, rot * ey, n, tol) + tau)
+    if (mu - (n - intersection_dim(Lx, Ly, tol))) % 2:
         raise ConditioningError("Leray parity violated on non-transverse pair")
     return mu
 
@@ -257,11 +269,9 @@ def lift_path(path: LagrangianPath, theta0: float,
     steps = (np.diff(np.angle(dets)) + np.pi) % (2 * np.pi) - np.pi
     theta = np.cumsum(np.concatenate([[float(theta0)], steps]))
     resid = np.abs(dets - np.exp(1j * theta))
-    bad = np.flatnonzero(~(resid <= tol.phase_tol))
-    if bad.size:
-        raise InvariantViolation(
-            "sample %d: theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e"
-            % (bad[0], resid[bad[0]]))
+    check_stack(resid <= tol.phase_tol, InvariantViolation,
+                "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e", resid,
+                entry="sample")
     return theta
 
 

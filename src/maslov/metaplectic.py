@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _unitarity_residuals, bisect_geodesics,
+                   _unitarity_residuals, bisect_geodesics, check_stack,
                    unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, StateDomainError)
@@ -64,21 +64,6 @@ def _T(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _check(ok, error, message: str, values=None):
-    """Raise error(message) unless ok holds everywhere.  For a stack, the
-    message names the first failing entry along the leading axis and is
-    %-formatted with the entry of values there."""
-    ok = np.asarray(ok)
-    if ok.all():
-        return
-    where = np.unravel_index(np.argmin(ok), ok.shape)
-    if values is not None:
-        message %= np.broadcast_to(values, ok.shape)[where]
-    if where:
-        message += " at stack entry %d" % where[0]
-    raise error(message)
-
-
 def det_branch_power(M: np.ndarray, power: float) -> complex:
     """det(M)^{power} on the canonical branch for Re M positive definite.
 
@@ -87,11 +72,11 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
     unique continuous branch that is positive on real SPD matrices.  M may
     be a stack (..., n, n).
     """
-    _check(np.isfinite(M).all(axis=(-2, -1)), StateDomainError,
-           "canonical determinant branch needs a finite matrix")
+    check_stack(np.isfinite(M).all(axis=(-2, -1)), StateDomainError,
+                "canonical determinant branch needs a finite matrix")
     lam = np.linalg.eigvals(M)
-    _check(np.min(lam.real, axis=-1) > 0, StateDomainError,
-           "canonical determinant branch needs Re(eigenvalues) > 0")
+    check_stack(np.min(lam.real, axis=-1) > 0, StateDomainError,
+                "canonical determinant branch needs Re(eigenvalues) > 0")
     return np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam)), axis=-1)
 
 
@@ -319,15 +304,15 @@ class GaussianAmplitude:
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
         c = np.asarray(c, dtype=complex)
-        _check(np.isfinite(c) & np.isfinite(M).all(axis=(-2, -1))
-               & np.isfinite(poly.vec).all(axis=-1),
-               InvariantViolation, "state data c, M and poly must be finite")
-        _check(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
-               InvariantViolation, "Gaussian matrix must be symmetric")
+        check_stack(np.isfinite(c) & np.isfinite(M).all(axis=(-2, -1))
+                    & np.isfinite(poly.vec).all(axis=-1),
+                    InvariantViolation, "state data c, M and poly must be finite")
+        check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
+                    InvariantViolation, "Gaussian matrix must be symmetric")
         M = (M + _T(M)) / 2
         low = np.linalg.eigvalsh(M.real)[..., 0]
-        _check(low >= tol.rank_floor(n), StateDomainError,
-               "Re(M) must be positive definite; min eig %.3e", low)
+        check_stack(low >= tol.rank_floor(n), StateDomainError,
+                    "Re(M) must be positive definite; min eig %.3e", low)
         M.setflags(write=False)
         object.__setattr__(self, "c", c if c.ndim else complex(c))
         object.__setattr__(self, "M", M)
@@ -422,10 +407,10 @@ class Dilate:
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
         A = np.asarray(A, dtype=float)
-        _check(np.isfinite(A).all(axis=(-2, -1)), InvariantViolation,
-               "dilation matrix must be finite")
-        _check(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
-               "dilation matrix must be invertible")
+        check_stack(np.isfinite(A).all(axis=(-2, -1)), InvariantViolation,
+                    "dilation matrix must be finite")
+        check_stack(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
+                    "dilation matrix must be invertible")
         A = A.copy()
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -440,10 +425,10 @@ class Chirp:
 
     def __init__(self, B, tol: Tolerances = DEFAULT_TOLERANCES):
         B = np.asarray(B, dtype=float)
-        _check(np.isfinite(B).all(axis=(-2, -1)), InvariantViolation,
-               "chirp matrix must be finite")
-        _check(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
-               InvariantViolation, "chirp matrix must be symmetric")
+        check_stack(np.isfinite(B).all(axis=(-2, -1)), InvariantViolation,
+                    "chirp matrix must be finite")
+        check_stack(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
+                    InvariantViolation, "chirp matrix must be symmetric")
         B = (B + _T(B)) / 2
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
@@ -505,14 +490,14 @@ class QuadraticFourier:
         P = np.asarray(P, dtype=float)
         L = np.asarray(L, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        _check(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-2, -1))
-               & np.isfinite(Q).all(axis=(-2, -1)),
-               InvariantViolation, "P, L and Q must be finite")
-        _check(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
-                          np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= tol.residual_tol,
-               InvariantViolation, "P and Q must be symmetric")
-        _check(abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[-1]), InvariantViolation,
-               "L must be invertible")
+        check_stack(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-2, -1))
+                    & np.isfinite(Q).all(axis=(-2, -1)),
+                    InvariantViolation, "P, L and Q must be finite")
+        check_stack(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
+                               np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= tol.residual_tol,
+                    InvariantViolation, "P and Q must be symmetric")
+        check_stack(abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[-1]), InvariantViolation,
+                    "L must be invertible")
         for name, a in (("P", (P + _T(P)) / 2), ("L", L.copy()), ("Q", (Q + _T(Q)) / 2)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -537,14 +522,14 @@ def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
 def _quad_fourier_from_blocks(A, B, D, m: int, tol: Tolerances) -> QuadraticFourier:
     """quad_fourier_from_symplectic on the blocks A, B and D, which may be
     stacks; a failed check names the first bad entry."""
-    _check(abs(np.linalg.det(B)) >= tol.rank_floor(B.shape[-1]), CaseError,
-           "B-block is singular: no free generating function; "
-           "compose with the fixed Fourier factor first")
+    check_stack(abs(np.linalg.det(B)) >= tol.rank_floor(B.shape[-1]), CaseError,
+                "B-block is singular: no free generating function; "
+                "compose with the fixed Fourier factor first")
     Bi = np.linalg.inv(B)
     P, L, Q = D @ Bi, Bi, Bi @ A
-    _check(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
-                      np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= 1e3 * tol.residual_tol,
-           InvariantViolation, "block data is not symmetric; input not symplectic?")
+    check_stack(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
+                           np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= 1e3 * tol.residual_tol,
+                InvariantViolation, "block data is not symmetric; input not symplectic?")
     return QuadraticFourier((P + _T(P)) / 2, L, (Q + _T(Q)) / 2, m, tol)
 
 
@@ -643,10 +628,8 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     M = ((A @ s0.M) - 1j * B) @ np.linalg.inv(A - 1j * (B @ s0.M))
     M = (M + np.swapaxes(M, 1, 2)) / 2
     low = np.linalg.eigvalsh(M.real)[:, 0]
-    bad = np.flatnonzero(~(low >= tol.rank_floor(n)))
-    if bad.size:
-        raise StateDomainError("Re(M) must be positive definite; min eig %.3e at "
-                               "dense sample %d" % (low[bad[0]], bad[0]))
+    check_stack(low >= tol.rank_floor(n), StateDomainError,
+                "Re(M) must be positive definite; min eig %.3e", low, entry="dense sample")
     lam = np.linalg.eigvals(V.real - 1j * (V.imag @ M[:-1]))
     fac = np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam)), axis=1)
     return np.cumprod(np.concatenate([[s0.c], fac])), M
@@ -693,8 +676,8 @@ def _word_lift(V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
     digits to cancellation, since F(M_3) nearly undoes F(M_1).
     """
     resid = _unitarity_residuals(1j * V)
-    _check(resid <= tol.residual_tol, InvariantViolation,
-           "not unitary: ||U*U - I||_inf = %.3e", resid)
+    check_stack(resid <= tol.residual_tol, InvariantViolation,
+                "not unitary: ||U*U - I||_inf = %.3e", resid)
     V = V[:, None]  # steps on the leading axis, monomials on the second
     # embed(iV) has the blocks A = D = -Im V, B = -Re V
     qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
@@ -710,11 +693,11 @@ def _word_lift(V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
             ops.append(s.poly.vec)
             s = GaussianAmplitude(s.c, s.M, monomials, tol)
     drift = np.max(np.abs(s.M[:, 0] - M[1:]), axis=(-2, -1))
-    _check(drift <= tol.residual_tol * np.max(np.abs(M[1:]), axis=(-2, -1)),
-           ConditioningError, "the word's two passes differ on M by %.3e", drift)
+    check_stack(drift <= tol.residual_tol * np.max(np.abs(M[1:]), axis=(-2, -1)),
+                ConditioningError, "the word's two passes differ on M by %.3e", drift)
     f = s.c[:, 0]
-    _check(np.isfinite(f) & (f != 0), StateDomainError,
-           "degenerate scalar increment along the path")
+    check_stack(np.isfinite(f) & (f != 0), StateDomainError,
+                "degenerate scalar increment along the path")
     m = np.round(-2.0 * np.angle(f) / np.pi).astype(int) % 4
     c = np.cumprod(np.concatenate([[s0.c], f * quarter_turn(m)]))
     F1, F3, C = (np.ascontiguousarray(_T(op)) for op in ops)  # columns: the images
@@ -744,10 +727,8 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
     n = Us.shape[-1]
     resid = _unitarity_residuals(Us)
-    bad = np.flatnonzero(~(resid <= tol.residual_tol))
-    if bad.size:
-        raise InvariantViolation("sample %d is not unitary: residual %.3e"
-                                 % (bad[0], resid[bad[0]]))
+    check_stack(resid <= tol.residual_tol, InvariantViolation,
+                "not unitary: residual %.3e", resid, entry="sample")
     if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
         raise InvariantViolation("path must start at the identity")
     if s0.n != n:

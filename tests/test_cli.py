@@ -162,6 +162,21 @@ def test_tolerance_overrides():
         run({**spec, "tolerances": {"phase_tol": -1.0}})
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_non_finite_tolerances_are_spec_errors(tmp_path, value):
+    spec = load_spec("kashiwara_index")
+    for name in ("residual_tol", "rank_tol", "phase_tol"):
+        with pytest.raises(SpecError, match=r"^tolerances\.%s:" % name):
+            run({**spec, "tolerances": {name: value}})
+    with pytest.raises(SpecError, match="^--tol-phase:"):
+        run(spec, tol_phase=value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "tolerances": {"phase_tol": value}}))
+    assert main(["--spec", str(path)]) == 1
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path), "--tol-phase", repr(value)]) == 1
+
+
 def test_custom_chart_verify():
     spec = {
         "command": "verify",
@@ -183,15 +198,6 @@ def test_report_command_catalog():
     assert all(v["pass"] for v in report["results"].values())
 
 
-def test_convention_profile_guard(monkeypatch):
-    monkeypatch.setenv("MASLOV_CONVENTION_LEDGER", "nonsense")
-    with pytest.raises(SpecError):
-        run(load_spec("kashiwara_index"))
-    monkeypatch.setenv("MASLOV_CONVENTION_LEDGER", "paper-v1")
-    _, code, _ = run(load_spec("kashiwara_index"))
-    assert code == 0
-
-
 @pytest.mark.parametrize("spec", [
     load_spec("kashiwara_index"),
     load_spec("circle_verify"),
@@ -202,6 +208,66 @@ def test_refine_max_rejected_outside_holonomy(spec):
         with pytest.raises(SpecError) as err:
             run({**spec, **fields}, **kwargs)
         assert "spec.refine_max" in str(err.value)
+
+
+CIRCLE_LOOP = {"chart": {"name": "circle"}, "path": {"kind": "arc", "turns": 1.0}}
+CIRCLE_ARC = {"chart": {"name": "circle"}, "path": {"kind": "arc", "turns": 0.25}}
+LEVELS = {"levels": [0, 1]}
+LOOPS = {"loops": [{"kind": "arc", "turns": 1.0}]}
+
+
+KASHIWARA = load_spec("kashiwara_index")
+
+
+@pytest.mark.parametrize("spec, field", [
+    pytest.param({"command": "verify", **CIRCLE_LOOP, **LEVELS}, "levels", id="auto-1-levels"),
+    pytest.param({"command": "verify", **CIRCLE_LOOP, **LOOPS}, "loops", id="auto-1-loops"),
+    pytest.param({"command": "verify", "theorem": "1", **CIRCLE_LOOP, **LEVELS}, "levels",
+                 id="1-levels"),
+    pytest.param({"command": "verify", "theorem": "1", **CIRCLE_LOOP, **LOOPS}, "loops",
+                 id="1-loops"),
+    pytest.param({"command": "verify", "theorem": "2", **CIRCLE_ARC, **LOOPS}, "loops",
+                 id="2-loops"),
+    pytest.param({"command": "verify", "theorem": "corollary1", **CIRCLE_LOOP, **LOOPS},
+                 "path", id="corollary1-path"),
+    pytest.param({"command": "verify", "theorem": "corollary1", "chart": {"name": "circle"},
+                  **LOOPS, **LEVELS}, "levels", id="corollary1-levels"),
+    pytest.param({**KASHIWARA, "chart": {"name": "circle"}}, "chart", id="index-chart"),
+    pytest.param({**KASHIWARA, "theorem": "1"}, "theorem", id="index-theorem"),
+    pytest.param({**KASHIWARA, **LEVELS}, "levels", id="index-levels"),
+    pytest.param({**KASHIWARA, "path": CIRCLE_LOOP["path"]}, "path", id="index-path"),
+    pytest.param({"command": "holonomy", **CIRCLE_LOOP, "theorem": "1"}, "theorem",
+                 id="holonomy-theorem"),
+    pytest.param({"command": "report", "chart": {"name": "circle"}}, "chart",
+                 id="report-chart"),
+])
+def test_fields_a_command_does_not_read_are_rejected(tmp_path, spec, field):
+    with pytest.raises(SpecError, match=r"^spec\.%s: not read by " % field):
+        run(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path)]) == 1
+
+
+def test_fields_each_theorem_reads_are_accepted():
+    _, code, _ = run({"command": "verify", **CIRCLE_ARC, **LEVELS})
+    assert code == 0
+    _, code, _ = run({"command": "verify", "theorem": "corollary1",
+                      "chart": {"name": "circle"}, **LOOPS})
+    assert code == 0
+
+
+def test_leray_cover_points_use_the_spec_tolerances():
+    # theta = 1.4 misses the lift arg det w = pi/2 by 0.17: a cover point
+    # under the default phase_tol, accepted under a phase_tol of 0.5
+    spec = {"command": "index", "index": {"leray": {
+        "x": {"w_re": [[1.0]], "w_im": [[0.0]], "theta": 0.0},
+        "y": {"w_re": [[0.0]], "w_im": [[1.0]], "theta": 1.4}}}}
+    from maslov.errors import InvariantViolation
+    with pytest.raises(InvariantViolation, match="not a lift"):
+        run(spec)
+    report, code, _ = run({**spec, "tolerances": {"phase_tol": 0.5}})
+    assert code == 0 and report["results"]["mu"] == -1
 
 
 def test_refine_max_reaches_holonomy():

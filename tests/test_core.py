@@ -109,11 +109,35 @@ def test_souriau_images_stack_matches_single_frames(rng):
 def test_souriau_images_name_the_first_bad_frame(rng):
     F = np.array([random_lagrangian(2, rng).columns for _ in range(4)])
     F[2] = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]  # q1 and p1: not isotropic
-    with pytest.raises(InvariantViolation, match="frame 2 "):
+    with pytest.raises(InvariantViolation, match="at frame 2$"):
         souriau_images(F)
     F[2], F[3, 0, 0] = F[0], np.nan
-    with pytest.raises(InvariantViolation, match="frame 3 "):
+    with pytest.raises(InvariantViolation, match="at frame 3$"):
         souriau_images(F)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["residual_tol", "rank_tol", "phase_tol"])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    with pytest.raises(InvariantViolation, match="%s must be finite" % name):
+        Tolerances(**{name: value})
+
+
+def test_infinite_phase_tol_no_longer_admits_a_wrong_lift():
+    # theta = 2.9 is no lift of arg det(i) = pi/2; with phase_tol = inf the
+    # cover point was accepted and the Leray index came out as -1
+    from maslov.index import CoverPoint
+    with pytest.raises(InvariantViolation):
+        CoverPoint(np.array([[1j]]), 2.9, Tolerances(phase_tol=np.inf))
+    with pytest.raises(InvariantViolation, match="not a lift"):
+        CoverPoint(np.array([[1j]]), 2.9)
+
+
+@pytest.mark.parametrize("columns", [[[np.nan], [0.0]], [[np.inf], [0.0]],
+                                     [[1.0, 0.0], [0.0, -np.inf], [0.0, 0.0], [0.0, 1.0]]])
+def test_frame_rejects_non_finite_columns(columns):
+    with pytest.raises(InvariantViolation, match="frame entries must be finite"):
+        LagrangianFrame(columns)
 
 
 def test_inverse_souriau_examples():

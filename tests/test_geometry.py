@@ -268,6 +268,35 @@ def test_chart_check_names_non_finite_jacobian():
         inf_point.check([0.3])
 
 
+def twisted_graph_chart():
+    """q = u, p = (0, u1 u2): Lagrangian where u2 = 0 only, since the
+    pullback of omega is u2 du1 ^ du2 up to sign."""
+    return LagrangianChart(2, point=lambda us: np.stack(
+        [us[:, 0], us[:, 1], 0.0 * us[:, 0], us[:, 0] * us[:, 1]], axis=1))
+
+
+def test_chart_check_names_the_first_non_lagrangian_parameter():
+    chart = twisted_graph_chart()
+    chart.check([0.3, 0.0])
+    with pytest.raises(InvariantViolation, match=r"not Lagrangian at u = \[0\.3 0\.1\]:"):
+        chart.check([0.3, 0.1])
+    # from u = (0.3, 0) the path leaves the Lagrangian locus at its second
+    # sample, u = (0.3, 0.25): both routes name that parameter
+    path = ParamPath.line([0.3, 0.0], [0.3, 1.0], 5)
+    for route in (transport_frame, tangent_lagrangian_path):
+        with pytest.raises(InvariantViolation,
+                           match=r"^chart is not Lagrangian at u = \[0\.3  *0\.25\]:"):
+            route(chart, path)
+
+
+def test_transport_checks_refinement_midpoints():
+    # Lagrangian at both samples, not at the midpoints transport inserts
+    chart = LagrangianChart(2, point=lambda us: np.stack(
+        [us[:, 0], us[:, 1], 0.0 * us[:, 0], us[:, 0] * np.sin(us[:, 1])], axis=1))
+    with pytest.raises(InvariantViolation, match=r"^chart is not Lagrangian at u = \[0\.3 "):
+        transport_frame(chart, ParamPath.line([0.3, 0.0], [0.3, np.pi], 2))
+
+
 def test_transport_rejects_non_finite_closing_point():
     circle = circle_chart()
     chart = LagrangianChart(1, point=lambda us: np.where(us < 6.0, circle.point(us), np.nan),
@@ -276,23 +305,11 @@ def test_transport_rejects_non_finite_closing_point():
         transport_frame(chart, ParamPath.circle_arc(1.0, 50))
 
 
-def test_transport_rejects_non_finite_initial_frame():
-    with pytest.raises(InvariantViolation, match="initial frame"):
-        transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 30),
-                        initial_frame=np.full((2, 1), np.nan))
-
-
 def test_transport_refinement_exhaustion():
     path = ParamPath.circle_arc(1.0, 10)
     with pytest.raises(SamplingError, match="transport refinement exhausted"):
         transport_frame(circle_chart(), path, max_depth=2)
     assert transport_frame(circle_chart(), path).refinement_depth > 2
-
-
-def test_transport_rejects_bad_initial_frame():
-    with pytest.raises(InvariantViolation):
-        transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 30),
-                        initial_frame=np.array([[1.0], [0.0]]))
 
 
 # ---------------------------------------------------------------------------

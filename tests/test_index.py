@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslov.core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                          embed_unitary, intersection_dim, l0_frame, line_frame,
                          random_lagrangian, random_unitary, souriau_map)
-from maslov.errors import InvariantViolation, TransversalityError
+from maslov.errors import (ConditioningError, InvariantViolation,
+                           TransversalityError)
 from maslov.index import (CoverPoint, DeckAction, LagrangianPath, clm_index,
                           cover_action, induced_lagrangian_path,
                           kashiwara_signature, leray_index, leray_transverse,
@@ -39,6 +42,52 @@ def kashiwara_oracle(F1, F2, F3):
             M[i, j] = val / 2.0
     ev = np.linalg.eigvalsh(M)
     return int(np.sum(ev > 1e-8) - np.sum(ev < -1e-8))
+
+
+def reference_transverse(x, y, tol=DEFAULT_TOLERANCES):
+    """The closed Souriau form of a transverse pair, on its own eigenvalues."""
+    lam = np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
+    assert np.min(np.abs(lam - 1.0)) >= tol.rank_floor(x.n) * 100
+    val = (x.theta - y.theta - np.sum(np.angle(-lam))) / np.pi
+    mu = round(val)
+    assert abs(val - mu) <= tol.phase_tol and (mu - x.n) % 2 == 0
+    return mu
+
+
+def reference_leray_index(x, y, tol=DEFAULT_TOLERANCES):
+    """The cocycle as a sweep over 32 candidate lifts z = (e^{2 i phi} I,
+    2 n phi), two eigvals per candidate, and five frames: x and y twice
+    each, z once."""
+    n = x.n
+    lam = np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
+    if np.min(np.abs(lam - 1.0)) > tol.rank_floor(n) * 100:
+        return reference_transverse(x, y, tol)
+    best_phi, best_gap = None, 0.0
+    for k in range(32):
+        phi = np.pi * (k + 0.414) / 32.0
+        gap = min(np.min(np.abs(np.linalg.eigvals(x.w * np.exp(-2j * phi)) - 1.0)),
+                  np.min(np.abs(np.linalg.eigvals(y.w * np.exp(-2j * phi)) - 1.0)))
+        if gap > best_gap:
+            best_phi, best_gap = phi, gap
+    assert best_phi is not None and best_gap >= tol.rank_floor(n) * 100
+    z = CoverPoint(np.exp(2j * best_phi) * np.eye(n), 2.0 * n * best_phi, tol)
+    tau = kashiwara_signature(x.frame(tol), y.frame(tol), z.frame(tol), tol)
+    mu = reference_transverse(x, z, tol) - reference_transverse(y, z, tol) + tau
+    assert (mu - (n - intersection_dim(x.frame(tol), y.frame(tol), tol))) % 2 == 0
+    return mu
+
+
+def cover_pair_meeting_in(n, k, rng, shifts):
+    """Cover points x, y over n whose planes meet in dimension k: w_y = r r^T
+    and w_x = r D r^T for a random unitary r and D = diag(1 (k times),
+    e^{i a_j}) with a_j away from 0, so w_x w_y^{-1} = r D r^* has the
+    eigenvalue 1 k times.  Each theta is the principal one plus a deck shift."""
+    r = random_unitary(n, rng).entries
+    a = rng.uniform(0.3, 2 * np.pi - 0.3, size=n - k)
+    D = np.diag(np.concatenate([np.ones(k), np.exp(1j * a)]))
+    ws = [r @ D @ r.T, r @ r.T]
+    return [CoverPoint(w, float(np.angle(np.linalg.det(w))) + 2 * np.pi * s)
+            for w, s in zip(ws, shifts)]
 
 
 def circle_tangent_path(turns=1.0, k=300, start=0.0):
@@ -133,12 +182,38 @@ def test_leray_auxiliary_lift_independence(rng):
         n = int(rng.integers(1, 3))
         x = random_cover_point(n, rng)
         y = random_cover_point(n, rng)
-        z = _auxiliary_transverse(x, y, DEFAULT_TOLERANCES)
+        phi = _auxiliary_transverse(np.linalg.eigvals(x.w), np.linalg.eigvals(y.w),
+                                    DEFAULT_TOLERANCES)
+        z = CoverPoint(np.exp(2j * phi) * np.eye(n), 2.0 * n * phi)
         zs = DeckAction(3)(z)
         tau = kashiwara_signature(x.frame(), y.frame(), z.frame())
         v1 = leray_transverse(x, z) - leray_transverse(y, z) + tau
         v2 = leray_transverse(x, zs) - leray_transverse(y, zs) + tau
         assert v1 == v2 == leray_index(x, y)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n + 1)])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shifts=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_leray_index_matches_the_reference_cocycle(n, k, seed, shifts):
+    x, y = cover_pair_meeting_in(n, k, np.random.default_rng(seed), shifts)
+    assert intersection_dim(x.frame(), y.frame()) == k
+    mu = leray_index(x, y)
+    assert mu == reference_leray_index(x, y)
+    assert leray_index(y, x) == -mu
+
+
+def test_auxiliary_phase_takes_the_widest_grid_gap():
+    # w_x = w_y = e^{2 i phi_0} I with phi_0 on grid point 16: the gap
+    # |e^{2 i (phi_0 - phi)} - 1| = 2 |sin(phi_0 - phi)| is widest at the
+    # grid point a quarter turn away, k = 0
+    grid = np.pi * (np.arange(32) + 0.414) / 32.0
+    e = np.exp(2j * grid[16]) * np.ones(2)
+    assert _auxiliary_transverse(e, e, DEFAULT_TOLERANCES) == grid[0]
+    # no candidate is transverse to a spectrum that covers the grid
+    with pytest.raises(ConditioningError, match="no common transverse"):
+        _auxiliary_transverse(np.exp(2j * grid), np.ones(1), DEFAULT_TOLERANCES)
 
 
 def test_leray_coboundary(rng):

@@ -614,7 +614,7 @@ def test_lift_orthogonal_endpoint_phases(rng):
 def test_lift_rejects_non_unitary_sample_and_names_it():
     path = [rotation(t) for t in np.linspace(0, 1.0, 10)]
     path[6] = SymplecticMatrix(np.diag([2.0, 0.5]))  # symplectic, not unitary
-    with pytest.raises(InvariantViolation, match="sample 6 "):
+    with pytest.raises(InvariantViolation, match="at sample 6$"):
         lift_frame_path(path, ground_state(1))
 
 
