@@ -84,6 +84,13 @@ def check_stack(ok, error, message: str, *values, entry: str = "stack entry"):
     raise error(message)
 
 
+def _orthonormal_columns(F: np.ndarray) -> np.ndarray:
+    """Q of the QR of a frame, or of each frame of a stack, with the column
+    orientation fixed by sign(diag R)."""
+    Q, R = np.linalg.qr(F)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
 def _as_array(x, dtype=float):
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
@@ -206,10 +213,7 @@ class LagrangianFrame:
         object.__setattr__(self, "n", n)
 
     def orthonormalized(self) -> "LagrangianFrame":
-        Q, R = np.linalg.qr(self.columns)
-        # keep a deterministic column orientation
-        Q = Q * np.sign(np.diagonal(R))
-        return LagrangianFrame(Q)
+        return LagrangianFrame(_orthonormal_columns(self.columns))
 
 
 def l0_frame(n: int) -> LagrangianFrame:
@@ -269,9 +273,7 @@ def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
     if F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
         raise InvariantViolation("frames must form an (N, 2n, n) stack")
     n = F.shape[2]
-    Q, R = np.linalg.qr(F)
-    # keep a deterministic column orientation
-    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    Q = _orthonormal_columns(F)
     V = Q[:, :n] + 1j * Q[:, n:]
     resid = _unitarity_residuals(V)
     check_stack(resid <= tol.residual_tol, InvariantViolation,
@@ -313,7 +315,7 @@ def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,
     """dim(span L1 intersect span L2), as 2n - rank([L1 | L2])."""
     if L1.n != L2.n:
         raise DimensionMismatch("frames have n = %d and n = %d" % (L1.n, L2.n))
-    F = np.hstack([L1.orthonormalized().columns, L2.orthonormalized().columns])
+    F = np.hstack([_orthonormal_columns(L1.columns), _orthonormal_columns(L2.columns)])
     sv = np.linalg.svd(F, compute_uv=False)
     rank = int(np.sum(sv > tol.rank_floor(2 * L1.n)))
     return 2 * L1.n - rank

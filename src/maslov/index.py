@@ -3,15 +3,17 @@ Kashiwara triple signature, the Leray index on cover pairs, path lifting with
 phase unwrapping, and the Cappell-Lee-Miller index of a Lagrangian path
 against the constant path at its endpoint.
 
-The closed form used for transverse cover pairs is
+Every cover pair, transverse or not, takes the generalized Souriau form
 
-    mu(x, y) = (theta_x - theta_y + i Tr Log(-w_x w_y^{-1})) / pi
+    mu(x, y) = (theta_x - theta_y + i Tr' Log(-w_x w_y^{-1})) / pi
 
-with the principal matrix logarithm.  Its sign conventions, together with the
-sign of the triple signature below, are pinned by two requirements that the
-test suite enforces exactly: the coboundary identity
-mu(x,y) - mu(x,z) + mu(y,z) = tau(L1,L2,L3), and the deck shift
-mu(beta^r x, y) = mu(x, y) + 2r.
+with the principal logarithm of each eigenvalue, where Tr' skips the
+eigenvalues at 1, one per dimension of L_x cap L_y (Souriau, LNP 50, 1976;
+de Gosson, Symplectic Geometry and Quantum Mechanics, 2006, ch. 3).  Its
+sign conventions, together with the sign of the triple signature below, are
+pinned by two requirements that the test suite enforces exactly: the
+coboundary identity mu(x,y) - mu(x,z) + mu(y,z) = tau(L1,L2,L3), and the
+deck shift mu(beta^r x, y) = mu(x, y) + 2r.
 """
 
 from __future__ import annotations
@@ -22,17 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, bisect_geodesics, check_stack,
-                   intersection_dim, lagrangian_from_souriau, omega_gram,
-                   souriau_images, souriau_map)
+                   Tolerances, UnitaryComplex, _orthonormal_columns,
+                   bisect_geodesics, check_stack, intersection_dim,
+                   lagrangian_from_souriau, omega_gram, souriau_images,
+                   souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      TransversalityError)
 
 # Sign of the last term in the Kashiwara form
 #   Q(z1, z2, z3) = omega(z1, z2) + omega(z2, z3) + KASHIWARA_LAST_SIGN * omega(z3, z1).
 # With -1 this is the form ending in omega(z1, z3); that choice (and only
-# that choice) satisfies the coboundary identity against the transverse
-# Leray formula above, which is the ground truth fixing the convention.
+# that choice) satisfies the coboundary identity against the Leray
+# formula above, which is the ground truth fixing the convention.
 KASHIWARA_LAST_SIGN = -1.0
 
 #: Bound on sqrt(n) times the Frobenius norm of a step between consecutive
@@ -81,8 +84,9 @@ class DeckAction:
 
     r: int
 
-    def __call__(self, x: CoverPoint) -> CoverPoint:
-        return CoverPoint(x.w, x.theta + 2.0 * np.pi * self.r)
+    def __call__(self, x: CoverPoint,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> CoverPoint:
+        return CoverPoint(x.w, x.theta + 2.0 * np.pi * self.r, tol)
 
 
 def cover_action(r, phi: float, x: CoverPoint,
@@ -104,9 +108,7 @@ def kashiwara_signature(L1: LagrangianFrame, L2: LagrangianFrame,
     if not (L1.n == L2.n == L3.n):
         raise DimensionMismatch("frames over different n")
     n = L1.n
-    F1 = L1.orthonormalized().columns
-    F2 = L2.orthonormalized().columns
-    F3 = L3.orthonormalized().columns
+    F1, F2, F3 = (_orthonormal_columns(L.columns) for L in (L1, L2, L3))
     O12 = omega_gram(F1, F2)
     O23 = omega_gram(F2, F3)
     O31 = KASHIWARA_LAST_SIGN * omega_gram(F3, F1)
@@ -121,19 +123,21 @@ def _relative_eigs(x: CoverPoint, y: CoverPoint):
     return np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
 
 
-def _transverse_index(dtheta: float, lam: np.ndarray, n: int, tol: Tolerances) -> int:
-    """The closed Souriau form (dtheta + i Tr Log(-w_x w_y^{-1})) / pi of a
-    transverse pair, from dtheta = theta_x - theta_y and the eigenvalues lam
-    of w_x w_y^{-1}, rounded and checked against the parity mu = n mod 2."""
-    # Tr Log(-w_x w_y^{-1}); eigenvalues are unit modulus, never on (-inf, 0]
+def _transverse_index(dtheta: float, lam: np.ndarray, tol: Tolerances) -> int:
+    """The closed Souriau form (dtheta + i Tr Log(-w_x w_y^{-1})) / pi, from
+    dtheta = theta_x - theta_y and the eigenvalues lam of w_x w_y^{-1} that
+    are not at 1, rounded and checked against the parity mu = len(lam) mod 2."""
+    # Tr Log(-w_x w_y^{-1}); eigenvalues are unit modulus and not at 1, so
+    # -lam is never on (-inf, 0]
     trlog = np.sum(np.log(-lam))
     val = (dtheta + (1j * trlog).real) / np.pi
     mu = round(val)
     if abs(val - mu) > tol.phase_tol:
         raise ConditioningError(
-            "transverse Leray index = %.12g is not within phase_tol of an integer" % val)
-    if (mu - n) % 2:
-        raise ConditioningError("Leray parity violated: mu = %d at n = %d" % (mu, n))
+            "Leray index = %.12g is not within phase_tol of an integer" % val)
+    if (mu - len(lam)) % 2:
+        raise ConditioningError("Leray parity violated: mu = %d with %d eigenvalues "
+                                "away from 1" % (mu, len(lam)))
     return int(mu)
 
 
@@ -145,58 +149,34 @@ def leray_transverse(x: CoverPoint, y: CoverPoint,
     lam = _relative_eigs(x, y)
     if np.min(np.abs(lam - 1.0)) < tol.rank_floor(x.n) * 100:
         raise TransversalityError("underlying Lagrangians intersect")
-    return _transverse_index(x.theta - y.theta, lam, x.n, tol)
+    return _transverse_index(x.theta - y.theta, lam, tol)
 
 
-#: Phases phi of the candidate auxiliary Lagrangians e^{2 i phi} I.
-_AUXILIARY_PHASES = np.pi * (np.arange(32) + 0.414) / 32.0
-
-
-def _auxiliary_transverse(ex: np.ndarray, ey: np.ndarray, tol: Tolerances) -> float:
-    """Phase phi of the auxiliary Lagrangian z = e^{2 i phi} I transverse to
-    both pi(x) and pi(y), from the spectra ex of w_x and ey of w_y: over a
-    fixed 32-point grid, the first phi with the largest gap
-    min |e^{-2 i phi} lambda - 1| over both spectra, since e^{-2 i phi} ex
-    and e^{-2 i phi} ey are the spectra of w_x w_z^{-1} and w_y w_z^{-1}."""
-    rot = np.exp(-2j * _AUXILIARY_PHASES)[:, None]
-    gaps = np.minimum(np.min(np.abs(rot * ex - 1.0), axis=1),
-                      np.min(np.abs(rot * ey - 1.0), axis=1))
-    k = int(np.argmax(gaps))
-    if not gaps[k] >= tol.rank_floor(len(ex)) * 100:
-        raise ConditioningError("no common transverse Lagrangian found on the grid")
-    return float(_AUXILIARY_PHASES[k])
+def _leray(x: CoverPoint, y: CoverPoint, tol: Tolerances):
+    """(mu(x, y), k = dim(L_x cap L_y)) by the closed form on the eigenvalues
+    of w_x w_y^{-1} other than the k at 1.  k is 0 without building frames
+    when no eigenvalue is within 100 rank_floor of 1; otherwise it is
+    intersection_dim of the two planes, and the k eigenvalues nearest 1 are
+    skipped.  The rounding and parity checks of _transverse_index (mu = n - k
+    mod 2) then guard every pair: skipping an eigenvalue that is not at 1
+    moves the value off an integer, or off that parity."""
+    if x.n != y.n:
+        raise DimensionMismatch("cover points over different n")
+    lam = _relative_eigs(x, y)
+    gap = np.abs(lam - 1.0)
+    k = 0
+    if np.min(gap) <= tol.rank_floor(x.n) * 100:
+        k = intersection_dim(x.frame(tol), y.frame(tol), tol)
+    kept = lam[np.argsort(gap)[k:]]
+    return _transverse_index(x.theta - y.theta, kept, tol), k
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Leray index of an arbitrary cover pair.
-
-    Transverse pairs use the closed form; otherwise an auxiliary Lagrangian
-    z = e^{2 i phi} I transverse to both, lifted with theta_z = 2 n phi, is
-    chosen and the coboundary identity
-    mu(x, y) = mu(x, z) - mu(y, z) + tau(L_x, L_y, L_z) is applied.  The
-    result does not depend on the lift of z (the deck shifts cancel).  Each
-    spectrum is taken once: the legs read the rotated spectra of w_x and
-    w_y, and the frames of x and y serve both the triple signature and the
-    intersection dimension of the parity check.
-    """
-    if x.n != y.n:
-        raise DimensionMismatch("cover points over different n")
-    n = x.n
-    lam = _relative_eigs(x, y)
-    if np.min(np.abs(lam - 1.0)) > tol.rank_floor(n) * 100:
-        return _transverse_index(x.theta - y.theta, lam, n, tol)
-    ex, ey = np.linalg.eigvals(np.stack([x.w, y.w]))
-    phi = _auxiliary_transverse(ex, ey, tol)
-    rot, theta_z = np.exp(-2j * phi), 2.0 * n * phi
-    Lx, Ly = x.frame(tol), y.frame(tol)
-    Lz = lagrangian_from_souriau(np.exp(2j * phi) * np.eye(n), tol)
-    tau = kashiwara_signature(Lx, Ly, Lz, tol)
-    mu = (_transverse_index(x.theta - theta_z, rot * ex, n, tol)
-          - _transverse_index(y.theta - theta_z, rot * ey, n, tol) + tau)
-    if (mu - (n - intersection_dim(Lx, Ly, tol))) % 2:
-        raise ConditioningError("Leray parity violated on non-transverse pair")
-    return mu
+    """Leray index of an arbitrary cover pair, by the generalized Souriau
+    form (theta_x - theta_y + i Tr' Log(-w_x w_y^{-1})) / pi, where Tr' skips
+    the eigenvalues at 1, one per dimension of L_x cap L_y."""
+    return _leray(x, y, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +266,10 @@ def _endpoint_lifts(path: LagrangianPath, tol: Tolerances):
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Cappell-Lee-Miller index of the path against the constant path at its
-    endpoint, computed through the cover as (mu(end, start) - n + dim cap)/2."""
-    mu = leray_index(*_endpoint_lifts(path, tol), tol)
-    d = intersection_dim(path.frames[0], path.frames[-1], tol)
-    num = mu - path.n + d
-    if num % 2:
-        raise ConditioningError("CLM parity violated: mu - n + dim = %d is odd" % num)
-    return num // 2
+    endpoint, computed through the cover as (mu(end, start) - n + dim cap)/2
+    with the dim that the Leray index decided."""
+    mu, d = _leray(*_endpoint_lifts(path, tol), tol)
+    return (mu - path.n + d) // 2
 
 
 def induced_lagrangian_path(symp_path: Sequence[SymplecticMatrix],
