@@ -288,7 +288,9 @@ def _transfers(Ba: np.ndarray, Bb: np.ndarray):
 
 
 def _running_products(P: np.ndarray) -> np.ndarray:
-    """The stack G_0 = I, G_{k+1} = P_k G_k."""
+    """The stack G_0 = I, G_{k+1} = P_k G_k: one cumprod at n = 1 (P_k = +-1)."""
+    if P.shape[-1] == 1:
+        return np.cumprod(np.concatenate([[1.0], P[:, 0, 0]]))[:, None, None]
     G = np.empty((len(P) + 1,) + P.shape[1:])
     G[0] = np.eye(P.shape[-1])
     for k in range(len(P)):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,13 +41,17 @@ from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
                    _unitarity_residuals, bisect_geodesics, check_stack,
                    unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
-                     InvariantViolation, StateDomainError)
+                     InvariantViolation, MaslovError, StateDomainError)
 
 DELTA = "delta"
 CONST = "const"
 
 #: Per-step bound on max |eig(V) - 1| for unitary path steps.
 MAX_UNITARY_STEP = 0.4
+
+#: Cap on the bytes of one chunk of the word lift's pass (b), whose
+#: push-through operators are (chunk, K, K) complex stacks for K monomials.
+WORD_CHUNK_BYTES = 1 << 22
 
 
 def quarter_turn(m: int) -> complex:
@@ -268,13 +273,9 @@ class Polynomial:
 
 def _push(poly: Polynomial, G: np.ndarray, diff: complex = 0.0) -> Polynomial:
     """p(X) 1 for X_j = diff D_j + sum_c G_jc S_c (see ``_MonomialBasis.images``);
-    the factor and G may be stacks."""
-    return Polynomial._dense(poly.basis, _apply(poly.basis.images(G, diff), poly.vec))
-
-
-def _apply(op: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """op @ v for every coefficient vector v of a stack, with broadcasting."""
-    return (op @ vec[..., None])[..., 0]
+    the factor and G may be stacks, and they broadcast."""
+    op = poly.basis.images(G, diff)
+    return Polynomial._dense(poly.basis, (op @ poly.vec[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -607,73 +608,58 @@ def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
     return U, _steps(U), np.searchsorted(td, t)
 
 
+def _closed_matrices(U: np.ndarray, M0: np.ndarray) -> np.ndarray:
+    """The Gaussian matrix at every sample of a dense unitary path U, by the
+    closed fractional-linear law: embed(W) for W = A + iB has blocks
+    [[A, -B], [B, A]], so the state at the sample with W_k = U_k U_0^* has
+    M_k = (A M_0 - i B)(A - i B M_0)^{-1}, symmetrized."""
+    W = U @ _adjoint(U[0])
+    A, B = W.real, W.imag
+    M = ((A @ M0) - 1j * B) @ np.linalg.inv(A - 1j * (B @ M0))
+    return (M + _T(M)) / 2
+
+
 def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
                 tol: Tolerances):
     """Scalars and matrices of a pure Gaussian state along a dense unitary
-    path U with steps V, by the closed fractional-linear law.
-
-    embed(W) for W = A + iB has blocks [[A, -B], [B, A]], so the state at
-    the sample with W_k = U_k U_0^* has M_k = (A M_0 - i B)(A - i B M_0)^{-1}.
-    The scalar is the running product of the per-step factors
-    det(A - i B M)^{-1/2}, with A + iB the step and M the state before it,
-    each taken as the product of the principal roots of the eigenvalues of
-    A - i B M.  The principal root of the determinant itself is not enough:
-    for n >= 2 the eigenvalue arguments of a step can add up past pi (a
-    strongly chirped M), and its branch then jumps by a sign.  One batched
-    check over the path keeps Re M_k positive definite.
+    path U with steps V: the matrices by ``_closed_matrices``, the scalar the
+    running product of the per-step factors det(A - i B M)^{-1/2}, with
+    A + iB the step and M the state before it, each taken as the product of
+    the principal roots of the eigenvalues of A - i B M.  The principal root
+    of the determinant itself is not enough: for n >= 2 the eigenvalue
+    arguments of a step can add up past pi (a strongly chirped M), and its
+    branch then jumps by a sign.  One batched check keeps Re M_k > 0.
     """
-    n = s0.n
-    W = U @ _adjoint(U[0])
-    A, B = W.real, W.imag
-    M = ((A @ s0.M) - 1j * B) @ np.linalg.inv(A - 1j * (B @ s0.M))
-    M = (M + np.swapaxes(M, 1, 2)) / 2
+    M = _closed_matrices(U, s0.M)
     low = np.linalg.eigvalsh(M.real)[:, 0]
-    check_stack(low >= tol.rank_floor(n), StateDomainError,
+    check_stack(low >= tol.rank_floor(s0.n), StateDomainError,
                 "Re(M) must be positive definite; min eig %.3e", low, entry="dense sample")
     lam = np.linalg.eigvals(V.real - 1j * (V.imag @ M[:-1]))
     fac = np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam)), axis=1)
     return np.cumprod(np.concatenate([[s0.c], fac])), M
 
 
-def _word_matrices(M0: np.ndarray, P: np.ndarray, L: np.ndarray,
-                   Q: np.ndarray) -> np.ndarray:
-    """Pass (a) of the word lift: the Gaussian matrix at every dense sample,
-    one step after another on bare arrays, as the word JHat, Chirp(-Q),
-    JHat, Dilate(L^T), Chirp(-P) of each step moves it:
-    M -> sym(M^{-1}) -> . - iQ -> sym(.^{-1}) -> sym(L^T . L) -> . - iP,
-    with sym(X) = (X + X^T) / 2 and (P, L, Q) stacks over the steps."""
-    iP, iQ, LT = 1j * -P, 1j * -Q, _T(L)
-    Ms = np.empty((len(L) + 1,) + M0.shape, dtype=complex)
-    Ms[0] = M = M0
-    k = 0
-    try:
-        for k in range(len(L)):
-            M = np.linalg.inv(M)
-            M = np.linalg.inv((M + M.T) / 2 + iQ[k])
-            M = LT[k] @ ((M + M.T) / 2) @ L[k]
-            Ms[k + 1] = M = (M + M.T) / 2 + iP[k]
-    except np.linalg.LinAlgError:
-        raise StateDomainError("singular Gaussian matrix in the word at dense step %d"
-                               % k) from None
-    return Ms
-
-
-def _word_lift(V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
+def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
     """Scalars (S + 1,), matrices (S + 1, n, n) and coefficient vectors
-    (S + 1, K) of a state with a polynomial factor along the S dense steps V.
+    (S + 1, K) of a state with a polynomial factor along the dense path U
+    with S steps V.
 
     A step has a singular upper-right block near the identity, so it is
     composed with the fixed Fourier element J0 = embed(iI): the state goes
     through JHat, then the quadratic Fourier word of S J0 = embed(iV) at
     branch 0, and the branch integer m_k is rounded so that the scalar
-    increment stays within a quarter turn of 1.  Pass (a) gives the M_k;
-    pass (b) applies each generator of the word once to the stack of steps,
-    entry k starting from (1, M_k, x^gamma) for every basis monomial.  It
-    gives the step factors f_k, checks every intermediate state and M_{k+1}
-    against pass (a), and leaves the push-through operators F(M_1), F(M_3)
-    and C(L) of every step.  The coefficient vector takes one product with
-    each, as a single state would: their product, formed first, would lose
-    digits to cancellation, since F(M_3) nearly undoes F(M_1).
+    increment stays within a quarter turn of 1.  Pass (a) takes the M_k of
+    every sample from the closed law (``_closed_matrices``).  Pass (b)
+    applies each generator of the word once to a chunk of consecutive steps,
+    at most WORD_CHUNK_BYTES of chunk * K^2 complex entries, entry k starting
+    from (1, M_k, x^gamma) for every basis monomial.  It gives the step
+    factors f_k and the returned M_{k+1}, checks every intermediate state,
+    and leaves the push-through operators F(M_1), F(M_3) and C(L) of every
+    step of the chunk; an error names its dense step.  The coefficient
+    vector takes one product with each, as a single state would: their
+    product, formed first, would lose digits to cancellation, since F(M_3)
+    nearly undoes F(M_1).  Last, the word's M_k are checked against the
+    closed law's, a route the word did not take.
     """
     resid = _unitarity_residuals(1j * V)
     check_stack(resid <= tol.residual_tol, InvariantViolation,
@@ -681,30 +667,39 @@ def _word_lift(V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
     V = V[:, None]  # steps on the leading axis, monomials on the second
     # embed(iV) has the blocks A = D = -Im V, B = -Re V
     qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
-    M = _word_matrices(s0.M, qf.P[:, 0], qf.L[:, 0], qf.Q[:, 0])
+    closed = _closed_matrices(U, s0.M)
     basis = s0.poly.basis
     monomials = Polynomial._dense(basis, np.eye(basis.size))
-    s = GaussianAmplitude(np.ones(V.shape[:2]), M[:-1, None], monomials, tol)
-    ops = []  # entry (k, gamma) of each: the image of x^gamma under a generator
-    for gen in (JHat(), Chirp(-qf.Q, tol), JHat(), Dilate(_T(qf.L), 0, tol),
-                Chirp(-qf.P, tol)):
-        s = apply_generator(gen, s, tol)
-        if s.poly is not monomials:
-            ops.append(s.poly.vec)
-            s = GaussianAmplitude(s.c, s.M, monomials, tol)
-    drift = np.max(np.abs(s.M[:, 0] - M[1:]), axis=(-2, -1))
-    check_stack(drift <= tol.residual_tol * np.max(np.abs(M[1:]), axis=(-2, -1)),
-                ConditioningError, "the word's two passes differ on M by %.3e", drift)
-    f = s.c[:, 0]
+    f, M = np.empty(len(V), dtype=complex), np.empty_like(closed)
+    vecs = np.empty((len(M), basis.size), dtype=complex)
+    M[0], vecs[0] = s0.M, s0.poly.vec
+    a, chunk = s0.poly.vec, max(1, WORD_CHUNK_BYTES // (16 * basis.size ** 2))
+    for lo in range(0, len(V), chunk):
+        hi = min(lo + chunk, len(V))
+        try:
+            s = GaussianAmplitude(np.ones((hi - lo, 1)), closed[lo:hi, None], monomials, tol)
+            ops = []  # F(M_1), F(M_3) and C(L) of each step; column gamma: x^gamma's image
+            for gen in (JHat(), Chirp(-qf.Q[lo:hi], tol), JHat(),
+                        Dilate(_T(qf.L[lo:hi]), 0, tol), Chirp(-qf.P[lo:hi], tol)):
+                s = apply_generator(gen, s, tol)
+                if s.poly is not monomials:
+                    ops.append(_T(s.poly.vec))
+                    object.__setattr__(s, "poly", monomials)  # c and M are checked
+        except MaslovError as err:  # name the dense step, not the chunk entry
+            raise type(err)(re.sub(r"at stack entry (\d+)$",
+                                   lambda e: "at dense step %d" % (lo + int(e[1])),
+                                   str(err))) from None
+        f[lo:hi], M[lo + 1:hi + 1] = s.c[:, 0], s.M[:, 0]
+        for k, (F1, F3, C) in enumerate(zip(*ops), lo + 1):
+            vecs[k] = a = C @ (F3 @ (F1 @ a))
+    drift = np.max(np.abs(M - closed), axis=(-2, -1))
+    check_stack(drift <= tol.residual_tol * np.max(np.abs(closed), axis=(-2, -1)),
+                ConditioningError, "the word and the closed law differ on M by %.3e",
+                drift, entry="dense sample")
     check_stack(np.isfinite(f) & (f != 0), StateDomainError,
-                "degenerate scalar increment along the path")
+                "degenerate scalar increment along the path", entry="dense step")
     m = np.round(-2.0 * np.angle(f) / np.pi).astype(int) % 4
     c = np.cumprod(np.concatenate([[s0.c], f * quarter_turn(m)]))
-    F1, F3, C = (np.ascontiguousarray(_T(op)) for op in ops)  # columns: the images
-    vecs = np.empty((len(M), basis.size), dtype=complex)
-    vecs[0] = a = s0.poly.vec
-    for k in range(len(F1)):
-        vecs[k + 1] = a = _apply(C[k], _apply(F3[k], _apply(F1[k], a)))
     return c, M, vecs
 
 
@@ -718,9 +713,11 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
 
     Steps are bisected geodesically in U(n) until each is within the step
     bound of the identity, where the per-step branch is unambiguous.  Pure
-    Gaussian states take the closed law as one batch; states with a
-    polynomial factor go through the generator word of every step, in two
-    passes (see ``_word_lift``).
+    Gaussian states take the closed law as one batch.  States with a
+    polynomial factor take their matrices at every dense sample from the
+    same closed law, then go through the generator word of every step, in
+    chunks of consecutive steps, and the word's matrices are checked against
+    the closed law's (see ``_word_lift``).
     """
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
@@ -737,7 +734,7 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     if s0.poly.is_constant():
         c, M = _closed_law(U, V, s0, tol)
         return c[keep], M[keep], [s0.poly] * len(keep)
-    c, M, vecs = _word_lift(V, s0, tol)
+    c, M, vecs = _word_lift(U, V, s0, tol)
     return c[keep], M[keep], [Polynomial._dense(s0.poly.basis, vecs[k]) for k in keep]
 
 

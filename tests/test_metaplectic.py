@@ -8,6 +8,8 @@ The one-dimensional quadrature oracle below applies the oscillatory kernel
 directly on a grid, independently of the generator-word implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,16 +17,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from maslov import metaplectic
 from maslov.core import (DEFAULT_TOLERANCES, SymplecticMatrix, embed_unitary,
                          l0_frame, random_unitary, unitary_from_symplectic)
-from maslov.errors import (CaseError, DimensionMismatch, InvariantViolation,
-                           SamplingError, StateDomainError)
+from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
+                           InvariantViolation, SamplingError, StateDomainError)
 from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
                                 QuadraticFourier, _fourier_poly,
                                 _refine_unitary_path, _step_bound,
-                                _word_matrices,
                                 adjoint_quad_fourier, apply_generator,
                                 apply_quad_fourier, apply_to_delta,
                                 apply_word_to_delta, det_branch_power,
@@ -388,11 +390,6 @@ def test_stacks_name_their_bad_entry():
     M[3] = np.diag([1.0, -0.5])
     with pytest.raises(StateDomainError, match="min eig -5.000e-01 at stack entry 3$"):
         GaussianAmplitude(np.ones(4), M)
-    # the sequential Gaussian pass of the word lift raises a typed error at
-    # a singular matrix, naming the dense step
-    P = Q = np.zeros((3, 2, 2))
-    with pytest.raises(StateDomainError, match="dense step 0$"):
-        _word_matrices(np.zeros((2, 2), dtype=complex), P, np.stack([I] * 3), Q)
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +826,74 @@ def test_hermite_lift_matches_fock_bargmann(data):
                 for k, v in fock_bargmann_image(gamma, U.T).items()}
         got = {k: c * v for k, v in poly.coeffs.items()}
         assert coeff_drift(got, want) <= 1e-12
+
+
+def rotating_path(n, rng, lam, t_end, k):
+    """U(t) = Q diag(e^{i t lam}) Q^* at k evenly spaced t in [0, t_end],
+    with Q a random unitary."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return np.array([Q @ np.diag(np.exp(1j * t * np.asarray(lam))) @ Q.conj().T
+                     for t in np.linspace(0.0, t_end, k)])
+
+
+def closed_law_perturbed(at, delta):
+    """The closed-law matrices with delta added at dense sample at."""
+    closed = metaplectic._closed_matrices
+
+    def law(U, M0):
+        M = closed(U, M0)
+        M[at] += delta
+        return M
+    return law
+
+
+def test_word_lift_checks_the_closed_law(rng, monkeypatch):
+    # 12 dense steps in chunks of 3; sample 7 lies inside the third chunk
+    n = 2
+    s0 = random_state(n, rng)
+    K = s0.poly.basis.size
+    Us = rotating_path(n, rng, [0.1, -0.2], 12.0, 13)
+    monkeypatch.setattr(metaplectic, "WORD_CHUNK_BYTES", 3 * 16 * K ** 2)
+    lift_frame_path_trace(Us, s0, max_depth=0)
+    # the word moves M_6 to its own M_7, which misses the perturbed closed one
+    monkeypatch.setattr(metaplectic, "_closed_matrices", closed_law_perturbed(7, 1e-6))
+    with pytest.raises(ConditioningError, match="closed law differ on M by .* at dense sample 7$"):
+        lift_frame_path_trace(Us, s0, max_depth=0)
+    # a check inside the chunk names the dense step, not the chunk entry
+    monkeypatch.setattr(metaplectic, "_closed_matrices",
+                        closed_law_perturbed(7, -10.0 * np.eye(n)))
+    with pytest.raises(StateDomainError, match="positive definite; .* at dense step 7$"):
+        lift_frame_path_trace(Us, s0, max_depth=0)
+
+
+def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
+    n = 2
+    s0 = random_state(n, rng)
+    Us = rotating_path(n, rng, [1.0, -0.7], 3.0, 5)
+    c, M, polys = lift_frame_path_trace(Us, s0)
+    monkeypatch.setattr(metaplectic, "WORD_CHUNK_BYTES", 1)  # one step a chunk
+    c1, M1, polys1 = lift_frame_path_trace(Us, s0)
+    assert np.array_equal(c, c1) and np.array_equal(M, M1)
+    assert all(np.array_equal(p.vec, q.vec) for p, q in zip(polys, polys1))
+
+
+def test_word_lift_memory_is_bounded(rng):
+    # a degree-8 state at n = 3 (K = 165) over 400 dense steps, none refined;
+    # pass (b) holds the operators of one chunk of steps at a time
+    n = 3
+    s0 = hermite_state(8, n)
+    Us = rotating_path(n, rng, [1.0, -0.6, 0.3], 40.0, 401)
+    tracemalloc.start()
+    try:
+        c, M, polys = lift_frame_path_trace(Us, s0, max_depth=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2 ** 20
+    out = GaussianAmplitude(c[-1], M[-1], polys[-1])
+    assert oscillator_level(out) == 8
+    norm, norm0 = np.sqrt(l2_norm_squared(out)), np.sqrt(l2_norm_squared(s0))
+    assert abs(norm - norm0) <= 1e-9 * norm0
 
 
 def test_lift_refinement_exhaustion():
