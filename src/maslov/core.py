@@ -23,6 +23,8 @@ from .errors import DimensionMismatch, InvariantViolation, SamplingError
 
 
 _EPS = float(np.finfo(float).eps)
+#: A cheap bound decides a spectral check only this far (relative) past its cut.
+_SCREEN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, LagrangianFrame, Tolerances,
-                   check_stack, embed_unitary, intersection_dim, omega_gram)
+from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
+                   Tolerances, check_stack, embed_unitary, intersection_dim,
+                   omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, clm_index
@@ -260,18 +261,23 @@ def _tangent_bases(chart, us, tol) -> np.ndarray:
     three stacked checks, each naming the first bad parameter, that the
     Jacobians are finite, of full rank (J = QR has the singular values of
     the n x n factor R) and isotropic (omega vanishes on the orthonormal
-    bases within max(1e3 residual_tol, 1e-9))."""
+    bases within max(1e3 residual_tol, 1e-9)).  The rank needs no SVD where
+    prod |r_ii| = |det R| <= sigma_min(R) ||R||_F^(n-1) clears the floor by
+    the margin; the SVD decides the rest."""
     J = chart.jacobians(us)
     check_stack(np.all(np.isfinite(J), axis=(1, 2)), ImmersionError,
                 "chart Jacobian not finite at u = %s", us, entry=None)
     Q, R = np.linalg.qr(J)
-    check_stack(np.linalg.svd(R, compute_uv=False)[:, -1] >= tol.rank_floor(2 * chart.n),
-                ImmersionError, "chart Jacobian rank deficient at u = %s", us, entry=None)
+    d, floor = np.diagonal(R, axis1=1, axis2=2), tol.rank_floor(2 * chart.n)
+    ok = np.prod(np.abs(d), axis=1) >= ((1 + _SCREEN_MARGIN) * floor
+                                        * np.linalg.norm(R, axis=(1, 2)) ** (chart.n - 1))
+    ok[~ok] = np.linalg.svd(R[~ok], compute_uv=False)[:, -1] >= floor
+    check_stack(ok, ImmersionError, "chart Jacobian rank deficient at u = %s", us, entry=None)
     resid = np.max(np.abs(omega_gram(Q, Q)), axis=(1, 2))
     check_stack(resid <= max(1e3 * tol.residual_tol, 1e-9), InvariantViolation,
                 "chart is not Lagrangian at u = %s: pullback residual %.3e", us, resid,
                 entry=None)
-    return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    return Q * np.sign(d)[:, None, :]
 
 
 def _transfers(Ba: np.ndarray, Bb: np.ndarray):
@@ -287,6 +293,19 @@ def _transfers(Ba: np.ndarray, Bb: np.ndarray):
     return U @ Wh, np.max(np.linalg.norm(E, axis=1), axis=1)
 
 
+def _screened_transfers(Ba: np.ndarray, Bb: np.ndarray):
+    """_transfers where a cheap bound leaves the bisection open.  Bb^T Ba has
+    singular values s_i in [0, 1], where 2 (1 - s) >= 1 - s^2, so the step
+    is at least sqrt((n - ||Bb^T Ba||_F^2) / n).  A segment whose bound clears
+    FRAME_INCREMENT_BOUND by the margin takes it as its step, P = NaN."""
+    C, n = np.swapaxes(Bb, 1, 2) @ Ba, Ba.shape[-1]
+    step = np.sqrt(np.maximum(n - np.sum(C * C, axis=(1, 2)), 0.0) / n)
+    P = np.full(C.shape, np.nan)
+    open_ = ~(step > (1 + _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
+    P[open_], step[open_] = _transfers(Ba[open_], Bb[open_])
+    return P, step
+
+
 def _running_products(P: np.ndarray) -> np.ndarray:
     """The stack G_0 = I, G_{k+1} = P_k G_k: one cumprod at n = 1 (P_k = +-1)."""
     if P.shape[-1] == 1:
@@ -294,7 +313,7 @@ def _running_products(P: np.ndarray) -> np.ndarray:
     G = np.empty((len(P) + 1,) + P.shape[1:])
     G[0] = np.eye(P.shape[-1])
     for k in range(len(P)):
-        G[k + 1] = P[k] @ G[k]
+        np.matmul(P[k], G[k], out=G[k + 1])
     return G
 
 
@@ -310,7 +329,8 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
 
     The tangent bases B_k of all samples of a level come from one stacked
     factorization, and the polar transfers P_k = polar(B_{k+1}^T B_k) from
-    one batched SVD.  Every segment whose spectral step norm
+    one batched SVD where a cheap bound leaves it undecided (see
+    _screened_transfers).  Every segment whose spectral step norm
     ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
     whole level at a time, up to max_depth levels.  The norm bounds every
     column of the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k,
@@ -324,7 +344,7 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
     B = _tangent_bases(chart, u, tol)
     t = np.arange(len(u)) / (len(u) - 1.0)
-    P, step = _transfers(B[:-1], B[1:])
+    P, step = _screened_transfers(B[:-1], B[1:])
     for depth in range(max_depth + 1):
         bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))  # NaN steps fail too
         if not bad.size:
@@ -333,8 +353,8 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
             raise SamplingError("transport refinement exhausted at t = %.17g" % t[bad[0]])
         um, tm = (u[bad] + u[bad + 1]) / 2.0, (t[bad] + t[bad + 1]) / 2.0
         Bm = _tangent_bases(chart, um, tol)
-        P[bad], step[bad] = _transfers(B[bad], Bm)
-        Pb, sb = _transfers(Bm, B[bad + 1])
+        P[bad], step[bad] = _screened_transfers(B[bad], Bm)
+        Pb, sb = _screened_transfers(Bm, B[bad + 1])
         P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
         u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
         B = np.insert(B, bad + 1, Bm, axis=0)

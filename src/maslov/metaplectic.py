@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _unitarity_residuals, bisect_geodesics, check_stack,
-                   unitaries_from_symplectic)
+from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
+                   Tolerances, _unitarity_residuals, bisect_geodesics,
+                   check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, MaslovError, StateDomainError)
 
@@ -273,8 +273,14 @@ class Polynomial:
 
 def _push(poly: Polynomial, G: np.ndarray, diff: complex = 0.0) -> Polynomial:
     """p(X) 1 for X_j = diff D_j + sum_c G_jc S_c (see ``_MonomialBasis.images``);
-    the factor and G may be stacks, and they broadcast."""
-    op = poly.basis.images(G, diff)
+    the factor and G may be stacks, and they broadcast.  The stack of all
+    monomials (vec = I) against a length-1 axis of G takes no product: the
+    image of x^gamma is column gamma of the operator, copied to the layout
+    the product gives, so that later products with it keep every bit."""
+    op, K = poly.basis.images(G, diff), poly.basis.size
+    if (op.shape[-3:-2] == (1,) and poly.vec.shape == (K, K)
+            and np.array_equal(poly.vec, np.eye(K))):
+        return Polynomial._dense(poly.basis, np.ascontiguousarray(_T(op)[..., 0, :, :]))
     return Polynomial._dense(poly.basis, (op @ poly.vec[..., None])[..., 0])
 
 
@@ -599,12 +605,18 @@ def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
                          tol: Tolerances = DEFAULT_TOLERANCES):
     """Bisect geodesically every step V of the path Us with
     max |eig(V) - 1| > bound (see bisect_geodesics), parametrized by the
-    sample index.  Returns the dense path, its steps and the dense positions
-    of the input samples."""
+    sample index.  A step whose ||V - I||_F = ||U_{k+1} - U_k||_F, a bound on
+    every |eig(V) - 1|, is under the bound by the margin takes no eigvals.
+    Returns the dense path, its steps and the dense positions of the inputs."""
+    def sizes(U):
+        D = U[1:] - U[:-1]
+        size = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(1, 2)))
+        k = np.flatnonzero(~(size <= (1 - _SCREEN_MARGIN) * bound))
+        size[k] = np.max(np.abs(np.linalg.eigvals(U[k + 1] @ _adjoint(U[k])) - 1.0), axis=1)
+        return size
+
     t = np.arange(len(Us), dtype=float)
-    U, td = bisect_geodesics(
-        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(_steps(U)) - 1.0), axis=1),
-        bound, max_depth, tol)
+    U, td = bisect_geodesics(Us, t, sizes, bound, max_depth, tol)
     return U, _steps(U), np.searchsorted(td, t)
 
 

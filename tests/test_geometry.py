@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maslov.core import line_frame, random_lagrangian, random_unitary
+from maslov import metaplectic
+from maslov.core import (DEFAULT_TOLERANCES, bisect_geodesics, line_frame,
+                         random_lagrangian, random_unitary)
 from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
                            SamplingError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
@@ -13,8 +15,10 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              flat_plane_chart, gradient_graph_chart,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
-                             verify_theorem1, verify_theorem2, _transfers)
+                             verify_theorem1, verify_theorem2,
+                             _screened_transfers, _tangent_bases, _transfers)
 from maslov.index import clm_index, lift_path
+from maslov.metaplectic import ground_state, lift_frame_path_trace
 
 
 def phase_of(report):
@@ -140,6 +144,145 @@ def test_transfers_match_two_svd_reference(n, seed):
     assert np.max(np.abs(step - step_ref)) <= 1e-12
     # identical bases: zero to machine precision (sqrt(2 (1 - s_min)) gives ~3e-8)
     assert np.max(_transfers(Ba, Ba)[1]) <= 1e-14
+
+
+# a measure at (1 + rel) times its threshold: on both sides of the screens'
+# margin (1e-6), and within 1e-9 of the threshold
+RELS = (-0.5, -1e-3, -2e-6, -5e-7, -1e-9, 0.0, 1e-9, 5e-7, 2e-6, 1e-3, 0.5)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), equal=st.booleans())
+def test_transfer_bound_screens_only_bisected_segments(n, seed, equal):
+    # segments whose largest step sqrt(2 (1 - cos theta_i)) is (1 + rel) times
+    # FRAME_INCREMENT_BOUND, the other principal angles equal to it or smaller
+    rng = np.random.default_rng(seed)
+    k = len(RELS)
+    share = np.ones((k, n)) if equal else rng.uniform(0.0, 1.0, (k, n))
+    share[:, 0] = 1.0
+    theta = 2 * np.arcsin(FRAME_INCREMENT_BOUND * (1 + np.array(RELS))[:, None] * share / 2)
+    Q = np.linalg.qr(rng.normal(size=(k, 2 * n, 2 * n)))[0]
+    O = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+    Ba = Q[:, :, :n]
+    Bb = (Ba * np.cos(theta)[:, None, :] + Q[:, :, n:] * np.sin(theta)[:, None, :]) @ O
+    P, step = _screened_transfers(Ba, Bb)
+    P_ref, step_ref = _transfers(Ba, Bb)
+    screened = np.all(np.isnan(P), axis=(1, 2))
+    # a screened segment is bisected on its exact step too, and its bound is
+    # a lower bound of that step; the others carry the exact transfer
+    assert np.all(step_ref[screened] > FRAME_INCREMENT_BOUND)
+    assert np.all(step[screened] <= step_ref[screened])
+    assert np.array_equal(P[~screened], P_ref[~screened])
+    assert np.array_equal(step[~screened], step_ref[~screened])
+    if n == 1:  # the bound is sqrt((1 + s)/2) times the step: 1 - 1.25e-5 here
+        assert np.array_equal(screened, np.array(RELS) >= 1e-3)
+
+
+def q_plane_chart(As):
+    """A chart whose Jacobian at the parameter (j, 0, ..., 0) is [A_j; 0]:
+    the q-plane, isotropic for every A_j."""
+    J = np.concatenate([As, np.zeros_like(As)], axis=1)
+    return LagrangianChart(As.shape[-1], point=lambda us: us @ J[0].T,
+                           jacobian=lambda us: J[us[:, 0].astype(int)])
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_chart_check_screen_keeps_the_rank_decision(n, seed):
+    # triangular factors scaled to sigma_min = (1 + rel) rank_floor; the
+    # bound certifies the far ones at every n, and near ones at n = 1 only
+    rng = np.random.default_rng(seed)
+    floor = DEFAULT_TOLERANCES.rank_floor(2 * n)
+    rels = np.array(RELS + (1e2, 1e4))
+    As = np.triu(rng.normal(size=(len(rels), n, n))) + 2 * np.eye(n)
+    As *= (floor * (1 + rels) / np.linalg.svd(As, compute_uv=False)[:, -1])[:, None, None]
+    chart = q_plane_chart(As)
+    us = np.zeros((len(As), n))
+    us[:, 0] = np.arange(len(As))
+    R = np.linalg.qr(chart.jacobians(us))[1]
+    full = np.linalg.svd(R, compute_uv=False)[:, -1] >= floor
+    for j in range(len(As)):
+        if full[j]:
+            chart.check(us[j])
+        else:
+            with pytest.raises(ImmersionError, match="rank deficient"):
+                chart.check(us[j])
+    # on the stack, the first rank-deficient parameter is named
+    with pytest.raises(ImmersionError, match=r"at u = \[%d\.( 0\.)*\]$" % np.argmin(full)):
+        _tangent_bases(chart, us, DEFAULT_TOLERANCES)
+    assert np.array_equal(_tangent_bases(chart, us[full], DEFAULT_TOLERANCES),
+                          np.linalg.qr(chart.jacobians(us[full]))[0]
+                          * np.sign(np.diagonal(R[full], axis1=1, axis2=2))[:, None, :])
+
+
+def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30):
+    """The dense parameters and frames of transport_frame's refinement with
+    a rank SVD at every sample, the exact transfers of every segment and the
+    running products one matmul at a time."""
+    def bases(us):
+        Q, R = np.linalg.qr(chart.jacobians(us))
+        assert np.all(np.linalg.svd(R, compute_uv=False)[:, -1] >= tol.rank_floor(2 * n))
+        return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+
+    u, n = path.samples, chart.n
+    B = bases(u)
+    t = np.arange(len(u)) / (len(u) - 1.0)
+    P, step = _transfers(B[:-1], B[1:])
+    for _ in range(max_depth):
+        bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))
+        if not bad.size:
+            break
+        um, tm = (u[bad] + u[bad + 1]) / 2.0, (t[bad] + t[bad + 1]) / 2.0
+        Bm = bases(um)
+        P[bad], step[bad] = _transfers(B[bad], Bm)
+        Pb, sb = _transfers(Bm, B[bad + 1])
+        P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
+        u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
+        B = np.insert(B, bad + 1, Bm, axis=0)
+    G = [np.eye(n)]
+    for Pk in P:
+        G.append(Pk @ G[-1])
+    F = B @ np.array(G)
+    return t, F[:, :n] + 1j * F[:, n:]
+
+
+def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
+    """(c, M) of the ground state lifted along Us, with the eigenvalue step
+    measure on every step."""
+    n, steps = Us.shape[-1], metaplectic._steps
+    t = np.arange(len(Us), dtype=float)
+    U, td = bisect_geodesics(
+        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps(U)) - 1.0), axis=1),
+        metaplectic._step_bound(n), max_depth, tol)
+    c, M = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
+    keep = np.searchsorted(td, t)
+    return c[keep], M[keep]
+
+
+ORACLE_PATHS = {
+    "circle": (circle_chart(1.3), ParamPath.circle_arc(1.0, 7)),
+    "product_torus": (product_torus_chart((1.0, 0.7)), ParamPath.torus_loop((1, 2), 9)),
+    "trig_series": (curve_chart_from_series({"cos": [[1, 1.0], [3, 0.2]]},
+                                            {"sin": [[1, 0.8]], "poly": [0.1]}),
+                    ParamPath.line([0.0], [2 * np.pi], 11, closed=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PATHS) + ["gradient_graph_n3"])
+def test_screens_leave_the_dense_path_and_lift_unchanged(name):
+    # the dense grid, frames and ground-state lift, bit for bit, against the
+    # loops that take every SVD and eigensolve
+    if name == "gradient_graph_n3":
+        waves, loop = CURVED_LOOPS[3]
+        chart = cosine_gradient_chart(waves)
+        path = ParamPath(loop(np.linspace(0.0, 2 * np.pi, 8)), closed=True)
+    else:
+        chart, path = ORACLE_PATHS[name]
+    tr = transport_frame(chart, path)
+    t, V = reference_dense_transport(chart, path)
+    assert len(t) > 2 * len(path.samples)  # refinement ran
+    assert np.array_equal(tr.params, t) and np.array_equal(tr.frames, V)
+    c, M, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n))
+    c_ref, M_ref = reference_ground_lift(V[0].conj().T @ V)
+    assert np.array_equal(c, c_ref) and np.array_equal(M, M_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -878,22 +878,57 @@ def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
 
 
 def test_word_lift_memory_is_bounded(rng):
-    # a degree-8 state at n = 3 (K = 165) over 400 dense steps, none refined;
-    # pass (b) holds the operators of one chunk of steps at a time
-    n = 3
-    s0 = hermite_state(8, n)
-    Us = rotating_path(n, rng, [1.0, -0.6, 0.3], 40.0, 401)
-    tracemalloc.start()
-    try:
-        c, M, polys = lift_frame_path_trace(Us, s0, max_depth=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 128 * 2 ** 20
-    out = GaussianAmplitude(c[-1], M[-1], polys[-1])
-    assert oscillator_level(out) == 8
-    norm, norm0 = np.sqrt(l2_norm_squared(out)), np.sqrt(l2_norm_squared(s0))
-    assert abs(norm - norm0) <= 1e-9 * norm0
+    # degree-8 states at n = 3 (K = 165) over 400 dense steps and at n = 4
+    # (K = 495) over 40, none refined; pass (b) holds the operators of one
+    # chunk of steps at a time
+    for lam, k in (([1.0, -0.6, 0.3], 401), ([1.0, -0.6, 0.3, 0.8], 41)):
+        n = len(lam)
+        s0 = hermite_state(8, n)
+        Us = rotating_path(n, rng, lam, 0.1 * (k - 1), k)
+        tracemalloc.start()
+        try:
+            c, M, polys = lift_frame_path_trace(Us, s0, max_depth=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2 ** 20
+        out = GaussianAmplitude(c[-1], M[-1], polys[-1])
+        assert oscillator_level(out) == 8
+        norm, norm0 = np.sqrt(l2_norm_squared(out)), np.sqrt(l2_norm_squared(s0))
+        assert abs(norm - norm0) <= 1e-9 * norm0
+
+
+def test_monomial_push_is_the_product_with_the_identity(rng):
+    # the stack of all monomials takes its images without the K^3 product
+    basis = metaplectic._basis(3, 4)
+    monomials = Polynomial._dense(basis, np.eye(basis.size))
+    G = rng.normal(size=(5, 1, 3, 3)) + 1j * rng.normal(size=(5, 1, 3, 3))
+    for diff in (0.0, 1j):
+        op = basis.images(G, diff)
+        out = metaplectic._push(monomials, G, diff).vec
+        assert out.shape == (5, basis.size, basis.size)
+        assert np.array_equal(out, (op @ np.eye(basis.size)[..., None])[..., 0])
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), spread=st.booleans())
+def test_lift_step_screen_keeps_the_eigenvalue_rule(n, seed, spread):
+    # steps whose largest |eig - 1| is (1 + rel) _step_bound(n), the other
+    # eigenphases zero (the Frobenius norm is then that largest one) or spread
+    rng = np.random.default_rng(seed)
+    bound = _step_bound(n)
+    for rel in (-0.5, -1e-3, -2e-6, -5e-7, -1e-9, 0.0, 1e-9, 5e-7, 2e-6, 1e-3):
+        top = 2 * np.arcsin((1 + rel) * bound / 2)
+        phi = np.zeros(n)
+        if spread:
+            phi = top * rng.uniform(-0.3, 0.3, n)
+        phi[0] = top
+        E = random_unitary(n, rng).entries
+        Us = np.stack([np.eye(n), (E * np.exp(1j * phi)) @ E.conj().T])
+        if np.max(np.abs(np.linalg.eigvals(Us[1]) - 1.0)) <= bound:
+            _refine_unitary_path(Us, bound, 0)
+        else:
+            with pytest.raises(SamplingError, match="refinement exhausted"):
+                _refine_unitary_path(Us, bound, 0)
 
 
 def test_lift_refinement_exhaustion():
