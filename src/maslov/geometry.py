@@ -23,11 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, check_stack, embed_unitary, intersection_dim,
-                   omega_gram)
+                   Tolerances, check_stack, embed_unitary, omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
-from .index import LagrangianPath, clm_index
+from .index import LagrangianPath, _endpoint_indices, clm_index
 from .metaplectic import (Dilate, apply_generator, apply_to_delta,
                           apply_word_to_delta, det_branch_power,
                           endpoint_positive_factor, ground_state,
@@ -461,18 +460,14 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
     """
     tr = transport_frame(chart, path, tol=tol)
     n = chart.n
-    Lx = tr.tangent_path.frames[0]
-    Ly = tr.tangent_path.frames[-1]
-    d = intersection_dim(Lx, Ly, tol)
+    _, mu, d, s = _endpoint_indices(tr.tangent_path, tol)
     warnings = []
-    sv = np.linalg.svd(np.hstack([Lx.columns, Ly.columns]), compute_uv=False)
     floor = tol.rank_floor(2 * n)
-    if np.any((sv >= floor) & (sv < 10 * floor)):
+    if np.any((s >= floor) & (s < 10 * floor)):
         warnings.append("endpoint intersection is near-degenerate")
     U = tr.start_relative
     phase = lift_frame_path_trace(U, ground_state(n), tol)[0][-1]
     S_end = embed_unitary(U[-1], tol)
-    mu = clm_index(tr.tangent_path, tol)
     notes = [
         "endpoint tangent plane is taken at the path endpoint (transport direction)",
         "transverse-case phases carry the factor i^{+n/2} (state) / i^{-n/2} (dual) "

@@ -8,12 +8,16 @@ Every cover pair, transverse or not, takes the generalized Souriau form
     mu(x, y) = (theta_x - theta_y + i Tr' Log(-w_x w_y^{-1})) / pi
 
 with the principal logarithm of each eigenvalue, where Tr' skips the
-eigenvalues at 1, one per dimension of L_x cap L_y (Souriau, LNP 50, 1976;
-de Gosson, Symplectic Geometry and Quantum Mechanics, 2006, ch. 3).  Its
-sign conventions, together with the sign of the triple signature below, are
-pinned by two requirements that the test suite enforces exactly: the
-coboundary identity mu(x,y) - mu(x,z) + mu(y,z) = tau(L1,L2,L3), and the
-deck shift mu(beta^r x, y) = mu(x, y) + 2r.
+eigenvalues at 1, one per dimension k of L_x cap L_y (Souriau, LNP 50, 1976;
+de Gosson, Symplectic Geometry and Quantum Mechanics, 2006, ch. 3).  An
+eigenvalue e^{2 i t} (t a principal angle of the planes) at gap g from 1 has
+s = sqrt(1 - cos t) = (g/2) / sqrt(1 + sqrt(1 - g^2/4)); these n values are
+the small singular values of [Q_x | Q_y] for orthonormal frames Q, so
+k = #{s <= rank_floor(2n)} is the cut of core.intersection_dim, the public
+route on frames, with no frame built.  The sign conventions, with the sign of
+the triple signature below, are pinned by two requirements that the tests
+enforce exactly: the coboundary identity mu(x,y) - mu(x,z) + mu(y,z) =
+tau(L1,L2,L3), and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                    Tolerances, UnitaryComplex, _orthonormal_columns,
-                   bisect_geodesics, check_stack, intersection_dim,
-                   lagrangian_from_souriau, omega_gram, souriau_images,
-                   souriau_map)
+                   bisect_geodesics, check_stack, lagrangian_from_souriau,
+                   omega_gram, souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      TransversalityError)
 
@@ -119,10 +122,6 @@ def kashiwara_signature(L1: LagrangianFrame, L2: LagrangianFrame,
     return int(np.sum(ev > cut) - np.sum(ev < -cut))
 
 
-def _relative_eigs(x: CoverPoint, y: CoverPoint):
-    return np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
-
-
 def _transverse_index(dtheta: float, lam: np.ndarray, tol: Tolerances) -> int:
     """The closed Souriau form (dtheta + i Tr Log(-w_x w_y^{-1})) / pi, from
     dtheta = theta_x - theta_y and the eigenvalues lam of w_x w_y^{-1} that
@@ -146,37 +145,34 @@ def leray_transverse(x: CoverPoint, y: CoverPoint,
     """Leray index of a transverse cover pair via the closed Souriau form."""
     if x.n != y.n:
         raise DimensionMismatch("cover points over different n")
-    lam = _relative_eigs(x, y)
+    lam = np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
     if np.min(np.abs(lam - 1.0)) < tol.rank_floor(x.n) * 100:
         raise TransversalityError("underlying Lagrangians intersect")
     return _transverse_index(x.theta - y.theta, lam, tol)
 
 
-def _leray(x: CoverPoint, y: CoverPoint, tol: Tolerances):
-    """(mu(x, y), k = dim(L_x cap L_y)) by the closed form on the eigenvalues
-    of w_x w_y^{-1} other than the k at 1.  k is 0 without building frames
-    when no eigenvalue is within 100 rank_floor of 1; otherwise it is
-    intersection_dim of the two planes, and the k eigenvalues nearest 1 are
-    skipped.  The rounding and parity checks of _transverse_index (mu = n - k
-    mod 2) then guard every pair: skipping an eigenvalue that is not at 1
-    moves the value off an integer, or off that parity."""
-    if x.n != y.n:
+def _leray(wx: np.ndarray, wy: np.ndarray, dtheta: float, tol: Tolerances):
+    """(mu, k, s) of the cover pair with dtheta = theta_x - theta_y, as in the
+    module docstring, s ascending.  The rounding and parity checks
+    (mu = n - k mod 2) guard every pair: skipping an eigenvalue that is not
+    at 1 moves the value off an integer, or off that parity."""
+    if wx.shape != wy.shape:
         raise DimensionMismatch("cover points over different n")
-    lam = _relative_eigs(x, y)
-    gap = np.abs(lam - 1.0)
-    k = 0
-    if np.min(gap) <= tol.rank_floor(x.n) * 100:
-        k = intersection_dim(x.frame(tol), y.frame(tol), tol)
-    kept = lam[np.argsort(gap)[k:]]
-    return _transverse_index(x.theta - y.theta, kept, tol), k
+    lam = np.linalg.eigvals(wx @ np.linalg.inv(wy))
+    lam = lam[np.argsort(np.abs(lam - 1.0))]
+    g = np.abs(lam - 1.0)
+    s = (g / 2) / np.sqrt(1 + np.sqrt(np.maximum(1 - g ** 2 / 4, 0.0)))
+    k = int(np.sum(s <= tol.rank_floor(2 * len(s))))
+    return _transverse_index(dtheta, lam[k:], tol), k, s
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Leray index of an arbitrary cover pair, by the generalized Souriau
-    form (theta_x - theta_y + i Tr' Log(-w_x w_y^{-1})) / pi, where Tr' skips
-    the eigenvalues at 1, one per dimension of L_x cap L_y."""
-    return _leray(x, y, tol)[0]
+    """Leray index of an arbitrary cover pair: (theta_x - theta_y + i Tr'
+    Log(-w_x w_y^{-1})) / pi, Tr' skipping the k = #{s_j <= rank_floor(2n)}
+    eigenvalues e^{2 i t_j} nearest 1, where s_j = sqrt(1 - cos t_j); k is
+    the cut that core.intersection_dim makes on frames (see the module doc)."""
+    return _leray(x.w, y.w, x.theta - y.theta, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ class LagrangianPath:
         w = souriau_images(frames, tol)[1]
         self.n = w.shape[1]
         self.souriau, self.params = bisect_geodesics(
-            w, params, lambda w: np.sqrt(self.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2)),
+            w, params, lambda wa, wb: np.sqrt(self.n) * np.linalg.norm(wb - wa, axis=(1, 2)),
             MAX_SOURIAU_STEP, _MAX_REFINE_DEPTH, tol)
 
     @property
@@ -255,21 +251,21 @@ def lift_path(path: LagrangianPath, theta0: float,
     return theta
 
 
-def _endpoint_lifts(path: LagrangianPath, tol: Tolerances):
-    """Cover points (end, start) of the lift of the path from the principal
-    det-phase of its first sample."""
-    theta0 = float(np.angle(np.linalg.det(path.souriau[0])))
-    theta = lift_path(path, theta0, tol)
-    return (CoverPoint(path.souriau[-1], theta[-1], tol),
-            CoverPoint(path.souriau[0], theta[0], tol))
+def _endpoint_indices(path: LagrangianPath, tol: Tolerances):
+    """(mu, clm, k, s) of the path: _leray of the (end, start) lift from the
+    principal det-phase of its first sample, whose det residuals lift_path
+    checks, and the CLM index (mu - n + k)/2."""
+    w = path.souriau
+    theta = lift_path(path, float(np.angle(np.linalg.det(w[0]))), tol)
+    mu, k, s = _leray(w[-1], w[0], theta[-1] - theta[0], tol)
+    return mu, (mu - path.n + k) // 2, k, s
 
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Cappell-Lee-Miller index of the path against the constant path at its
-    endpoint, computed through the cover as (mu(end, start) - n + dim cap)/2
-    with the dim that the Leray index decided."""
-    mu, d = _leray(*_endpoint_lifts(path, tol), tol)
-    return (mu - path.n + d) // 2
+    endpoint, computed through the cover as (mu(end, start) - n + k)/2 with
+    the k = dim(L_end cap L_start) that the Leray index decided."""
+    return _endpoint_indices(path, tol)[1]
 
 
 def induced_lagrangian_path(symp_path: Sequence[SymplecticMatrix],
@@ -287,8 +283,7 @@ def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
     S0 = symp_path[0].entries
     if np.max(np.abs(S0 - np.eye(S0.shape[0]))) > tol.residual_tol * 100:
         raise InvariantViolation("symplectic path must start at the identity")
-    return leray_index(*_endpoint_lifts(induced_lagrangian_path(symp_path, L, tol), tol),
-                       tol)
+    return _endpoint_indices(induced_lagrangian_path(symp_path, L, tol), tol)[0]
 
 
 def random_cover_point(n: int, rng: np.random.Generator,

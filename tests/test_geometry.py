@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maslov import metaplectic
-from maslov.core import (DEFAULT_TOLERANCES, bisect_geodesics, line_frame,
-                         random_lagrangian, random_unitary)
+from maslov.core import (DEFAULT_TOLERANCES, bisect_geodesics,
+                         intersection_dim, line_frame, random_lagrangian,
+                         random_unitary)
 from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
-                           SamplingError)
+                           SamplingError, StateDomainError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              circle_chart, curve_chart_from_series,
                              flat_plane_chart, gradient_graph_chart,
@@ -246,13 +247,13 @@ def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30)
 
 def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
     """(c, M) of the ground state lifted along Us, with the eigenvalue step
-    measure on every step."""
-    n, steps = Us.shape[-1], metaplectic._steps
+    measure on every measured step (no norm screen)."""
+    n, adjoint = Us.shape[-1], metaplectic._adjoint
     t = np.arange(len(Us), dtype=float)
     U, td = bisect_geodesics(
-        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps(U)) - 1.0), axis=1),
+        Us, t, lambda Ua, Ub: np.max(np.abs(np.linalg.eigvals(Ub @ adjoint(Ua)) - 1.0), axis=1),
         metaplectic._step_bound(n), max_depth, tol)
-    c, M = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
+    c, M = metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
     keep = np.searchsorted(td, t)
     return c[keep], M[keep]
 
@@ -540,8 +541,16 @@ def test_corollary1_doubled_windings_exploratory():
 # theorem 2
 
 
+def tangent_endpoint_frames(chart, path):
+    """The first and last frames of the tangent path that transport builds."""
+    frames = transport_frame(chart, path).tangent_path.frames
+    return frames[0], frames[-1]
+
+
 def test_theorem2_quarter_arc():
-    rep = verify_theorem2(circle_chart(), ParamPath.circle_arc(0.25, 80))
+    path = ParamPath.circle_arc(0.25, 80)
+    rep = verify_theorem2(circle_chart(), path)
+    assert rep["intersection_dim"] == intersection_dim(*tangent_endpoint_frames(circle_chart(), path))
     assert rep["case"] == "transverse"
     assert rep["mu_clm"] == 0
     assert rep["branch"] == 1
@@ -554,7 +563,9 @@ def test_theorem2_quarter_arc():
 
 
 def test_theorem2_three_quarter_arc():
-    rep = verify_theorem2(circle_chart(), ParamPath.circle_arc(0.75, 250))
+    path = ParamPath.circle_arc(0.75, 250)
+    rep = verify_theorem2(circle_chart(), path)
+    assert rep["intersection_dim"] == intersection_dim(*tangent_endpoint_frames(circle_chart(), path))
     assert rep["case"] == "transverse"
     assert rep["mu_clm"] == 1
     assert (rep["branch"] - rep["mu_clm"] - 1) % 4 == 0
@@ -562,7 +573,9 @@ def test_theorem2_three_quarter_arc():
 
 
 def test_theorem2_closed_loop_tangent_case():
-    rep = verify_theorem2(circle_chart(), ParamPath.circle_arc(1.0, 300))
+    path = ParamPath.circle_arc(1.0, 300)
+    rep = verify_theorem2(circle_chart(), path)
+    assert rep["intersection_dim"] == intersection_dim(*tangent_endpoint_frames(circle_chart(), path))
     assert rep["case"] == "tangent"
     assert rep["mu_clm"] == 2
     # dual transport inverts the theorem-1 phase
@@ -573,12 +586,27 @@ def test_theorem2_closed_loop_tangent_case():
 
 def test_theorem2_constant_path():
     chart = circle_chart()
-    rep = verify_theorem2(chart, ParamPath(np.array([[0.2], [0.2], [0.2]]), closed=True),
-                          levels=(0,))
+    path = ParamPath(np.array([[0.2], [0.2], [0.2]]), closed=True)
+    rep = verify_theorem2(chart, path, levels=(0,))
+    assert rep["intersection_dim"] == intersection_dim(*tangent_endpoint_frames(chart, path))
     assert rep["case"] == "tangent"
     assert rep["mu_clm"] == 0
     assert abs(complex(*rep["dual_prefactor"]) - 1.0) < 1e-12
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("delta", [4.24e-8, 1e-7])
+def test_theorem2_near_degenerate_endpoint_raises(delta):
+    # the endpoint tangent lines meet at an angle whose small singular value
+    # lies in the near-degenerate window [floor, 10 floor); the transverse
+    # branch pin then meets a Gaussian matrix with Re M at the rank floor
+    path = ParamPath.line([0.0], [2 * np.pi + delta], 300)
+    La, Lb = tangent_endpoint_frames(circle_chart(), path)
+    sv = np.linalg.svd(np.hstack([La.columns, Lb.columns]), compute_uv=False)
+    floor = DEFAULT_TOLERANCES.rank_floor(2)
+    assert floor <= sv.min() < 10 * floor
+    with pytest.raises(StateDomainError, match=r"Re\(M\) must be positive definite"):
+        verify_theorem2(circle_chart(), path)
 
 
 def test_theorem2_rejects_partial_intersection():

@@ -11,8 +11,8 @@ from maslov.core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                          line_frame, random_lagrangian, random_unitary,
                          souriau_map)
 from maslov.errors import InvariantViolation, TransversalityError
-from maslov.index import (CoverPoint, DeckAction, LagrangianPath, clm_index,
-                          cover_action, induced_lagrangian_path,
+from maslov.index import (CoverPoint, DeckAction, LagrangianPath, _leray,
+                          clm_index, cover_action, induced_lagrangian_path,
                           kashiwara_signature, leray_index, leray_transverse,
                           lift_path, mu_hat_on_cover, random_cover_point)
 
@@ -206,6 +206,14 @@ def test_leray_index_matches_the_reference_cocycle(n, k, seed, shifts, near):
     d = intersection_dim(x.frame(), y.frame())
     assert near or d == k
     mu = leray_index(x, y)
+    # the s_j of the eigenvalues are the n small singular values of the
+    # stacked orthonormal frames, and k is intersection_dim away from its cut
+    mu_s, k_s, s = _leray(x.w, y.w, x.theta - y.theta, DEFAULT_TOLERANCES)
+    sv = np.linalg.svd(np.hstack([x.frame().columns, y.frame().columns]), compute_uv=False)
+    assert mu_s == mu and np.max(np.abs(s - np.sort(sv)[:n])) <= 1e-12
+    floor = DEFAULT_TOLERANCES.rank_floor(2 * n)
+    if np.all(np.abs(s - floor) > 1e-6 * floor):
+        assert k_s == d
     try:
         ref = reference_leray_index(x, y)
     except AssertionError as err:
