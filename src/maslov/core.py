@@ -146,9 +146,8 @@ def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
 def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
                      max_depth: int, tol: Tolerances = DEFAULT_TOLERANCES):
     """Dense (X, t) of a path of unitaries X, shape (N, n, n), sampled at the
-    parameters t: every step X_a -> X_b whose size step_sizes(X_a, X_b), one
-    per step of two stacks, exceeds bound gets its geodesic midpoint, a level
-    at a time, up to max_depth levels; a level measures only its new steps.
+    parameters t: every step whose step_sizes(X) entry exceeds bound gets
+    its geodesic midpoint, a whole level at a time, up to max_depth levels.
 
     The midpoint of a step from X_a to X_b is polar(X_a + X_b), one batched
     SVD per level.  That is (X_b X_a^*)^{1/2} X_a with the principal root,
@@ -157,9 +156,8 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
     midpoint, symmetric again.  A step with X_a + X_b singular below
     rank_floor is antipodal: no midpoint is preferred, and it raises.
     """
-    sizes = step_sizes(X[:-1], X[1:])
     for depth in range(max_depth + 1):
-        bad = np.flatnonzero(~(sizes <= bound))  # NaN steps fail too
+        bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too
         if not bad.size:
             return X, t
         if depth == max_depth:
@@ -171,9 +169,6 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
                     t[bad], t[bad + 1], s[:, -1], entry=None)
         X = np.insert(X, bad + 1, W @ Zh, axis=0)
         t = np.insert(t, bad + 1, (t[bad] + t[bad + 1]) / 2)
-        new = np.concatenate([bad, bad + 1]) + np.tile(np.arange(bad.size), 2)
-        sizes = np.insert(sizes, bad + 1, np.nan)
-        sizes[new] = step_sizes(X[new], X[new + 1])
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,16 @@ Every cover pair, transverse or not, takes the generalized Souriau form
 
     mu(x, y) = (theta_x - theta_y + i Tr' Log(-w_x w_y^{-1})) / pi
 
-with the principal logarithm of each eigenvalue, where Tr' skips the
-eigenvalues at 1, one per dimension k of L_x cap L_y (Souriau, LNP 50, 1976;
-de Gosson, Symplectic Geometry and Quantum Mechanics, 2006, ch. 3).  An
-eigenvalue e^{2 i t} (t a principal angle of the planes) at gap g from 1 has
-s = sqrt(1 - cos t) = (g/2) / sqrt(1 + sqrt(1 - g^2/4)); these n values are
-the small singular values of [Q_x | Q_y] for orthonormal frames Q, so
-k = #{s <= rank_floor(2n)} is the cut of core.intersection_dim, the public
-route on frames, with no frame built.  The sign conventions, with the sign of
-the triple signature below, are pinned by two requirements that the tests
-enforce exactly: the coboundary identity mu(x,y) - mu(x,z) + mu(y,z) =
-tau(L1,L2,L3), and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
+with principal logarithms, Tr' skipping the k = dim(L_x cap L_y) eigenvalues
+at 1 (Souriau, LNP 50, 1976; de Gosson, Symplectic Geometry and Quantum
+Mechanics, 2006, ch. 3).  An eigenvalue e^{2 i t} at gap g from 1 gives
+s = sqrt(1 - cos t) = (g/2) / sqrt(1 + sqrt(1 - g^2/4)), t a principal angle
+of the planes; these n values are the small singular values of [Q_x | Q_y]
+for orthonormal frames Q, so k = #{s <= rank_floor(2n)} is the cut of
+core.intersection_dim, the public route on frames, with no frame built.  The
+tests pin the sign conventions, with the sign of the triple signature below,
+exactly by the coboundary identity mu(x,y) - mu(x,z) + mu(y,z) =
+tau(L1,L2,L3) and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
 """
 
 from __future__ import annotations
@@ -153,25 +152,22 @@ def leray_transverse(x: CoverPoint, y: CoverPoint,
 
 def _leray(wx: np.ndarray, wy: np.ndarray, dtheta: float, tol: Tolerances):
     """(mu, k, s) of the cover pair with dtheta = theta_x - theta_y, as in the
-    module docstring, s ascending.  The rounding and parity checks
-    (mu = n - k mod 2) guard every pair: skipping an eigenvalue that is not
-    at 1 moves the value off an integer, or off that parity."""
+    module docstring, s ascending.  Rounding and the parity mu = n - k mod 2
+    guard every pair: a skipped eigenvalue not at 1 breaks one of them."""
     if wx.shape != wy.shape:
         raise DimensionMismatch("cover points over different n")
     lam = np.linalg.eigvals(wx @ np.linalg.inv(wy))
-    lam = lam[np.argsort(np.abs(lam - 1.0))]
     g = np.abs(lam - 1.0)
     s = (g / 2) / np.sqrt(1 + np.sqrt(np.maximum(1 - g ** 2 / 4, 0.0)))
     k = int(np.sum(s <= tol.rank_floor(2 * len(s))))
-    return _transverse_index(dtheta, lam[k:], tol), k, s
+    return _transverse_index(dtheta, lam[np.argsort(g)[k:]], tol), k, np.sort(s)
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Leray index of an arbitrary cover pair: (theta_x - theta_y + i Tr'
-    Log(-w_x w_y^{-1})) / pi, Tr' skipping the k = #{s_j <= rank_floor(2n)}
-    eigenvalues e^{2 i t_j} nearest 1, where s_j = sqrt(1 - cos t_j); k is
-    the cut that core.intersection_dim makes on frames (see the module doc)."""
+    """Leray index of an arbitrary cover pair by the module's closed form:
+    Tr' skips the k = #{s_j <= rank_floor(2n)} eigenvalues e^{2 i t_j} nearest
+    1, s_j = sqrt(1 - cos t_j), the cut core.intersection_dim makes on frames."""
     return _leray(x.w, y.w, x.theta - y.theta, tol)[0]
 
 
@@ -222,7 +218,7 @@ class LagrangianPath:
         w = souriau_images(frames, tol)[1]
         self.n = w.shape[1]
         self.souriau, self.params = bisect_geodesics(
-            w, params, lambda wa, wb: np.sqrt(self.n) * np.linalg.norm(wb - wa, axis=(1, 2)),
+            w, params, lambda w: np.sqrt(self.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2)),
             MAX_SOURIAU_STEP, _MAX_REFINE_DEPTH, tol)
 
     @property
@@ -252,9 +248,8 @@ def lift_path(path: LagrangianPath, theta0: float,
 
 
 def _endpoint_indices(path: LagrangianPath, tol: Tolerances):
-    """(mu, clm, k, s) of the path: _leray of the (end, start) lift from the
-    principal det-phase of its first sample, whose det residuals lift_path
-    checks, and the CLM index (mu - n + k)/2."""
+    """(mu, clm, k, s) of the path: _leray of its (end, start) lift from the
+    principal det-phase of its first sample, and clm = (mu - n + k)/2."""
     w = path.souriau
     theta = lift_path(path, float(np.angle(np.linalg.det(w[0]))), tol)
     mu, k, s = _leray(w[-1], w[0], theta[-1] - theta[0], tol)
@@ -263,8 +258,8 @@ def _endpoint_indices(path: LagrangianPath, tol: Tolerances):
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Cappell-Lee-Miller index of the path against the constant path at its
-    endpoint, computed through the cover as (mu(end, start) - n + k)/2 with
-    the k = dim(L_end cap L_start) that the Leray index decided."""
+    endpoint: (mu(end, start) - n + k)/2 through the cover, with the
+    k = dim(L_end cap L_start) that _leray reads off the Souriau spectrum."""
     return _endpoint_indices(path, tol)[1]
 
 

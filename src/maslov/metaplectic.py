@@ -608,11 +608,11 @@ def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
     sample index.  A step whose ||V - I||_F = ||U_{k+1} - U_k||_F, a bound on
     every |eig(V) - 1|, is under the bound by the margin takes no eigvals.
     Returns the dense path, its steps and the dense positions of the inputs."""
-    def sizes(Ua, Ub):
-        D = Ub - Ua
+    def sizes(U):
+        D = U[1:] - U[:-1]
         size = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(1, 2)))
         k = np.flatnonzero(~(size <= (1 - _SCREEN_MARGIN) * bound))
-        size[k] = np.max(np.abs(np.linalg.eigvals(Ub[k] @ _adjoint(Ua[k])) - 1.0), axis=1)
+        size[k] = np.max(np.abs(np.linalg.eigvals(U[k + 1] @ _adjoint(U[k])) - 1.0), axis=1)
         return size
 
     t = np.arange(len(Us), dtype=float)

@@ -31,7 +31,7 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 def library_midpoint(Xa, Xb):
     """The midpoint bisect_geodesics inserts into the one step Xa -> Xb."""
     X, t = bisect_geodesics(np.array([Xa, Xb]), np.array([0.0, 1.0]),
-                            lambda A, B: np.full(len(A), float(len(A) == 1)), 0.5, 1)
+                            lambda X: np.full(len(X) - 1, float(len(X) == 2)), 0.5, 1)
     assert np.array_equal(t, [0.0, 0.5, 1.0])
     return X[1]
 

@@ -247,13 +247,13 @@ def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30)
 
 def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
     """(c, M) of the ground state lifted along Us, with the eigenvalue step
-    measure on every measured step (no norm screen)."""
-    n, adjoint = Us.shape[-1], metaplectic._adjoint
+    measure on every step."""
+    n, steps = Us.shape[-1], metaplectic._steps
     t = np.arange(len(Us), dtype=float)
     U, td = bisect_geodesics(
-        Us, t, lambda Ua, Ub: np.max(np.abs(np.linalg.eigvals(Ub @ adjoint(Ua)) - 1.0), axis=1),
+        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps(U)) - 1.0), axis=1),
         metaplectic._step_bound(n), max_depth, tol)
-    c, M = metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
+    c, M = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
     keep = np.searchsorted(td, t)
     return c[keep], M[keep]
 
