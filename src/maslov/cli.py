@@ -259,8 +259,7 @@ def _run_holonomy(spec, tol):
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
     c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
                                     max_depth=refine_max)
-    theta0 = float(np.angle(np.linalg.det(tr.tangent_path.souriau[0])))
-    theta = lift_path(tr.tangent_path, theta0, tol)
+    theta = lift_path(tr.tangent_path, tol)
     rows = zip(tr.params, theta, c.real, c.imag)
     phase = c[-1]
     label, resid = fourth_root_label(phase, tol)

@@ -256,12 +256,6 @@ def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -
     return U
 
 
-def unitary_from_symplectic(S: SymplecticMatrix,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Recover U with embed_unitary(U) = S; S must lie in the unitary image."""
-    return unitaries_from_symplectic([S], tol)[0]
-
-
 def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
     """Souriau images of a stack of frames F of shape (N, 2n, n), as (V, w).
 

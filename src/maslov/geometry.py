@@ -27,10 +27,10 @@ from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
-from .metaplectic import (Dilate, apply_generator, apply_to_delta,
-                          apply_word_to_delta, det_branch_power,
-                          endpoint_positive_factor, ground_state,
-                          hermite_state, lift_frame_path_trace,
+from .metaplectic import (Dilate, _nearest_fourth_root, apply_generator,
+                          apply_to_delta, apply_word_to_delta,
+                          det_branch_power, endpoint_positive_factor,
+                          ground_state, hermite_state, lift_frame_path_trace,
                           pin_branch_orthogonal, pin_branch_transverse,
                           quarter_turn, root_i_power)
 
@@ -382,10 +382,9 @@ def _phase_pair(z):
 
 def fourth_root_label(z: complex, tol: Tolerances = DEFAULT_TOLERANCES):
     """Label a unit phase by the nearest fourth root of unity and the residual."""
-    roots = {"1": 1.0, "i": 1j, "-1": -1.0, "-i": -1j}
-    name, root = min(roots.items(), key=lambda kv: abs(z - kv[1]))
-    resid = float(abs(z - root))
-    return (name if resid <= 10 * tol.phase_tol else "none"), resid
+    m, resid = _nearest_fourth_root(z)
+    label = ("1", "i", "-1", "-i")[m] if resid <= 10 * tol.phase_tol else "none"
+    return label, float(resid)
 
 
 def verify_theorem1(chart: LagrangianChart, path: ParamPath,

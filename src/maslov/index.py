@@ -13,10 +13,11 @@ Mechanics, 2006, ch. 3).  An eigenvalue e^{2 i t} at gap g from 1 gives
 s = sqrt(1 - cos t) = (g/2) / sqrt(1 + sqrt(1 - g^2/4)), t a principal angle
 of the planes; these n values are the small singular values of [Q_x | Q_y]
 for orthonormal frames Q, so k = #{s <= rank_floor(2n)} is the cut of
-core.intersection_dim, the public route on frames, with no frame built.  The
-tests pin the sign conventions, with the sign of the triple signature below,
-exactly by the coboundary identity mu(x,y) - mu(x,z) + mu(y,z) =
-tau(L1,L2,L3) and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
+core.intersection_dim, the public route on frames, with no frame built.  It
+is the one rule for whether two planes meet: leray_transverse raises where
+k > 0.  The tests pin the sign conventions, with the sign of the triple
+signature below, exactly by the coboundary identity mu(x,y) - mu(x,z) +
+mu(y,z) = tau(L1,L2,L3) and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
 """
 
 from __future__ import annotations
@@ -121,33 +122,14 @@ def kashiwara_signature(L1: LagrangianFrame, L2: LagrangianFrame,
     return int(np.sum(ev > cut) - np.sum(ev < -cut))
 
 
-def _transverse_index(dtheta: float, lam: np.ndarray, tol: Tolerances) -> int:
-    """The closed Souriau form (dtheta + i Tr Log(-w_x w_y^{-1})) / pi, from
-    dtheta = theta_x - theta_y and the eigenvalues lam of w_x w_y^{-1} that
-    are not at 1, rounded and checked against the parity mu = len(lam) mod 2."""
-    # Tr Log(-w_x w_y^{-1}); eigenvalues are unit modulus and not at 1, so
-    # -lam is never on (-inf, 0]
-    trlog = np.sum(np.log(-lam))
-    val = (dtheta + (1j * trlog).real) / np.pi
-    mu = round(val)
-    if abs(val - mu) > tol.phase_tol:
-        raise ConditioningError(
-            "Leray index = %.12g is not within phase_tol of an integer" % val)
-    if (mu - len(lam)) % 2:
-        raise ConditioningError("Leray parity violated: mu = %d with %d eigenvalues "
-                                "away from 1" % (mu, len(lam)))
-    return int(mu)
-
-
 def leray_transverse(x: CoverPoint, y: CoverPoint,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Leray index of a transverse cover pair via the closed Souriau form."""
-    if x.n != y.n:
-        raise DimensionMismatch("cover points over different n")
-    lam = np.linalg.eigvals(x.w @ np.linalg.inv(y.w))
-    if np.min(np.abs(lam - 1.0)) < tol.rank_floor(x.n) * 100:
+    """Leray index of a transverse cover pair: leray_index, raising
+    TransversalityError where _leray finds that the planes meet (k > 0)."""
+    mu, k, _ = _leray(x.w, y.w, x.theta - y.theta, tol)
+    if k:
         raise TransversalityError("underlying Lagrangians intersect")
-    return _transverse_index(x.theta - y.theta, lam, tol)
+    return mu
 
 
 def _leray(wx: np.ndarray, wy: np.ndarray, dtheta: float, tol: Tolerances):
@@ -160,7 +142,18 @@ def _leray(wx: np.ndarray, wy: np.ndarray, dtheta: float, tol: Tolerances):
     g = np.abs(lam - 1.0)
     s = (g / 2) / np.sqrt(1 + np.sqrt(np.maximum(1 - g ** 2 / 4, 0.0)))
     k = int(np.sum(s <= tol.rank_floor(2 * len(s))))
-    return _transverse_index(dtheta, lam[np.argsort(g)[k:]], tol), k, np.sort(s)
+    # Tr' Log(-w_x w_y^{-1}); the kept eigenvalues are unit modulus and not
+    # at 1, so -lam is never on (-inf, 0]
+    trlog = np.sum(np.log(-lam[np.argsort(g)[k:]]))
+    val = (dtheta + (1j * trlog).real) / np.pi
+    mu = round(val)
+    if abs(val - mu) > tol.phase_tol:
+        raise ConditioningError(
+            "Leray index = %.12g is not within phase_tol of an integer" % val)
+    if (mu - len(lam) + k) % 2:
+        raise ConditioningError("Leray parity violated: mu = %d with %d eigenvalues "
+                                "away from 1" % (mu, len(lam) - k))
+    return int(mu), k, np.sort(s)
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,
@@ -229,17 +222,18 @@ class LagrangianPath:
         return len(self.souriau)
 
 
-def lift_path(path: LagrangianPath, theta0: float,
+def lift_path(path: LagrangianPath,
               tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Continuous lift of the path to the cover: the unwrapped det-phases
-    theta_k, shape (N,), starting at theta0, so that (w_k, theta_k) is the
-    lift of sample k.  Every step of a LagrangianPath turns det w by at most
-    pi/4, so its increment is the wrapped difference of the principal
-    phases; one residual |det w_k - e^{i theta_k}| over the whole path
-    checks the result."""
+    theta_k, shape (N,), starting at the principal phase of det w_0, so that
+    (w_k, theta_k) is the lift of sample k; a deck shift adds 2 pi r.  Every
+    step of a LagrangianPath turns det w by at most pi/4, so its increment
+    is the wrapped difference of the principal phases; one residual
+    |det w_k - e^{i theta_k}| over the whole path checks the result."""
     dets = np.linalg.det(path.souriau)
-    steps = (np.diff(np.angle(dets)) + np.pi) % (2 * np.pi) - np.pi
-    theta = np.cumsum(np.concatenate([[float(theta0)], steps]))
+    phases = np.angle(dets)
+    steps = (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi
+    theta = np.cumsum(np.concatenate([phases[:1], steps]))
     resid = np.abs(dets - np.exp(1j * theta))
     check_stack(resid <= tol.phase_tol, InvariantViolation,
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e", resid,
@@ -248,10 +242,10 @@ def lift_path(path: LagrangianPath, theta0: float,
 
 
 def _endpoint_indices(path: LagrangianPath, tol: Tolerances):
-    """(mu, clm, k, s) of the path: _leray of its (end, start) lift from the
-    principal det-phase of its first sample, and clm = (mu - n + k)/2."""
+    """(mu, clm, k, s) of the path: _leray of its (end, start) lift, and
+    clm = (mu - n + k)/2."""
     w = path.souriau
-    theta = lift_path(path, float(np.angle(np.linalg.det(w[0]))), tol)
+    theta = lift_path(path, tol)
     mu, k, s = _leray(w[-1], w[0], theta[-1] - theta[0], tol)
     return mu, (mu - path.n + k) // 2, k, s
 

@@ -59,6 +59,13 @@ def quarter_turn(m: int) -> complex:
     return 1j ** (m % 4)
 
 
+def _nearest_fourth_root(z: complex):
+    """(m, |z - i^m|) for the fourth root of unity i^m nearest z; a NaN z gives
+    a NaN residual, which every cut written as `not resid <= cut` rejects."""
+    m = min(range(4), key=lambda j: abs(z - quarter_turn(j)))
+    return m, abs(z - quarter_turn(m))
+
+
 def root_i_power(k: int) -> complex:
     """i^{k/2} with the fixed root i^{1/2} = e^{i pi/4}."""
     return np.exp(0.25j * np.pi * k)
@@ -253,9 +260,6 @@ class Polynomial:
 
     def scale(self, a) -> "Polynomial":
         return Polynomial._dense(self.basis, a * self.vec)
-
-    def conjugate(self) -> "Polynomial":
-        return Polynomial._dense(self.basis, self.vec.conj())
 
     def diff(self, j: int) -> "Polynomial":
         low = _basis(self.n, max(self.basis.D - 1, 0))
@@ -778,10 +782,8 @@ def pin_branch_transverse(S_end: SymplecticMatrix, lift_c: complex,
     n = S_end.n
     qf0 = quad_fourier_from_symplectic(S_end, 0, tol)
     base = apply_quad_fourier(qf0, ground_state(n), tol).c
-    ratio = lift_c / base
-    m = int(round(2.0 * np.angle(ratio) / np.pi)) % 4
-    resid = abs(ratio - quarter_turn(m))
-    if resid > 100 * tol.phase_tol:
+    m, resid = _nearest_fourth_root(lift_c / base)
+    if not resid <= 100 * tol.phase_tol:
         raise ConditioningError(
             "lifted phase does not match any branch: residual %.3e" % resid)
     return qf0.with_branch(m)
@@ -791,9 +793,8 @@ def pin_branch_orthogonal(lift_c: complex,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Branch integer at an orthogonal-type endpoint, where the lifted
     ground-state phase is a fourth root of unity i^m."""
-    m = int(round(2.0 * np.angle(lift_c) / np.pi)) % 4
-    resid = abs(lift_c - quarter_turn(m))
-    if resid > 100 * tol.phase_tol:
+    m, resid = _nearest_fourth_root(lift_c)
+    if not resid <= 100 * tol.phase_tol:
         raise ConditioningError(
             "lifted phase %.6g%+.6gj is not a fourth root of unity" %
             (lift_c.real, lift_c.imag))

@@ -224,7 +224,7 @@ def test_criterion_8_calculus_health():
             out2 = apply_quad_fourier(qf, s)
             ok = ok and abs(l2_norm_squared(out2) - norm0) < NORM_TOL * max(1.0, norm0)
     # branch stability under sampling doubling
-    from maslov.core import unitary_from_symplectic
+    from maslov.core import unitaries_from_symplectic
     for _ in range(10):
         n = int(rng.integers(1, 3))
         base = _random_unitary_path(n, rng, k=30)
@@ -232,7 +232,7 @@ def test_criterion_8_calculus_health():
         mid = []
         for a, b in zip(base[:-1], base[1:]):
             mid.append(a)
-            Ua, Ub = unitary_from_symplectic(a), unitary_from_symplectic(b)
+            Ua, Ub = unitaries_from_symplectic([a, b])
             mid.append(SymplecticMatrix(embed_unitary(
                 _schur_sqrt(Ub @ Ua.conj().T) @ Ua).entries))
         mid.append(base[-1])

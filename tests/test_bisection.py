@@ -105,7 +105,7 @@ def test_souriau_steps_turn_det_by_at_most_a_quarter_pi(n, seed):
     assert np.max(np.sum(np.abs(args), axis=1)) <= np.pi / 4 + 1e-12
     theta0 = float(np.angle(np.linalg.det(w[0])))
     want = theta0 + np.concatenate([[0.0], np.cumsum(np.sum(args, axis=1))])
-    assert np.max(np.abs(lift_path(LagrangianPath(frames), theta0) - want)) <= 1e-12
+    assert np.max(np.abs(lift_path(LagrangianPath(frames)) - want)) <= 1e-12
 
 
 @given(n=DIMS, seed=SEEDS)

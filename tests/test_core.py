@@ -9,7 +9,7 @@ from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
                          l0_frame, lagrangian_from_souriau, line_frame,
                          omega_gram, random_lagrangian, random_unitary,
                          souriau_images, souriau_map, standard_j,
-                         unitary_from_symplectic)
+                         unitaries_from_symplectic)
 from maslov.errors import DimensionMismatch, InvariantViolation
 
 
@@ -251,9 +251,9 @@ def test_symplectic_wrapper():
 def test_unitary_from_symplectic_round_trip(rng):
     U = random_unitary(3, rng).entries
     S = embed_unitary(U)
-    assert np.max(np.abs(unitary_from_symplectic(S) - U)) < 1e-12
+    assert np.max(np.abs(unitaries_from_symplectic([S])[0] - U)) < 1e-12
     with pytest.raises(InvariantViolation):
-        unitary_from_symplectic(SymplecticMatrix(np.diag([2.0, 0.5])))
+        unitaries_from_symplectic([SymplecticMatrix(np.diag([2.0, 0.5]))])
 
 
 def test_kahler_pair_and_tolerances():

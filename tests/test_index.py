@@ -191,8 +191,8 @@ def test_leray_auxiliary_lift_independence(rng):
         z = random_cover_point(n, rng)  # generic: transverse to both planes
         zs = DeckAction(int(rng.integers(-3, 4)))(z)
         tau = kashiwara_signature(x.frame(), y.frame(), z.frame())
-        v1 = leray_transverse(x, z) - leray_transverse(y, z) + tau
-        v2 = leray_transverse(x, zs) - leray_transverse(y, zs) + tau
+        v1 = reference_transverse(x, z) - reference_transverse(y, z) + tau
+        v2 = reference_transverse(x, zs) - reference_transverse(y, zs) + tau
         assert v1 == v2 == leray_index(x, y)
 
 
@@ -214,6 +214,12 @@ def test_leray_index_matches_the_reference_cocycle(n, k, seed, shifts, near):
     floor = DEFAULT_TOLERANCES.rank_floor(2 * n)
     if np.all(np.abs(s - floor) > 1e-6 * floor):
         assert k_s == d
+    # leray_transverse decides transversality by the same k
+    if k_s == 0:
+        assert leray_transverse(x, y) == mu
+    else:
+        with pytest.raises(TransversalityError):
+            leray_transverse(x, y)
     try:
         ref = reference_leray_index(x, y)
     except AssertionError as err:
@@ -330,14 +336,14 @@ def test_cover_point_rejects_nan():
 
 def test_lift_constant_path():
     path = LagrangianPath([line_frame(0.4)] * 5)
-    theta = lift_path(path, np.angle(np.linalg.det(path.souriau[0])))
+    theta = lift_path(path)
     assert theta.shape == (5,)
     assert np.allclose(theta, theta[0])
 
 
 def test_lift_circle_tangent_loop_winding():
     path, ts = circle_tangent_path(1.0, 300)
-    theta = lift_path(path, 0.0)
+    theta = lift_path(path)
     assert abs((theta[-1] - theta[0]) - 4 * np.pi) < 1e-9
     # oracle: dense accumulation of principal steps of arg det w
     alphas = ts + np.pi / 2
@@ -361,14 +367,8 @@ def test_lift_product_path_multiplicative():
         F[1, 1], F[3, 1] = fixed[0, 0], fixed[1, 0]
         frames.append(LagrangianFrame(F))
     path = LagrangianPath(frames)
-    theta = lift_path(path, float(np.angle(np.linalg.det(path.souriau[0]))))
+    theta = lift_path(path)
     assert abs((theta[-1] - theta[0]) - 4 * np.pi) < 1e-9
-
-
-def test_lift_rejects_wrong_theta0():
-    path, _ = circle_tangent_path(1.0, 100)
-    with pytest.raises(InvariantViolation):
-        lift_path(path, 1.0)
 
 
 def test_clm_constant_path():

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from maslov import metaplectic
 from maslov.core import (DEFAULT_TOLERANCES, SymplecticMatrix, embed_unitary,
-                         l0_frame, random_unitary, unitary_from_symplectic)
+                         l0_frame, random_unitary, unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            InvariantViolation, SamplingError, StateDomainError)
 from maslov.index import mu_hat_on_cover
@@ -346,7 +346,8 @@ def test_l2_inner_matches_product_route(data):
     s1 = GaussianAmplitude(0.9 - 0.4j, data.draw(gaussian_matrices(n)), data.draw(polynomials(n)))
     s2 = GaussianAmplitude(-0.3 + 1.2j, data.draw(gaussian_matrices(n)),
                            data.draw(polynomials(n)))
-    prod = Polynomial(n, dict_product(s1.poly.coeffs, s2.poly.conjugate().coeffs, n))
+    conj2 = Polynomial._dense(s2.poly.basis, s2.poly.vec.conj())
+    prod = Polynomial(n, dict_product(s1.poly.coeffs, conj2.coeffs, n))
     want = gaussian_integral(GaussianAmplitude(s1.c * np.conj(s2.c), s1.M + s2.M.conj(), prod))
     scale = np.sqrt(l2_norm_squared(s1) * l2_norm_squared(s2))  # bounds |<s1, s2>|
     assert abs(l2_inner(s1, s2) - want) <= 1e-12 * scale
@@ -600,6 +601,17 @@ def test_lift_rotation_loop_ground_state():
     assert m == 2
 
 
+def test_branch_pins_reject_a_nan_phase_with_a_typed_error():
+    from maslov.geometry import fourth_root_label
+    nan = complex("nan")
+    with pytest.raises(ConditioningError):
+        pin_branch_orthogonal(nan)
+    with pytest.raises(ConditioningError):
+        pin_branch_transverse(rotation(1.0), nan)
+    label, resid = fourth_root_label(nan)
+    assert label == "none" and np.isnan(resid)
+
+
 def test_lift_orthogonal_endpoint_phases(rng):
     # closed unitary loops land on fourth roots of unity
     for loop_scale in (1.0, 2.0):
@@ -616,7 +628,6 @@ def test_lift_rejects_non_unitary_sample_and_names_it():
 
 
 def test_lift_branch_stability_under_doubling(rng):
-    from maslov.core import unitary_from_symplectic
     for _ in range(20):
         n = int(rng.integers(1, 3))
         base = random_unitary_path(n, rng, k=30)
@@ -625,8 +636,7 @@ def test_lift_branch_stability_under_doubling(rng):
         mid = []
         for a, b in zip(base[:-1], base[1:]):
             mid.append(a)
-            Ua = unitary_from_symplectic(a)
-            Ub = unitary_from_symplectic(b)
+            Ua, Ub = unitaries_from_symplectic([a, b])
             Um = schur_sqrt(Ub @ Ua.conj().T) @ Ua
             mid.append(SymplecticMatrix(embed_unitary(Um).entries))
         mid.append(base[-1])
