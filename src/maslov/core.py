@@ -93,10 +93,19 @@ def _orthonormal_columns(F: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _as_array(x, dtype=float):
-    a = np.array(x, dtype=dtype)
-    a.setflags(write=False)
-    return a
+def _set_fields(obj, **fields):
+    """Store the fields of the frozen obj, arrays made read-only; returns obj."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted(cls, **fields):
+    """A cls holding fields without its constructor's checks: only for values
+    built from checked values, each call site saying why they would pass."""
+    return _set_fields(object.__new__(cls), **fields)
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,7 @@ class SymplecticMatrix:
         if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation(
                 "not symplectic: ||S^T J S - J||_inf = %.3e" % resid)
-        object.__setattr__(self, "entries", _as_array(entries))
-        object.__setattr__(self, "n", n)
+        _set_fields(self, entries=np.array(entries), n=n)
 
     def __matmul__(self, other):
         if isinstance(other, SymplecticMatrix):
@@ -184,7 +192,7 @@ class UnitaryComplex:
         resid = _unitarity_residuals(entries)
         if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
-        object.__setattr__(self, "entries", _as_array(entries, dtype=complex))
+        _set_fields(self, entries=np.array(entries))
 
     @property
     def n(self):
@@ -211,11 +219,11 @@ class LagrangianFrame:
             raise InvariantViolation("frame is not isotropic: residual %.3e" % iso)
         if sv[-1] < tol.rank_floor(2 * n):
             raise InvariantViolation("frame is rank deficient: sigma_min %.3e" % sv[-1])
-        object.__setattr__(self, "columns", _as_array(columns))
-        object.__setattr__(self, "n", n)
+        _set_fields(self, columns=np.array(columns), n=n)
 
     def orthonormalized(self) -> "LagrangianFrame":
-        return LagrangianFrame(_orthonormal_columns(self.columns))
+        # QR of a checked full-rank isotropic frame: the same plane, orthonormal
+        return _trusted(LagrangianFrame, columns=_orthonormal_columns(self.columns), n=self.n)
 
 
 def l0_frame(n: int) -> LagrangianFrame:
@@ -233,14 +241,14 @@ def embed_unitary(U, tol: Tolerances = DEFAULT_TOLERANCES) -> SymplecticMatrix:
     if not isinstance(U, UnitaryComplex):
         U = UnitaryComplex(U, tol)
     A, B = U.entries.real, U.entries.imag
-    return SymplecticMatrix(np.concatenate([np.concatenate([A, -B], axis=1),
-                                            np.concatenate([B, A], axis=1)]), tol)
+    # S^T J0 S - J0 = embed(U*U - I) J0: the unitarity check covers symplecticity
+    return _trusted(SymplecticMatrix, entries=np.block([[A, -B], [B, A]]), n=U.n)
 
 
 def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Stack of the U_k with embed_unitary(U_k) = S_k along a path of
-    unitary-image symplectic matrices.  One batched block and unitarity check
-    names the first sample outside the unitary image."""
+    """Stack of the U_k with embed_unitary(U_k) = S_k along a path of checked
+    symplectic matrices, which are unitary images if of block form: one
+    batched block check names the first sample outside the unitary image."""
     if not len(symp_path):
         raise InvariantViolation("empty symplectic path")
     S = np.array([s.entries for s in symp_path])
@@ -249,10 +257,8 @@ def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -
     U = A + 1j * C
     block = np.maximum(np.max(np.abs(A - D), axis=(1, 2)),
                        np.max(np.abs(B + C), axis=(1, 2)))
-    unit = _unitarity_residuals(U)
-    check_stack((block <= 10 * tol.residual_tol) & (unit <= tol.residual_tol),
-                InvariantViolation, "not in the unitary image: block residual %.3e, "
-                "unitarity residual %.3e", block, unit, entry="sample")
+    check_stack(block <= 10 * tol.residual_tol, InvariantViolation,
+                "not in the unitary image: block residual %.3e", block, entry="sample")
     return U
 
 
@@ -282,7 +288,25 @@ def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
 def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryComplex:
     """Souriau image of span(L), a symmetric unitary: the one-frame case of
     souriau_images."""
-    return UnitaryComplex(souriau_images(L.columns[None], tol)[1][0], tol)
+    # souriau_images checked V unitary, and w = -V V^T is unitary with it
+    return _trusted(UnitaryComplex, entries=souriau_images(L.columns[None], tol)[1][0])
+
+
+def _symmetric_unitary(w, tol: Tolerances, message: str) -> np.ndarray:
+    """A read-only copy of w, checked symmetric (else message) and unitary."""
+    if isinstance(w, UnitaryComplex):
+        w = w.entries
+    w = np.asarray(w, dtype=complex)
+    if np.max(np.abs(w - w.T)) > tol.residual_tol:
+        raise InvariantViolation(message)
+    return UnitaryComplex(w, tol).entries
+
+
+def _souriau_frame(w: np.ndarray) -> LagrangianFrame:
+    """lagrangian_from_souriau of a w checked symmetric unitary."""
+    _, E = np.linalg.eigh(np.block([[w.real, w.imag], [w.imag, -w.real]]))
+    # the -1 eigenvectors of eigh: orthonormal, spanning the plane of w
+    return _trusted(LagrangianFrame, columns=E[:, :w.shape[0]], n=w.shape[0])
 
 
 def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
@@ -296,14 +320,7 @@ def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> Lagrangi
     The spectrum of R is +1 and -1, n times each, so one eigh separates
     the plane with a gap of 2, whatever the eigenvalues of w.
     """
-    if isinstance(w, UnitaryComplex):
-        w = w.entries
-    w = np.asarray(w, dtype=complex)
-    if np.max(np.abs(w - w.T)) > tol.residual_tol:
-        raise InvariantViolation("Souriau matrix must be symmetric")
-    UnitaryComplex(w, tol)
-    _, E = np.linalg.eigh(np.block([[w.real, w.imag], [w.imag, -w.real]]))
-    return LagrangianFrame(E[:, :w.shape[0]], tol)
+    return _souriau_frame(_symmetric_unitary(w, tol, "Souriau matrix must be symmetric"))
 
 
 def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,
@@ -322,10 +339,10 @@ def random_unitary(n: int, rng: np.random.Generator) -> UnitaryComplex:
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
-    return UnitaryComplex(Q * (d / np.abs(d)).conj())
+    return _trusted(UnitaryComplex, entries=Q * (d / np.abs(d)).conj())  # Q of a QR is unitary
 
 
 def random_lagrangian(n: int, rng: np.random.Generator) -> LagrangianFrame:
     """Random Lagrangian frame embed_unitary(random U) . L0; exact by construction."""
     S = embed_unitary(random_unitary(n, rng))
-    return LagrangianFrame(S.entries @ l0_frame(n).columns)
+    return _trusted(LagrangianFrame, columns=S.entries @ l0_frame(n).columns, n=n)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, check_stack, embed_unitary, omega_gram)
+                   Tolerances, _set_fields, check_stack, embed_unitary, omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
@@ -202,10 +202,7 @@ class ParamPath:
             samples = samples[:, None]
         if samples.shape[0] < 2:
             raise InvariantViolation("a path needs at least two parameter samples")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "closed", bool(closed))
+        _set_fields(self, samples=samples.copy(), closed=bool(closed))
 
     @classmethod
     def line(cls, start, stop, k: int, closed: bool = False) -> "ParamPath":

@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                    Tolerances, UnitaryComplex, _orthonormal_columns,
-                   bisect_geodesics, check_stack, lagrangian_from_souriau,
-                   omega_gram, souriau_images, souriau_map)
+                   _set_fields, _souriau_frame, _symmetric_unitary, bisect_geodesics,
+                   check_stack, omega_gram, souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      TransversalityError)
 
@@ -57,28 +57,20 @@ class CoverPoint:
     theta: float
 
     def __init__(self, w, theta, tol: Tolerances = DEFAULT_TOLERANCES):
-        if isinstance(w, UnitaryComplex):
-            w = w.entries
-        w = np.asarray(w, dtype=complex)
-        if np.max(np.abs(w - w.T)) > tol.residual_tol:
-            raise InvariantViolation("cover point needs a symmetric w")
-        UnitaryComplex(w, tol)
+        w = _symmetric_unitary(w, tol, "cover point needs a symmetric w")
         resid = abs(np.linalg.det(w) - np.exp(1j * theta))
         if not resid <= tol.phase_tol:  # a NaN theta fails too
             raise InvariantViolation(
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e" % resid)
-        wc = w.copy()
-        wc.setflags(write=False)
-        object.__setattr__(self, "w", wc)
-        object.__setattr__(self, "theta", float(theta))
+        _set_fields(self, w=w, theta=float(theta))
 
     @property
     def n(self):
         return self.w.shape[0]
 
-    def frame(self, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
-        """A frame of the underlying Lagrangian pi(x)."""
-        return lagrangian_from_souriau(self.w, tol)
+    def frame(self) -> LagrangianFrame:
+        """An orthonormal frame of the underlying Lagrangian pi(x)."""
+        return _souriau_frame(self.w)
 
 
 @dataclass(frozen=True)
@@ -169,17 +161,17 @@ def leray_index(x: CoverPoint, y: CoverPoint,
 
 
 class _FrameView(Sequence):
-    """The samples of a Souriau stack as frames, built and validated on access
-    by lagrangian_from_souriau."""
+    """The samples of a Souriau stack as frames, built on access: each w_k is
+    a checked Souriau image or a geodesic midpoint of two."""
 
-    def __init__(self, w: np.ndarray, tol: Tolerances):
-        self._w, self._tol = w, tol
+    def __init__(self, w: np.ndarray):
+        self._w = w
 
     def __len__(self):
         return len(self._w)
 
     def __getitem__(self, k) -> LagrangianFrame:
-        return lagrangian_from_souriau(self._w[k], self._tol)
+        return _souriau_frame(self._w[k])
 
 
 class LagrangianPath:
@@ -207,7 +199,6 @@ class LagrangianPath:
         params = np.asarray(params, dtype=float)
         if len(params) != len(frames) or np.any(np.diff(params) <= 0):
             raise InvariantViolation("params must be strictly increasing, one per frame")
-        self.tol = tol
         w = souriau_images(frames, tol)[1]
         self.n = w.shape[1]
         self.souriau, self.params = bisect_geodesics(
@@ -216,7 +207,7 @@ class LagrangianPath:
 
     @property
     def frames(self) -> Sequence[LagrangianFrame]:
-        return _FrameView(self.souriau, self.tol)
+        return _FrameView(self.souriau)
 
     def __len__(self):
         return len(self.souriau)

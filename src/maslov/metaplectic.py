@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
-                   Tolerances, _unitarity_residuals, bisect_geodesics,
-                   check_stack, unitaries_from_symplectic)
+                   Tolerances, _set_fields, _trusted, _unitarity_residuals,
+                   bisect_geodesics, check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, MaslovError, StateDomainError)
 
@@ -314,7 +314,7 @@ class GaussianAmplitude:
             poly = Polynomial.constant(1.0, n)
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
-        c = np.asarray(c, dtype=complex)
+        c = np.array(c, dtype=complex)  # a copy: the stored c is made read-only
         check_stack(np.isfinite(c) & np.isfinite(M).all(axis=(-2, -1))
                     & np.isfinite(poly.vec).all(axis=-1),
                     InvariantViolation, "state data c, M and poly must be finite")
@@ -324,10 +324,7 @@ class GaussianAmplitude:
         low = np.linalg.eigvalsh(M.real)[..., 0]
         check_stack(low >= tol.rank_floor(n), StateDomainError,
                     "Re(M) must be positive definite; min eig %.3e", low)
-        M.setflags(write=False)
-        object.__setattr__(self, "c", c if c.ndim else complex(c))
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "poly", poly)
+        _set_fields(self, c=c if c.ndim else complex(c), M=M, poly=poly)
 
     @property
     def n(self):
@@ -422,10 +419,7 @@ class Dilate:
                     "dilation matrix must be finite")
         check_stack(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
                     "dilation matrix must be invertible")
-        A = A.copy()
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "m", int(m) % 4)
+        _set_fields(self, A=A.copy(), m=int(m) % 4)
 
 
 @dataclass(frozen=True)
@@ -440,9 +434,7 @@ class Chirp:
                     "chirp matrix must be finite")
         check_stack(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
                     InvariantViolation, "chirp matrix must be symmetric")
-        B = (B + _T(B)) / 2
-        B.setflags(write=False)
-        object.__setattr__(self, "B", B)
+        _set_fields(self, B=(B + _T(B)) / 2)
 
 
 class JHat:
@@ -474,7 +466,8 @@ def apply_generator(gen, s: GaussianAmplitude,
         M = A @ s.M @ _T(A)
         return GaussianAmplitude(c, M, s.poly.compose_linear(_T(A)), tol)
     if isinstance(gen, Chirp):
-        return GaussianAmplitude(s.c, s.M + 1j * gen.B, s.poly, tol)
+        # Re(M + iB) = Re M, checked with s; M + iB is exactly symmetric as M and B are
+        return _trusted(GaussianAmplitude, c=s.c, M=s.M + 1j * gen.B, poly=s.poly)
     if isinstance(gen, JHat):
         c = s.c * det_branch_power(s.M, -0.5) * root_i_power(-s.n)
         Minv = np.linalg.inv(s.M)
@@ -509,17 +502,15 @@ class QuadraticFourier:
                     InvariantViolation, "P and Q must be symmetric")
         check_stack(abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[-1]), InvariantViolation,
                     "L must be invertible")
-        for name, a in (("P", (P + _T(P)) / 2), ("L", L.copy()), ("Q", (Q + _T(Q)) / 2)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "m", int(m) % 4)
+        _set_fields(self, P=(P + _T(P)) / 2, L=L.copy(), Q=(Q + _T(Q)) / 2, m=int(m) % 4)
 
     @property
     def n(self):
         return self.L.shape[-1]
 
     def with_branch(self, m: int) -> "QuadraticFourier":
-        return QuadraticFourier(self.P, self.L, self.Q, m)
+        # only the branch changes; P, L and Q stay as checked under their tolerance
+        return _trusted(QuadraticFourier, P=self.P, L=self.L, Q=self.Q, m=int(m) % 4)
 
 
 def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
@@ -565,7 +556,8 @@ def apply_quad_fourier(qf: QuadraticFourier, s: GaussianAmplitude,
 
 def adjoint_quad_fourier(qf: QuadraticFourier) -> QuadraticFourier:
     """Adjoint (= inverse) transform: data (-Q, -L^T, -P) with branch n - m."""
-    return QuadraticFourier(-qf.Q, -qf.L.T, -qf.P, (qf.n - qf.m) % 4)
+    # negation and transposition keep finiteness, symmetry and |det L|
+    return _trusted(QuadraticFourier, P=-qf.Q, L=-qf.L.T, Q=-qf.P, m=(qf.n - qf.m) % 4)
 
 
 def mu_hat(qf: QuadraticFourier) -> int:
@@ -669,17 +661,14 @@ def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Toleran
     applies each generator of the word once to a chunk of consecutive steps,
     at most WORD_CHUNK_BYTES of chunk * K^2 complex entries, entry k starting
     from (1, M_k, x^gamma) for every basis monomial.  It gives the step
-    factors f_k and the returned M_{k+1}, checks every intermediate state,
-    and leaves the push-through operators F(M_1), F(M_3) and C(L) of every
-    step of the chunk; an error names its dense step.  The coefficient
+    factors f_k and the returned M_{k+1}, checks the state after each JHat
+    and Dilate (a Chirp keeps Re M), and leaves the push-through operators
+    F(M_1), F(M_3) and C(L) of every step; an error names its dense step.  The coefficient
     vector takes one product with each, as a single state would: their
     product, formed first, would lose digits to cancellation, since F(M_3)
     nearly undoes F(M_1).  Last, the word's M_k are checked against the
     closed law's, a route the word did not take.
     """
-    resid = _unitarity_residuals(1j * V)
-    check_stack(resid <= tol.residual_tol, InvariantViolation,
-                "not unitary: ||U*U - I||_inf = %.3e", resid)
     V = V[:, None]  # steps on the leading axis, monomials on the second
     # embed(iV) has the blocks A = D = -Im V, B = -Re V
     qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
@@ -700,7 +689,7 @@ def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Toleran
                 s = apply_generator(gen, s, tol)
                 if s.poly is not monomials:
                     ops.append(_T(s.poly.vec))
-                    object.__setattr__(s, "poly", monomials)  # c and M are checked
+                    s = _trusted(GaussianAmplitude, c=s.c, M=s.M, poly=monomials)  # c, M checked
         except MaslovError as err:  # name the dense step, not the chunk entry
             raise type(err)(re.sub(r"at stack entry (\d+)$",
                                    lambda e: "at dense step %d" % (lo + int(e[1])),
@@ -767,7 +756,8 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     """
     Us = unitaries_from_symplectic(symp_path, tol)
     c, M, polys = lift_frame_path_trace(Us, s0, tol, max_depth)
-    return GaussianAmplitude(c[-1], M[-1], polys[-1], tol)
+    # the trace checked every dense state; its M are exactly symmetric
+    return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=polys[-1])
 
 
 # ---------------------------------------------------------------------------

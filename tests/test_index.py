@@ -70,9 +70,9 @@ def reference_leray_index(x, y, tol=DEFAULT_TOLERANCES):
             best_phi, best_gap = phi, gap
     assert best_phi is not None and best_gap >= tol.rank_floor(n) * 100
     z = CoverPoint(np.exp(2j * best_phi) * np.eye(n), 2.0 * n * best_phi, tol)
-    tau = kashiwara_signature(x.frame(tol), y.frame(tol), z.frame(tol), tol)
+    tau = kashiwara_signature(x.frame(), y.frame(), z.frame(), tol)
     mu = reference_transverse(x, z, tol) - reference_transverse(y, z, tol) + tau
-    assert (mu - (n - intersection_dim(x.frame(tol), y.frame(tol), tol))) % 2 == 0, \
+    assert (mu - (n - intersection_dim(x.frame(), y.frame(), tol))) % 2 == 0, \
         "cocycle parity"
     return mu
 

@@ -1,0 +1,72 @@
+"""The scripts that show two trees give the same output: tools/golden_drift.py
+and tools/leray_pairs.py."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location("tool_" + name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def golden_drift():
+    return load_tool("golden_drift")
+
+
+REPORT = {"n": 1, "pass": True, "label": "i^1", "trace": [{"theta": 0.5}, {"theta": 1.25}]}
+
+
+def drift_of(golden_drift, tmp_path, old, new):
+    """(exit code, printed lines) of golden_drift on two JSON documents."""
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(doc))
+    return golden_drift.main(paths)
+
+
+def test_golden_drift_passes_identical_files(golden_drift, tmp_path, capsys):
+    assert drift_of(golden_drift, tmp_path, REPORT, REPORT) == 0
+    out = capsys.readouterr().out
+    assert "max float drift: 0.000e+00" in out and "non-float values: identical" in out
+
+
+def test_golden_drift_passes_a_float_drift_and_prints_it(golden_drift, tmp_path, capsys):
+    moved = json.loads(json.dumps(REPORT))
+    moved["trace"][1]["theta"] += 3e-14
+    assert drift_of(golden_drift, tmp_path, REPORT, moved) == 0
+    lines = capsys.readouterr().out.splitlines()
+    key = next(line for line in lines if line.startswith("trace[].theta"))
+    assert abs(float(key.split()[-1]) - 3e-14) < 1e-15
+    assert "non-float values: identical" in lines
+
+
+def test_golden_drift_fails_a_key_set_difference(golden_drift, tmp_path, capsys):
+    extra = dict(REPORT, diagnostics={})
+    assert drift_of(golden_drift, tmp_path, REPORT, extra) == 1
+    assert "keys differ: ['diagnostics']" in capsys.readouterr().out
+
+
+def test_golden_drift_fails_an_integer_difference(golden_drift, tmp_path, capsys):
+    assert drift_of(golden_drift, tmp_path, REPORT, dict(REPORT, n=2)) == 1
+    assert "DIFFERS n: 1 != 2" in capsys.readouterr().out
+
+
+def test_leray_pairs_writes_the_same_bytes_twice(tmp_path, monkeypatch):
+    leray_pairs = load_tool("leray_pairs")
+    monkeypatch.setattr(leray_pairs, "PAIRS", 12)
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        leray_pairs.write_pairs(77, str(tmp_path / run))
+    first = (tmp_path / "a" / "seed77.txt").read_bytes()
+    assert first == (tmp_path / "b" / "seed77.txt").read_bytes()
+    assert len(first.splitlines()) == 12
