@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -70,8 +71,13 @@ def _canon(obj, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
-        if all(type(v) is float and math.isfinite(v) for v in obj):
-            out.append("[" + ",".join(map("%.17g".__mod__, obj)) + "]")
+        # fast path: finite Python floats, or a table of rows of them such as
+        # a holonomy trace (a NaN or inf entry makes the sum non-finite)
+        rows = obj if set(map(type, obj)) == {list} else (obj,)
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {float} and math.isfinite(sum(flat)):
+            body = "],[".join([",".join(map("%.17g".__mod__, r)) for r in rows])
+            out.append(("[[%s]]" if rows is obj else "[%s]") % body)
             return
         out.append("[")
         for i, v in enumerate(obj):
@@ -260,11 +266,10 @@ def _run_holonomy(spec, tol):
     c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
                                     max_depth=refine_max)
     theta = lift_path(tr.tangent_path, tol)
-    rows = zip(tr.params, theta, c.real, c.imag)
     phase = c[-1]
     label, resid = fourth_root_label(phase, tol)
     results = {
-        "trace": [[float(v) for v in row] for row in rows],
+        "trace": np.column_stack([tr.params, theta, c.real, c.imag]).tolist(),
         "theta_total": float(theta[-1] - theta[0]),
         "phase": [phase.real, phase.imag],
         "phase_label": label,

@@ -114,6 +114,7 @@ class SymplecticMatrix:
 
     entries: np.ndarray
     n: int = 0
+    _tol = DEFAULT_TOLERANCES  # the policy of the check, reused by @ and inverse(); not a field
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
         entries = np.asarray(entries, dtype=float)
@@ -125,17 +126,17 @@ class SymplecticMatrix:
         if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation(
                 "not symplectic: ||S^T J S - J||_inf = %.3e" % resid)
-        _set_fields(self, entries=np.array(entries), n=n)
+        _set_fields(self, entries=np.array(entries), n=n, _tol=tol)
 
     def __matmul__(self, other):
         if isinstance(other, SymplecticMatrix):
-            return SymplecticMatrix(self.entries @ other.entries)
+            return SymplecticMatrix(self.entries @ other.entries, self._tol)
         return self.entries @ other
 
     def inverse(self) -> "SymplecticMatrix":
         J = standard_j(self.n)
         # S^{-1} = J^{-1} S^T J for symplectic S; avoids a linear solve
-        return SymplecticMatrix(-J @ self.entries.T @ J)
+        return SymplecticMatrix(-J @ self.entries.T @ J, self._tol)
 
     @property
     def blocks(self):
@@ -146,9 +147,8 @@ class SymplecticMatrix:
 
 
 def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
-    """max |U_k^* U_k - I| for every matrix of a stack."""
-    Uh = np.conj(np.swapaxes(U, -1, -2))
-    return np.max(np.abs(Uh @ U - np.eye(U.shape[-1])), axis=(-2, -1))
+    """max |U_k^* U_k - I| for every matrix of a stack, or for the one matrix U."""
+    return abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).max(axis=(-2, -1))
 
 
 def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
@@ -179,6 +179,21 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
         t = np.insert(t, bad + 1, (t[bad] + t[bad + 1]) / 2)
 
 
+def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:
+    """A read-only complex copy of U (or of its entries), checked square, then
+    symmetric if a message for that is given, then unitary."""
+    U = np.array(U.entries if isinstance(U, UnitaryComplex) else U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise InvariantViolation("unitary matrix must be square")
+    if symmetric and abs(U - U.T).max() > tol.residual_tol:
+        raise InvariantViolation(symmetric)
+    resid = _unitarity_residuals(U)
+    if not resid <= tol.residual_tol:  # NaN entries fail too
+        raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
+    U.setflags(write=False)
+    return U
+
+
 @dataclass(frozen=True)
 class UnitaryComplex:
     """An n x n complex matrix U with U*U = I (within residual_tol)."""
@@ -186,13 +201,7 @@ class UnitaryComplex:
     entries: np.ndarray
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvariantViolation("unitary matrix must be square")
-        resid = _unitarity_residuals(entries)
-        if not resid <= tol.residual_tol:  # NaN entries fail too
-            raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
-        _set_fields(self, entries=np.array(entries))
+        _set_fields(self, entries=_checked_unitary(entries, tol))
 
     @property
     def n(self):
@@ -242,7 +251,7 @@ def embed_unitary(U, tol: Tolerances = DEFAULT_TOLERANCES) -> SymplecticMatrix:
         U = UnitaryComplex(U, tol)
     A, B = U.entries.real, U.entries.imag
     # S^T J0 S - J0 = embed(U*U - I) J0: the unitarity check covers symplecticity
-    return _trusted(SymplecticMatrix, entries=np.block([[A, -B], [B, A]]), n=U.n)
+    return _trusted(SymplecticMatrix, entries=np.block([[A, -B], [B, A]]), n=U.n, _tol=tol)
 
 
 def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -292,21 +301,14 @@ def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> Uni
     return _trusted(UnitaryComplex, entries=souriau_images(L.columns[None], tol)[1][0])
 
 
-def _symmetric_unitary(w, tol: Tolerances, message: str) -> np.ndarray:
-    """A read-only copy of w, checked symmetric (else message) and unitary."""
-    if isinstance(w, UnitaryComplex):
-        w = w.entries
-    w = np.asarray(w, dtype=complex)
-    if np.max(np.abs(w - w.T)) > tol.residual_tol:
-        raise InvariantViolation(message)
-    return UnitaryComplex(w, tol).entries
-
-
 def _souriau_frame(w: np.ndarray) -> LagrangianFrame:
     """lagrangian_from_souriau of a w checked symmetric unitary."""
-    _, E = np.linalg.eigh(np.block([[w.real, w.imag], [w.imag, -w.real]]))
+    n = len(w)
+    R = np.empty((2 * n, 2 * n))
+    R[:n, :n], R[:n, n:], R[n:, :n], R[n:, n:] = w.real, w.imag, w.imag, -w.real
+    _, E = np.linalg.eigh(R)
     # the -1 eigenvectors of eigh: orthonormal, spanning the plane of w
-    return _trusted(LagrangianFrame, columns=E[:, :w.shape[0]], n=w.shape[0])
+    return _trusted(LagrangianFrame, columns=E[:, :n], n=n)
 
 
 def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianFrame:
@@ -320,7 +322,7 @@ def lagrangian_from_souriau(w, tol: Tolerances = DEFAULT_TOLERANCES) -> Lagrangi
     The spectrum of R is +1 and -1, n times each, so one eigh separates
     the plane with a gap of 2, whatever the eigenvalues of w.
     """
-    return _souriau_frame(_symmetric_unitary(w, tol, "Souriau matrix must be symmetric"))
+    return _souriau_frame(_checked_unitary(w, tol, "Souriau matrix must be symmetric"))
 
 
 def intersection_dim(L1: LagrangianFrame, L2: LagrangianFrame,

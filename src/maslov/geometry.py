@@ -27,7 +27,7 @@ from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
-from .metaplectic import (Dilate, _nearest_fourth_root, apply_generator,
+from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, apply_generator,
                           apply_to_delta, apply_word_to_delta,
                           det_branch_power, endpoint_positive_factor,
                           ground_state, hermite_state, lift_frame_path_trace,
@@ -379,7 +379,11 @@ def _phase_pair(z):
 
 def fourth_root_label(z: complex, tol: Tolerances = DEFAULT_TOLERANCES):
     """Label a unit phase by the nearest fourth root of unity and the residual."""
-    m, resid = _nearest_fourth_root(z)
+    return _root_label(*_nearest_fourth_root(z), tol)
+
+
+def _root_label(m: int, resid: float, tol: Tolerances):
+    """(label, residual) of fourth_root_label, given the nearest root i^m."""
     label = ("1", "i", "-1", "-i")[m] if resid <= 10 * tol.phase_tol else "none"
     return label, float(resid)
 
@@ -393,10 +397,10 @@ def verify_theorem1(chart: LagrangianChart, path: ParamPath,
     tr = transport_frame(chart, path, tol=tol)
     mu = clm_index(tr.tangent_path, tol)
     phase = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)[0][-1]
-    m = pin_branch_orthogonal(phase, tol)
+    m, root_resid = _orthogonal_pin(phase, tol)  # one root decision: branch and label
     predicted = quarter_turn(mu % 4)
     resid = abs(phase - predicted)
-    label, label_resid = fourth_root_label(phase, tol)
+    label, label_resid = _root_label(m, root_resid, tol)
     return {
         "theorem": "1",
         "n": chart.n,

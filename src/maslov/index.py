@@ -22,14 +22,16 @@ mu(y,z) = tau(L1,L2,L3) and the deck shift mu(beta^r x, y) = mu(x, y) + 2r.
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, _orthonormal_columns,
-                   _set_fields, _souriau_frame, _symmetric_unitary, bisect_geodesics,
+                   Tolerances, UnitaryComplex, _checked_unitary, _orthonormal_columns,
+                   _set_fields, _souriau_frame, bisect_geodesics,
                    check_stack, omega_gram, souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      TransversalityError)
@@ -57,8 +59,8 @@ class CoverPoint:
     theta: float
 
     def __init__(self, w, theta, tol: Tolerances = DEFAULT_TOLERANCES):
-        w = _symmetric_unitary(w, tol, "cover point needs a symmetric w")
-        resid = abs(np.linalg.det(w) - np.exp(1j * theta))
+        w = _checked_unitary(w, tol, "cover point needs a symmetric w")
+        resid = abs(complex(np.linalg.det(w)) - cmath.exp(1j * theta))
         if not resid <= tol.phase_tol:  # a NaN theta fails too
             raise InvariantViolation(
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e" % resid)
@@ -88,10 +90,8 @@ def cover_action(r, phi: float, x: CoverPoint,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> CoverPoint:
     """Action (r, phi) . (w, theta) = (r w r^T, theta + 2 phi) of the lifted
     unitary group on the cover."""
-    if isinstance(r, UnitaryComplex):
-        r = r.entries
-    r = np.asarray(r, dtype=complex)
-    if abs(np.linalg.det(r) - np.exp(1j * phi)) > tol.phase_tol:
+    r = np.asarray(r.entries if isinstance(r, UnitaryComplex) else r, dtype=complex)
+    if abs(complex(np.linalg.det(r)) - cmath.exp(1j * phi)) > tol.phase_tol:
         raise InvariantViolation("phi is not a lift of arg det r")
     return CoverPoint(r @ x.w @ r.T, x.theta + 2.0 * phi, tol)
 
@@ -103,15 +103,16 @@ def kashiwara_signature(L1: LagrangianFrame, L2: LagrangianFrame,
     if not (L1.n == L2.n == L3.n):
         raise DimensionMismatch("frames over different n")
     n = L1.n
-    F1, F2, F3 = (_orthonormal_columns(L.columns) for L in (L1, L2, L3))
-    O12 = omega_gram(F1, F2)
-    O23 = omega_gram(F2, F3)
-    O31 = KASHIWARA_LAST_SIGN * omega_gram(F3, F1)
-    Z = np.zeros((n, n))
-    M = np.block([[Z, O12, O31.T], [O12.T, Z, O23], [O31, O23.T, Z]]) / 2.0
-    ev = np.linalg.eigvalsh(M)
+    F = _orthonormal_columns(np.array([L1.columns, L2.columns, L3.columns]))
+    O = omega_gram(F, F[[1, 2, 0]]) / 2  # omega(F1, F2), omega(F2, F3), omega(F3, F1)
+    O[2] *= KASHIWARA_LAST_SIGN
+    # M = [[0, O12, O31^T], [O12^T, 0, O23], [O31, O23^T, 0]], blocks indexed (row, :, col, :)
+    M = np.zeros((3, n, 3, n))
+    M[[0, 1, 2], :, [1, 2, 0]] = O
+    M[[1, 2, 0], :, [0, 1, 2]] = np.swapaxes(O, 1, 2)
+    ev = np.linalg.eigvalsh(M.reshape(3 * n, 3 * n)).tolist()
     cut = tol.rank_floor(3 * n)
-    return int(np.sum(ev > cut) - np.sum(ev < -cut))
+    return sum((v > cut) - (v < -cut) for v in ev)
 
 
 def leray_transverse(x: CoverPoint, y: CoverPoint,
@@ -131,21 +132,24 @@ def _leray(wx: np.ndarray, wy: np.ndarray, dtheta: float, tol: Tolerances):
     if wx.shape != wy.shape:
         raise DimensionMismatch("cover points over different n")
     lam = np.linalg.eigvals(wx @ np.linalg.inv(wy))
-    g = np.abs(lam - 1.0)
-    s = (g / 2) / np.sqrt(1 + np.sqrt(np.maximum(1 - g ** 2 / 4, 0.0)))
-    k = int(np.sum(s <= tol.rank_floor(2 * len(s))))
-    # Tr' Log(-w_x w_y^{-1}); the kept eigenvalues are unit modulus and not
-    # at 1, so -lam is never on (-inf, 0]
-    trlog = np.sum(np.log(-lam[np.argsort(g)[k:]]))
-    val = (dtheta + (1j * trlog).real) / np.pi
+    # the one eigensolve and its gaps g = |lam - 1|; the rest is scalar
+    # arithmetic on the (g, lam) pairs in ascending order of g
+    pairs = sorted(zip(np.abs(lam - 1.0).tolist(), lam.tolist()), key=lambda p: p[0])
+    s = [g / 2 / math.sqrt(1 + math.sqrt(max(1 - g * g / 4, 0.0))) for g, _ in pairs]
+    n = len(s)
+    floor = tol.rank_floor(2 * n)
+    k = sum(v <= floor for v in s)
+    # Tr' Log(-w_x w_y^{-1}) = i sum arg(-lam) over the kept eigenvalues,
+    # which are unit modulus and not at 1, so -lam is never on (-inf, 0]
+    val = (dtheta - sum(cmath.phase(-l) for _, l in pairs[k:])) / math.pi
     mu = round(val)
     if abs(val - mu) > tol.phase_tol:
         raise ConditioningError(
             "Leray index = %.12g is not within phase_tol of an integer" % val)
-    if (mu - len(lam) + k) % 2:
+    if (mu - n + k) % 2:
         raise ConditioningError("Leray parity violated: mu = %d with %d eigenvalues "
-                                "away from 1" % (mu, len(lam) - k))
-    return int(mu), k, np.sort(s)
+                                "away from 1" % (mu, n - k))
+    return int(mu), k, np.array(sorted(s))
 
 
 def leray_index(x: CoverPoint, y: CoverPoint,

@@ -335,7 +335,10 @@ class GaussianAmplitude:
         return self.c * self.poly(x) * np.exp(-0.5 * x @ self.M @ x)
 
     def scaled(self, a) -> "GaussianAmplitude":
-        return GaussianAmplitude(self.c * a, self.M, self.poly)
+        c = np.array(self.c * a, dtype=complex)
+        check_stack(np.isfinite(c), InvariantViolation, "state data c, M and poly must be finite")
+        # only c changes: M and poly are this checked state's
+        return _trusted(GaussianAmplitude, c=c if c.ndim else complex(c), M=self.M, poly=self.poly)
 
 
 def ground_state(n: int) -> GaussianAmplitude:
@@ -783,12 +786,17 @@ def pin_branch_orthogonal(lift_c: complex,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Branch integer at an orthogonal-type endpoint, where the lifted
     ground-state phase is a fourth root of unity i^m."""
+    return _orthogonal_pin(lift_c, tol)[0]
+
+
+def _orthogonal_pin(lift_c: complex, tol: Tolerances):
+    """(m, |lift_c - i^m|) of pin_branch_orthogonal."""
     m, resid = _nearest_fourth_root(lift_c)
     if not resid <= 100 * tol.phase_tol:
         raise ConditioningError(
             "lifted phase %.6g%+.6gj is not a fourth root of unity" %
             (lift_c.real, lift_c.imag))
-    return m
+    return m, resid
 
 
 def apply_to_delta(qf: QuadraticFourier) -> DistributionState:

@@ -108,6 +108,14 @@ def test_canonical_json_float_rows():
         '[1,"nan"],[1,2],[true,1]]\n')
 
 
+def test_canonical_json_float_tables():
+    # a list of finite float rows, such as the holonomy trace, has its own
+    # fast path; an overflowing row sum or a NaN sends it down the recursion
+    for table in ([[0.1, -0.0], [2.5, 1e-300], []], [[1.7976931348623157e308] * 2, [1.0]],
+                  [[1.0, math.nan], [2.0]], [[1.0], (2.0,)], [[]]):
+        assert canonical_json(table) == recursive_canonical_json(table) + "\n"
+
+
 def test_golden_reports_reproduce():
     for name in ("circle_verify", "quarter_verify", "kashiwara_index",
                  "torus_corollary"):

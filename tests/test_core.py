@@ -1,6 +1,8 @@
 """Substrate checks: the unitary embedding, the Souriau identification and its
 inverse, and intersection dimensions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,22 @@ def test_symplectic_wrapper():
     S = SymplecticMatrix(np.diag([2.0, 0.5]))
     assert S.n == 1
     assert np.allclose(S.inverse().entries, np.diag([0.5, 2.0]))
+
+
+def test_symplectic_product_and_inverse_keep_the_tolerance():
+    # a matrix accepted under a loose residual_tol is multiplied and
+    # inverted under it, not under the defaults; equality ignores it
+    loose, a = Tolerances(residual_tol=1e-6), 1 + 1e-7
+    S = SymplecticMatrix(np.diag([a, 1.0, 1.0, 1.0]), loose)
+    SS = S @ S
+    assert np.array_equal(SS.entries, S.entries @ S.entries)
+    assert np.array_equal(S.inverse().entries, np.diag([1.0, 1.0, a, 1.0]))
+    assert np.array_equal((SS @ S).inverse().entries, np.diag([1.0, 1.0, a * a * a, 1.0]))
+    with pytest.raises(InvariantViolation, match="2.000e-07"):
+        SymplecticMatrix(SS.entries)
+    with pytest.raises(InvariantViolation, match="1.000e-07"):
+        SymplecticMatrix(S.inverse().entries)
+    assert [f.name for f in dataclasses.fields(S)] == ["entries", "n"]
 
 
 def test_unitary_from_symplectic_round_trip(rng):

@@ -1,5 +1,7 @@
 """Index checks: triple signature, Leray index, path lifting, CLM index."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslov.core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                         Tolerances, embed_unitary, intersection_dim, l0_frame,
-                         line_frame, random_lagrangian, random_unitary,
-                         souriau_map)
-from maslov.errors import InvariantViolation, TransversalityError
+                         Tolerances, UnitaryComplex, embed_unitary, intersection_dim,
+                         l0_frame, lagrangian_from_souriau, line_frame,
+                         random_lagrangian, random_unitary, souriau_map)
+from maslov.errors import ConditioningError, InvariantViolation, TransversalityError
 from maslov.index import (CoverPoint, DeckAction, LagrangianPath, _leray,
                           clm_index, cover_action, induced_lagrangian_path,
                           kashiwara_signature, leray_index, leray_transverse,
@@ -77,6 +79,25 @@ def reference_leray_index(x, y, tol=DEFAULT_TOLERANCES):
     return mu
 
 
+def numpy_leray(wx, wy, dtheta, tol):
+    """(mu, k, s) of _leray in its earlier all-numpy form: every step after
+    the eigensolve a numpy call on the eigenvalue array."""
+    lam = np.linalg.eigvals(wx @ np.linalg.inv(wy))
+    g = np.abs(lam - 1.0)
+    s = (g / 2) / np.sqrt(1 + np.sqrt(np.maximum(1 - g ** 2 / 4, 0.0)))
+    k = int(np.sum(s <= tol.rank_floor(2 * len(s))))
+    trlog = np.sum(np.log(-lam[np.argsort(g)[k:]]))
+    val = (dtheta + (1j * trlog).real) / np.pi
+    mu = round(val)
+    if abs(val - mu) > tol.phase_tol:
+        raise ConditioningError(
+            "Leray index = %.12g is not within phase_tol of an integer" % val)
+    if (mu - len(lam) + k) % 2:
+        raise ConditioningError("Leray parity violated: mu = %d with %d eigenvalues "
+                                "away from 1" % (mu, len(lam) - k))
+    return int(mu), k, np.sort(s)
+
+
 def cover_pair_meeting_in(n, k, rng, shifts, near=False):
     """Cover points x, y over n whose planes meet in dimension k: w_y = r r^T
     and w_x = r D r^T for a random unitary r and D = diag(1 (k times),
@@ -124,6 +145,27 @@ def test_kashiwara_matches_oracle_random(rng):
         n = int(rng.integers(1, 4))
         Ls = [random_lagrangian(n, rng) for _ in range(3)]
         assert kashiwara_signature(*Ls) == kashiwara_oracle(*Ls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_kashiwara_is_blind_to_the_basis_of_each_frame(n, seed, data):
+    # planes 1 and 2 share k lines; each frame is also given in a scaled and
+    # sheared basis G (upper triangular, diagonal in [0.1, 10])
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, n))
+    r = random_unitary(n, rng).entries
+    a = np.concatenate([np.zeros(k), rng.uniform(0.3, 2 * np.pi - 0.3, n - k)])
+    ws = [r @ r.T, (r * np.exp(1j * a)) @ r.T, random_cover_point(n, rng).w]
+    frames = [lagrangian_from_souriau(w) for w in ws]
+    skewed = []
+    for F in frames:
+        G = np.triu(rng.normal(size=(n, n)), 1) + np.diag(10.0 ** rng.uniform(-1, 1, n))
+        skewed.append(LagrangianFrame(F.columns @ G))
+    tau = kashiwara_signature(*frames)
+    assert kashiwara_signature(*skewed) == tau == kashiwara_oracle(*skewed)
+    x, y, z = (CoverPoint(w, float(np.angle(np.linalg.det(w)))) for w in ws)
+    assert leray_index(x, y) - leray_index(x, z) + leray_index(y, z) == tau
 
 
 def test_kashiwara_dimension_mismatch():
@@ -233,6 +275,42 @@ def test_leray_index_matches_the_reference_cocycle(n, k, seed, shifts, near):
     assert leray_index(y, x) == -mu
 
 
+#: eigenvalue angles a (lam = e^{i a}) of w_x w_y^{-1} that the kernel
+#: property draws: exactly 1, half and twice the rank cut on either side
+#: (s ~ |a| / (2 sqrt 2)), -1, and a pool of generic angles that repeat
+_CUT_ANGLE = 2 * math.sqrt(2) * DEFAULT_TOLERANCES.rank_floor(2)
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi]),
+    st.sampled_from([0.5, 2.0]).flatmap(
+        lambda c: st.sampled_from([-c * _CUT_ANGLE, c * _CUT_ANGLE])),
+    st.sampled_from([0.7, -0.7, 2.9]),
+    st.floats(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+       shifts=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_leray_kernel_matches_the_numpy_form(n, seed, data, shifts):
+    # the scalar tail of _leray makes the decisions of the all-numpy form:
+    # the same (mu, k) or the same error, and s within 1e-15
+    a = np.array(data.draw(st.lists(_ANGLES, min_size=n, max_size=n)))
+    r = random_unitary(n, np.random.default_rng(seed)).entries
+    x, y = (CoverPoint(w, float(np.angle(np.linalg.det(w))) + 2 * np.pi * s)
+            for w, s in zip([(r * np.exp(1j * a)) @ r.T, r @ r.T], shifts))
+    outcomes = []
+    for kernel in (_leray, numpy_leray):
+        try:
+            outcomes.append(kernel(x.w, y.w, x.theta - y.theta, DEFAULT_TOLERANCES))
+        except ConditioningError as err:
+            outcomes.append(str(err))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[:2] == want[:2] and type(got[0]) is int
+        assert np.max(np.abs(got[2] - want[2])) <= 1e-15
+
+
 def test_leray_index_follows_intersection_dim_at_the_rank_cut():
     # n = 1, w_x = e^{i eps}, w_y = 1: below the singular-value cut of
     # intersection_dim (|lam - 1| near 2.8e-8) the lines meet, d = 1, and mu
@@ -313,6 +391,26 @@ def test_cover_point_validation():
         CoverPoint(np.array([[1.0 + 0j]]), 0.5)
     with pytest.raises(InvariantViolation):
         CoverPoint(np.array([[0.0 + 0j, 1.0], [0.5, 0.0]]), 0.0)
+
+
+@pytest.mark.parametrize("build, asymmetric", [
+    (lambda w: CoverPoint(w, 0.0), "cover point needs a symmetric w"),
+    (lagrangian_from_souriau, "Souriau matrix must be symmetric"),
+    (UnitaryComplex, "not unitary: ||U*U - I||_inf = 7.500e-01")])
+@pytest.mark.parametrize("w, message", [
+    ([[0.0, 1.0], [0.5, 0.0]], None),
+    (2 * np.eye(2), "not unitary: ||U*U - I||_inf = 3.000e+00"),
+    (np.ones((2, 3)), "unitary matrix must be square"),
+    (np.ones(3), "unitary matrix must be square"),
+    ([[np.nan]], "not unitary: ||U*U - I||_inf = nan")])
+def test_souriau_matrix_checks_name_the_failure(build, asymmetric, w, message):
+    # one check serves CoverPoint, lagrangian_from_souriau and UnitaryComplex
+    # (which does not ask for symmetry); a non-square w is an
+    # InvariantViolation before any symmetry test
+    message = message or asymmetric
+    with pytest.raises(InvariantViolation) as err:
+        build(np.array(w, dtype=complex))
+    assert str(err.value) == message
 
 
 def test_deck_action_keeps_the_tolerances():

@@ -1,5 +1,5 @@
 """The scripts that show two trees give the same output: tools/golden_drift.py
-and tools/leray_pairs.py."""
+and tools/leray_pairs.py (its Leray pairs and Kashiwara triples)."""
 
 import importlib.util
 import json
@@ -64,9 +64,26 @@ def test_golden_drift_fails_an_integer_difference(golden_drift, tmp_path, capsys
 def test_leray_pairs_writes_the_same_bytes_twice(tmp_path, monkeypatch):
     leray_pairs = load_tool("leray_pairs")
     monkeypatch.setattr(leray_pairs, "PAIRS", 12)
+    monkeypatch.setattr(leray_pairs, "TRIPLES", 9)
     for run in ("a", "b"):
         (tmp_path / run).mkdir()
         leray_pairs.write_pairs(77, str(tmp_path / run))
-    first = (tmp_path / "a" / "seed77.txt").read_bytes()
-    assert first == (tmp_path / "b" / "seed77.txt").read_bytes()
-    assert len(first.splitlines()) == 12
+    for name, lines in (("seed77.txt", 12), ("triples77.txt", 9)):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes()
+        assert len(first.splitlines()) == lines
+
+
+def test_leray_pairs_triples_meet_the_leray_coboundary(tmp_path, monkeypatch):
+    # every triple, the degenerate ones (x and y sharing k lines) included,
+    # has tau = mu(x, y) - mu(x, z) + mu(y, z)
+    leray_pairs = load_tool("leray_pairs")
+    monkeypatch.setattr(leray_pairs, "PAIRS", 0)
+    monkeypatch.setattr(leray_pairs, "TRIPLES", 80)
+    assert leray_pairs.write_pairs(5, str(tmp_path)) == 0
+    shared = set()
+    for line in (tmp_path / "triples5.txt").read_text().splitlines():
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert fields["tau"] == fields["cob"], line
+        shared.add(int(fields["k"]) > 0)
+    assert shared == {False, True}

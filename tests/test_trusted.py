@@ -135,3 +135,23 @@ def test_lift_names_a_non_unitary_sample_built_under_a_loose_tolerance(n, seed):
     unitaries_from_symplectic(path)  # the block form holds exactly
     with pytest.raises(InvariantViolation, match="at sample %d$" % k):
         lift_frame_path(path, ground_state(n))
+
+
+def test_scaled_keeps_the_state_tolerance():
+    # only c changes, so the state's own checks stand; a non-finite c raises
+    s = GaussianAmplitude(1, np.diag([1.0, 1e-10]), tol=Tolerances(rank_tol=1e-12))
+    t = s.scaled(2.0)
+    assert t.c == 2.0 and t.M is s.M and t.poly is s.poly
+    with pytest.raises(InvariantViolation, match="must be finite"):
+        s.scaled(np.nan)
+    stack = GaussianAmplitude(np.ones(3), np.eye(1))
+    with pytest.raises(InvariantViolation, match="finite at stack entry 1$"):
+        stack.scaled(np.array([1.0, np.nan, 1.0]))
+
+
+@given(n=DIMS, seed=SEEDS)
+def test_scaled_state_passes_the_public_constructor(n, seed):
+    rng = np.random.default_rng(seed)
+    s = hermite_state(int(rng.integers(0, 3)), n)
+    a = complex(*rng.normal(size=2))
+    assert_passes_public(s.scaled(a), s.c * a, s.M, s.poly)
