@@ -49,8 +49,8 @@ CONST = "const"
 #: Per-step bound on max |eig(V) - 1| for unitary path steps.
 MAX_UNITARY_STEP = 0.4
 
-#: Cap on the bytes of one chunk of the word lift's pass (b), whose
-#: push-through operators are (chunk, K, K) complex stacks for K monomials.
+#: Cap on the bytes of one chunk of the word lift's step operators, a
+#: (chunk, K, K) complex stack for K monomials: one operator per step.
 WORD_CHUNK_BYTES = 1 << 22
 
 
@@ -137,21 +137,21 @@ class _MonomialBasis:
         """D_j v for a coefficient vector v over this basis."""
         return (self.exps[:, j] + 1) * np.append(v, 0)[self.up[j]]
 
-    def images(self, G: np.ndarray, diff: complex = 0.0) -> np.ndarray:
+    def images(self, G: np.ndarray, H: np.ndarray | None = None) -> np.ndarray:
         """The matrices whose column gamma is X^gamma 1, shape (..., K, K),
-        for the commuting operators X_j = diff D_j + sum_c G_jc S_c on this
-        basis, G of shape (..., n, n).  Each degree is one gathered step from
-        the degree below: the column of x_j x^gamma' is X_j applied to the
-        column of x^gamma'."""
+        for the commuting operators X_j = sum_c (G_jc S_c + H_jc D_c) on this
+        basis, G and H (None: 0) of shape (..., n, n).  Each degree is one
+        gathered step from the degree below: the column of x_j x^gamma' is
+        X_j applied to the column of x^gamma'."""
         K = self.size
         img = np.zeros(G.shape[:-2] + (K + 1, K), dtype=complex)  # last row: the pad
         img[..., 0, 0] = 1.0
         for lo, hi, step, parent in self.levels:
             V = img[..., parent]
             new = sum(G[..., None, step, c] * V[..., self.down[c], :] for c in range(self.n))
-            if diff:
-                new = new + diff * (self.exps[:, step] + 1) * V[..., self.up[step].T,
-                                                                 np.arange(hi - lo)]
+            if H is not None:
+                new = new + sum(H[..., None, step, c] * (self.exps[:, c, None] + 1)
+                                * V[..., self.up[c], :] for c in range(self.n))
             img[..., :K, lo:hi] = new
         return img[..., :K, :]
 
@@ -275,21 +275,28 @@ class Polynomial:
         return complex(np.prod(x ** self.basis.exps, axis=1) @ self.vec)
 
 
-def _push(poly: Polynomial, G: np.ndarray, diff: complex = 0.0) -> Polynomial:
-    """p(X) 1 for X_j = diff D_j + sum_c G_jc S_c (see ``_MonomialBasis.images``);
-    the factor and G may be stacks, and they broadcast.  The stack of all
-    monomials (vec = I) against a length-1 axis of G takes no product: the
-    image of x^gamma is column gamma of the operator, copied to the layout
-    the product gives, so that later products with it keep every bit."""
-    op, K = poly.basis.images(G, diff), poly.basis.size
-    if (op.shape[-3:-2] == (1,) and poly.vec.shape == (K, K)
-            and np.array_equal(poly.vec, np.eye(K))):
-        return Polynomial._dense(poly.basis, np.ascontiguousarray(_T(op)[..., 0, :, :]))
-    return Polynomial._dense(poly.basis, (op @ poly.vec[..., None])[..., 0])
+def _push(poly: Polynomial, G: np.ndarray, H: np.ndarray | None = None) -> Polynomial:
+    """p(X) 1 for the X of ``_MonomialBasis.images``; p and G may be stacks."""
+    return Polynomial._dense(poly.basis, (poly.basis.images(G, H) @ poly.vec[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------
 # states
+
+
+def _state_matrix(finite, M: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """M symmetrized, after the checks of a state, or a stack of them, on M
+    and on finite, whether the rest of its data is finite: all finite, M
+    symmetric within residual_tol and Re M at least rank_floor."""
+    check_stack(finite & np.isfinite(M).all(axis=(-2, -1)), InvariantViolation,
+                "state data c, M and poly must be finite")
+    check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
+                InvariantViolation, "Gaussian matrix must be symmetric")
+    M = (M + _T(M)) / 2
+    low = np.linalg.eigvalsh(M.real)[..., 0]
+    check_stack(low >= tol.rank_floor(M.shape[-1]), StateDomainError,
+                "Re(M) must be positive definite; min eig %.3e", low)
+    return M
 
 
 @dataclass(frozen=True)
@@ -315,15 +322,7 @@ class GaussianAmplitude:
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
         c = np.array(c, dtype=complex)  # a copy: the stored c is made read-only
-        check_stack(np.isfinite(c) & np.isfinite(M).all(axis=(-2, -1))
-                    & np.isfinite(poly.vec).all(axis=-1),
-                    InvariantViolation, "state data c, M and poly must be finite")
-        check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
-                    InvariantViolation, "Gaussian matrix must be symmetric")
-        M = (M + _T(M)) / 2
-        low = np.linalg.eigvalsh(M.real)[..., 0]
-        check_stack(low >= tol.rank_floor(n), StateDomainError,
-                    "Re(M) must be positive definite; min eig %.3e", low)
+        M = _state_matrix(np.isfinite(c) & np.isfinite(poly.vec).all(axis=-1), M, tol)
         _set_fields(self, c=c if c.ndim else complex(c), M=M, poly=poly)
 
     @property
@@ -455,7 +454,7 @@ def _fourier_poly(poly: Polynomial, N: np.ndarray) -> Polynomial:
     X_j = i (D_j - sum_c N_jc S_c), preserving degree, so the image is
     p(X) 1.  The X_j commute because N is symmetric.
     """
-    return _push(poly, -1j * N, 1j)
+    return _push(poly, -1j * N, 1j * np.eye(poly.n))
 
 
 def apply_generator(gen, s: GaussianAmplitude,
@@ -655,51 +654,39 @@ def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Toleran
     (S + 1, K) of a state with a polynomial factor along the dense path U
     with S steps V.
 
-    A step has a singular upper-right block near the identity, so it is
-    composed with the fixed Fourier element J0 = embed(iI): the state goes
-    through JHat, then the quadratic Fourier word of S J0 = embed(iV) at
+    A step has a singular upper-right block near the identity, so the state
+    goes through JHat, then the quadratic Fourier word of embed(iV) at
     branch 0, and the branch integer m_k is rounded so that the scalar
-    increment stays within a quarter turn of 1.  Pass (a) takes the M_k of
-    every sample from the closed law (``_closed_matrices``).  Pass (b)
-    applies each generator of the word once to a chunk of consecutive steps,
-    at most WORD_CHUNK_BYTES of chunk * K^2 complex entries, entry k starting
-    from (1, M_k, x^gamma) for every basis monomial.  It gives the step
-    factors f_k and the returned M_{k+1}, checks the state after each JHat
-    and Dilate (a Chirp keeps Re M), and leaves the push-through operators
-    F(M_1), F(M_3) and C(L) of every step; an error names its dense step.  The coefficient
-    vector takes one product with each, as a single state would: their
-    product, formed first, would lose digits to cancellation, since F(M_3)
-    nearly undoes F(M_1).  Last, the word's M_k are checked against the
-    closed law's, a route the word did not take.
+    increment stays within a quarter turn of 1.  Pass (a) takes the M_k from
+    the closed law (``_closed_matrices``).  Pass (b) applies the word's
+    generators to (1, M_k) for all steps at once, with the expressions of
+    ``apply_generator``, for the factors f_k and M_{k+1}; it checks the state
+    before the word and after each JHat and the Dilate, an error naming its
+    dense step.  On the factor the word is one substitution of the Weyl
+    generators (S, D): p -> p(G S + H D) 1 with G = -N_1 N_3 L and
+    H = i Q B^T, N_1 and N_3 the matrices after the JHats and B = -Re V, so
+    the vector takes one product per step with images(G, H), formed for at
+    most WORD_CHUNK_BYTES of steps at a time.  Last, the word's M_k are
+    checked against the closed law's, a route the word did not take.
     """
-    V = V[:, None]  # steps on the leading axis, monomials on the second
-    # embed(iV) has the blocks A = D = -Im V, B = -Re V
-    qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
-    closed = _closed_matrices(U, s0.M)
-    basis = s0.poly.basis
-    monomials = Polynomial._dense(basis, np.eye(basis.size))
-    f, M = np.empty(len(V), dtype=complex), np.empty_like(closed)
-    vecs = np.empty((len(M), basis.size), dtype=complex)
-    M[0], vecs[0] = s0.M, s0.poly.vec
-    a, chunk = s0.poly.vec, max(1, WORD_CHUNK_BYTES // (16 * basis.size ** 2))
-    for lo in range(0, len(V), chunk):
-        hi = min(lo + chunk, len(V))
-        try:
-            s = GaussianAmplitude(np.ones((hi - lo, 1)), closed[lo:hi, None], monomials, tol)
-            ops = []  # F(M_1), F(M_3) and C(L) of each step; column gamma: x^gamma's image
-            for gen in (JHat(), Chirp(-qf.Q[lo:hi], tol), JHat(),
-                        Dilate(_T(qf.L[lo:hi]), 0, tol), Chirp(-qf.P[lo:hi], tol)):
-                s = apply_generator(gen, s, tol)
-                if s.poly is not monomials:
-                    ops.append(_T(s.poly.vec))
-                    s = _trusted(GaussianAmplitude, c=s.c, M=s.M, poly=monomials)  # c, M checked
-        except MaslovError as err:  # name the dense step, not the chunk entry
-            raise type(err)(re.sub(r"at stack entry (\d+)$",
-                                   lambda e: "at dense step %d" % (lo + int(e[1])),
-                                   str(err))) from None
-        f[lo:hi], M[lo + 1:hi + 1] = s.c[:, 0], s.M[:, 0]
-        for k, (F1, F3, C) in enumerate(zip(*ops), lo + 1):
-            vecs[k] = a = C @ (F3 @ (F1 @ a))
+    n, closed = s0.n, _closed_matrices(U, s0.M)
+    try:
+        # embed(iV) has the blocks A = D = -Im V, B = -Re V
+        qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
+        M0 = _state_matrix(True, closed[:-1], tol)
+        c = det_branch_power(M0, -0.5) * root_i_power(-n)  # JHat
+        N1 = np.linalg.inv(M0)
+        N1 = _state_matrix(np.isfinite(c), (N1 + _T(N1)) / 2, tol)
+        M3 = N1 + 1j * -qf.Q  # Chirp(-Q)
+        c = c * det_branch_power(M3, -0.5) * root_i_power(-n)  # JHat
+        N3 = np.linalg.inv(M3)
+        N3 = _state_matrix(np.isfinite(c), (N3 + _T(N3)) / 2, tol)
+        A = _T(qf.L).copy()  # Dilate(L^T), as Dilate stores it
+        f = c * np.sqrt(abs(np.linalg.det(A)))
+        M = _state_matrix(np.isfinite(f), A @ N3 @ _T(A), tol) + 1j * -qf.P  # Chirp(-P)
+    except MaslovError as err:  # name the dense step, not the stack entry
+        raise type(err)(re.sub(r"at stack entry (\d+)$", r"at dense step \1", str(err))) from None
+    M = np.concatenate([s0.M[None], M])
     drift = np.max(np.abs(M - closed), axis=(-2, -1))
     check_stack(drift <= tol.residual_tol * np.max(np.abs(closed), axis=(-2, -1)),
                 ConditioningError, "the word and the closed law differ on M by %.3e",
@@ -708,7 +695,12 @@ def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Toleran
                 "degenerate scalar increment along the path", entry="dense step")
     m = np.round(-2.0 * np.angle(f) / np.pi).astype(int) % 4
     c = np.cumprod(np.concatenate([[s0.c], f * quarter_turn(m)]))
-    return c, M, vecs
+    G, H, basis = -(N1 @ N3 @ qf.L), 1j * (qf.Q @ _T(-V.real)), s0.poly.basis
+    vecs, chunk = [s0.poly.vec], max(1, WORD_CHUNK_BYTES // (16 * basis.size ** 2))
+    for lo in range(0, len(V), chunk):
+        for op in basis.images(G[lo:lo + chunk], H[lo:lo + chunk]):
+            vecs.append(op @ vecs[-1])
+    return c, M, np.array(vecs)
 
 
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
@@ -721,12 +713,19 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
 
     Steps are bisected geodesically in U(n) until each is within the step
     bound of the identity, where the per-step branch is unambiguous.  Pure
-    Gaussian states take the closed law as one batch.  States with a
-    polynomial factor take their matrices at every dense sample from the
-    same closed law, then go through the generator word of every step, in
-    chunks of consecutive steps, and the word's matrices are checked against
-    the closed law's (see ``_word_lift``).
+    Gaussian states take the closed law as one batch; states with a
+    polynomial factor go through the generator word of every step, checked
+    against the closed law (see ``_word_lift``).
     """
+    c, M, vecs = _lift(Us, s0, tol, max_depth)
+    if vecs is None:
+        return c, M, [s0.poly] * len(c)
+    return c, M, [Polynomial._dense(s0.poly.basis, v) for v in vecs]
+
+
+def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
+    """lift_frame_path_trace with the factors' coefficient vectors as one
+    array (N, K), or None for a pure Gaussian state, whose factor stays."""
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
@@ -741,9 +740,9 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth, tol)
     if s0.poly.is_constant():
         c, M = _closed_law(U, V, s0, tol)
-        return c[keep], M[keep], [s0.poly] * len(keep)
+        return c[keep], M[keep], None
     c, M, vecs = _word_lift(U, V, s0, tol)
-    return c[keep], M[keep], [Polynomial._dense(s0.poly.basis, vecs[k]) for k in keep]
+    return c[keep], M[keep], vecs[keep]
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
@@ -755,12 +754,13 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     Steps are subdivided (geodesically in U(n)) until each one's eigenvalues
     are within _step_bound(n) = min(MAX_UNITARY_STEP, 2 sin(pi/8n)) of 1
     (0.39 at n = 2); the per-step branch is then unambiguous.
-    The endpoint is sampling-independent within phase_tol.
+    The endpoint is sampling-independent within phase_tol.  Only its
+    polynomial factor is built (see ``lift_frame_path_trace``).
     """
-    Us = unitaries_from_symplectic(symp_path, tol)
-    c, M, polys = lift_frame_path_trace(Us, s0, tol, max_depth)
-    # the trace checked every dense state; its M are exactly symmetric
-    return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=polys[-1])
+    c, M, vecs = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol, max_depth)
+    poly = s0.poly if vecs is None else Polynomial._dense(s0.poly.basis, vecs[-1])
+    # the lift checked every dense state; its M are exactly symmetric
+    return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=poly)
 
 
 # ---------------------------------------------------------------------------

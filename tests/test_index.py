@@ -360,6 +360,13 @@ def test_leray_symplectic_invariance(rng):
             == leray_index(x, y)
 
 
+def test_cover_action_rejects_a_nan_phi_by_name():
+    # the phase check fails on NaN rather than letting it reach theta
+    x = CoverPoint(np.eye(2), 0.0)
+    with pytest.raises(InvariantViolation, match="^phi is not a lift of arg det r$"):
+        cover_action(np.eye(2), float("nan"), x)
+
+
 def test_leray_parity(rng):
     for _ in range(40):
         n = int(rng.integers(1, 4))

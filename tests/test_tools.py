@@ -1,9 +1,11 @@
-"""The scripts that show two trees give the same output: tools/golden_drift.py
-and tools/leray_pairs.py (its Leray pairs and Kashiwara triples)."""
+"""The scripts that show two trees give the same output: tools/golden_drift.py,
+tools/leray_pairs.py (its Leray pairs and Kashiwara triples) and
+tools/word_lifts.py (the lifted endpoint states of gaussian_words)."""
 
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -87,3 +89,21 @@ def test_leray_pairs_triples_meet_the_leray_coboundary(tmp_path, monkeypatch):
         assert fields["tau"] == fields["cob"], line
         shared.add(int(fields["k"]) > 0)
     assert shared == {False, True}
+
+
+def test_word_lifts_writes_the_same_bytes_twice(tmp_path, monkeypatch):
+    # the tool puts src/ and perfbench/ first on the path and writes no bytecode
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    word_lifts = load_tool("word_lifts")
+    monkeypatch.setattr(word_lifts.gaussian_words, "ROUNDS", 1)  # 12 lift operations
+    for run in ("a", "b"):
+        assert word_lifts.write_lifts(3, str(tmp_path / run)) == 12
+    names = sorted(p.name for p in (tmp_path / "a" / "seed3").iterdir())
+    assert len(names) == 12
+    for name in names:
+        first = (tmp_path / "a" / "seed3" / name).read_bytes()
+        assert first == (tmp_path / "b" / "seed3" / name).read_bytes()
+        record = json.loads(first)
+        assert record["op"] == name[3:-5]
+        assert [level["level"] for level in record["levels"]] == [0, 1, 2, 3, 4]
