@@ -37,6 +37,9 @@ from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, apply_g
 #: Transport refinement bound: maximum frame increment per accepted step.
 FRAME_INCREMENT_BOUND = 1e-2
 
+#: Central-difference step of the Jacobians of a chart without a jacobian.
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class LagrangianChart:
@@ -52,7 +55,6 @@ class LagrangianChart:
     point: Callable
     jacobian: Callable = None
     tag: str = "custom"
-    fd_step: float = 1e-6
 
     def points(self, us) -> np.ndarray:
         """The points at a parameter stack, shape (N, 2n)."""
@@ -68,8 +70,8 @@ class LagrangianChart:
         J = np.empty((len(us), 2 * self.n, self.n))
         for j in range(self.n):
             e = np.zeros(self.n)
-            e[j] = self.fd_step
-            J[:, :, j] = (self.points(us + e) - self.points(us - e)) / (2 * self.fd_step)
+            e[j] = FD_STEP
+            J[:, :, j] = (self.points(us + e) - self.points(us - e)) / (2 * FD_STEP)
         return J
 
     def at(self, u) -> np.ndarray:

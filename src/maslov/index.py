@@ -91,6 +91,8 @@ def cover_action(r, phi: float, x: CoverPoint,
     """Action (r, phi) . (w, theta) = (r w r^T, theta + 2 phi) of the lifted
     unitary group on the cover."""
     r = np.asarray(r.entries if isinstance(r, UnitaryComplex) else r, dtype=complex)
+    if r.shape != x.w.shape:
+        raise DimensionMismatch("r of shape %s acts on points of shape %s" % (r.shape, x.w.shape))
     if not abs(complex(np.linalg.det(r)) - cmath.exp(1j * phi)) <= tol.phase_tol:
         raise InvariantViolation("phi is not a lift of arg det r")
     return CoverPoint(r @ x.w @ r.T, x.theta + 2.0 * phi, tol)

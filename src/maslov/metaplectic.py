@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
                    Tolerances, _set_fields, _trusted, _unitarity_residuals,
                    bisect_geodesics, check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
-                     InvariantViolation, MaslovError, StateDomainError)
+                     InvariantViolation, StateDomainError)
 
 DELTA = "delta"
 CONST = "const"
@@ -49,8 +48,8 @@ CONST = "const"
 #: Per-step bound on max |eig(V) - 1| for unitary path steps.
 MAX_UNITARY_STEP = 0.4
 
-#: Cap on the bytes of one chunk of the word lift's step operators, a
-#: (chunk, K, K) complex stack for K monomials: one operator per step.
+#: Cap on the bytes of one chunk of the lift's polynomial substitutions, a
+#: (chunk, K, K) complex stack for K monomials: one operator per sample.
 WORD_CHUNK_BYTES = 1 << 22
 
 
@@ -284,21 +283,6 @@ def _push(poly: Polynomial, G: np.ndarray, H: np.ndarray | None = None) -> Polyn
 # states
 
 
-def _state_matrix(finite, M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """M symmetrized, after the checks of a state, or a stack of them, on M
-    and on finite, whether the rest of its data is finite: all finite, M
-    symmetric within residual_tol and Re M at least rank_floor."""
-    check_stack(finite & np.isfinite(M).all(axis=(-2, -1)), InvariantViolation,
-                "state data c, M and poly must be finite")
-    check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
-                InvariantViolation, "Gaussian matrix must be symmetric")
-    M = (M + _T(M)) / 2
-    low = np.linalg.eigvalsh(M.real)[..., 0]
-    check_stack(low >= tol.rank_floor(M.shape[-1]), StateDomainError,
-                "Re(M) must be positive definite; min eig %.3e", low)
-    return M
-
-
 @dataclass(frozen=True)
 class GaussianAmplitude:
     """The state x -> c * poly(x) * exp(-<M x, x>/2).
@@ -322,7 +306,15 @@ class GaussianAmplitude:
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
         c = np.array(c, dtype=complex)  # a copy: the stored c is made read-only
-        M = _state_matrix(np.isfinite(c) & np.isfinite(poly.vec).all(axis=-1), M, tol)
+        check_stack(np.isfinite(c) & np.isfinite(poly.vec).all(axis=-1)
+                    & np.isfinite(M).all(axis=(-2, -1)), InvariantViolation,
+                    "state data c, M and poly must be finite")
+        check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
+                    InvariantViolation, "Gaussian matrix must be symmetric")
+        M = (M + _T(M)) / 2
+        low = np.linalg.eigvalsh(M.real)[..., 0]
+        check_stack(low >= tol.rank_floor(n), StateDomainError,
+                    "Re(M) must be positive definite; min eig %.3e", low)
         _set_fields(self, c=c if c.ndim else complex(c), M=M, poly=poly)
 
     @property
@@ -520,21 +512,15 @@ def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
     """Generating data of a symplectic matrix with invertible upper-right
     block: (P, L, Q) = (D B^{-1}, B^{-1}, B^{-1} A)."""
     A, B, C, D = S.blocks
-    return _quad_fourier_from_blocks(A, B, D, m, tol)
-
-
-def _quad_fourier_from_blocks(A, B, D, m: int, tol: Tolerances) -> QuadraticFourier:
-    """quad_fourier_from_symplectic on the blocks A, B and D, which may be
-    stacks; a failed check names the first bad entry."""
-    check_stack(abs(np.linalg.det(B)) >= tol.rank_floor(B.shape[-1]), CaseError,
+    check_stack(abs(np.linalg.det(B)) >= tol.rank_floor(S.n), CaseError,
                 "B-block is singular: no free generating function; "
                 "compose with the fixed Fourier factor first")
     Bi = np.linalg.inv(B)
     P, L, Q = D @ Bi, Bi, Bi @ A
-    check_stack(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
-                           np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= 1e3 * tol.residual_tol,
-                InvariantViolation, "block data is not symmetric; input not symplectic?")
-    return QuadraticFourier((P + _T(P)) / 2, L, (Q + _T(Q)) / 2, m, tol)
+    asym = np.maximum(np.max(np.abs(P - P.T)), np.max(np.abs(Q - Q.T)))
+    check_stack(asym <= 1e3 * tol.residual_tol, InvariantViolation,
+                "block data is not symmetric; input not symplectic?")
+    return QuadraticFourier((P + P.T) / 2, L, (Q + Q.T) / 2, m, tol)
 
 
 def symplectic_from_quad_fourier(qf: QuadraticFourier,
@@ -631,14 +617,15 @@ def _closed_matrices(U: np.ndarray, M0: np.ndarray) -> np.ndarray:
 
 def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
                 tol: Tolerances):
-    """Scalars and matrices of a pure Gaussian state along a dense unitary
-    path U with steps V: the matrices by ``_closed_matrices``, the scalar the
-    running product of the per-step factors det(A - i B M)^{-1/2}, with
-    A + iB the step and M the state before it, each taken as the product of
-    the principal roots of the eigenvalues of A - i B M.  The principal root
-    of the determinant itself is not enough: for n >= 2 the eigenvalue
-    arguments of a step can add up past pi (a strongly chirped M), and its
-    branch then jumps by a sign.  One batched check keeps Re M_k > 0.
+    """Scalars and matrices of a state along a dense unitary path U with
+    steps V, the same with or without a polynomial factor: the matrices by
+    ``_closed_matrices``, the scalar the running product of the per-step
+    factors det(A - i B M)^{-1/2}, with A + iB the step and M the state
+    before it, each taken as the product of the principal roots of the
+    eigenvalues of A - i B M.  The principal root of the determinant itself
+    is not enough: for n >= 2 the eigenvalue arguments of a step can add up
+    past pi (a strongly chirped M), and its branch then jumps by a sign.
+    One batched check keeps Re M_k > 0.
     """
     M = _closed_matrices(U, s0.M)
     low = np.linalg.eigvalsh(M.real)[:, 0]
@@ -649,58 +636,20 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     return np.cumprod(np.concatenate([[s0.c], fac])), M
 
 
-def _word_lift(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude, tol: Tolerances):
-    """Scalars (S + 1,), matrices (S + 1, n, n) and coefficient vectors
-    (S + 1, K) of a state with a polynomial factor along the dense path U
-    with S steps V.
-
-    A step has a singular upper-right block near the identity, so the state
-    goes through JHat, then the quadratic Fourier word of embed(iV) at
-    branch 0, and the branch integer m_k is rounded so that the scalar
-    increment stays within a quarter turn of 1.  Pass (a) takes the M_k from
-    the closed law (``_closed_matrices``).  Pass (b) applies the word's
-    generators to (1, M_k) for all steps at once, with the expressions of
-    ``apply_generator``, for the factors f_k and M_{k+1}; it checks the state
-    before the word and after each JHat and the Dilate, an error naming its
-    dense step.  On the factor the word is one substitution of the Weyl
-    generators (S, D): p -> p(G S + H D) 1 with G = -N_1 N_3 L and
-    H = i Q B^T, N_1 and N_3 the matrices after the JHats and B = -Re V, so
-    the vector takes one product per step with images(G, H), formed for at
-    most WORD_CHUNK_BYTES of steps at a time.  Last, the word's M_k are
-    checked against the closed law's, a route the word did not take.
-    """
-    n, closed = s0.n, _closed_matrices(U, s0.M)
-    try:
-        # embed(iV) has the blocks A = D = -Im V, B = -Re V
-        qf = _quad_fourier_from_blocks(-V.imag, -V.real, -V.imag, 0, tol)
-        M0 = _state_matrix(True, closed[:-1], tol)
-        c = det_branch_power(M0, -0.5) * root_i_power(-n)  # JHat
-        N1 = np.linalg.inv(M0)
-        N1 = _state_matrix(np.isfinite(c), (N1 + _T(N1)) / 2, tol)
-        M3 = N1 + 1j * -qf.Q  # Chirp(-Q)
-        c = c * det_branch_power(M3, -0.5) * root_i_power(-n)  # JHat
-        N3 = np.linalg.inv(M3)
-        N3 = _state_matrix(np.isfinite(c), (N3 + _T(N3)) / 2, tol)
-        A = _T(qf.L).copy()  # Dilate(L^T), as Dilate stores it
-        f = c * np.sqrt(abs(np.linalg.det(A)))
-        M = _state_matrix(np.isfinite(f), A @ N3 @ _T(A), tol) + 1j * -qf.P  # Chirp(-P)
-    except MaslovError as err:  # name the dense step, not the stack entry
-        raise type(err)(re.sub(r"at stack entry (\d+)$", r"at dense step \1", str(err))) from None
-    M = np.concatenate([s0.M[None], M])
-    drift = np.max(np.abs(M - closed), axis=(-2, -1))
-    check_stack(drift <= tol.residual_tol * np.max(np.abs(closed), axis=(-2, -1)),
-                ConditioningError, "the word and the closed law differ on M by %.3e",
-                drift, entry="dense sample")
-    check_stack(np.isfinite(f) & (f != 0), StateDomainError,
-                "degenerate scalar increment along the path", entry="dense step")
-    m = np.round(-2.0 * np.angle(f) / np.pi).astype(int) % 4
-    c = np.cumprod(np.concatenate([[s0.c], f * quarter_turn(m)]))
-    G, H, basis = -(N1 @ N3 @ qf.L), 1j * (qf.Q @ _T(-V.real)), s0.poly.basis
-    vecs, chunk = [s0.poly.vec], max(1, WORD_CHUNK_BYTES // (16 * basis.size ** 2))
-    for lo in range(0, len(V), chunk):
-        for op in basis.images(G[lo:lo + chunk], H[lo:lo + chunk]):
-            vecs.append(op @ vecs[-1])
-    return c, M, np.array(vecs)
+def _factor_vectors(W: np.ndarray, M: np.ndarray, poly: Polynomial) -> np.ndarray:
+    """The coefficient vectors (S, K) of the polynomial factor of the lifted
+    state at S samples with W_k = U_k U_0^* = A + iB and Gaussian matrices
+    M_k.  By Heisenberg covariance the lift sends q(x) u_{M_0} to
+    c_k q(A^T x + B^T xi) 1 u_{M_k}, where the momentum xi = -i(D - M_k S)
+    acts on r u_{M_k} as a derivative of r: one substitution
+    q -> q(G S + H D) 1 from the start, with G = A^T + i B^T M_k and
+    H = -i B^T, formed for at most WORD_CHUNK_BYTES of samples at a time."""
+    basis, A, Bt = poly.basis, _T(W.real), _T(W.imag)
+    chunk = max(1, WORD_CHUNK_BYTES // (16 * basis.size ** 2))
+    return np.concatenate([
+        basis.images(A[lo:lo + chunk] + 1j * (Bt[lo:lo + chunk] @ M[lo:lo + chunk]),
+                     -1j * Bt[lo:lo + chunk]) @ poly.vec
+        for lo in range(0, len(W), chunk)])
 
 
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
@@ -712,20 +661,19 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     one polynomial factor per sample.
 
     Steps are bisected geodesically in U(n) until each is within the step
-    bound of the identity, where the per-step branch is unambiguous.  Pure
-    Gaussian states take the closed law as one batch; states with a
-    polynomial factor go through the generator word of every step, checked
-    against the closed law (see ``_word_lift``).
+    bound of the identity, where the per-step branch is unambiguous.  Every
+    state takes its scalar and matrix from the closed law as one batch (see
+    ``_closed_law``); a polynomial factor is one substitution from the start
+    at each sample (see ``_factor_vectors``).
     """
-    c, M, vecs = _lift(Us, s0, tol, max_depth)
-    if vecs is None:
+    c, M, W = _lift(Us, s0, tol, max_depth)
+    if s0.poly.is_constant():
         return c, M, [s0.poly] * len(c)
-    return c, M, [Polynomial._dense(s0.poly.basis, v) for v in vecs]
+    return c, M, [Polynomial._dense(s0.poly.basis, v) for v in _factor_vectors(W, M, s0.poly)]
 
 
 def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
-    """lift_frame_path_trace with the factors' coefficient vectors as one
-    array (N, K), or None for a pure Gaussian state, whose factor stays."""
+    """Scalars, matrices and W_k = U_k U_0^* at the input samples of Us."""
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
@@ -738,11 +686,8 @@ def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
     U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth, tol)
-    if s0.poly.is_constant():
-        c, M = _closed_law(U, V, s0, tol)
-        return c[keep], M[keep], None
-    c, M, vecs = _word_lift(U, V, s0, tol)
-    return c[keep], M[keep], vecs[keep]
+    c, M = _closed_law(U, V, s0, tol)
+    return c[keep], M[keep], U[keep] @ _adjoint(U[0])
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
@@ -754,11 +699,13 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     Steps are subdivided (geodesically in U(n)) until each one's eigenvalues
     are within _step_bound(n) = min(MAX_UNITARY_STEP, 2 sin(pi/8n)) of 1
     (0.39 at n = 2); the per-step branch is then unambiguous.
-    The endpoint is sampling-independent within phase_tol.  Only its
-    polynomial factor is built (see ``lift_frame_path_trace``).
+    The endpoint is sampling-independent within phase_tol.  Its polynomial
+    factor is the one endpoint substitution of ``_factor_vectors``.
     """
-    c, M, vecs = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol, max_depth)
-    poly = s0.poly if vecs is None else Polynomial._dense(s0.poly.basis, vecs[-1])
+    c, M, W = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol, max_depth)
+    poly = s0.poly
+    if not poly.is_constant():
+        poly = Polynomial._dense(poly.basis, _factor_vectors(W[-1:], M[-1:], poly)[0])
     # the lift checked every dense state; its M are exactly symmetric
     return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=poly)
 

@@ -12,7 +12,8 @@ from maslov.core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                          Tolerances, UnitaryComplex, embed_unitary, intersection_dim,
                          l0_frame, lagrangian_from_souriau, line_frame,
                          random_lagrangian, random_unitary, souriau_map)
-from maslov.errors import ConditioningError, InvariantViolation, TransversalityError
+from maslov.errors import (ConditioningError, DimensionMismatch, InvariantViolation,
+                           TransversalityError)
 from maslov.index import (CoverPoint, DeckAction, LagrangianPath, _leray,
                           clm_index, cover_action, induced_lagrangian_path,
                           kashiwara_signature, leray_index, leray_transverse,
@@ -169,7 +170,6 @@ def test_kashiwara_is_blind_to_the_basis_of_each_frame(n, seed, data):
 
 
 def test_kashiwara_dimension_mismatch():
-    from maslov.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         kashiwara_signature(line_frame(0.0), line_frame(1.0), l0_frame(2))
 
@@ -365,6 +365,14 @@ def test_cover_action_rejects_a_nan_phi_by_name():
     x = CoverPoint(np.eye(2), 0.0)
     with pytest.raises(InvariantViolation, match="^phi is not a lift of arg det r$"):
         cover_action(np.eye(2), float("nan"), x)
+
+
+def test_cover_action_rejects_a_misshapen_r_by_type():
+    # a non-square r and an r of another n are named before any det or product
+    x = CoverPoint(np.eye(2), 0.0)
+    for r in (np.ones((2, 3)), np.eye(3), np.eye(2)[0]):
+        with pytest.raises(DimensionMismatch, match="acts on points of shape"):
+            cover_action(r, 0.0, x)
 
 
 def test_leray_parity(rng):

@@ -784,7 +784,7 @@ def rel_drift(got, want):
 
 @given(st.data())
 def test_word_lift_matches_reference_step_word(data):
-    # the two-pass word lift against the word applied one dense step at a time
+    # the closed-law lift against the word applied one dense step at a time
     n = data.draw(DIMS)
     p = data.draw(polynomials(n))
     assume(not p.is_constant())
@@ -868,23 +868,50 @@ def closed_law_perturbed(at, delta):
     return law
 
 
-def test_word_lift_checks_the_closed_law(rng, monkeypatch):
-    # 12 dense steps in chunks of 3; sample 7 lies inside the third chunk
+def test_lift_names_the_dense_sample_of_a_bad_state(rng, monkeypatch):
+    # 12 dense steps, the polynomial factor formed in chunks of 3 samples, so
+    # sample 7 lies inside the third chunk: a pure and a polynomial state
+    # alike fail the closed law's check there, and the error names the sample
     n = 2
-    s0 = random_state(n, rng)
-    K = s0.poly.basis.size
+    poly = hermite_state((1, 2), n).poly
+    states = (ground_state(n), GaussianAmplitude(1.0, np.eye(n) + 0.5j, poly))
     Us = rotating_path(n, rng, [0.1, -0.2], 12.0, 13)
-    monkeypatch.setattr(metaplectic, "WORD_CHUNK_BYTES", 3 * 16 * K ** 2)
-    lift_frame_path_trace(Us, s0, max_depth=0)
-    # the word moves M_6 to its own M_7, which misses the perturbed closed one
-    monkeypatch.setattr(metaplectic, "_closed_matrices", closed_law_perturbed(7, 1e-6))
-    with pytest.raises(ConditioningError, match="closed law differ on M by .* at dense sample 7$"):
-        lift_frame_path_trace(Us, s0, max_depth=0)
-    # a check inside the chunk names the dense step, not the chunk entry
+    monkeypatch.setattr(metaplectic, "WORD_CHUNK_BYTES", 3 * 16 * poly.basis.size ** 2)
+    for s in states:
+        lift_frame_path_trace(Us, s, max_depth=0)
     monkeypatch.setattr(metaplectic, "_closed_matrices",
                         closed_law_perturbed(7, -10.0 * np.eye(n)))
-    with pytest.raises(StateDomainError, match="positive definite; .* at dense step 7$"):
-        lift_frame_path_trace(Us, s0, max_depth=0)
+    for s in states:
+        with pytest.raises(StateDomainError, match="positive definite; .* at dense sample 7$"):
+            lift_frame_path_trace(Us, s, max_depth=0)
+
+
+def test_polynomial_lift_keeps_the_ground_state_scalar(rng):
+    # a polynomial factor changes neither c nor M of the lift, and the
+    # endpoint does not depend on the sampling, also on strongly chirped
+    # states, where a dense step's factor can turn by more than pi / 4:
+    # x e^{-M x^2/2} with M_0 = 1 + 2i along e^{it} at t = 0, 1.5, 3, then
+    # Hermite states at n = 2..4 with |Im M_0| up to 5 along rotations
+    def rotations(Q, lam):
+        return lambda t: (Q * np.exp(1j * np.multiply.outer(t, lam))[:, None, :]) @ Q.conj().T
+
+    cases = [(np.array([[1.0 + 2.0j]]), Polynomial.coordinate(0, 1),
+              rotations(np.eye(1), [1.0]))]
+    for n in (2, 3, 4):
+        B = rng.normal(size=(n, n))
+        B = 5.0 * (B + B.T) / np.max(np.abs(B + B.T))
+        Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        cases.append((np.eye(n) + 1j * B, hermite_state((2, 1) + (0,) * (n - 2), n).poly,
+                      rotations(Q, rng.uniform(-1.0, 1.0, n))))
+    for M0, poly, path in cases:
+        s0 = GaussianAmplitude(0.6 - 0.8j, M0, poly)
+        coarse, fine = path(np.linspace(0.0, 3.0, 3)), path(np.linspace(0.0, 3.0, 3001))
+        c, M, polys = lift_frame_path_trace(coarse, s0)
+        c0, M0s, _ = lift_frame_path_trace(coarse, GaussianAmplitude(s0.c, M0))
+        assert np.max(np.abs(c - c0)) <= 1e-12 and np.array_equal(M, M0s)
+        cf, Mf, pf = lift_frame_path_trace(fine, s0)
+        assert abs(cf[-1] - c[-1]) <= 1e-9 and np.max(np.abs(Mf[-1] - M[-1])) <= 1e-9
+        assert rel_drift(pf[-1].vec, polys[-1].vec) <= 1e-9
 
 
 def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
@@ -900,8 +927,8 @@ def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
 
 def test_word_lift_memory_is_bounded(rng):
     # degree-8 states at n = 3 (K = 165) over 400 dense steps and at n = 4
-    # (K = 495) over 40, none refined; pass (b) holds the operators of one
-    # chunk of steps at a time
+    # (K = 495) over 40, none refined; the substitution holds the operators
+    # of one chunk of samples at a time
     for lam, k in (([1.0, -0.6, 0.3], 401), ([1.0, -0.6, 0.3, 0.8], 41)):
         n = len(lam)
         s0 = hermite_state(8, n)
@@ -921,9 +948,7 @@ def test_word_lift_memory_is_bounded(rng):
 
 def test_word_lift_returns_a_chirped_state_round_a_loop(rng):
     # M_0 = I/2 + iJ (J all ones) at n = 3 with a degree-4 factor, along
-    # t -> expm(2.5 t H) out and back: the lifted state returns to its start.
-    # Taking a step's three push-throughs in turn, F(M_3) nearly undoing
-    # F(M_1), misses it by up to 2.2e-12 of the largest coefficient here
+    # t -> expm(2.5 t H) out and back: the lifted state returns to its start
     n = 3
     s0 = GaussianAmplitude(1.0, 0.5 * np.eye(n) + 1j * np.ones((n, n)),
                            hermite_state((2, 1, 1), n).poly)
@@ -939,22 +964,34 @@ def test_word_lift_returns_a_chirped_state_round_a_loop(rng):
         assert rel_drift(polys[-1].vec, s0.poly.vec) <= 1e-12
 
 
+@st.composite
+def chirped_matrices(draw, n):
+    """Complex symmetric A A^T + I/2 + 10 i (B + B^T)/2: Re >= I/2 and
+    |Im| up to 10."""
+    A, B = draw(square(n)), draw(square(n))
+    return A @ A.T + 0.5 * np.eye(n) + 5j * (B + B.T)
+
+
 @given(st.data())
-def test_word_images_compose_the_step_push_throughs(data):
-    # the one operator images(G, H) of a dense step, G = -N_1 N_3 L and
-    # H = i Q B^T with B = L^{-1}, against the step's word applied generator
-    # by generator: the push-throughs F(M_1), F(M_3) and C(L) in turn
+def test_factor_substitution_matches_the_generator_words(data):
+    # the lift's substitution q -> q(A^T x + B^T xi) 1 for W = A + iB, xi the
+    # momentum, against the factor of the generator word of embed(W): the
+    # quadratic Fourier word where B is invertible, Dilate where W is real
+    # orthogonal
     n = data.draw(DIMS)
     p = data.draw(polynomials(n))
     assume(np.any(p.vec))
+    s = GaussianAmplitude(1.0, data.draw(chirped_matrices(n)), p)
     Z = data.draw(square(n)) + 1j * data.draw(square(n))
-    V = scipy.linalg.expm(0.2 * (Z - Z.conj().T))  # a step near the identity
-    qf = quad_fourier_from_symplectic(embed_unitary(1j * V), 0)
-    s1 = apply_generator(JHat(), GaussianAmplitude(1.0, data.draw(gaussian_matrices(n)), p))
-    s3 = apply_generator(JHat(), apply_generator(Chirp(-qf.Q), s1))
-    out = apply_generator(Dilate(qf.L.T, 0), s3)
-    G, H = -s1.M @ s3.M @ qf.L, 1j * qf.Q @ np.linalg.inv(qf.L).T
-    assert rel_drift(p.basis.images(G, H) @ p.vec, out.poly.vec) <= 1e-12
+    W = scipy.linalg.expm(2.0 * (Z - Z.conj().T))
+    assume(abs(np.linalg.det(W.imag)) >= 0.05)
+    out = apply_quad_fourier(quad_fourier_from_symplectic(embed_unitary(W), 0), s)
+    got = metaplectic._factor_vectors(W[None], out.M[None], p)[0]
+    assert rel_drift(got, out.poly.vec) <= 1e-12
+    A = np.linalg.qr(data.draw(square(n)))[0]
+    out = apply_generator(Dilate(A, 0), s)
+    got = metaplectic._factor_vectors(A[None].astype(complex), out.M[None], p)[0]
+    assert rel_drift(got, out.poly.vec) <= 1e-12
 
 
 @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), spread=st.booleans())
