@@ -258,8 +258,9 @@ def _run_index(spec, tol):
 
 def _run_holonomy(spec, tol):
     _check_fields(spec, "holonomy")
-    refine_max = spec.get("refine_max")
-    refine_max = 12 if refine_max is None else int(refine_max)
+    refine_max = 12 if spec.get("refine_max") is None else spec["refine_max"]
+    if type(refine_max) is not int or refine_max < 0:
+        raise SpecError("spec.refine_max", "must be a non-negative integer")
     chart = build_chart(_require(spec, "chart", "spec", dict))
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)

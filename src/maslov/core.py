@@ -164,6 +164,8 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
     midpoint, symmetric again.  A step with X_a + X_b singular below
     rank_floor is antipodal: no midpoint is preferred, and it raises.
     """
+    if max_depth < 0:
+        raise SamplingError("refinement depth must be non-negative, got %d" % max_depth)
     for depth in range(max_depth + 1):
         bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too
         if not bad.size:

@@ -5,14 +5,15 @@ end-to-end holonomy verifiers.
 Transport works on the orthonormal tangent bases B_k of the sampled points,
 taken for a whole level of samples at once.  Between consecutive bases it
 uses the polar transfer P_k = polar(B_{k+1}^T B_k), the orthogonal factor of
-the projection of one tangent space onto the next, and builds the frames as
-F_k = B_k G_k with G_{k+1} = P_k G_k.  Polar factors are right-equivariant,
-polar(C G) = polar(C) G, so this equals projecting the previous frame onto
-the next tangent space and re-orthonormalizing it by its polar factor, and
-it converges to Levi-Civita transport of the induced metric without
-touching second derivatives of the chart.  Segments are bisected level by
-level until the spectral step norm ||B_{k+1} P_k - B_k||_2, which does not
-depend on the frame, is at most FRAME_INCREMENT_BOUND.
+the projection of one tangent space onto the next, by Newton-Schulz steps,
+and builds the frames as F_k = B_k G_k with G_{k+1} = P_k G_k by a doubling
+scan.  Polar factors are right-equivariant, polar(C G) = polar(C) G, so this
+equals projecting the previous frame onto the next tangent space and
+re-orthonormalizing it by its polar factor, and it converges to Levi-Civita
+transport of the induced metric without touching second derivatives of the
+chart.  Segments are bisected level by level until the spectral step norm
+||B_{k+1} P_k - B_k||_2, which does not depend on the frame, is at most
+FRAME_INCREMENT_BOUND.
 """
 
 from __future__ import annotations
@@ -278,46 +279,43 @@ def _tangent_bases(chart, us, tol) -> np.ndarray:
     return Q * np.sign(d)[:, None, :]
 
 
-def _transfers(Ba: np.ndarray, Bb: np.ndarray):
-    """Polar transfers P = polar(Bb^T Ba) of a stack of segments between
-    tangent bases, and their spectral step norms ||Bb P - Ba||_2, both from
-    one SVD Bb^T Ba = U diag(s) W^T.  P = U W^T, and the columns of
-    (Bb P - Ba) W = Bb U - Ba W are orthogonal with norms sqrt(2 (1 - s_i)),
-    so the step norm is the largest of these column norms.  They are taken
-    from the column differences, which keeps their accuracy at machine
-    precision: the closed form sqrt(2 (1 - s_min)) cancels as s_min -> 1."""
-    U, _, Wh = np.linalg.svd(np.swapaxes(Bb, 1, 2) @ Ba)
-    E = Bb @ U - Ba @ np.swapaxes(Wh, 1, 2)
-    return U @ Wh, np.max(np.linalg.norm(E, axis=1), axis=1)
+def _transfers(Ba: np.ndarray, Bb: np.ndarray, C: np.ndarray = None):
+    """Polar transfers P = polar(C), C = Bb^T Ba, of a stack of segments and
+    their spectral step norms ||Bb P - Ba||_2, the root of the top eigenvalue
+    of D^T D, D = Bb P - Ba.  P takes three Newton-Schulz steps
+    X <- X - X (X^T X - I) / 2 from X = C; each takes e = 1 - s^2 of every
+    singular value s to (3 e^2 + e^3) / 4, so a segment the screen leaves
+    open (every e <= 4e-4 at n <= 4) reaches rounding.  Elsewhere P may not
+    converge, but the step, at least sqrt(1 - s_min^2) for any P, exceeds the
+    bound.  A fixed count keeps each segment independent of its batch."""
+    X = np.swapaxes(Bb, 1, 2) @ Ba if C is None else C
+    for _ in range(3):  # contiguous transposes: a strided X^T X is several times slower
+        X = X - X @ (np.swapaxes(X, 1, 2).copy() @ X - np.eye(X.shape[-1])) / 2
+    D = Bb @ X - Ba
+    return X, np.sqrt(np.linalg.eigvalsh(np.swapaxes(D, 1, 2).copy() @ D)[:, -1])
 
 
 def _screened_transfers(Ba: np.ndarray, Bb: np.ndarray):
-    """_transfers where a cheap bound leaves the bisection open.  Bb^T Ba has
-    singular values s_i in [0, 1], where 2 (1 - s) >= 1 - s^2, so the step
-    is at least sqrt((n - ||Bb^T Ba||_F^2) / n).  A segment whose bound clears
+    """_transfers where a cheap bound leaves the bisection open.  C = Bb^T Ba
+    has singular values s_i in [0, 1], where 2 (1 - s) >= 1 - s^2, so the
+    step is at least sqrt((n - ||C||_F^2) / n).  A segment whose bound clears
     FRAME_INCREMENT_BOUND by the margin takes it as its step, P = NaN."""
     C, n = np.swapaxes(Bb, 1, 2) @ Ba, Ba.shape[-1]
     step = np.sqrt(np.maximum(n - np.sum(C * C, axis=(1, 2)), 0.0) / n)
     P = np.full(C.shape, np.nan)
     open_ = ~(step > (1 + _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
-    P[open_], step[open_] = _transfers(Ba[open_], Bb[open_])
+    P[open_], step[open_] = _transfers(Ba[open_], Bb[open_], C[open_])
     return P, step
 
 
 def _running_products(P: np.ndarray) -> np.ndarray:
-    """The stack G_0 = I, G_{k+1} = P_k G_k: one cumprod at n = 1 (P_k = +-1)."""
-    if P.shape[-1] == 1:
-        return np.cumprod(np.concatenate([[1.0], P[:, 0, 0]]))[:, None, None]
-    G = np.empty((len(P) + 1,) + P.shape[1:])
-    G[0] = np.eye(P.shape[-1])
-    for k in range(len(P)):
-        np.matmul(P[k], G[k], out=G[k + 1])
+    """The stack G_0 = I, G_{k+1} = P_k G_k by a doubling scan: exact on the
+    diagonal +-1 transfers of the circle, torus and plane-curve charts, and
+    the sequential products to rounding elsewhere."""
+    G = np.concatenate([np.eye(P.shape[-1])[None], P])
+    for d in (2 ** k for k in range(len(P).bit_length())):  # 1, 2, 4, ... <= len(P)
+        G[d:] = G[d:] @ G[:-d]  # G_k: the product of the <= 2d transfers before it
     return G
-
-
-def _tangency(F, B) -> float:
-    """Sup-norm distance of the frame columns from span(B)."""
-    return float(np.max(np.abs(F - B @ (np.swapaxes(B, -1, -2) @ F))))
 
 
 def transport_frame(chart: LagrangianChart, path: ParamPath,
@@ -327,15 +325,16 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
 
     The tangent bases B_k of all samples of a level come from one stacked
     factorization, and the polar transfers P_k = polar(B_{k+1}^T B_k) from
-    one batched SVD where a cheap bound leaves it undecided (see
+    Newton-Schulz steps where a cheap bound leaves them undecided (see
     _screened_transfers).  Every segment whose spectral step norm
     ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
     whole level at a time, up to max_depth levels.  The norm bounds every
     column of the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k,
-    for the frames F_k = B_k G_k with G_0 = I and G_{k+1} = P_k G_k.
+    for the frames F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
     """
-    u = path.samples
-    n = chart.n
+    u, n = path.samples, chart.n
+    if max_depth < 0:
+        raise SamplingError("refinement depth must be non-negative, got %d" % max_depth)
     if path.closed:
         gap = np.max(np.abs(chart.at(u[0]) - chart.at(u[-1])))
         if not gap <= 1e-7:  # a non-finite endpoint fails too
@@ -361,8 +360,9 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
     ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
     tangent = LagrangianPath(F, params=t, tol=tol)
+    tangency = float(np.max(np.abs(F - B @ (np.swapaxes(B, 1, 2) @ F))))  # off span(B_k)
     return TransportResult(t, F[:, :n] + 1j * F[:, n:], tangent, depth,
-                           max_step, ortho_resid, _tangency(F, B))
+                           max_step, ortho_resid, tangency)
 
 
 def tangent_lagrangian_path(chart: LagrangianChart, path: ParamPath,

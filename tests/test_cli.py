@@ -285,3 +285,22 @@ def test_refine_max_reaches_holonomy():
     from maslov.errors import SamplingError
     with pytest.raises(SamplingError):
         run({**spec, "refine_max": 0})
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
+def test_refine_max_must_be_a_non_negative_integer(tmp_path, value):
+    # a fine loop (no refinement needed) and a coarse one: both are
+    # rejected before any transport, from the spec field and from the flag
+    for samples in (900, 6):
+        spec = {"command": "holonomy", "chart": {"name": "circle"},
+                "path": {"kind": "arc", "turns": 1.0, "samples": samples}}
+        with pytest.raises(SpecError, match=r"^spec\.refine_max: must be a non-negative"):
+            run({**spec, "refine_max": value})
+        with pytest.raises(SpecError, match=r"^spec\.refine_max:"):
+            run(spec, refine_max=value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "refine_max": value}))
+    assert main(["--spec", str(path)]) == 1
+    if value == -1:
+        path.write_text(json.dumps(spec))
+        assert main(["--spec", str(path), "--refine-max", "-1"]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maslov import metaplectic
-from maslov.core import (DEFAULT_TOLERANCES, bisect_geodesics,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, bisect_geodesics,
                          intersection_dim, line_frame, random_lagrangian,
                          random_unitary)
 from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
@@ -17,7 +17,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
                              verify_theorem1, verify_theorem2,
-                             _screened_transfers, _tangent_bases, _transfers)
+                             _running_products, _screened_transfers,
+                             _tangent_bases, _transfers)
 from maslov.index import clm_index, lift_path
 from maslov.metaplectic import ground_state, lift_frame_path_trace
 
@@ -125,24 +126,37 @@ def as_basis(V):
     return np.concatenate([V.real, V.imag], axis=-2)
 
 
-@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_transfers_match_two_svd_reference(n, seed):
-    # segments from the plane of V to that of exp(i a H) V, ||H||_2 = 1, for
-    # a from 1e-4 to 0.5, with a random orthogonal change of basis at the end
-    rng = np.random.default_rng(seed)
-    V = np.array([random_unitary(n, rng).entries for _ in range(6)])
-    X = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+def rotated_bases(n, angle, rng):
+    """Segments from the plane of V to that of exp(i a H) V, ||H||_2 = 1, one
+    per angle a, with a random orthogonal change of basis at the end: the
+    largest principal angle of each segment is a."""
+    k = len(angle)
+    V = np.array([random_unitary(n, rng).entries for _ in range(k)])
+    X = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
     H = X + np.conj(np.swapaxes(X, 1, 2))
     H /= np.linalg.norm(H, ord=2, axis=(1, 2))[:, None, None]
-    angle = 10.0 ** np.linspace(-4.0, np.log10(0.5), 6)
     lam, E = np.linalg.eigh(H)
     W = (E * np.exp(1j * angle[:, None] * lam)[:, None, :]) @ np.conj(np.swapaxes(E, 1, 2))
-    O = np.linalg.qr(rng.normal(size=(6, n, n)))[0]
-    Ba, Bb = as_basis(V), as_basis(W @ V @ O)
+    O = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+    return as_basis(V), as_basis(W @ V @ O)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_transfers_match_two_svd_reference(n, seed):
+    # up to the screen's edge, the largest angle whose segment it can leave
+    # open (every 1 - s_i^2 <= n (1 + margin)^2 bound^2), the Newton-Schulz
+    # transfer and the Gram step are the SVD ones to rounding; past it, up
+    # to 0.5, the step still exceeds the bound, which is all bisection reads
+    rng = np.random.default_rng(seed)
+    edge = np.arcsin(np.sqrt(n) * (1 + _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
+    angle = 10.0 ** np.linspace(-7.0, np.log10(edge), 8)
+    Ba, Bb = rotated_bases(n, angle, rng)
     P, step = _transfers(Ba, Bb)
     P_ref, step_ref = reference_transfers(Ba, Bb)
-    assert np.array_equal(P, P_ref)
-    assert np.max(np.abs(step - step_ref)) <= 1e-12
+    assert np.max(np.abs(P - P_ref)) <= 1e-14
+    assert np.max(np.abs(step - step_ref)) <= 1e-14
+    past = np.linspace(edge, 0.5, 5)[1:]
+    assert np.all(_transfers(*rotated_bases(n, past, rng))[1] > FRAME_INCREMENT_BOUND)
     # identical bases: zero to machine precision (sqrt(2 (1 - s_min)) gives ~3e-8)
     assert np.max(_transfers(Ba, Ba)[1]) <= 1e-14
 
@@ -216,8 +230,8 @@ def test_chart_check_screen_keeps_the_rank_decision(n, seed):
 
 def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30):
     """The dense parameters and frames of transport_frame's refinement with
-    a rank SVD at every sample, the exact transfers of every segment and the
-    running products one matmul at a time."""
+    a rank SVD at every sample and the exact transfers of every segment (the
+    running products are the library's, checked on their own below)."""
     def bases(us):
         Q, R = np.linalg.qr(chart.jacobians(us))
         assert np.all(np.linalg.svd(R, compute_uv=False)[:, -1] >= tol.rank_floor(2 * n))
@@ -238,11 +252,27 @@ def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30)
         P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
         u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
         B = np.insert(B, bad + 1, Bm, axis=0)
-    G = [np.eye(n)]
+    F = B @ _running_products(P)
+    return t, F[:, :n] + 1j * F[:, n:]
+
+
+def sequential_products(P):
+    """G_0 = I, G_{k+1} = P_k G_k, one matmul at a time."""
+    G = [np.eye(P.shape[-1])]
     for Pk in P:
         G.append(Pk @ G[-1])
-    F = B @ np.array(G)
-    return t, F[:, :n] + 1j * F[:, n:]
+    return np.array(G)
+
+
+@given(n=st.integers(1, 4), steps=st.integers(1, 2500), seed=st.integers(0, 2 ** 32 - 1))
+def test_running_products_match_the_sequential_loop(n, steps, seed):
+    # the doubling scan reassociates the products: to rounding on orthogonal
+    # transfers, and exactly on the diagonal +-1 ones of the built-in charts
+    rng = np.random.default_rng(seed)
+    P = np.linalg.qr(rng.normal(size=(steps, n, n)))[0]
+    assert np.max(np.abs(_running_products(P) - sequential_products(P))) <= 1e-13
+    D = rng.choice([-1.0, 1.0], size=(steps, n))[:, :, None] * np.eye(n)
+    assert np.array_equal(_running_products(D), sequential_products(D))
 
 
 def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
@@ -454,6 +484,16 @@ def test_transport_refinement_exhaustion():
     with pytest.raises(SamplingError, match="transport refinement exhausted"):
         transport_frame(circle_chart(), path, max_depth=2)
     assert transport_frame(circle_chart(), path).refinement_depth > 2
+
+
+def test_negative_refinement_depths_raise_a_library_error():
+    # a loop that needs no refinement and one that does
+    for samples in (900, 6):
+        tr = transport_frame(circle_chart(), ParamPath.circle_arc(1.0, samples))
+        with pytest.raises(SamplingError, match="refinement depth must be non-negative"):
+            transport_frame(circle_chart(), ParamPath.circle_arc(1.0, samples), max_depth=-1)
+        with pytest.raises(SamplingError, match="refinement depth must be non-negative"):
+            lift_frame_path_trace(tr.start_relative, ground_state(1), max_depth=-1)
 
 
 # ---------------------------------------------------------------------------

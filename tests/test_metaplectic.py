@@ -886,24 +886,30 @@ def test_lift_names_the_dense_sample_of_a_bad_state(rng, monkeypatch):
             lift_frame_path_trace(Us, s, max_depth=0)
 
 
-def test_polynomial_lift_keeps_the_ground_state_scalar(rng):
-    # a polynomial factor changes neither c nor M of the lift, and the
-    # endpoint does not depend on the sampling, also on strongly chirped
-    # states, where a dense step's factor can turn by more than pi / 4:
-    # x e^{-M x^2/2} with M_0 = 1 + 2i along e^{it} at t = 0, 1.5, 3, then
-    # Hermite states at n = 2..4 with |Im M_0| up to 5 along rotations
+def chirped_cases(rng, dims=(2, 3, 4)):
+    """(M_0, polynomial factor, unitary path t -> U(t)) of strongly chirped
+    states, where a dense step's factor can turn by more than pi / 4:
+    x e^{-M x^2/2} with M_0 = 1 + 2i along e^{it}, then Hermite states at
+    the given n with |Im M_0| up to 5 along rotations."""
     def rotations(Q, lam):
         return lambda t: (Q * np.exp(1j * np.multiply.outer(t, lam))[:, None, :]) @ Q.conj().T
 
     cases = [(np.array([[1.0 + 2.0j]]), Polynomial.coordinate(0, 1),
               rotations(np.eye(1), [1.0]))]
-    for n in (2, 3, 4):
+    for n in dims:
         B = rng.normal(size=(n, n))
         B = 5.0 * (B + B.T) / np.max(np.abs(B + B.T))
         Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
         cases.append((np.eye(n) + 1j * B, hermite_state((2, 1) + (0,) * (n - 2), n).poly,
                       rotations(Q, rng.uniform(-1.0, 1.0, n))))
-    for M0, poly, path in cases:
+    return cases
+
+
+def test_polynomial_lift_keeps_the_ground_state_scalar(rng):
+    # a polynomial factor changes neither c nor M of the lift, and the
+    # endpoint does not depend on the sampling, also on strongly chirped
+    # states sampled at t = 0, 1.5, 3
+    for M0, poly, path in chirped_cases(rng):
         s0 = GaussianAmplitude(0.6 - 0.8j, M0, poly)
         coarse, fine = path(np.linspace(0.0, 3.0, 3)), path(np.linspace(0.0, 3.0, 3001))
         c, M, polys = lift_frame_path_trace(coarse, s0)
@@ -912,6 +918,24 @@ def test_polynomial_lift_keeps_the_ground_state_scalar(rng):
         cf, Mf, pf = lift_frame_path_trace(fine, s0)
         assert abs(cf[-1] - c[-1]) <= 1e-9 and np.max(np.abs(Mf[-1] - M[-1])) <= 1e-9
         assert rel_drift(pf[-1].vec, polys[-1].vec) <= 1e-9
+
+
+def test_chirped_polynomial_lift_matches_the_fine_step_word(rng):
+    # an oracle outside the closed law for the chirped scalar: the generator
+    # word applied one step at a time on 1,001 samples of t in [0, 3], where
+    # every step's factor turns by far less than pi / 4, so its per-step
+    # rounding picks the right quarter turn; the lift takes 3 samples
+    for M0, poly, path in chirped_cases(rng, dims=(2,)):
+        s0 = GaussianAmplitude(0.6 - 0.8j, M0, poly)
+        c, _, polys = lift_frame_path_trace(path(np.linspace(0.0, 3.0, 3)), s0)
+        fine = path(np.linspace(0.0, 3.0, 1001))
+        ref, turn = s0, 0.0
+        for V in fine[1:] @ np.conj(np.swapaxes(fine[:-1], 1, 2)):
+            moved = reference_step_word(V, ref)[0]
+            turn, ref = max(turn, abs(np.angle(moved.c / ref.c))), moved
+        assert turn < np.pi / 8
+        assert abs(c[-1] - ref.c) <= 1e-9
+        assert rel_drift(polys[-1].vec, ref.poly.vec) <= 1e-9
 
 
 def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):

@@ -1,6 +1,7 @@
 """The scripts that show two trees give the same output: tools/golden_drift.py,
-tools/leray_pairs.py (its Leray pairs and Kashiwara triples) and
-tools/word_lifts.py (the lifted endpoint states of gaussian_words)."""
+tools/leray_pairs.py (its Leray pairs and Kashiwara triples),
+tools/word_lifts.py (the lifted endpoint states of gaussian_words) and
+tools/battery_payloads.py (the report payloads of holonomy_battery)."""
 
 import importlib.util
 import json
@@ -107,3 +108,21 @@ def test_word_lifts_writes_the_same_bytes_twice(tmp_path, monkeypatch):
         record = json.loads(first)
         assert record["op"] == name[3:-5]
         assert [level["level"] for level in record["levels"]] == [0, 1, 2, 3, 4]
+
+
+def test_battery_payloads_writes_the_same_bytes_twice(tmp_path, monkeypatch):
+    # the tool puts src/ and perfbench/ first on the path and writes no bytecode
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    battery_payloads = load_tool("battery_payloads")
+    battery = battery_payloads.holonomy_battery
+    make_ops = battery.make_ops
+    monkeypatch.setattr(battery, "make_ops", lambda seed: make_ops(seed)[:6])
+    for run in ("a", "b"):
+        assert battery_payloads.write_payloads(3, str(tmp_path / run)) == 6
+    names = sorted(p.name for p in (tmp_path / "a" / "seed3").iterdir())
+    assert names == ["%02d_%s.json" % (i, op.name) for i, op in enumerate(make_ops(3)[:6])]
+    for name in names:
+        first = (tmp_path / "a" / "seed3" / name).read_bytes()
+        assert first == (tmp_path / "b" / "seed3" / name).read_bytes()
+        assert json.loads(first)["command"] in ("verify", "holonomy", "report")
