@@ -273,34 +273,37 @@ def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -
     return U
 
 
-def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Souriau images of a stack of frames F of shape (N, 2n, n), as (V, w).
+def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Souriau images w of real frame columns F, shape (N, 2n, n), made
+    orthonormal by QR, or of the unitaries of orthonormal frames, (N, n, n).
 
-    V_k = X_k + iY_k is the unitary of the orthonormalized frame with blocks
-    X (positions) and Y (momenta), and w_k = -V_k V_k^T; this is r r^T for
-    the unitary r = Y - iX carrying L0 onto span(F_k).  One unitarity
-    residual of V checks that every frame is Lagrangian of full rank and
-    names the first that is not.
+    V_k = X_k + iY_k is the unitary of orthonormal frame k, X its positions
+    and Y its momenta, and w_k = -V_k V_k^T = r r^T for the unitary r = Y - iX
+    carrying L0 onto its plane.  One unitarity residual of V checks that every
+    frame is orthonormal and isotropic, and names the first that is not.
     """
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
-        raise InvariantViolation("frames must form an (N, 2n, n) stack")
-    n = F.shape[2]
-    Q = _orthonormal_columns(F)
-    V = Q[:, :n] + 1j * Q[:, n:]
+    if np.iscomplexobj(F):
+        V = np.asarray(F)
+        if V.ndim != 3 or V.shape[1] != V.shape[2]:
+            raise InvariantViolation("frame unitaries must form an (N, n, n) stack")
+    else:
+        F = np.asarray(F, dtype=float)
+        if F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
+            raise InvariantViolation("frames must form an (N, 2n, n) stack")
+        Q, n = _orthonormal_columns(F), F.shape[2]
+        V = Q[:, :n] + 1j * Q[:, n:]
     resid = _unitarity_residuals(V)
     check_stack(resid <= tol.residual_tol, InvariantViolation,
                 "not Lagrangian: unitarity residual %.3e", resid, entry="frame")
     w = -(V @ np.swapaxes(V, 1, 2))
-    w = (w + np.swapaxes(w, 1, 2)) / 2  # symmetric by construction; tidy roundoff
-    return V, w
+    return (w + np.swapaxes(w, 1, 2)) / 2  # symmetric by construction; tidy roundoff
 
 
 def souriau_map(L: LagrangianFrame, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryComplex:
     """Souriau image of span(L), a symmetric unitary: the one-frame case of
     souriau_images."""
     # souriau_images checked V unitary, and w = -V V^T is unitary with it
-    return _trusted(UnitaryComplex, entries=souriau_images(L.columns[None], tol)[1][0])
+    return _trusted(UnitaryComplex, entries=souriau_images(L.columns[None], tol)[0])
 
 
 def _souriau_frame(w: np.ndarray) -> LagrangianFrame:

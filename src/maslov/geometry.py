@@ -359,16 +359,18 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     F = B @ _running_products(P)
     max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
     ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
-    tangent = LagrangianPath(F, params=t, tol=tol)
+    V = F[:, :n] + 1j * F[:, n:]
     tangency = float(np.max(np.abs(F - B @ (np.swapaxes(B, 1, 2) @ F))))  # off span(B_k)
-    return TransportResult(t, F[:, :n] + 1j * F[:, n:], tangent, depth,
+    return TransportResult(t, V, LagrangianPath(V, params=t, tol=tol), depth,
                            max_step, ortho_resid, tangency)
 
 
 def tangent_lagrangian_path(chart: LagrangianChart, path: ParamPath,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
-    """The path of tangent planes t -> span(Jac(u(t))), orthonormalized."""
-    return LagrangianPath(_tangent_bases(chart, path.samples, tol), tol=tol)
+    """The path of tangent planes t -> span(Jac(u(t))), entered as the
+    unitaries of their orthonormal bases B_k from _tangent_bases."""
+    B, n = _tangent_bases(chart, path.samples, tol), chart.n
+    return LagrangianPath(B[:, :n] + 1j * B[:, n:], tol=tol)
 
 
 # ---------------------------------------------------------------------------

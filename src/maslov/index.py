@@ -193,7 +193,8 @@ class LagrangianPath:
     """
 
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
-        """frames: LagrangianFrame objects, or an (N, 2n, n) array of frame columns."""
+        """frames: LagrangianFrame objects, an (N, 2n, n) array of frame columns,
+        or an (N, n, n) complex array of the unitaries of orthonormal frames."""
         if len(frames) < 2:
             raise InvariantViolation("a path needs at least two samples")
         if not isinstance(frames, np.ndarray):
@@ -205,7 +206,7 @@ class LagrangianPath:
         params = np.asarray(params, dtype=float)
         if len(params) != len(frames) or np.any(np.diff(params) <= 0):
             raise InvariantViolation("params must be strictly increasing, one per frame")
-        w = souriau_images(frames, tol)[1]
+        w = souriau_images(frames, tol)
         self.n = w.shape[1]
         self.souriau, self.params = bisect_geodesics(
             w, params, lambda w: np.sqrt(self.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2)),

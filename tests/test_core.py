@@ -13,6 +13,7 @@ from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
                          souriau_images, souriau_map, standard_j,
                          unitaries_from_symplectic)
 from maslov.errors import DimensionMismatch, InvariantViolation
+from maslov.index import LagrangianPath
 
 
 def same_span(F1, F2):
@@ -101,11 +102,15 @@ def test_souriau_frame_choice_invariance(rng):
 def test_souriau_images_stack_matches_single_frames(rng):
     for n in (1, 2, 3):
         Ls = [random_lagrangian(n, rng) for _ in range(5)]
-        V, w = souriau_images(np.array([L.columns for L in Ls]))
-        assert V.shape == w.shape == (5, n, n)
+        F = np.array([L.columns for L in Ls])
+        w = souriau_images(F)
+        assert w.shape == (5, n, n)
         for L, wk in zip(Ls, w):
             assert np.array_equal(souriau_map(L).entries, wk)
+        V = F[:, :n] + 1j * F[:, n:]  # random_lagrangian frames are orthonormal
         assert np.max(np.abs(w + V @ np.swapaxes(V, 1, 2))) < 1e-15
+        # the unitaries of the same orthonormal frames enter with no QR
+        assert np.max(np.abs(souriau_images(V) - w)) < 1e-15
 
 
 def test_souriau_images_name_the_first_bad_frame(rng):
@@ -116,6 +121,23 @@ def test_souriau_images_name_the_first_bad_frame(rng):
     F[2], F[3, 0, 0] = F[0], np.nan
     with pytest.raises(InvariantViolation, match="at frame 3$"):
         souriau_images(F)
+
+
+def test_souriau_images_check_frame_unitaries(rng):
+    V = np.array([random_unitary(2, rng).entries for _ in range(5)])
+    for bad in (np.concatenate([V, V], axis=1), V[0], V[..., None]):  # not (N, n, n)
+        with pytest.raises(InvariantViolation, match=r"^frame unitaries must form"):
+            souriau_images(bad)
+    W = V.copy()
+    W[3, 1, 0] += 1e-6  # off unitary: neither orthonormal nor isotropic
+    with pytest.raises(InvariantViolation,
+                       match=r"^not Lagrangian: unitarity residual \d\.\d{3}e-0[67] at frame 3$"):
+        souriau_images(W)
+    W[3], W[1, 0, 1] = V[3], np.nan
+    for route in (souriau_images, LagrangianPath):
+        with pytest.raises(InvariantViolation,
+                           match=r"^not Lagrangian: unitarity residual nan at frame 1$"):
+            route(W)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])

@@ -19,7 +19,7 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              verify_theorem1, verify_theorem2,
                              _running_products, _screened_transfers,
                              _tangent_bases, _transfers)
-from maslov.index import clm_index, lift_path
+from maslov.index import LagrangianPath, clm_index, lift_path
 from maslov.metaplectic import ground_state, lift_frame_path_trace
 
 
@@ -471,6 +471,29 @@ def test_transport_checks_refinement_midpoints():
         transport_frame(chart, ParamPath.line([0.3, 0.0], [0.3, np.pi], 2))
 
 
+def test_unitarity_check_guards_frames_past_the_chart_cut():
+    # a torus whose Jacobian leans 1e-7 off the Lagrangian locus: the pullback
+    # residual 1e-7 |sin u1| passes the chart cut max(1e3 residual_tol, 1e-9),
+    # so only the unitarity check at residual_tol on the path's frames sees it
+    torus = product_torus_chart((1.0, 1.0))
+
+    def jacobian(us):
+        J = torus.jacobian(us)
+        J[:, 2, 1] += 1e-7
+        return J
+
+    chart = LagrangianChart(2, point=torus.point, jacobian=jacobian)
+    path = ParamPath.torus_loop((1, 1), 200)
+    _tangent_bases(chart, path.samples, DEFAULT_TOLERANCES)
+    # transport bisects twice, so dense frame 2 sits at u1 = pi / 199
+    with pytest.raises(InvariantViolation,
+                       match=r"^not Lagrangian: unitarity residual 1\.579e-09 at frame 2$"):
+        transport_frame(chart, path)
+    with pytest.raises(InvariantViolation,
+                       match=r"^not Lagrangian: unitarity residual 3\.157e-09 at frame 1$"):
+        tangent_lagrangian_path(chart, path)
+
+
 def test_transport_rejects_non_finite_closing_point():
     circle = circle_chart()
     chart = LagrangianChart(1, point=lambda us: np.where(us < 6.0, circle.point(us), np.nan),
@@ -518,6 +541,52 @@ def test_tangent_path_torus_winding_multiplicative():
         path = tangent_lagrangian_path(chart, ParamPath.torus_loop((a, b), 200))
         theta = lift_path(path)
         assert abs(theta[-1] - theta[0] - 4 * np.pi * (a + b)) < 1e-8
+
+
+def unitary_path(n, rng, k=9):
+    """Frame unitaries U expm(i t H), t in [0, 1], of one random orthonormal
+    Lagrangian frame turning in a random symmetric direction H, made unitary
+    to rounding by a phase-fixed complex QR.  The Souriau bisection refines
+    it, but no step comes near antipodal, where the polar midpoint would
+    magnify rounding differences between the two input forms."""
+    U = random_unitary(n, rng).entries
+    lam, E = np.linalg.eigh(rng.normal(size=(n, n)) + rng.normal(size=(n, n)).T)
+    t = np.linspace(0.0, 1.0, k)
+    Q, R = np.linalg.qr(U @ (E * np.exp(1j * t[:, None, None] * lam)) @ E.T)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
+def assert_same_path(V, params=None):
+    """LagrangianPath of the frame unitaries V and of their real frame columns
+    [Re V; Im V] give the same path, index and lift."""
+    pv = LagrangianPath(V, params=params)
+    pf = LagrangianPath(np.concatenate([V.real, V.imag], axis=1), params=params)
+    assert len(pv) == len(pf) and np.array_equal(pv.params, pf.params)
+    # the QR route moves each frame by its orthonormality residual plus
+    # rounding, and each entry of w = -V V^T sums n products of the entries
+    resid = np.max(np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(V.shape[-1])))
+    assert np.max(np.abs(pv.souriau - pf.souriau)) < 4e-15 + 2 * resid
+    assert clm_index(pv) == clm_index(pf)
+    # the same start and the same increment at every sample; the running
+    # sums themselves part by more (1.3e-13 over the 1,889 torus-loop samples)
+    tv, tf = lift_path(pv), lift_path(pf)
+    assert abs(tv[0] - tf[0]) < 1e-15
+    assert np.max(np.abs(np.diff(tv) - np.diff(tf))) < 2e-14
+    return pv
+
+
+def test_unitaries_and_frame_columns_build_the_same_path(rng):
+    refined = [len(assert_same_path(unitary_path(n, rng))) > 9 for n in (1, 2, 3, 4)]
+    assert sum(refined) >= 2  # the Souriau bisection ran, identically on both routes
+    waves, loop = CURVED_LOOPS[3]
+    for chart, path in ((circle_chart(1.3), ParamPath.circle_arc(1.0, 60)),
+                        (product_torus_chart((1.0, 0.7)), ParamPath.torus_loop((1, 2), 60)),
+                        (cosine_gradient_chart(waves),
+                         ParamPath(loop(np.linspace(0.0, 2 * np.pi, 60)), closed=True))):
+        tr = transport_frame(chart, path)
+        pv = assert_same_path(tr.frames, tr.params)
+        assert np.array_equal(pv.souriau, tr.tangent_path.souriau)
 
 
 # ---------------------------------------------------------------------------
