@@ -254,29 +254,43 @@ class TransportResult:
         return self.frames[0].conj().T @ self.frames
 
 
+def _gram_schmidt(J: np.ndarray):
+    """(Q, r) of J = QR, diag R = r >= 0, for a stack of real (N, m, n) J by
+    classical Gram-Schmidt projecting each column twice (Giraud, Langou and
+    Rozloznik, Comput. Math. Appl. 50 (2005)); r_ii = 0 leaves a zero column."""
+    Qt, r = np.swapaxes(J, 1, 2).copy(), np.empty(J.shape[::2])  # columns as rows, in place
+    for j in range(Qt.shape[1]):
+        v = Qt[:, j]
+        for _ in range(2 if j else 0):
+            v = v - np.einsum("njm,nj->nm", Qt[:, :j], np.einsum("njm,nm->nj", Qt[:, :j], v))
+        r[:, j] = np.sqrt(np.einsum("nm,nm->n", v, v))
+        Qt[:, j] = v / np.where(r[:, j] > 0, r[:, j], 1.0)[:, None]
+    return np.swapaxes(Qt, 1, 2), r
+
+
 def _tangent_bases(chart, us, tol) -> np.ndarray:
-    """Orthonormal tangent bases at the parameters us, shape (N, 2n, n), with
-    the sign of each column fixed by its QR pivot.  This is the chart check:
+    """Orthonormal tangent bases at the parameters us, shape (N, 2n, n): the
+    Q of J = QR with diag R > 0 (_gram_schmidt).  This is the chart check:
     three stacked checks, each naming the first bad parameter, that the
-    Jacobians are finite, of full rank (J = QR has the singular values of
-    the n x n factor R) and isotropic (omega vanishes on the orthonormal
-    bases within max(1e3 residual_tol, 1e-9)).  The rank needs no SVD where
-    prod |r_ii| = |det R| <= sigma_min(R) ||R||_F^(n-1) clears the floor by
-    the margin; the SVD decides the rest."""
+    Jacobians are finite, of full rank (J has the singular values of R) and
+    isotropic (omega vanishes on the bases within max(1e3 residual_tol, 1e-9)).
+    The rank needs no SVD where prod r_ii = |det R| <= sigma_min ||R||_F^(n-1),
+    ||R||_F = ||J||_F, clears the floor by the margin; the SVD of J decides
+    the rest."""
     J = chart.jacobians(us)
     check_stack(np.all(np.isfinite(J), axis=(1, 2)), ImmersionError,
                 "chart Jacobian not finite at u = %s", us, entry=None)
-    Q, R = np.linalg.qr(J)
-    d, floor = np.diagonal(R, axis1=1, axis2=2), tol.rank_floor(2 * chart.n)
-    ok = np.prod(np.abs(d), axis=1) >= ((1 + _SCREEN_MARGIN) * floor
-                                        * np.linalg.norm(R, axis=(1, 2)) ** (chart.n - 1))
-    ok[~ok] = np.linalg.svd(R[~ok], compute_uv=False)[:, -1] >= floor
+    Q, r = _gram_schmidt(J)
+    floor = tol.rank_floor(2 * chart.n)
+    ok = np.prod(r, axis=1) >= ((1 + _SCREEN_MARGIN) * floor
+                                * np.linalg.norm(J, axis=(1, 2)) ** (chart.n - 1))
+    ok[~ok] = np.linalg.svd(J[~ok], compute_uv=False)[:, -1] >= floor
     check_stack(ok, ImmersionError, "chart Jacobian rank deficient at u = %s", us, entry=None)
     resid = np.max(np.abs(omega_gram(Q, Q)), axis=(1, 2))
     check_stack(resid <= max(1e3 * tol.residual_tol, 1e-9), InvariantViolation,
                 "chart is not Lagrangian at u = %s: pullback residual %.3e", us, resid,
                 entry=None)
-    return Q * np.sign(d)[:, None, :]
+    return Q
 
 
 def _transfers(Ba: np.ndarray, Bb: np.ndarray, C: np.ndarray = None):

@@ -608,11 +608,13 @@ def _closed_matrices(U: np.ndarray, M0: np.ndarray) -> np.ndarray:
     """The Gaussian matrix at every sample of a dense unitary path U, by the
     closed fractional-linear law: embed(W) for W = A + iB has blocks
     [[A, -B], [B, A]], so the state at the sample with W_k = U_k U_0^* has
-    M_k = (A M_0 - i B)(A - i B M_0)^{-1}, symmetrized."""
-    W = U @ _adjoint(U[0])
+    M_k = (A M_0 - i B)(A - i B M_0)^{-1}, taken by one solve for M_k^T and
+    symmetrized."""
+    times = lambda S, M: (S.reshape(-1, S.shape[-1]) @ M).reshape(S.shape)  # S_k M, one gemm
+    W = times(U, _adjoint(U[0]))
     A, B = W.real, W.imag
-    M = ((A @ M0) - 1j * B) @ np.linalg.inv(A - 1j * (B @ M0))
-    return (M + _T(M)) / 2
+    Mt = np.linalg.solve(_T(A - 1j * times(B, M0)), _T(times(A, M0) - 1j * B))
+    return (Mt + _T(Mt)) / 2
 
 
 def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
@@ -620,19 +622,23 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     """Scalars and matrices of a state along a dense unitary path U with
     steps V, the same with or without a polynomial factor: the matrices by
     ``_closed_matrices``, the scalar the running product of the per-step
-    factors det(A - i B M)^{-1/2}, with A + iB the step and M the state
-    before it, each taken as the product of the principal roots of the
-    eigenvalues of A - i B M.  The principal root of the determinant itself
-    is not enough: for n >= 2 the eigenvalue arguments of a step can add up
-    past pi (a strongly chirped M), and its branch then jumps by a sign.
-    One batched check keeps Re M_k > 0.
-    """
+    factors det(X)^{-1/2}, X = A - i B M for the step A + iB and the state M
+    before it, each the product of the principal roots of the eigenvalues of
+    X.  Where ||X - I||_F = r < sin(pi / max(n, 2)) by the margin (every
+    transport step, M = I, at n <= 4), every |arg| <= arcsin r, the sum is
+    under pi and that product is the principal root of one batched det X;
+    eigvals elsewhere, as a chirped M can take the sum past pi at n >= 2."""
     M = _closed_matrices(U, s0.M)
     low = np.linalg.eigvalsh(M.real)[:, 0]
     check_stack(low >= tol.rank_floor(s0.n), StateDomainError,
                 "Re(M) must be positive definite; min eig %.3e", low, entry="dense sample")
-    lam = np.linalg.eigvals(V.real - 1j * (V.imag @ M[:-1]))
-    fac = np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam)), axis=1)
+    X = V.real - 1j * (V.imag @ M[:-1])
+    cut = np.linalg.norm(X - np.eye(s0.n), axis=(1, 2)) < (
+        (1 - _SCREEN_MARGIN) * np.sin(np.pi / max(s0.n, 2)))
+    root = lambda z: np.abs(z) ** -0.5 * np.exp(-0.5j * np.angle(z))  # principal z^{-1/2}
+    fac = np.empty(len(X), dtype=complex)
+    fac[cut] = root(np.linalg.det(X[cut]))
+    fac[~cut] = np.prod(root(np.linalg.eigvals(X[~cut])), axis=1)
     return np.cumprod(np.concatenate([[s0.c], fac])), M
 
 

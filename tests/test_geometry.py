@@ -1,5 +1,7 @@
 """Chart, transport and verifier checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from maslov import metaplectic
 from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, bisect_geodesics,
-                         intersection_dim, line_frame, random_lagrangian,
-                         random_unitary)
+                         embed_unitary, intersection_dim, line_frame,
+                         random_lagrangian, random_unitary)
 from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
                            SamplingError, StateDomainError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
@@ -17,8 +19,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
                              verify_theorem1, verify_theorem2,
-                             _running_products, _screened_transfers,
-                             _tangent_bases, _transfers)
+                             _gram_schmidt, _running_products,
+                             _screened_transfers, _tangent_bases, _transfers)
 from maslov.index import LagrangianPath, clm_index, lift_path
 from maslov.metaplectic import ground_state, lift_frame_path_trace
 
@@ -200,6 +202,13 @@ def q_plane_chart(As):
                            jacobian=lambda us: J[us[:, 0].astype(int)])
 
 
+def householder_q(J):
+    """The Q of LAPACK's Householder QR of a stack, column signs fixed by
+    sign(diag R)."""
+    Q, R = np.linalg.qr(J)
+    return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+
+
 @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_chart_check_screen_keeps_the_rank_decision(n, seed):
     # triangular factors scaled to sigma_min = (1 + rel) rank_floor; the
@@ -212,8 +221,8 @@ def test_chart_check_screen_keeps_the_rank_decision(n, seed):
     chart = q_plane_chart(As)
     us = np.zeros((len(As), n))
     us[:, 0] = np.arange(len(As))
-    R = np.linalg.qr(chart.jacobians(us))[1]
-    full = np.linalg.svd(R, compute_uv=False)[:, -1] >= floor
+    J = chart.jacobians(us)
+    full = np.linalg.svd(J, compute_uv=False)[:, -1] >= floor
     for j in range(len(As)):
         if full[j]:
             chart.check(us[j])
@@ -223,9 +232,56 @@ def test_chart_check_screen_keeps_the_rank_decision(n, seed):
     # on the stack, the first rank-deficient parameter is named
     with pytest.raises(ImmersionError, match=r"at u = \[%d\.( 0\.)*\]$" % np.argmin(full)):
         _tangent_bases(chart, us, DEFAULT_TOLERANCES)
-    assert np.array_equal(_tangent_bases(chart, us[full], DEFAULT_TOLERANCES),
-                          np.linalg.qr(chart.jacobians(us[full]))[0]
-                          * np.sign(np.diagonal(R[full], axis1=1, axis2=2))[:, None, :])
+    B = _tangent_bases(chart, us[full], DEFAULT_TOLERANCES)
+    assert np.array_equal(B, _gram_schmidt(J[full])[0])
+    assert np.max(np.abs(B - householder_q(J[full]))) <= 2e-15
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_schmidt_matches_the_householder_q(n, seed):
+    # random Jacobians: each Q is exact to rounding times cond(J), so they
+    # agree within 2e-15 cond(J); the curved charts' Jacobians within 2e-15
+    rng = np.random.default_rng(seed)
+    J = rng.normal(size=(64, 2 * n, n))
+    Q, r = _gram_schmidt(J)
+    assert np.max(np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(n))) <= 1e-15
+    scale = 2e-15 * np.linalg.cond(J)
+    assert np.all(np.max(np.abs(Q - householder_q(J)), axis=(1, 2)) <= scale)
+    d = np.abs(np.diagonal(np.linalg.qr(J)[1], axis1=1, axis2=2))
+    assert np.all(np.max(np.abs(r - d), axis=1) <= scale * np.linalg.norm(J, axis=(1, 2)))
+    if n in CURVED_LOOPS:
+        waves, loop = CURVED_LOOPS[n]
+        J = cosine_gradient_chart(waves).jacobians(loop(rng.uniform(0.0, 2 * np.pi, 64)))
+        Q = _gram_schmidt(J)[0]
+        assert np.max(np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(n))) <= 1e-15
+        assert np.max(np.abs(Q - householder_q(J))) <= 2e-15
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (1, 2, 3, 4)
+                                     for kind in ("zero", "parallel", "nan")
+                                     if n > 1 or kind != "parallel"])
+def test_chart_check_names_a_degenerate_jacobian_without_warnings(n, kind, rng):
+    # a zero first column, a last column parallel to the first up to 1e-12,
+    # or a NaN entry at parameter 3 of 5 full-rank Lagrangian Jacobians: the
+    # same error and parameter as with the Householder QR
+    J = np.array([random_lagrangian(n, rng).columns @ (rng.normal(size=(n, n)) + 3 * np.eye(n))
+                  for _ in range(5)])
+    if kind == "zero":
+        J[3, :, 0] = 0.0
+    elif kind == "parallel":
+        J[3, :, n - 1] = 2 * J[3, :, 0] + 1e-12 * J[3, :, 1]
+    else:
+        J[3, 1, 0] = np.nan
+    chart = LagrangianChart(n, point=lambda us: np.zeros((len(us), 2 * n)),
+                            jacobian=lambda us: J[us[:, 0].astype(int)])
+    us = np.zeros((5, n))
+    us[:, 0] = np.arange(5)
+    message = "not finite" if kind == "nan" else "rank deficient"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImmersionError, match=r"%s at u = \[3\.( 0\.)*\]$" % message):
+            _tangent_bases(chart, us, DEFAULT_TOLERANCES)
+        _tangent_bases(chart, us[:3], DEFAULT_TOLERANCES)
 
 
 def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30):
@@ -233,9 +289,9 @@ def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30)
     a rank SVD at every sample and the exact transfers of every segment (the
     running products are the library's, checked on their own below)."""
     def bases(us):
-        Q, R = np.linalg.qr(chart.jacobians(us))
-        assert np.all(np.linalg.svd(R, compute_uv=False)[:, -1] >= tol.rank_floor(2 * n))
-        return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        J = chart.jacobians(us)
+        assert np.all(np.linalg.svd(J, compute_uv=False)[:, -1] >= tol.rank_floor(2 * n))
+        return _gram_schmidt(J)[0]
 
     u, n = path.samples, chart.n
     B = bases(u)
@@ -774,3 +830,64 @@ def test_reversal_inverts_phase_and_negates_index():
                           ParamPath.torus_loop((1, 1), 400).reversed())
     assert rev["mu_clm"] == -rep["mu_clm"]
     assert abs(phase_of(rev) - np.conj(phase_of(rep))) < 1e-9
+
+
+def turning_product_chart(ks, S):
+    """u -> S (Re z(u), Im z(u)) for the plane curves z_j(u) = e^{i k_j u}
+    + 0.3 e^{i (k_j + 1) u}, j = 1..n, whose tangents turn k_j times per
+    period: a product of Lagrangian curves carried by a symplectic S."""
+    k = np.asarray(ks, dtype=float)
+
+    def point(us):
+        z = np.exp(1j * k * us) + 0.3 * np.exp(1j * (k + 1) * us)
+        return np.concatenate([z.real, z.imag], axis=1) @ S.T
+
+    def jac(us):
+        dz = 1j * k * np.exp(1j * k * us) + 0.3j * (k + 1) * np.exp(1j * (k + 1) * us)
+        d = dz[:, :, None] * np.eye(len(k))
+        return S @ np.concatenate([d.real, d.imag], axis=1)
+
+    return LagrangianChart(len(k), point=point, jacobian=jac, tag="custom")
+
+
+def tangent_turning(ks, u0, u1):
+    """The unwrapped turning of each factor's tangent from u0 to u1: k_j du_j
+    plus the change of arg(1 + a_j e^{i u}/k_j), a_j = 0.3 (k_j + 1), which
+    stays in the right half-plane since |a_j| < |k_j|."""
+    k = np.asarray(ks, dtype=float)
+    wobble = lambda u: np.angle(1 + 0.3 * (k + 1) * np.exp(1j * u) / k)
+    return k * (u1 - u0) + wobble(u1) - wobble(u0)
+
+
+@given(n=st.integers(2, 4), sheared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_theorems_on_curved_products_match_the_closed_form_index(n, sheared, seed):
+    # Sp(n)-invariance and direct-sum additivity of the CLM index: a loop of
+    # windings w_j has mu = 2 sum k_j w_j, an open arc mu = sum floor(dphi_j / pi)
+    # with dphi_j its factor's unwrapped tangent turning.  The shear
+    # [[I, 0], [H, I]] makes the induced metric, and so transport, not flat.
+    rng = np.random.default_rng(seed)
+    S = embed_unitary(random_unitary(n, rng).entries).entries
+    if sheared:
+        H = rng.normal(size=(n, n))
+        S = S @ np.block([[np.eye(n), np.zeros((n, n))], [(H + H.T) / 4, np.eye(n)]])
+    ks = rng.choice([-2, -1, 1, 2], size=n)
+    chart = turning_product_chart(ks, S)
+    w = rng.choice([-1, 0, 1], size=n)
+    w[0] = 1
+    base = rng.uniform(0.0, 2 * np.pi, n)
+    loop = ParamPath.line(base, base + 2 * np.pi * w, 200, closed=True)
+    rep = verify_theorem1(chart, loop)
+    assert rep["pass"] and rep["mu_clm"] == 2 * int(np.dot(ks, w))
+    assert clm_index(tangent_lagrangian_path(chart, loop)) == rep["mu_clm"]
+    rev = verify_theorem1(chart, loop.reversed())
+    assert rev["pass"] and rev["mu_clm"] == -rep["mu_clm"]
+    while True:  # an arc whose turnings stay 0.1 pi off multiples of pi: d = 0
+        u1 = base + rng.uniform(-3.0, 3.0, n)
+        dphi = tangent_turning(ks, base, u1) / np.pi
+        if np.all(np.abs(dphi - np.round(dphi)) > 0.1):
+            break
+    arc = ParamPath.line(base, u1, 100)
+    rep = verify_theorem2(chart, arc)
+    assert rep["pass"] and rep["case"] == "transverse"
+    assert rep["mu_clm"] == int(np.sum(np.floor(dphi)))
+    assert clm_index(tangent_lagrangian_path(chart, arc)) == rep["mu_clm"]

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maslov import metaplectic
-from maslov.core import (DEFAULT_TOLERANCES, SymplecticMatrix, embed_unitary,
-                         l0_frame, random_unitary, unitaries_from_symplectic)
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
+                         embed_unitary, l0_frame, random_unitary,
+                         unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            InvariantViolation, SamplingError, StateDomainError)
 from maslov.index import mu_hat_on_cover
@@ -936,6 +937,66 @@ def test_chirped_polynomial_lift_matches_the_fine_step_word(rng):
         assert turn < np.pi / 8
         assert abs(c[-1] - ref.c) <= 1e-9
         assert rel_drift(polys[-1].vec, ref.poly.vec) <= 1e-9
+
+
+def one_step_factor(V, M0):
+    """The lift's factor of the single step V = A + iB from the state
+    e^{-<M0 x, x>/2}, the product of the principal roots of the eigenvalues
+    of X = A - i B M0, and X."""
+    n = len(M0)
+    c, M = metaplectic._closed_law(np.array([np.eye(n), V]), V[None],
+                                   GaussianAmplitude(1.0, M0), DEFAULT_TOLERANCES)
+    X = V.real - 1j * (V.imag @ M[0])
+    lam = np.linalg.eigvals(X)
+    return c[1], np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam))), X
+
+
+def inside_the_cut(X):
+    n = len(X)
+    return np.linalg.norm(X - np.eye(n)) < (1 - _SCREEN_MARGIN) * np.sin(np.pi / max(n, 2))
+
+
+@given(st.data())
+def test_step_factor_by_determinant_inside_the_cut(data):
+    # a step halved until X = A - i B M is inside the cut takes the principal
+    # root of det X: the eigenvalue product within rounding
+    n = data.draw(DIMS)
+    M0 = data.draw(gaussian_matrices(n))
+    Z = data.draw(square(n)) + 1j * data.draw(square(n))
+    H = (Z - Z.conj().T) / 2
+    for s in 2.0 ** -np.arange(60):
+        V = scipy.linalg.expm(s * H)
+        fac, ref, X = one_step_factor(V, M0)
+        if inside_the_cut(X):
+            break
+    assert inside_the_cut(X)
+    assert abs(fac - ref) <= 4e-15
+
+
+def test_step_factor_by_eigenvalues_where_the_arguments_pass_pi(rng):
+    # chirped states (|Im M| = 5) and steps just under the step bound, drawn
+    # until the eigenvalue arguments of X add up past pi: such a step is
+    # outside the cut, its factor is the eigenvalue product, and the
+    # principal root of det X has the opposite sign
+    for n in (2, 3, 4):
+        for _ in range(200):
+            B = rng.normal(size=(n, n))
+            M0 = np.eye(n) + 5j * (B + B.T) / np.max(np.abs(B + B.T))
+            Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            lam = rng.uniform(-1.0, 1.0, n)
+            lam *= 2 * np.arcsin(0.99 * _step_bound(n) / 2) / np.max(np.abs(lam))
+            V = (Q * np.exp(1j * lam)) @ Q.conj().T
+            fac, ref, X = one_step_factor(V, M0)
+            if abs(np.sum(np.angle(np.linalg.eigvals(X)))) > np.pi:
+                break
+        else:
+            pytest.fail("no step with arguments past pi at n = %d" % n)
+        assert not inside_the_cut(X)
+        assert abs(fac - ref) <= 4e-15 * abs(ref)
+        det = np.linalg.det(X)
+        assert abs(np.abs(det) ** -0.5 * np.exp(-0.5j * np.angle(det)) + ref) <= 1e-12 * abs(ref)
+        c = lift_frame_path_trace(np.array([np.eye(n), V]), GaussianAmplitude(1.0, M0))[0]
+        assert c[-1] == fac
 
 
 def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
