@@ -17,6 +17,7 @@ Exit codes: 0 pass, 2 numerical assertion failure, 1 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,6 +57,12 @@ COMMAND_FIELDS = {
 # canonical serialization (byte-stable across runs)
 
 
+@functools.lru_cache(maxsize=256)
+def _row_format(k: int) -> str:
+    """The %-template of a row of k floats, each "%.17g", comma-separated."""
+    return ",".join(["%.17g"] * k)
+
+
 def _canon(obj, out):
     if obj is None:
         out.append("null")
@@ -76,7 +83,7 @@ def _canon(obj, out):
         rows = obj if set(map(type, obj)) == {list} else (obj,)
         flat = list(chain.from_iterable(rows))
         if set(map(type, flat)) <= {float} and math.isfinite(sum(flat)):
-            body = "],[".join([",".join(map("%.17g".__mod__, r)) for r in rows])
+            body = "],[".join([_row_format(len(r)) % tuple(r) for r in rows])
             out.append(("[[%s]]" if rows is obj else "[%s]") % body)
             return
         out.append("[")

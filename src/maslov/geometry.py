@@ -28,12 +28,11 @@ from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
-from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, apply_generator,
-                          apply_to_delta, apply_word_to_delta,
+from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
+                          apply_generator, apply_to_delta, apply_word_to_delta,
                           det_branch_power, endpoint_positive_factor,
                           ground_state, hermite_state, lift_frame_path_trace,
-                          pin_branch_orthogonal, pin_branch_transverse,
-                          quarter_turn, root_i_power)
+                          pin_branch_transverse, quarter_turn, root_i_power)
 
 #: Transport refinement bound: maximum frame increment per accepted step.
 FRAME_INCREMENT_BOUND = 1e-2
@@ -250,8 +249,11 @@ class TransportResult:
         matrices S_k = embed(V_k V_0^*) and T = embed(-i V_0), which carries
         the vertical basepoint onto the start tangent plane; so the induced
         path t -> embed(V_0^* V_k) L0 is the tangent-plane path up to that
-        fixed T, and all vertical-basepoint index formulas apply to it."""
-        return self.frames[0].conj().T @ self.frames
+        fixed T, and all vertical-basepoint index formulas apply to it.
+        Formed as (V_k^T conj(V_0))^T, one 2-D product over the stack, and
+        returned contiguous for the lift's stacked products."""
+        Vt = np.swapaxes(self.frames, 1, 2)
+        return np.ascontiguousarray(np.swapaxes(_times(Vt, self.frames[0].conj()), 1, 2))
 
 
 def _gram_schmidt(J: np.ndarray):
@@ -293,32 +295,49 @@ def _tangent_bases(chart, us, tol) -> np.ndarray:
     return Q
 
 
-def _transfers(Ba: np.ndarray, Bb: np.ndarray, C: np.ndarray = None):
+def _polar_transfers(Ba: np.ndarray, Bb: np.ndarray, C: np.ndarray):
     """Polar transfers P = polar(C), C = Bb^T Ba, of a stack of segments and
-    their spectral step norms ||Bb P - Ba||_2, the root of the top eigenvalue
-    of D^T D, D = Bb P - Ba.  P takes three Newton-Schulz steps
+    their step matrices D = Bb P - Ba.  P takes three Newton-Schulz steps
     X <- X - X (X^T X - I) / 2 from X = C; each takes e = 1 - s^2 of every
     singular value s to (3 e^2 + e^3) / 4, so a segment the screen leaves
     open (every e <= 4e-4 at n <= 4) reaches rounding.  Elsewhere P may not
     converge, but the step, at least sqrt(1 - s_min^2) for any P, exceeds the
     bound.  A fixed count keeps each segment independent of its batch."""
-    X = np.swapaxes(Bb, 1, 2) @ Ba if C is None else C
+    X = C
     for _ in range(3):  # contiguous transposes: a strided X^T X is several times slower
         X = X - X @ (np.swapaxes(X, 1, 2).copy() @ X - np.eye(X.shape[-1])) / 2
-    D = Bb @ X - Ba
-    return X, np.sqrt(np.linalg.eigvalsh(np.swapaxes(D, 1, 2).copy() @ D)[:, -1])
+    return X, Bb @ X - Ba
+
+
+def _spectral_norms(D: np.ndarray) -> np.ndarray:
+    """||D_k||_2 of a stack, the root of the top eigenvalue of D^T D."""
+    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(D, 1, 2).copy() @ D)[:, -1])
+
+
+def _transfers(Ba: np.ndarray, Bb: np.ndarray):
+    """Polar transfers (see _polar_transfers) and exact spectral step norms
+    ||Bb P - Ba||_2 of a stack: the measure _screened_transfers bounds first."""
+    P, D = _polar_transfers(Ba, Bb, np.swapaxes(Bb, 1, 2) @ Ba)
+    return P, _spectral_norms(D)
 
 
 def _screened_transfers(Ba: np.ndarray, Bb: np.ndarray):
-    """_transfers where a cheap bound leaves the bisection open.  C = Bb^T Ba
-    has singular values s_i in [0, 1], where 2 (1 - s) >= 1 - s^2, so the
-    step is at least sqrt((n - ||C||_F^2) / n).  A segment whose bound clears
-    FRAME_INCREMENT_BOUND by the margin takes it as its step, P = NaN."""
+    """_transfers where cheap bounds decide the bisection.  C = Bb^T Ba has
+    singular values s_i in [0, 1], where 2 (1 - s) >= 1 - s^2, so the step
+    is at least sqrt((n - ||C||_F^2) / n).  A segment whose lower bound
+    clears FRAME_INCREMENT_BOUND by the margin takes it as its step, P = NaN.
+    The others take their transfers, and a segment whose upper bound
+    ||D||_F >= ||D||_2 is under FRAME_INCREMENT_BOUND by the margin takes
+    that as its step, with no eigvalsh."""
     C, n = np.swapaxes(Bb, 1, 2) @ Ba, Ba.shape[-1]
     step = np.sqrt(np.maximum(n - np.sum(C * C, axis=(1, 2)), 0.0) / n)
     P = np.full(C.shape, np.nan)
     open_ = ~(step > (1 + _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
-    P[open_], step[open_] = _transfers(Ba[open_], Bb[open_], C[open_])
+    P[open_], D = _polar_transfers(Ba[open_], Bb[open_], C[open_])
+    size = np.sqrt(np.sum(D * D, axis=(1, 2)))
+    exact = ~(size <= (1 - _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
+    size[exact] = _spectral_norms(D[exact])
+    step[open_] = size
     return P, step
 
 
@@ -372,9 +391,10 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
 
     F = B @ _running_products(P)
     max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
-    ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2) @ F - np.eye(n))))
+    # contiguous transposes, as in _polar_transfers
+    ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2).copy() @ F - np.eye(n))))
     V = F[:, :n] + 1j * F[:, n:]
-    tangency = float(np.max(np.abs(F - B @ (np.swapaxes(B, 1, 2) @ F))))  # off span(B_k)
+    tangency = float(np.max(np.abs(F - B @ (np.swapaxes(B, 1, 2).copy() @ F))))  # off span(B_k)
     return TransportResult(t, V, LagrangianPath(V, params=t, tol=tol), depth,
                            max_step, ortho_resid, tangency)
 
@@ -415,10 +435,11 @@ def verify_theorem1(chart: LagrangianChart, path: ParamPath,
     tr = transport_frame(chart, path, tol=tol)
     mu = clm_index(tr.tangent_path, tol)
     phase = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)[0][-1]
-    m, root_resid = _orthogonal_pin(phase, tol)  # one root decision: branch and label
+    root = _nearest_fourth_root(phase)  # one root decision: branch and label
+    m = _orthogonal_pin(phase, root, tol)
     predicted = quarter_turn(mu % 4)
     resid = abs(phase - predicted)
-    label, label_resid = _root_label(m, root_resid, tol)
+    label, label_resid = _root_label(*root, tol)
     return {
         "theorem": "1",
         "n": chart.n,
@@ -491,7 +512,8 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
         "transverse-case phases carry the factor i^{+n/2} (state) / i^{-n/2} (dual) "
         "relative to the bare e^{+-i pi/2 mu} law; exact for chirp-free endpoints",
     ]
-    label, label_resid = fourth_root_label(phase, tol)
+    root = _nearest_fourth_root(phase)  # one root decision: label and tangent branch
+    label, label_resid = _root_label(*root, tol)
     report = {
         "theorem": "2",
         "n": n,
@@ -553,7 +575,7 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
         A_blk, B_blk, C_blk, D_blk = S_end.blocks
         if np.max(np.abs(B_blk)) > 1e-6 or np.max(np.abs(C_blk)) > 1e-6:
             raise CaseError("tangent-case endpoint is not orthogonal-type")
-        m = pin_branch_orthogonal(phase, tol)
+        m = _orthogonal_pin(phase, root, tol)
         dual = apply_word_to_delta(A_blk, m, tol)
         dual_predicted = np.exp(-0.5j * np.pi * mu)
         dual_resid = abs(dual.c - dual_predicted)

@@ -580,6 +580,12 @@ def _adjoint(U: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(U, -1, -2))
 
 
+def _times(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """S_k M for every matrix of a stack, as one 2-D product: numpy runs a
+    broadcast (N, n, n) @ (n, n) matmul one matrix at a time."""
+    return (S.reshape(-1, S.shape[-1]) @ M).reshape(S.shape)
+
+
 def _steps(U: np.ndarray) -> np.ndarray:
     """The steps U_{k+1} U_k^* of a stack of unitaries."""
     return U[1:] @ _adjoint(U[:-1])
@@ -604,33 +610,39 @@ def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
     return U, _steps(U), np.searchsorted(td, t)
 
 
-def _closed_matrices(U: np.ndarray, M0: np.ndarray) -> np.ndarray:
-    """The Gaussian matrix at every sample of a dense unitary path U, by the
-    closed fractional-linear law: embed(W) for W = A + iB has blocks
-    [[A, -B], [B, A]], so the state at the sample with W_k = U_k U_0^* has
+def _closed_matrices(W: np.ndarray, M0: np.ndarray) -> np.ndarray:
+    """The Gaussian matrix at every sample of a dense unitary path U, given
+    W_k = U_k U_0^*, by the closed fractional-linear law: embed(W) for
+    W = A + iB has blocks [[A, -B], [B, A]], so the state there has
     M_k = (A M_0 - i B)(A - i B M_0)^{-1}, taken by one solve for M_k^T and
     symmetrized."""
-    times = lambda S, M: (S.reshape(-1, S.shape[-1]) @ M).reshape(S.shape)  # S_k M, one gemm
-    W = times(U, _adjoint(U[0]))
     A, B = W.real, W.imag
-    Mt = np.linalg.solve(_T(A - 1j * times(B, M0)), _T(times(A, M0) - 1j * B))
+    Mt = np.linalg.solve(_T(A - 1j * _times(B, M0)), _T(_times(A, M0) - 1j * B))
     return (Mt + _T(Mt)) / 2
 
 
 def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
                 tol: Tolerances):
-    """Scalars and matrices of a state along a dense unitary path U with
-    steps V, the same with or without a polynomial factor: the matrices by
-    ``_closed_matrices``, the scalar the running product of the per-step
-    factors det(X)^{-1/2}, X = A - i B M for the step A + iB and the state M
-    before it, each the product of the principal roots of the eigenvalues of
-    X.  Where ||X - I||_F = r < sin(pi / max(n, 2)) by the margin (every
-    transport step, M = I, at n <= 4), every |arg| <= arcsin r, the sum is
-    under pi and that product is the principal root of one batched det X;
-    eigvals elsewhere, as a chirped M can take the sum past pi at n >= 2."""
-    M = _closed_matrices(U, s0.M)
-    low = np.linalg.eigvalsh(M.real)[:, 0]
-    check_stack(low >= tol.rank_floor(s0.n), StateDomainError,
+    """Scalars, matrices and W_k = U_k U_0^* of a state along a dense unitary
+    path U with steps V, the same with or without a polynomial factor: the
+    matrices by ``_closed_matrices``, checked to have min eig(Re M) at least
+    rank_floor, the scalar the running product of the per-step factors
+    det(X)^{-1/2}, X = A - i B M for the step A + iB and the state M before
+    it, each the product of the principal roots of the eigenvalues of X.
+    The check takes no eigvalsh where the Gershgorin bound
+    min_i (2 Re M_ii - sum_j |Re M_ij|) <= min eig(Re M) clears the floor by
+    the margin.  Where ||X - I||_F = r < sin(pi / max(n, 2)) by the margin
+    (every transport step, M = I, at n <= 4), every |arg| <= arcsin r, the
+    sum is under pi and that product is the principal root of one batched
+    det X; eigvals elsewhere, as a chirped M can take the sum past pi at
+    n >= 2."""
+    W = _times(U, _adjoint(U[0]))
+    M = _closed_matrices(W, s0.M)
+    R, floor = M.real, tol.rank_floor(s0.n)
+    low = np.min(2 * np.diagonal(R, axis1=1, axis2=2) - np.sum(np.abs(R), axis=2), axis=1)
+    open_ = ~(low >= (1 + _SCREEN_MARGIN) * floor)
+    low[open_] = np.linalg.eigvalsh(R[open_])[:, 0]
+    check_stack(low >= floor, StateDomainError,
                 "Re(M) must be positive definite; min eig %.3e", low, entry="dense sample")
     X = V.real - 1j * (V.imag @ M[:-1])
     cut = np.linalg.norm(X - np.eye(s0.n), axis=(1, 2)) < (
@@ -639,7 +651,7 @@ def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
     fac = np.empty(len(X), dtype=complex)
     fac[cut] = root(np.linalg.det(X[cut]))
     fac[~cut] = np.prod(root(np.linalg.eigvals(X[~cut])), axis=1)
-    return np.cumprod(np.concatenate([[s0.c], fac])), M
+    return np.cumprod(np.concatenate([[s0.c], fac])), M, W
 
 
 def _factor_vectors(W: np.ndarray, M: np.ndarray, poly: Polynomial) -> np.ndarray:
@@ -692,8 +704,8 @@ def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
     U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth, tol)
-    c, M = _closed_law(U, V, s0, tol)
-    return c[keep], M[keep], U[keep] @ _adjoint(U[0])
+    c, M, W = _closed_law(U, V, s0, tol)
+    return c[keep], M[keep], W[keep]
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
@@ -739,17 +751,18 @@ def pin_branch_orthogonal(lift_c: complex,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Branch integer at an orthogonal-type endpoint, where the lifted
     ground-state phase is a fourth root of unity i^m."""
-    return _orthogonal_pin(lift_c, tol)[0]
+    return _orthogonal_pin(lift_c, _nearest_fourth_root(lift_c), tol)
 
 
-def _orthogonal_pin(lift_c: complex, tol: Tolerances):
-    """(m, |lift_c - i^m|) of pin_branch_orthogonal."""
-    m, resid = _nearest_fourth_root(lift_c)
+def _orthogonal_pin(lift_c: complex, root, tol: Tolerances) -> int:
+    """The m of pin_branch_orthogonal, given root = (m, |lift_c - i^m|) of
+    the fourth root of unity nearest lift_c."""
+    m, resid = root
     if not resid <= 100 * tol.phase_tol:
         raise ConditioningError(
             "lifted phase %.6g%+.6gj is not a fourth root of unity" %
             (lift_c.real, lift_c.imag))
-    return m, resid
+    return m
 
 
 def apply_to_delta(qf: QuadraticFourier) -> DistributionState:

@@ -116,6 +116,23 @@ def test_canonical_json_float_tables():
         assert canonical_json(table) == recursive_canonical_json(table) + "\n"
 
 
+def join_map_table(table) -> str:
+    """A table of finite floats in the form of one join over a map per row."""
+    return "[[%s]]" % "],[".join([",".join(map("%.17g".__mod__, r)) for r in table])
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])), max_size=9),
+    min_size=1, max_size=8))
+def test_canonical_json_table_rows_match_the_join_form(table):
+    # ragged rows, empty rows and NaN or inf entries: a row template gives the
+    # bytes of a join over a map, and a non-finite entry those of the recursion
+    got = canonical_json(table)
+    if all(math.isfinite(v) for row in table for v in row):
+        assert got == join_map_table(table) + "\n"
+    assert got == recursive_canonical_json(table) + "\n"
+
+
 def test_golden_reports_reproduce():
     for name in ("circle_verify", "quarter_verify", "kashiwara_index",
                  "torus_corollary"):

@@ -1,28 +1,30 @@
 """Chart, transport and verifier checks."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maslov import metaplectic
+from maslov import geometry, metaplectic
 from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, bisect_geodesics,
                          embed_unitary, intersection_dim, line_frame,
                          random_lagrangian, random_unitary)
-from maslov.errors import (CaseError, ImmersionError, InvariantViolation,
-                           SamplingError, StateDomainError)
+from maslov.errors import (CaseError, ConditioningError, ImmersionError,
+                           InvariantViolation, SamplingError, StateDomainError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
-                             circle_chart, curve_chart_from_series,
-                             flat_plane_chart, gradient_graph_chart,
+                             TransportResult, circle_chart, curve_chart_from_series,
+                             flat_plane_chart, fourth_root_label, gradient_graph_chart,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
                              verify_theorem1, verify_theorem2,
                              _gram_schmidt, _running_products,
                              _screened_transfers, _tangent_bases, _transfers)
 from maslov.index import LagrangianPath, clm_index, lift_path
-from maslov.metaplectic import ground_state, lift_frame_path_trace
+from maslov.metaplectic import ground_state, lift_frame_path_trace, pin_branch_orthogonal
 
 
 def phase_of(report):
@@ -184,14 +186,64 @@ def test_transfer_bound_screens_only_bisected_segments(n, seed, equal):
     P, step = _screened_transfers(Ba, Bb)
     P_ref, step_ref = _transfers(Ba, Bb)
     screened = np.all(np.isnan(P), axis=(1, 2))
+    settled = ~screened & (np.linalg.norm(Bb @ P_ref - Ba, axis=(1, 2))
+                           <= (1 - _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
     # a screened segment is bisected on its exact step too, and its bound is
-    # a lower bound of that step; the others carry the exact transfer
+    # a lower bound of that step; the others carry the exact transfer, and
+    # the exact step unless the upper bound ||D||_F settled them unbisected
     assert np.all(step_ref[screened] > FRAME_INCREMENT_BOUND)
     assert np.all(step[screened] <= step_ref[screened])
+    assert np.all(step_ref[settled] <= FRAME_INCREMENT_BOUND)
     assert np.array_equal(P[~screened], P_ref[~screened])
-    assert np.array_equal(step[~screened], step_ref[~screened])
+    assert np.array_equal(step[~screened & ~settled], step_ref[~screened & ~settled])
     if n == 1:  # the bound is sqrt((1 + s)/2) times the step: 1 - 1.25e-5 here
         assert np.array_equal(screened, np.array(RELS) >= 1e-3)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), equal=st.booleans())
+def test_step_norm_screen_settles_only_unbisected_segments(n, seed, equal):
+    # segments whose step matrices D = Bb P - Ba have ||D||_F = (1 + rel)
+    # FRAME_INCREMENT_BOUND, the chords 2 sin(theta_i / 2) of the principal
+    # angles in the proportions of a unit vector: the upper bound
+    # ||D||_F >= ||D||_2 settles exactly the segments under the bound by the
+    # margin (rel <= -2e-6), on that bound and with no eigensolve, and leaves
+    # the rest to the exact step; every bisection decision is the exact one
+    rng = np.random.default_rng(seed)
+    k, rel = len(RELS), np.array(RELS)
+    share = np.ones((k, n)) if equal else rng.uniform(0.1, 1.0, (k, n))
+    share /= np.linalg.norm(share, axis=1, keepdims=True)
+    theta = 2 * np.arcsin(FRAME_INCREMENT_BOUND * (1 + rel)[:, None] * share / 2)
+    Q = np.linalg.qr(rng.normal(size=(k, 2 * n, 2 * n)))[0]
+    O = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+    Ba = Q[:, :, :n]
+    Bb = (Ba * np.cos(theta)[:, None, :] + Q[:, :, n:] * np.sin(theta)[:, None, :]) @ O
+    P, step = _screened_transfers(Ba, Bb)
+    P_ref, step_ref = _transfers(Ba, Bb)
+    assert np.array_equal(step <= FRAME_INCREMENT_BOUND, step_ref <= FRAME_INCREMENT_BOUND)
+    lower = np.all(np.isnan(P), axis=(1, 2))
+    settled, exact = rel < -_SCREEN_MARGIN, ~(rel < -_SCREEN_MARGIN) & ~lower
+    assert not np.any(lower[settled])
+    assert np.array_equal(P[~lower], P_ref[~lower])
+    assert np.allclose(step[settled], FRAME_INCREMENT_BOUND * (1 + rel[settled]),
+                       rtol=1e-12, atol=0.0)
+    assert np.all(step_ref[settled] <= step[settled] * (1 + 1e-15))
+    assert np.array_equal(step[exact], step_ref[exact])
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_start_relative_and_lift_products_match_the_broadcast_ones(n, seed):
+    # V_0^* V_k and the lift's W_k = U_k U_0^*, each one 2-D product over the
+    # stack, against numpy's broadcast matmul of one matrix at a time
+    rng = np.random.default_rng(seed)
+    V = np.array([random_unitary(n, rng).entries for _ in range(40)])
+    U = TransportResult(np.linspace(0.0, 1.0, 40), V, None, 0, 0.0, 0.0, 0.0).start_relative
+    assert U.flags.c_contiguous and np.max(np.abs(U - V[0].conj().T @ V)) <= 1e-15
+    H = random_unitary(n, rng).entries
+    lam = rng.uniform(-2.0, 2.0, n)
+    Us = np.array([(H * np.exp(1j * t * lam)) @ H.conj().T for t in np.linspace(0.0, 1.0, 5)])
+    Ud, _, keep = metaplectic._refine_unitary_path(Us, metaplectic._step_bound(n), 12)
+    W = metaplectic._lift(Us, ground_state(n), DEFAULT_TOLERANCES, 12)[2]
+    assert np.max(np.abs(W - Ud[keep] @ Ud[0].conj().T)) <= 1e-15
 
 
 def q_plane_chart(As):
@@ -339,7 +391,7 @@ def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
     U, td = bisect_geodesics(
         Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps(U)) - 1.0), axis=1),
         metaplectic._step_bound(n), max_depth, tol)
-    c, M = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
+    c, M, _ = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
     keep = np.searchsorted(td, t)
     return c[keep], M[keep]
 
@@ -367,8 +419,12 @@ def test_screens_leave_the_dense_path_and_lift_unchanged(name):
     t, V = reference_dense_transport(chart, path)
     assert len(t) > 2 * len(path.samples)  # refinement ran
     assert np.array_equal(tr.params, t) and np.array_equal(tr.frames, V)
-    c, M, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n))
-    c_ref, M_ref = reference_ground_lift(V[0].conj().T @ V)
+    # start_relative is one 2-D product, equal to the broadcast one to
+    # rounding; both lifts take it
+    U = tr.start_relative
+    assert np.max(np.abs(U - V[0].conj().T @ V)) <= 1e-15
+    c, M, _ = lift_frame_path_trace(U, ground_state(chart.n))
+    c_ref, M_ref = reference_ground_lift(U)
     assert np.array_equal(c, c_ref) and np.array_equal(M, M_ref)
 
 
@@ -781,6 +837,39 @@ def test_theorem2_rejects_partial_intersection():
         verify_theorem2(chart, path)
 
 
+def test_theorem2_tangent_case_decides_its_phase_once(monkeypatch):
+    # a lifted phase off its fourth root by 50 phase_tol, between the label
+    # cut (10 phase_tol) and the branch cut (100 phase_tol): labelled "none"
+    # with that residual and pinned to the root, as fourth_root_label and
+    # pin_branch_orthogonal decide it; 200 phase_tol off, the same
+    # ConditioningError as pin_branch_orthogonal
+    chart, loop = circle_chart(), ParamPath.circle_arc(1.0, 200)
+    rep = verify_theorem2(chart, loop)
+    assert rep["case"] == "tangent" and rep["lift_phase_label"] == "-1"
+    lift = geometry.lift_frame_path_trace
+
+    def tilted_lift(*args):
+        c, M, polys = lift(*args)
+        return c * turn, M, polys
+
+    monkeypatch.setattr(geometry, "lift_frame_path_trace", tilted_lift)
+    for tilt in (50, 200):
+        turn = np.exp(1j * tilt * DEFAULT_TOLERANCES.phase_tol)
+        phase = complex(*rep["lift_phase"]) * turn
+        if tilt == 50:
+            tilted = verify_theorem2(chart, loop)
+            assert tilted["lift_phase_label"] == "none"
+            assert (tilted["lift_phase_label"],
+                    tilted["lift_phase_label_residual"]) == fourth_root_label(phase)
+            assert tilted["branch"] == pin_branch_orthogonal(phase) == rep["branch"]
+            assert tilted["pass"]
+        else:
+            with pytest.raises(ConditioningError) as err:
+                pin_branch_orthogonal(phase)
+            with pytest.raises(ConditioningError, match="^%s$" % re.escape(str(err.value))):
+                verify_theorem2(chart, loop)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -891,3 +980,34 @@ def test_theorems_on_curved_products_match_the_closed_form_index(n, sheared, see
     assert rep["pass"] and rep["case"] == "transverse"
     assert rep["mu_clm"] == int(np.sum(np.floor(dphi)))
     assert clm_index(tangent_lagrangian_path(chart, arc)) == rep["mu_clm"]
+
+
+@pytest.mark.parametrize("sheared", [False, True])
+def test_theorem2_names_a_partial_intersection_on_a_curved_product(sheared, rng):
+    # n = 2: an arc whose first factor's tangent turns by exactly pi ends on
+    # a plane meeting the start plane in a line, 0 < d < n, which Theorem 2
+    # does not cover: a typed CaseError naming d = 1.  A turning 1e-3 off pi
+    # either way is transverse, with mu = sum floor(dphi_j / pi)
+    S = embed_unitary(random_unitary(2, rng).entries).entries
+    if sheared:
+        H = np.array([[0.3, 0.1], [0.1, -0.2]])
+        S = S @ np.block([[np.eye(2), np.zeros((2, 2))], [H, np.eye(2)]])
+    ks, base = np.array([2, -1]), rng.uniform(0.0, 2 * np.pi, 2)
+    chart = turning_product_chart(ks, S)
+    u2 = base[1] + 1.3  # the second factor turns by -1.3 + a wobble: 0.1 pi off pi's multiples
+    for off in (0.0, -1e-3, 1e-3):
+        target = np.pi + off
+        u1 = scipy.optimize.brentq(lambda u: tangent_turning(ks, base, np.array([u, u2]))[0] - target,
+                                   base[0], base[0] + 3.0, xtol=1e-15)
+        dphi = tangent_turning(ks, base, np.array([u1, u2])) / np.pi
+        assert abs(dphi[0] - target / np.pi) < 1e-12
+        assert np.abs(dphi[1] - np.round(dphi[1])) > 0.1
+        arc = ParamPath.line(base, [u1, u2], 100)
+        if off == 0.0:
+            with pytest.raises(CaseError, match=r"intersection dimension 1 is outside "
+                                                r"the supported cases \{0, 2\}"):
+                verify_theorem2(chart, arc)
+        else:
+            rep = verify_theorem2(chart, arc)
+            assert rep["pass"] and rep["case"] == "transverse"
+            assert rep["mu_clm"] == int(np.sum(np.floor(dphi)))

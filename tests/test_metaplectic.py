@@ -887,6 +887,32 @@ def test_lift_names_the_dense_sample_of_a_bad_state(rng, monkeypatch):
             lift_frame_path_trace(Us, s, max_depth=0)
 
 
+def test_re_m_check_past_the_gershgorin_screen(rng, monkeypatch):
+    # dense samples with min eig(Re M) at 2x and at 0.5x rank_floor, rotated
+    # so that the off-diagonal mass leaves the Gershgorin bound under the
+    # floor: the screen leaves both to eigvalsh, which passes the first and
+    # names the second, with its eigenvalue, as the check without the screen
+    # does; the other samples have Re M = I, inside the screen
+    tol = DEFAULT_TOLERANCES
+    for n in (2, 3, 4):
+        floor = tol.rank_floor(n)
+        U = rotating_path(n, rng, rng.uniform(-0.1, 0.1, n), 1.0, 9)
+        Ms = np.array([np.eye(n, dtype=complex)] * len(U))
+        for at, scale in ((3, 2.0), (6, 0.5)):
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            Ms[at] = (Q * np.r_[scale * floor, np.ones(n - 1)]) @ Q.T
+            R = Ms[at].real
+            assert np.min(2 * np.diag(R) - np.sum(np.abs(R), axis=1)) < floor
+        monkeypatch.setattr(metaplectic, "_closed_matrices", lambda W, M0: Ms.copy())
+        low = np.linalg.eigvalsh(Ms.real)[:, 0]
+        assert low[3] >= floor > low[6]
+        with pytest.raises(StateDomainError,
+                           match=r"positive definite; min eig %.3e at dense sample 6$" % low[6]):
+            metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
+        Ms[6] = np.eye(n)
+        metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
+
+
 def chirped_cases(rng, dims=(2, 3, 4)):
     """(M_0, polynomial factor, unitary path t -> U(t)) of strongly chirped
     states, where a dense step's factor can turn by more than pi / 4:
@@ -944,8 +970,8 @@ def one_step_factor(V, M0):
     e^{-<M0 x, x>/2}, the product of the principal roots of the eigenvalues
     of X = A - i B M0, and X."""
     n = len(M0)
-    c, M = metaplectic._closed_law(np.array([np.eye(n), V]), V[None],
-                                   GaussianAmplitude(1.0, M0), DEFAULT_TOLERANCES)
+    c, M, _ = metaplectic._closed_law(np.array([np.eye(n), V]), V[None],
+                                      GaussianAmplitude(1.0, M0), DEFAULT_TOLERANCES)
     X = V.real - 1j * (V.imag @ M[0])
     lam = np.linalg.eigvals(X)
     return c[1], np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam))), X
