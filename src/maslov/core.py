@@ -15,6 +15,7 @@ Conventions (fixed throughout the library):
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,19 @@ def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
     return abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).max(axis=(-2, -1))
 
 
+def check_depth(max_depth) -> int:
+    """A refinement depth as an int: an integer (numpy's too) that is not
+    negative, else SamplingError naming the value."""
+    try:
+        depth = operator.index(max_depth)
+    except TypeError:
+        depth = -1
+    if depth < 0:
+        raise SamplingError("refinement depth must be non-negative and integral, got %r"
+                            % (max_depth,))
+    return depth
+
+
 def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
                      max_depth: int, tol: Tolerances = DEFAULT_TOLERANCES):
     """Dense (X, t) of a path of unitaries X, shape (N, n, n), sampled at the
@@ -164,9 +178,7 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
     midpoint, symmetric again.  A step with X_a + X_b singular below
     rank_floor is antipodal: no midpoint is preferred, and it raises.
     """
-    if max_depth < 0:
-        raise SamplingError("refinement depth must be non-negative, got %d" % max_depth)
-    for depth in range(max_depth + 1):
+    for depth in range(check_depth(max_depth) + 1):
         bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too
         if not bad.size:
             return X, t

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, _set_fields, check_stack, embed_unitary, omega_gram)
+                   Tolerances, _set_fields, check_depth, check_stack, embed_unitary, omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
@@ -366,8 +366,7 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     for the frames F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
     """
     u, n = path.samples, chart.n
-    if max_depth < 0:
-        raise SamplingError("refinement depth must be non-negative, got %d" % max_depth)
+    max_depth = check_depth(max_depth)
     if path.closed:
         gap = np.max(np.abs(chart.at(u[0]) - chart.at(u[-1])))
         if not gap <= 1e-7:  # a non-finite endpoint fails too

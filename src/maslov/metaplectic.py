@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
                    Tolerances, _set_fields, _trusted, _unitarity_residuals,
-                   bisect_geodesics, check_stack, unitaries_from_symplectic)
+                   bisect_geodesics, check_depth, check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, StateDomainError)
 
@@ -679,10 +679,13 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     one polynomial factor per sample.
 
     Steps are bisected geodesically in U(n) until each is within the step
-    bound of the identity, where the per-step branch is unambiguous.  Every
-    state takes its scalar and matrix from the closed law as one batch (see
-    ``_closed_law``); a polynomial factor is one substitution from the start
-    at each sample (see ``_factor_vectors``).
+    bound of the identity, where the per-step branch is unambiguous; a call
+    with the bytes, tolerances and depth of the last path lifted reuses its
+    checks and refinement (see ``_lift``).  Every state takes its scalar and
+    matrix from the closed law as one batch (see ``_closed_law``); a
+    polynomial factor is one substitution from the start at each sample
+    (see ``_factor_vectors``).  A depth that is not a non-negative integer
+    raises SamplingError.
     """
     c, M, W = _lift(Us, s0, tol, max_depth)
     if s0.poly.is_constant():
@@ -690,20 +693,45 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     return c, M, [Polynomial._dense(s0.poly.basis, v) for v in _factor_vectors(W, M, s0.poly)]
 
 
+#: The last path _lift refined, as ((shape, bytes, tol, depth), (U, V, keep)).
+_last_refined = None
+
+
 def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
-    """Scalars, matrices and W_k = U_k U_0^* at the input samples of Us."""
+    """Scalars, matrices and W_k = U_k U_0^* at the input samples of Us.
+
+    What reads only the path (its unitarity and start checks and
+    _refine_unitary_path) is kept, read-only, for the last path that passed
+    them: a call with the same shape and bytes of Us (so -0.0 is not 0.0),
+    an equal tol and the same integer depth reuses those checks and the
+    dense U, V and keep.  The shape, the state's dimension and the depth are
+    checked on every call, and the closed law, with its Re(M) check, runs
+    for every state."""
+    global _last_refined
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
     n = Us.shape[-1]
-    resid = _unitarity_residuals(Us)
-    check_stack(resid <= tol.residual_tol, InvariantViolation,
-                "not unitary: residual %.3e", resid, entry="sample")
-    if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
-        raise InvariantViolation("path must start at the identity")
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
-    U, V, keep = _refine_unitary_path(Us, _step_bound(n), max_depth, tol)
+    depth = check_depth(max_depth)
+    key = (Us.shape, Us.tobytes(), tol, depth)  # a shape miss compares no bytes
+    last = _last_refined  # read once: another thread replaces the whole entry
+    if last is not None and last[0] == key:
+        U, V, keep = last[1]
+    else:
+        # check and refine the immutable copy the key holds: an unrefined U
+        # is that copy, never the caller's array
+        Us = np.frombuffer(key[1], dtype=complex).reshape(Us.shape)
+        resid = _unitarity_residuals(Us)
+        check_stack(resid <= tol.residual_tol, InvariantViolation,
+                    "not unitary: residual %.3e", resid, entry="sample")
+        if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
+            raise InvariantViolation("path must start at the identity")
+        U, V, keep = _refine_unitary_path(Us, _step_bound(n), depth, tol)
+        for a in (U, V, keep):
+            a.setflags(write=False)
+        _last_refined = (key, (U, V, keep))
     c, M, W = _closed_law(U, V, s0, tol)
     return c[keep], M[keep], W[keep]
 
@@ -716,7 +744,11 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
 
     Steps are subdivided (geodesically in U(n)) until each one's eigenvalues
     are within _step_bound(n) = min(MAX_UNITARY_STEP, 2 sin(pi/8n)) of 1
-    (0.39 at n = 2); the per-step branch is then unambiguous.
+    (0.39 at n = 2); the per-step branch is then unambiguous.  Lifting
+    several states along one path refines it once: the unitaries, the
+    tolerances and the depth of the last path lifted are the key of its
+    refinement (see ``_lift``), while the closed law and the substitution
+    run for each state.
     The endpoint is sampling-independent within phase_tol.  Its polynomial
     factor is the one endpoint substitution of ``_factor_vectors``.
     """

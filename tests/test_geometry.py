@@ -631,6 +631,27 @@ def test_negative_refinement_depths_raise_a_library_error():
             lift_frame_path_trace(tr.start_relative, ground_state(1), max_depth=-1)
 
 
+def test_refinement_depths_must_be_integers():
+    # a float, even an integral one, and a string are SamplingErrors naming
+    # the value at both lift entries and in transport, also right after a
+    # lift of the same path at depth 3; numpy integers are depths
+    Us = np.exp(1j * np.array([0.0, 3.0]))[:, None, None]  # needs three levels
+    path = [embed_unitary(U) for U in Us]
+    loop = ParamPath.circle_arc(1.0, 10)
+    c = lift_frame_path_trace(Us, ground_state(1), max_depth=3)[0]
+    for depth in (3.0, 2.5, -1, "3"):
+        message = re.escape("refinement depth must be non-negative and integral, got %r" % (depth,))
+        with pytest.raises(SamplingError, match=message):
+            lift_frame_path_trace(Us, ground_state(1), max_depth=depth)
+        with pytest.raises(SamplingError, match=message):
+            metaplectic.lift_frame_path(path, ground_state(1), max_depth=depth)
+        with pytest.raises(SamplingError, match=message):
+            transport_frame(circle_chart(), loop, max_depth=depth)
+    assert lift_frame_path_trace(Us, ground_state(1), max_depth=np.int64(3))[0][-1] == c[-1]
+    assert metaplectic.lift_frame_path(path, ground_state(1), max_depth=np.int64(3)).c == c[-1]
+    assert transport_frame(circle_chart(), loop, max_depth=np.int64(30)).refinement_depth > 2
+
+
 # ---------------------------------------------------------------------------
 # tangent paths
 

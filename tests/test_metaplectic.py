@@ -8,6 +8,9 @@ The one-dimensional quadrature oracle below applies the oscillatory kernel
 directly on a grid, independently of the generator-word implementation.
 """
 
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maslov import metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
                          embed_unitary, l0_frame, random_unitary,
                          unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
@@ -1133,6 +1136,166 @@ def test_lift_refinement_exhaustion():
         lift_frame_path_trace(Us, ground_state(1), max_depth=2)
     cs, _, _ = lift_frame_path_trace(Us, ground_state(1), max_depth=3)
     assert abs(cs[-1] - np.exp(1.5j)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the lift's one-entry memo of the last refined path
+
+
+def memo_path(n, rng, k=7):
+    """A path of k rotations, exactly I at the start, whose every step turns
+    by 1.5 times the step bound's eigenphase: each step is bisected once,
+    so the dense samples 1, 3, ... are midpoints."""
+    lam = rng.uniform(-1.0, 1.0, n)
+    lam /= np.max(np.abs(lam))
+    turn = 2 * np.arcsin(_step_bound(n) / 2)
+    Us = rotating_path(n, rng, lam, 1.5 * turn * (k - 1), k)
+    Us[0] = np.eye(n)
+    return Us
+
+
+@contextlib.contextmanager
+def counted_refinements():
+    """The list of the paths the lift refines inside the block."""
+    calls, refine = [], metaplectic._refine_unitary_path
+
+    def counted(Us, *args):
+        calls.append(Us)
+        return refine(Us, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metaplectic, "_refine_unitary_path", counted)
+        yield calls
+
+
+def trace_bytes(trace):
+    c, M, polys = trace
+    return c.tobytes(), M.tobytes(), [p.vec.tobytes() for p in polys]
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_states_lifted_along_one_path_match_cold_lifts(n, seed):
+    # levels 0..4 and a chirped state lifted in turn along one path refine it
+    # once, and every trace and endpoint is bit for bit the one the state
+    # gets lifted right after a lift along another path
+    rng = np.random.default_rng(seed)
+    Us, other = memo_path(n, rng), memo_path(n, rng)
+    M0, poly, _ = chirped_cases(rng, dims=(n,) if n > 1 else ())[-1]
+    states = [hermite_state(level, n) for level in range(5)]
+    states.append(GaussianAmplitude(0.6 - 0.8j, M0, poly))
+    path = [embed_unitary(U) for U in Us]
+    with counted_refinements() as calls:
+        hot = [(lift_frame_path_trace(Us, s), lift_frame_path(path, s)) for s in states]
+    assert len(calls) == 1
+    for s, (trace, end) in zip(states, hot):
+        lift_frame_path_trace(other, s)
+        assert trace_bytes(trace) == trace_bytes(lift_frame_path_trace(Us, s))
+        lift_frame_path_trace(other, s)
+        cold = lift_frame_path(path, s)
+        assert (end.c, end.M.tobytes(), end.poly.vec.tobytes()) == (
+            cold.c, cold.M.tobytes(), cold.poly.vec.tobytes())
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_path_refines_afresh_unless_its_bytes_tolerances_and_depth_repeat(n, seed):
+    # the key is the exact bytes of the stack, the tolerances by value and
+    # the integer depth: a copy, an equal Tolerances and a numpy depth reuse
+    # the refinement; one ulp, a signed zero, another tolerance or another
+    # depth refine afresh, and so does the path after each of them
+    rng = np.random.default_rng(seed)
+    Us, s, tol = memo_path(n, rng), hermite_state(1, n), DEFAULT_TOLERANCES
+    k, i, j = rng.integers(1, len(Us)), *rng.integers(0, n, 2)
+    ulp = Us.copy()
+    ulp[k, i, j] = complex(np.nextafter(Us[k, i, j].real, np.inf), Us[k, i, j].imag)
+    zero = Us.copy()
+    zero[0, 0, 0] = complex(1.0, -0.0)
+    with counted_refinements() as calls:
+        lift_frame_path_trace(Us, s, tol, 12)
+        for args in ((Us.copy(), tol, 12), (Us, Tolerances(), np.int64(12))):
+            lift_frame_path_trace(args[0], s, *args[1:])
+        assert len(calls) == 1
+        for args in ((ulp, tol, 12), (zero, tol, 12), (Us, Tolerances(residual_tol=2e-9), 12),
+                     (Us, tol, 13)):
+            lift_frame_path_trace(args[0], s, *args[1:])
+            lift_frame_path_trace(Us, s, tol, 12)
+        assert len(calls) == 9
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_path_that_fails_leaves_the_last_refinement_in_use(n, seed):
+    # a path whose refinement is exhausted, and one that is not unitary,
+    # raise on every call and store nothing: the last path lifted before
+    # them is still a hit, with the same trace
+    rng = np.random.default_rng(seed)
+    Us, coarse, s = memo_path(n, rng), memo_path(n, rng), hermite_state(2, n)
+    skew = Us.copy()
+    skew[2] *= 1 + 1e-6
+    with counted_refinements() as calls:
+        want = trace_bytes(lift_frame_path_trace(Us, s))
+        entry = metaplectic._last_refined
+        for _ in range(2):
+            with pytest.raises(SamplingError, match="refinement exhausted"):
+                lift_frame_path_trace(coarse, s, max_depth=0)
+            with pytest.raises(InvariantViolation, match="not unitary: .* at sample 2$"):
+                lift_frame_path_trace(skew, s)
+        assert metaplectic._last_refined is entry
+        assert trace_bytes(lift_frame_path_trace(Us, s)) == want
+    assert len(calls) == 3
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_hit_names_a_bad_state_as_a_cold_lift_does(n, seed):
+    # the Re(M) check runs for every state: with the closed law's matrix at
+    # dense sample 1, a midpoint, made indefinite, the lift right after
+    # another path and the lift that reuses the refinement raise the same
+    rng = np.random.default_rng(seed)
+    Us, other, s = memo_path(n, rng), memo_path(n, rng), hermite_state(3, n)
+    messages = []
+    with counted_refinements() as calls, pytest.MonkeyPatch.context() as mp:
+        lift_frame_path_trace(other, s)
+        mp.setattr(metaplectic, "_closed_matrices", closed_law_perturbed(1, -10.0 * np.eye(n)))
+        for _ in range(2):
+            with pytest.raises(StateDomainError, match="positive definite; .* at dense sample 1$") as err:
+                lift_frame_path_trace(Us, s)
+            messages.append(str(err.value))
+    assert len(calls) == 2 and messages[0] == messages[1]
+
+
+def test_the_held_refinement_is_read_only_and_not_the_callers(rng):
+    # a refined path and one that needs no refinement: the lift holds
+    # read-only arrays of its own and leaves the caller's stack writeable
+    for n in (1, 2, 3, 4):
+        for Us in (memo_path(n, rng), rotating_path(n, rng, [0.1] * n, 0.5, 6)):
+            lift_frame_path_trace(Us, ground_state(n))
+            held = metaplectic._last_refined[1]
+            assert [a.flags.writeable for a in held] == [False] * 3
+            assert not np.shares_memory(held[0], Us) and Us.flags.writeable
+
+
+def test_threads_lifting_along_their_own_paths_get_their_own_traces(rng):
+    # four threads, more than the cores, each lifting three levels along its
+    # own path over and over with a short switch interval: a lift that read
+    # the entry another thread stored meanwhile would give another trace
+    paths = [memo_path(2, rng) for _ in range(4)]
+    states = [hermite_state(level, 2) for level in range(3)]
+    want = [[trace_bytes(lift_frame_path_trace(Us, s)) for s in states] for Us in paths]
+    same = [0] * len(paths)
+
+    def work(i):
+        for _ in range(15):
+            for s, w in zip(states, want[i]):
+                same[i] += trace_bytes(lift_frame_path_trace(paths[i], s)) == w
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(paths))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert same == [45] * len(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,30 @@ def test_word_lifts_writes_the_same_bytes_twice(tmp_path, monkeypatch):
         assert [level["level"] for level in record["levels"]] == [0, 1, 2, 3, 4]
 
 
+def test_word_lifts_records_do_not_depend_on_the_order_of_the_operations(monkeypatch):
+    # every operation of seed 1 run in list order, where each lift.fwd's
+    # ground state reuses the refinement of the identities operation before
+    # it, and in reverse order, where it refines afresh: the lift records
+    # are the same bytes
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    word_lifts = load_tool("word_lifts")
+    monkeypatch.setattr(word_lifts.gaussian_words, "ROUNDS", 1)
+    ops = list(enumerate(word_lifts.gaussian_words.make_ops(1)))
+
+    def records(order):
+        out = {}
+        for i, op in order:
+            if op.name.startswith("lift."):
+                out[i] = word_lifts.canonical_json(word_lifts.endpoint_record(op))
+            else:
+                op.call()
+        return out
+    forward = records(ops)
+    assert len(forward) == 12 and all('"levels"' in record for record in forward.values())
+    assert records(ops[::-1]) == forward
+
+
 def test_battery_payloads_writes_the_same_bytes_twice(tmp_path, monkeypatch):
     # the tool puts src/ and perfbench/ first on the path and writes no bytecode
     monkeypatch.setattr(sys, "path", list(sys.path))
