@@ -174,9 +174,8 @@ def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
     The midpoint of a step from X_a to X_b is polar(X_a + X_b), one batched
     SVD per level.  That is (X_b X_a^*)^{1/2} X_a with the principal root,
     since polar(I + V) is the principal root of a unitary V without an
-    eigenvalue -1; on symmetric unitaries it is the Souriau geodesic
-    midpoint, symmetric again.  A step with X_a + X_b singular below
-    rank_floor is antipodal: no midpoint is preferred, and it raises.
+    eigenvalue -1.  A step with X_a + X_b singular below rank_floor is
+    antipodal: no midpoint is preferred, and it raises.
     """
     for depth in range(check_depth(max_depth) + 1):
         bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too

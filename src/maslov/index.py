@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
+from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                    Tolerances, UnitaryComplex, _checked_unitary, _orthonormal_columns,
-                   _set_fields, _souriau_frame, bisect_geodesics,
-                   check_stack, omega_gram, souriau_images, souriau_map)
+                   _set_fields, _souriau_frame, check_stack, omega_gram,
+                   souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
-                     TransversalityError)
+                     SamplingError, TransversalityError)
 
 # Sign of the last term in the Kashiwara form
 #   Q(z1, z2, z3) = omega(z1, z2) + omega(z2, z3) + KASHIWARA_LAST_SIGN * omega(z3, z1).
@@ -42,12 +42,6 @@ from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
 # that choice) satisfies the coboundary identity against the Leray
 # formula above, which is the ground truth fixing the convention.
 KASHIWARA_LAST_SIGN = -1.0
-
-#: Bound on sqrt(n) times the Frobenius norm of a step between consecutive
-#: Souriau images of a path.
-MAX_SOURIAU_STEP = 0.5
-
-_MAX_REFINE_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ def leray_index(x: CoverPoint, y: CoverPoint,
 
 class _FrameView(Sequence):
     """The samples of a Souriau stack as frames, built on access: each w_k is
-    a checked Souriau image or a geodesic midpoint of two."""
+    a checked Souriau image."""
 
     def __init__(self, w: np.ndarray):
         self._w = w
@@ -182,14 +176,8 @@ class _FrameView(Sequence):
 
 class LagrangianPath:
     """Sampled path in Lag(n): the Souriau images w_k of its samples and the
-    sample parameters; frames[k] is built from w_k on access.
-
-    Construction bisects every step with sqrt(n) ||w_{k+1} - w_k||_F above
-    MAX_SOURIAU_STEP at its geodesic midpoint (see bisect_geodesics).  The
-    bound does not depend on the frames, and it keeps the det-phase of every
-    step within pi/4: for the eigenvalues l_j of w_{k+1} w_k^*,
-    sum |arg l_j| <= (pi/2) sum |l_j - 1| <= (pi/2) sqrt(n) ||w_{k+1} - w_k||_F.
-    So phase unwrapping along the path is unambiguous.
+    sample parameters; frames[k] is built from w_k on access.  Between two
+    samples the path is the Souriau geodesic (see lift_path).
     """
 
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -204,13 +192,11 @@ class LagrangianPath:
         if params is None:
             params = np.linspace(0.0, 1.0, len(frames))
         params = np.asarray(params, dtype=float)
-        if len(params) != len(frames) or np.any(np.diff(params) <= 0):
-            raise InvariantViolation("params must be strictly increasing, one per frame")
-        w = souriau_images(frames, tol)
-        self.n = w.shape[1]
-        self.souriau, self.params = bisect_geodesics(
-            w, params, lambda w: np.sqrt(self.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2)),
-            MAX_SOURIAU_STEP, _MAX_REFINE_DEPTH, tol)
+        if len(params) != len(frames) or not (np.isfinite(params).all()
+                                              and (np.diff(params) > 0).all()):
+            raise InvariantViolation("params must be finite and strictly increasing, one per frame")
+        self.souriau, self.params = souriau_images(frames, tol), params
+        self.n = self.souriau.shape[1]
 
     @property
     def frames(self) -> Sequence[LagrangianFrame]:
@@ -224,13 +210,26 @@ def lift_path(path: LagrangianPath,
               tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Continuous lift of the path to the cover: the unwrapped det-phases
     theta_k, shape (N,), starting at the principal phase of det w_0, so that
-    (w_k, theta_k) is the lift of sample k; a deck shift adds 2 pi r.  Every
-    step of a LagrangianPath turns det w by at most pi/4, so its increment
-    is the wrapped difference of the principal phases; one residual
+    (w_k, theta_k) is the lift of sample k; a deck shift adds 2 pi r.  On the
+    Souriau geodesic of a step, det w turns by sum_j arg l_j over the
+    eigenvalues l_j of w_{k+1} w_k^*, at most (pi/2) sqrt(n) ||w_{k+1} - w_k||_F
+    in modulus: where that is under pi by _SCREEN_MARGIN, the wrapped difference
+    of the principal phases is the increment, and eigvals give the rest.  A step
+    with min_j |l_j + 1| below rank_floor is antipodal and raises.  One residual
     |det w_k - e^{i theta_k}| over the whole path checks the result."""
-    dets = np.linalg.det(path.souriau)
+    w = path.souriau
+    dets = np.linalg.det(w)
     phases = np.angle(dets)
     steps = (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi
+    bound = np.pi / 2 * np.sqrt(path.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2))
+    far = np.flatnonzero(~(bound < (1 - _SCREEN_MARGIN) * np.pi))
+    if far.size:
+        lam = np.linalg.eigvals(w[far + 1] @ np.conj(np.swapaxes(w[far], 1, 2)))
+        gap = np.min(np.abs(lam + 1.0), axis=1)
+        check_stack(gap >= tol.rank_floor(path.n), SamplingError,
+                    "antipodal step from t = %.6g to %.6g: min |l_j + 1| is %.3e",
+                    path.params[far], path.params[far + 1], gap, entry=None)
+        steps[far] = np.sum(np.angle(lam), axis=1)
     theta = np.cumsum(np.concatenate([phases[:1], steps]))
     resid = np.abs(dets - np.exp(1j * theta))
     check_stack(resid <= tol.phase_tol, InvariantViolation,

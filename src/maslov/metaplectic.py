@@ -75,6 +75,14 @@ def _T(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _square(A, what: str, dtype=float) -> np.ndarray:
+    """A as an array of square matrices (..., n, n), else InvariantViolation."""
+    A = np.asarray(A, dtype=dtype)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise InvariantViolation("%s must be square, shape (..., n, n); got %s" % (what, A.shape))
+    return A
+
+
 def det_branch_power(M: np.ndarray, power: float) -> complex:
     """det(M)^{power} on the canonical branch for Re M positive definite.
 
@@ -299,7 +307,7 @@ class GaussianAmplitude:
 
     def __init__(self, c, M, poly: Polynomial | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES):
-        M = np.asarray(M, dtype=complex)
+        M = _square(M, "Gaussian matrix", complex)
         n = M.shape[-1]
         if poly is None:
             poly = Polynomial.constant(1.0, n)
@@ -408,7 +416,7 @@ class Dilate:
     m: int
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        A = np.asarray(A, dtype=float)
+        A = _square(A, "dilation matrix")
         check_stack(np.isfinite(A).all(axis=(-2, -1)), InvariantViolation,
                     "dilation matrix must be finite")
         check_stack(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
@@ -423,7 +431,7 @@ class Chirp:
     B: np.ndarray
 
     def __init__(self, B, tol: Tolerances = DEFAULT_TOLERANCES):
-        B = np.asarray(B, dtype=float)
+        B = _square(B, "chirp matrix")
         check_stack(np.isfinite(B).all(axis=(-2, -1)), InvariantViolation,
                     "chirp matrix must be finite")
         check_stack(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
@@ -454,6 +462,9 @@ def apply_generator(gen, s: GaussianAmplitude,
     """Apply one generator to a state; exact on (c, M, poly) data.  The
     generator and the state may be stacks, whose leading axes broadcast:
     each entry of the result is one generator applied to one state."""
+    n = (gen.A if isinstance(gen, Dilate) else gen.B if isinstance(gen, Chirp) else s.M).shape[-1]
+    if n != s.n:
+        raise DimensionMismatch("generator over n = %d applied to a state over n = %d" % (n, s.n))
     if isinstance(gen, Dilate):
         A = gen.A
         c = s.c * np.sqrt(abs(np.linalg.det(A))) * quarter_turn(gen.m)
@@ -485,9 +496,9 @@ class QuadraticFourier:
     m: int
 
     def __init__(self, P, L, Q, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        P = np.asarray(P, dtype=float)
-        L = np.asarray(L, dtype=float)
-        Q = np.asarray(Q, dtype=float)
+        P, L, Q = (_square(X, "P, L and Q") for X in (P, L, Q))
+        if not P.shape[-1] == L.shape[-1] == Q.shape[-1]:
+            raise DimensionMismatch("P, L and Q must be over one n")
         check_stack(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-2, -1))
                     & np.isfinite(Q).all(axis=(-2, -1)),
                     InvariantViolation, "P, L and Q must be finite")

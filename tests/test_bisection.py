@@ -1,8 +1,9 @@
-"""The one geodesic bisection shared by Lagrangian paths (Souriau stacks) and
-the metaplectic lift (unitary stacks): the polar midpoint against two
-references that share no code with it, the pi/4 det-phase bound of the
-Souriau rule, refinement stability of the integers, antipodal steps, and a
-library that runs without scipy."""
+"""Geodesic steps of the two lifts: the polar midpoint with which the
+metaplectic lift bisects its unitary stacks, against a reference that shares
+no code with it; the det-phase increment of a Lagrangian path's Souriau
+geodesic steps, against the same path densified by reference midpoints;
+stability of the integers under resampling, antipodal steps, and a library
+that runs without scipy."""
 
 import os
 import subprocess
@@ -77,35 +78,49 @@ def test_polar_midpoint_is_the_principal_root_midpoint(n, seed):
     assert np.max(np.abs(library_midpoint(Ua, Ub) - want)) <= 1e-12
 
 
-@given(n=DIMS, seed=SEEDS)
-def test_polar_midpoint_is_the_souriau_geodesic_midpoint(n, seed):
-    rng = np.random.default_rng(seed)
-    wa = souriau_map(random_lagrangian(n, rng)).entries
-    wb = souriau_map(random_lagrangian(n, rng)).entries
-    assume(antipodal_margin(wa, wb) >= 1e-3)
-    got = library_midpoint(wa, wb)
-    assert np.max(np.abs(got - souriau_midpoint_reference(wa, wb))) <= 1e-12
-    assert np.max(np.abs(got - got.T)) <= 1e-12
-
-
 def coarse_lagrangian_frames(n, rng, k):
     """k frames of t -> expm(t s H) L with each eigenvalue of expm(s H / (k - 1))
-    turning by up to 1.2, so the Souriau rule bisects."""
+    turning by up to 1.2, so at n >= 2 the lift takes the eigenvalues of
+    some Souriau steps."""
     L = random_lagrangian(n, rng).columns
     return np.array([embed_unitary(U).entries @ L
                      for U in unitary_path(n, rng, k, rng.uniform(0.6, 1.2))])
 
 
+def densified(w, levels):
+    """The Souriau stack w with every step split into 2^levels geodesic steps
+    by souriau_midpoint_reference."""
+    for _ in range(levels):
+        mids = [souriau_midpoint_reference(a, b) for a, b in zip(w[:-1], w[1:])]
+        w = [w[0]] + [x for pair in zip(mids, w[1:]) for x in pair]
+    return w
+
+
 @given(n=DIMS, seed=SEEDS)
-def test_souriau_steps_turn_det_by_at_most_a_quarter_pi(n, seed):
+def test_souriau_step_increments_match_a_densified_path(n, seed):
+    # coarse one-parameter subgroup paths whose Souriau steps turn each
+    # eigenvalue by up to about 3 rad, all one way, so det w turns by up to
+    # about 3n, against the same Souriau geodesics cut into eighths, each
+    # turning det w by under pi / 2, unwrapped by numpy
     rng = np.random.default_rng(seed)
-    frames = coarse_lagrangian_frames(n, rng, int(rng.integers(3, 6)))
-    w = LagrangianPath(frames).souriau
-    args = np.angle(np.linalg.eigvals(w[1:] @ np.conj(np.swapaxes(w[:-1], 1, 2))))
-    assert np.max(np.sum(np.abs(args), axis=1)) <= np.pi / 4 + 1e-12
-    theta0 = float(np.angle(np.linalg.det(w[0])))
-    want = theta0 + np.concatenate([[0.0], np.cumsum(np.sum(args, axis=1))])
-    assert np.max(np.abs(lift_path(LagrangianPath(frames)) - want)) <= 1e-12
+    k, turn = int(rng.integers(3, 6)), rng.uniform(0.5, 1.5)
+    Q = random_unitary(n, rng).entries
+    mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0, n)
+    t = np.linspace(0.0, turn * (k - 1), 8 * (k - 1) + 1)
+    Us = (Q * np.exp(1j * np.multiply.outer(t, mu))[:, None, :]) @ Q.conj().T
+    L = random_lagrangian(n, rng)
+    fine = [SymplecticMatrix(embed_unitary(U).entries) for U in Us]
+    coarse = induced_lagrangian_path(fine[::8], L)
+    w = coarse.souriau
+    assume(all(antipodal_margin(a, b) >= 1e-3 for a, b in zip(w[:-1], w[1:])))
+    dense = densified(list(w), 3)
+    phases = np.angle([np.linalg.det(x) for x in dense])
+    want = phases[0] + np.concatenate([[0.0], np.cumsum(
+        (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi)])
+    assert np.max(np.abs(lift_path(coarse) - want[::8])) <= 1e-12
+    path = LagrangianPath([lagrangian_from_souriau(x) for x in dense])
+    assert clm_index(coarse) == clm_index(path)
+    assert mu_hat_on_cover(fine[::8], L) == mu_hat_on_cover(fine, L)
 
 
 @given(n=DIMS, seed=SEEDS)
@@ -136,26 +151,27 @@ def test_antipodal_steps_raise_and_name_the_step(n):
     L = random_lagrangian(n, np.random.default_rng(n))
     JL = LagrangianFrame(standard_j(n) @ L.columns)
     with pytest.raises(SamplingError, match="antipodal step from t = 0 to 1:"):
-        LagrangianPath([L, JL])
+        clm_index(LagrangianPath([L, JL]))
     with pytest.raises(SamplingError, match="antipodal step from t = 0.5 to 1:"):
-        LagrangianPath([L, L, JL])
+        clm_index(LagrangianPath([L, L, JL]))
     I = np.eye(n, dtype=complex)
     with pytest.raises(SamplingError, match="antipodal step from t = 0 to 1:"):
         lift_frame_path_trace(np.array([I, -I]), ground_state(n))
 
 
 def test_library_runs_without_scipy():
-    # a Hermite lift and a Lagrangian path whose coarse steps are bisected
+    # a Hermite lift, and a Lagrangian lift whose one step takes eigvals:
+    # det w turns by 3 + 1 rad, where the wrapped difference reads 4 - 2 pi
     code = "\n".join([
         "import sys",
         "import numpy as np",
-        "from maslov.core import line_frame",
-        "from maslov.index import LagrangianPath",
+        "from maslov.index import LagrangianPath, lift_path",
         "from maslov.metaplectic import hermite_state, lift_frame_path_trace",
         "Us = np.exp(1j * np.array([0.0, 1.5, 3.0]))[:, None, None]",
         "c, M, polys = lift_frame_path_trace(Us, hermite_state(2, 1))",
-        "path = LagrangianPath([line_frame(a) for a in np.linspace(0.0, 1.2, 4)])",
-        "assert len(path) > 4",
+        "V = np.exp(1j * np.array([[0.0, 0.0], [1.5, 0.5]]))[:, :, None] * np.eye(2)",
+        "theta = lift_path(LagrangianPath(V))",
+        "assert abs(theta[1] - theta[0] - 4.0) < 1e-12",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(maslov.__file__)))

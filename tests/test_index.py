@@ -565,21 +565,29 @@ def test_mu_hat_on_cover_matches_clm_random(rng):
 
 
 def test_path_from_frame_stack_matches_frame_list():
-    ts = np.linspace(0.0, 2 * np.pi, 12)  # coarse: refinement inserts midpoints
+    ts = np.linspace(0.0, 2 * np.pi, 12)
     frames = [line_frame(t + np.pi / 2) for t in ts]
     from_list = LagrangianPath(frames)
     from_stack = LagrangianPath(np.array([f.columns for f in frames]))
     assert np.array_equal(from_list.souriau, from_stack.souriau)
-    assert len(from_stack.frames) == len(from_stack) == len(from_stack.params) > 12
-    # every sample's frame, midpoints included, spans the Lagrangian of its image
+    assert len(from_stack.frames) == len(from_stack) == len(from_stack.params) == 12
+    # every sample's frame spans the Lagrangian of its image
     for k in range(len(from_stack)):
         L = from_stack.frames[k]
         assert isinstance(L, LagrangianFrame)
         assert np.max(np.abs(souriau_map(L).entries - from_stack.souriau[k])) < 1e-12
 
 
+@pytest.mark.parametrize("params", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                                    [-np.inf, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0]])
+def test_path_params_must_be_finite_and_increasing(params):
+    frames = [line_frame(a) for a in (0.0, 0.3, 0.6)]
+    with pytest.raises(InvariantViolation,
+                       match="^params must be finite and strictly increasing, one per frame$"):
+        LagrangianPath(frames, params=params)
+
+
 def test_path_refinement_kicks_in():
-    # deliberately coarse loop still lifts correctly after auto-refinement
+    # a deliberately coarse loop lifts correctly from its samples alone
     path, _ = circle_tangent_path(1.0, 12)
     assert clm_index(path) == 2
-    assert len(path) > 12

@@ -183,6 +183,36 @@ def test_metaplectic_types_reject_nan():
         det_branch_power(np.array([[nan]]), -0.5)
 
 
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: GaussianAmplitude(1, np.ones((2, 3))), InvariantViolation,
+     r"^Gaussian matrix must be square, shape \(\.\.\., n, n\); got \(2, 3\)$"),
+    (lambda: GaussianAmplitude(1, np.ones(3)), InvariantViolation,
+     r"^Gaussian matrix must be square"),
+    (lambda: GaussianAmplitude(np.ones(2), np.ones((2, 1, 3))), InvariantViolation,
+     r"^Gaussian matrix must be square"),
+    (lambda: Dilate(np.ones((2, 3)), 0), InvariantViolation, r"^dilation matrix must be square"),
+    (lambda: Chirp(np.ones((2, 3))), InvariantViolation, r"^chirp matrix must be square"),
+    (lambda: QuadraticFourier(I2, np.ones((2, 3)), I2, 0), InvariantViolation,
+     r"^P, L and Q must be square"),
+    (lambda: QuadraticFourier(I2, np.eye(3), I2, 0), DimensionMismatch,
+     r"^P, L and Q must be over one n$"),
+    (lambda: apply_generator(Dilate(np.eye(3), 0), ground_state(2)), DimensionMismatch,
+     r"^generator over n = 3 applied to a state over n = 2$"),
+    (lambda: apply_generator(Chirp(np.eye(1)), ground_state(2)), DimensionMismatch,
+     r"^generator over n = 1 applied to a state over n = 2$"),
+    (lambda: apply_generator(Chirp(np.stack([I2] * 3)), ground_state(3)), DimensionMismatch,
+     r"^generator over n = 2 applied to a state over n = 3$"),
+])
+def test_mis_shaped_gaussian_data_raise_typed_errors(make, error, message):
+    # the parent raised ValueError, AxisError or LinAlgError here, or
+    # broadcast a 1 x 1 chirp over an n = 2 state
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_polynomial_surface():
     p = Polynomial(2, {(2, 0): 1.5, (0, 1): -1j, (1, 1): 0})
     assert p.coeffs == {(2, 0): 1.5 + 0j, (0, 1): -1j}
@@ -753,17 +783,41 @@ def test_lift_closed_law_matches_sequential_reference(rng):
         assert abs(lift_frame_path_trace(fine, s)[0][-1] - cs[-1]) < 1e-10
 
 
-def reference_step_word(V, s, tol=DEFAULT_TOLERANCES):
+def reference_step_word(V, s, tol=DEFAULT_TOLERANCES, near=None):
     """Lift of one near-identity dense step V applied to the state s through
     the generator word, from the public single-state API alone.  The step
     has a singular upper-right block, so the word is JHat followed by the
     quadratic Fourier word of embed(iV) at branch 0, and the branch integer
-    m is rounded so that the scalar increment stays within a quarter turn
-    of 1.  Returns the moved state and m."""
+    m is rounded so that the moved scalar stays within a quarter turn of
+    near, by default of s.c.  Returns the moved state and m."""
     qf = quad_fourier_from_symplectic(embed_unitary(1j * V, tol), 0, tol)
     out = apply_quad_fourier(qf, apply_generator(JHat(), s, tol), tol)
-    m = int(round(-2.0 * np.angle(out.c / s.c) / np.pi)) % 4
+    m = int(round(-2.0 * np.angle(out.c / (s.c if near is None else near)) / np.pi)) % 4
     return out.scaled(quarter_turn(m)), m
+
+
+def principal_power(V, a):
+    """V^a for a unitary V, with the principal arguments of its eigenvalues,
+    by a complex Schur form."""
+    T, Z = scipy.linalg.schur(V, output="complex")
+    return Z @ np.diag(np.exp(1j * a * np.angle(np.diagonal(T)))) @ Z.conj().T
+
+
+def continuous_step_word(V, s, tol=DEFAULT_TOLERANCES):
+    """reference_step_word with m fixed by continuity along the step.  On a
+    strongly chirped state one dense step can turn the scalar by more than
+    pi / 4, where rounding to within a quarter turn of s.c is a quarter turn
+    off.  So V is cut into 2^j equal geodesic sub-steps, j the least for
+    which every sub-step's word turns the scalar by under pi / 8, and m
+    takes the one-step word to within a quarter turn of their composite."""
+    for j in range(11):
+        W, fine, turn = principal_power(V, 2.0 ** -j), s, 0.0
+        for _ in range(2 ** j):
+            moved = reference_step_word(W, fine, tol)[0]
+            turn, fine = max(turn, abs(np.angle(moved.c / fine.c))), moved
+        if turn < np.pi / 8:
+            break
+    return reference_step_word(V, s, tol, near=fine.c)
 
 
 @st.composite
@@ -798,7 +852,7 @@ def test_word_lift_matches_reference_step_word(data):
     assert len(U) > len(Us)
     ref, ms = [s0], []
     for step in V:
-        s, m = reference_step_word(step, ref[-1])
+        s, m = continuous_step_word(step, ref[-1])
         ref.append(s)
         ms.append(m)
     cs, Ms, polys = lift_frame_path_trace(Us, s0)

@@ -1,5 +1,5 @@
 """The scripts that show two trees give the same output: tools/golden_drift.py,
-tools/leray_pairs.py (its Leray pairs and Kashiwara triples),
+tools/leray_pairs.py (its Leray pairs, Kashiwara triples and Lagrangian paths),
 tools/word_lifts.py (the lifted endpoint states of gaussian_words) and
 tools/battery_payloads.py (the report payloads of holonomy_battery)."""
 
@@ -75,6 +75,23 @@ def test_leray_pairs_writes_the_same_bytes_twice(tmp_path, monkeypatch):
         first = (tmp_path / "a" / name).read_bytes()
         assert first == (tmp_path / "b" / name).read_bytes()
         assert len(first.splitlines()) == lines
+
+
+def test_leray_pairs_paths_write_the_same_bytes_twice(tmp_path, monkeypatch):
+    leray_pairs = load_tool("leray_pairs")
+    monkeypatch.setattr(leray_pairs, "PATHS", 30)
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        leray_pairs.write_paths(77, str(tmp_path / run))
+    first = (tmp_path / "a" / "paths77.txt").read_bytes()
+    assert first == (tmp_path / "b" / "paths77.txt").read_bytes()
+    lines = first.decode().splitlines()
+    assert len(lines) == 30
+    # an induced path also has mu_hat_on_cover, a frame stack only clm_index
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert set(fields) == {"n", "k", "induced", "near", "clm"} | (
+            {"mu"} if fields["induced"] == "1" else set())
 
 
 def test_leray_pairs_triples_meet_the_leray_coboundary(tmp_path, monkeypatch):

@@ -61,11 +61,10 @@ def test_trusted_frames_pass_the_public_constructor(n, seed):
     assert_passes_public(F, F.columns)
     assert np.max(np.abs(F.columns.T @ F.columns - np.eye(n))) <= 1e-13
     assert np.max(np.abs(souriau_map(F).entries - x.w)) <= 1e-12
-    # a path whose steps the Souriau rule bisects: its midpoints are frames too
+    # a coarse path: the frames it builds from its Souriau stack
     L = random_lagrangian(n, rng)
     path = LagrangianPath(np.array([embed_unitary(U).entries @ L.columns
                                     for U in unitary_path(n, rng, 4, 3.0)]))
-    assert len(path) > 4
     for k in range(len(path)):
         assert_passes_public(path.frames[k], path.frames[k].columns)
     G = random_lagrangian(n, rng)

@@ -1,5 +1,6 @@
-"""Write the Leray index of every pair of a seeded cover-pair sweep, and the
-Kashiwara signature of every triple of a seeded triple sweep.
+"""Write the Leray index of every pair of a seeded cover-pair sweep, the
+Kashiwara signature of every triple of a seeded triple sweep, and the indices
+of every coarse Lagrangian path of a seeded path sweep.
 
     python tools/leray_pairs.py SEED [SEED ...] --out DIR
 
@@ -24,6 +25,20 @@ with positive diagonal), and the Leray coboundary
 ``mu(x, y) - mu(x, z) + mu(y, z)``.  The first two points share ``k`` lines
 for k in 0..n, so the Kashiwara form is degenerate on most triples.
 
+Last, from a generator of its own (seeded by (SEED, 3)), it draws PATHS
+coarse Lagrangian paths and writes ``DIR/paths<SEED>.txt``, one line per
+path: its index, its inputs, ``clm_index`` of the path and, for a path
+induced by a symplectic path, ``mu_hat_on_cover``, each as an integer or as
+the type of the error it raised.  A path has n in 1..4 and 2..6 samples
+w_k = r O e^{i phi_k} O^T r^T for a Haar unitary r and a random orthogonal
+O, so each step of w_k turns its eigenvalues by the phi_{k+1} - phi_k, drawn
+from U(-3, 3).  Half are induced, t -> S(t) L with S(t) the unitary
+r O e^{i phi/2} O^T r^* and L = r L0; half are frame stacks, each frame in
+a random upper-triangular basis.  On about a third of the paths
+(``near=1``) one eigenvalue of one step turns by +-(pi - eps) with
+eps = 10^U(-9, -3), so min |lambda + 1| of that step is about eps, across
+the antipodal cut at rank_floor.
+
 The package is imported from the tree this script sits in.  Uses the
 standard library and the package (with numpy, which it requires).
 """
@@ -39,12 +54,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from maslov.core import LagrangianFrame  # noqa: E402
+from maslov.core import LagrangianFrame, embed_unitary, l0_frame  # noqa: E402
 from maslov.errors import MaslovError  # noqa: E402
-from maslov.index import CoverPoint, kashiwara_signature, leray_index  # noqa: E402
+from maslov.index import (CoverPoint, LagrangianPath, clm_index,  # noqa: E402
+                          induced_lagrangian_path, kashiwara_signature, leray_index,
+                          mu_hat_on_cover)
 
 PAIRS = 1000
 TRIPLES = 500
+PATHS = 300
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,6 +106,32 @@ def draw_triple(rng: np.random.Generator):
     return x, y, z, desc
 
 
+def draw_path(rng: np.random.Generator):
+    """(clm, mu, description) of one path of the sweep; mu is None for a
+    frame stack."""
+    n, k = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+    induced, near = bool(rng.random() < 1 / 2), bool(rng.random() < 1 / 3)
+    r = haar_unitary(n, rng)
+    O = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    turns = rng.uniform(-3.0, 3.0, size=(k - 1, n))
+    if near:
+        eps = 10.0 ** rng.uniform(-9, -3)
+        turns[rng.integers(k - 1), rng.integers(n)] = rng.choice([-1.0, 1.0]) * (np.pi - eps)
+    phi = np.concatenate([np.zeros((1, n)), np.cumsum(turns, axis=0)])
+    R = (r @ O) * np.exp(0.5j * phi)[:, None, :]  # R_k = r O e^{i phi_k / 2}, w_k = R_k R_k^T
+    desc = "n=%d k=%d induced=%d near=%d" % (n, k, induced, near)
+    if induced:
+        L = LagrangianFrame(embed_unitary(r).entries @ l0_frame(n).columns)
+        symp = [embed_unitary(Rk @ O.T @ r.conj().T) for Rk in R]
+        return (_outcome(lambda: clm_index(induced_lagrangian_path(symp, L))),
+                _outcome(mu_hat_on_cover, symp, L), desc)
+    V = 1j * R  # frame unitaries, -V V^T = R R^T
+    G = (np.triu(rng.normal(size=(k, n, n)), 1)
+         + 10.0 ** rng.uniform(-1, 1, (k, n))[:, None, :] * np.eye(n))
+    frames = np.concatenate([V.real, V.imag], axis=1) @ G
+    return _outcome(lambda: clm_index(LagrangianPath(frames))), None, desc
+
+
 def _outcome(f, *args):
     """f(*args), or the type name of the error it raised."""
     try:
@@ -128,6 +172,18 @@ def write_pairs(seed: int, out: str) -> int:
     return errors
 
 
+def write_paths(seed: int, out: str) -> int:
+    """Write the paths of seed to out; returns how many of them had an error."""
+    rng = np.random.default_rng((seed, 3))
+    errors = 0
+    with open(os.path.join(out, "paths%d.txt" % seed), "w") as fh:
+        for i in range(PATHS):
+            clm, mu, desc = draw_path(rng)
+            errors += isinstance(clm, str) or isinstance(mu, str)
+            fh.write("%d %s clm=%s%s\n" % (i, desc, clm, "" if mu is None else " mu=%s" % mu))
+    return errors
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("seeds", nargs="+", type=int)
@@ -138,6 +194,7 @@ def main(argv=None) -> int:
         errors = write_pairs(seed, args.out)
         print("seed %d: %d pairs and %d triples, %d with an error"
               % (seed, PAIRS, TRIPLES, errors))
+        print("seed %d: %d paths, %d with an error" % (seed, PATHS, write_paths(seed, args.out)))
     return 0
 
 
