@@ -263,16 +263,20 @@ def _run_index(spec, tol):
     return results, True
 
 
+def _refine_depth(value, path) -> int:
+    if type(value) is not int or value < 0:
+        raise SpecError(path, "must be a non-negative integer")
+    return value
+
+
 def _run_holonomy(spec, tol):
     _check_fields(spec, "holonomy")
-    refine_max = 12 if spec.get("refine_max") is None else spec["refine_max"]
-    if type(refine_max) is not int or refine_max < 0:
-        raise SpecError("spec.refine_max", "must be a non-negative integer")
+    refine_max = _refine_depth(12 if spec.get("refine_max") is None else spec["refine_max"],
+                               "spec.refine_max")
     chart = build_chart(_require(spec, "chart", "spec", dict))
     ppath = build_path(_require(spec, "path", "spec", dict), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
-    c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol,
-                                    max_depth=refine_max)
+    c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)
     theta = lift_path(tr.tangent_path, tol)
     phase = c[-1]
     label, resid = fourth_root_label(phase, tol)
@@ -346,7 +350,8 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
         seed=None, refine_max=None):
     """Execute one experiment spec; returns (report, exit_code).  The
     refine_max argument (the --refine-max flag) overrides the spec field,
-    and like it is read by the holonomy command only."""
+    and like it is read by the holonomy command only, as transport's
+    refinement depth; its errors name the flag."""
     if not isinstance(spec, dict):
         raise SpecError("spec", "expected an object")
     command = _require(spec, "command", "spec", str)
@@ -357,7 +362,11 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
         raise SpecError("spec.spec_version", "unsupported version %r" % version)
     tol = parse_tolerances(spec.get("tolerances"), phase_override=tol_phase)
     seed = seed if seed is not None else spec.get("seed", 0)
-    given = spec if refine_max is None else {**spec, "refine_max": refine_max}
+    given = spec
+    if refine_max is not None:
+        if command != "holonomy":
+            raise SpecError("--refine-max", "read by holonomy only, not by %s" % command)
+        given = {**spec, "refine_max": _refine_depth(refine_max, "--refine-max")}
     results, ok = _COMMANDS[command](given, tol)
 
     report = {

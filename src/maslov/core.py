@@ -152,6 +152,31 @@ def _unitarity_residuals(U: np.ndarray) -> np.ndarray:
     return abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).max(axis=(-2, -1))
 
 
+def _det_phase_steps(U: np.ndarray, tol: Tolerances, ends: str, labels):
+    """det U_k of a stack of unitaries and the increments of its continuous
+    phase along the geodesic steps U_k -> U_{k+1}.  On the geodesic of a step,
+    det turns by sum_j arg l_j over the eigenvalues l_j of U_{k+1} U_k^*, at
+    most (pi/2) sqrt(n) ||U_{k+1} - U_k||_F in modulus: where that is under pi
+    by _SCREEN_MARGIN, the wrapped difference of the principal phases is the
+    increment, and one batched eigvals gives the rest.  A step with
+    min_j |l_j + 1| below rank_floor is antipodal and raises SamplingError
+    naming the step by the format ends of labels[k] and labels[k + 1]."""
+    n = U.shape[-1]
+    dets = np.linalg.det(U)
+    steps = (np.diff(np.angle(dets)) + np.pi) % (2 * np.pi) - np.pi
+    D = U[1:] - U[:-1]
+    bound = np.pi / 2 * np.sqrt(n * np.sum(D.real ** 2 + D.imag ** 2, axis=(1, 2)))
+    far = np.flatnonzero(~(bound < (1 - _SCREEN_MARGIN) * np.pi))
+    if far.size:
+        lam = np.linalg.eigvals(U[far + 1] @ U[far].conj().swapaxes(1, 2))
+        gap = np.min(np.abs(lam + 1.0), axis=1)
+        check_stack(gap >= tol.rank_floor(n), SamplingError,
+                    "antipodal step from " + ends + ": min |l_j + 1| is %.3e",
+                    labels[far], labels[far + 1], gap, entry=None)
+        steps[far] = np.sum(np.angle(lam), axis=1)
+    return dets, steps
+
+
 def check_depth(max_depth) -> int:
     """A refinement depth as an int: an integer (numpy's too) that is not
     negative, else SamplingError naming the value."""
@@ -163,33 +188,6 @@ def check_depth(max_depth) -> int:
         raise SamplingError("refinement depth must be non-negative and integral, got %r"
                             % (max_depth,))
     return depth
-
-
-def bisect_geodesics(X: np.ndarray, t: np.ndarray, step_sizes, bound: float,
-                     max_depth: int, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Dense (X, t) of a path of unitaries X, shape (N, n, n), sampled at the
-    parameters t: every step whose step_sizes(X) entry exceeds bound gets
-    its geodesic midpoint, a whole level at a time, up to max_depth levels.
-
-    The midpoint of a step from X_a to X_b is polar(X_a + X_b), one batched
-    SVD per level.  That is (X_b X_a^*)^{1/2} X_a with the principal root,
-    since polar(I + V) is the principal root of a unitary V without an
-    eigenvalue -1.  A step with X_a + X_b singular below rank_floor is
-    antipodal: no midpoint is preferred, and it raises.
-    """
-    for depth in range(check_depth(max_depth) + 1):
-        bad = np.flatnonzero(~(step_sizes(X) <= bound))  # NaN steps fail too
-        if not bad.size:
-            return X, t
-        if depth == max_depth:
-            raise SamplingError("path refinement exhausted on the step from t = %.6g to %.6g"
-                                % (t[bad[0]], t[bad[0] + 1]))
-        W, s, Zh = np.linalg.svd(X[bad] + X[bad + 1])
-        check_stack(s[:, -1] >= tol.rank_floor(X.shape[-1]), SamplingError,
-                    "antipodal step from t = %.6g to %.6g: sigma_min of X_a + X_b is %.3e",
-                    t[bad], t[bad + 1], s[:, -1], entry=None)
-        X = np.insert(X, bad + 1, W @ Zh, axis=0)
-        t = np.insert(t, bad + 1, (t[bad] + t[bad + 1]) / 2)
 
 
 def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:

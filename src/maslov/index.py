@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, _checked_unitary, _orthonormal_columns,
-                   _set_fields, _souriau_frame, check_stack, omega_gram,
+from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
+                   Tolerances, UnitaryComplex, _checked_unitary, _det_phase_steps,
+                   _orthonormal_columns, _set_fields, _souriau_frame, check_stack, omega_gram,
                    souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      SamplingError, TransversalityError)
@@ -210,27 +210,12 @@ def lift_path(path: LagrangianPath,
               tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Continuous lift of the path to the cover: the unwrapped det-phases
     theta_k, shape (N,), starting at the principal phase of det w_0, so that
-    (w_k, theta_k) is the lift of sample k; a deck shift adds 2 pi r.  On the
-    Souriau geodesic of a step, det w turns by sum_j arg l_j over the
-    eigenvalues l_j of w_{k+1} w_k^*, at most (pi/2) sqrt(n) ||w_{k+1} - w_k||_F
-    in modulus: where that is under pi by _SCREEN_MARGIN, the wrapped difference
-    of the principal phases is the increment, and eigvals give the rest.  A step
-    with min_j |l_j + 1| below rank_floor is antipodal and raises.  One residual
+    (w_k, theta_k) is the lift of sample k; a deck shift adds 2 pi r.  The
+    increments follow the Souriau geodesic of each step (see
+    ``core._det_phase_steps``), and an antipodal step raises.  One residual
     |det w_k - e^{i theta_k}| over the whole path checks the result."""
-    w = path.souriau
-    dets = np.linalg.det(w)
-    phases = np.angle(dets)
-    steps = (np.diff(phases) + np.pi) % (2 * np.pi) - np.pi
-    bound = np.pi / 2 * np.sqrt(path.n) * np.linalg.norm(w[1:] - w[:-1], axis=(1, 2))
-    far = np.flatnonzero(~(bound < (1 - _SCREEN_MARGIN) * np.pi))
-    if far.size:
-        lam = np.linalg.eigvals(w[far + 1] @ np.conj(np.swapaxes(w[far], 1, 2)))
-        gap = np.min(np.abs(lam + 1.0), axis=1)
-        check_stack(gap >= tol.rank_floor(path.n), SamplingError,
-                    "antipodal step from t = %.6g to %.6g: min |l_j + 1| is %.3e",
-                    path.params[far], path.params[far + 1], gap, entry=None)
-        steps[far] = np.sum(np.angle(lam), axis=1)
-    theta = np.cumsum(np.concatenate([phases[:1], steps]))
+    dets, steps = _det_phase_steps(path.souriau, tol, "t = %.6g to %.6g", path.params)
+    theta = np.cumsum(np.concatenate([np.angle(dets[:1]), steps]))
     resid = np.abs(dets - np.exp(1j * theta))
     check_stack(resid <= tol.phase_tol, InvariantViolation,
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e", resid,

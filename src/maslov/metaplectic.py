@@ -37,16 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
-                   Tolerances, _set_fields, _trusted, _unitarity_residuals,
-                   bisect_geodesics, check_depth, check_stack, unitaries_from_symplectic)
+                   Tolerances, _det_phase_steps, _set_fields, _trusted,
+                   _unitarity_residuals,
+                   check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
-                     InvariantViolation, StateDomainError)
+                     InvariantViolation, SamplingError, StateDomainError)
 
 DELTA = "delta"
 CONST = "const"
-
-#: Per-step bound on max |eig(V) - 1| for unitary path steps.
-MAX_UNITARY_STEP = 0.4
 
 #: Cap on the bytes of one chunk of the lift's polynomial substitutions, a
 #: (chunk, K, K) complex stack for K monomials: one operator per sample.
@@ -580,13 +578,6 @@ def mu_hat_composed(qf1: QuadraticFourier, qf2: QuadraticFourier,
 # path lifting
 
 
-def _step_bound(n: int) -> float:
-    """Per-step size limit keeping every branch increment under a quarter
-    turn: the scalar factor's phase is at most n times half the largest
-    eigenphase of the step."""
-    return min(MAX_UNITARY_STEP, 2.0 * np.sin(np.pi / (8.0 * n)))
-
-
 def _adjoint(U: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(U, -1, -2))
 
@@ -597,32 +588,8 @@ def _times(S: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (S.reshape(-1, S.shape[-1]) @ M).reshape(S.shape)
 
 
-def _steps(U: np.ndarray) -> np.ndarray:
-    """The steps U_{k+1} U_k^* of a stack of unitaries."""
-    return U[1:] @ _adjoint(U[:-1])
-
-
-def _refine_unitary_path(Us: np.ndarray, bound: float, max_depth: int,
-                         tol: Tolerances = DEFAULT_TOLERANCES):
-    """Bisect geodesically every step V of the path Us with
-    max |eig(V) - 1| > bound (see bisect_geodesics), parametrized by the
-    sample index.  A step whose ||V - I||_F = ||U_{k+1} - U_k||_F, a bound on
-    every |eig(V) - 1|, is under the bound by the margin takes no eigvals.
-    Returns the dense path, its steps and the dense positions of the inputs."""
-    def sizes(U):
-        D = U[1:] - U[:-1]
-        size = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(1, 2)))
-        k = np.flatnonzero(~(size <= (1 - _SCREEN_MARGIN) * bound))
-        size[k] = np.max(np.abs(np.linalg.eigvals(U[k + 1] @ _adjoint(U[k])) - 1.0), axis=1)
-        return size
-
-    t = np.arange(len(Us), dtype=float)
-    U, td = bisect_geodesics(Us, t, sizes, bound, max_depth, tol)
-    return U, _steps(U), np.searchsorted(td, t)
-
-
 def _closed_matrices(W: np.ndarray, M0: np.ndarray) -> np.ndarray:
-    """The Gaussian matrix at every sample of a dense unitary path U, given
+    """The Gaussian matrix at every sample of a unitary path U, given
     W_k = U_k U_0^*, by the closed fractional-linear law: embed(W) for
     W = A + iB has blocks [[A, -B], [B, A]], so the state there has
     M_k = (A M_0 - i B)(A - i B M_0)^{-1}, taken by one solve for M_k^T and
@@ -632,37 +599,46 @@ def _closed_matrices(W: np.ndarray, M0: np.ndarray) -> np.ndarray:
     return (Mt + _T(Mt)) / 2
 
 
-def _closed_law(U: np.ndarray, V: np.ndarray, s0: GaussianAmplitude,
+def _closed_law(W: np.ndarray, theta: np.ndarray, s0: GaussianAmplitude,
                 tol: Tolerances):
-    """Scalars, matrices and W_k = U_k U_0^* of a state along a dense unitary
-    path U with steps V, the same with or without a polynomial factor: the
-    matrices by ``_closed_matrices``, checked to have min eig(Re M) at least
-    rank_floor, the scalar the running product of the per-step factors
-    det(X)^{-1/2}, X = A - i B M for the step A + iB and the state M before
-    it, each the product of the principal roots of the eigenvalues of X.
-    The check takes no eigvalsh where the Gershgorin bound
+    """Scalars and matrices of a state at the samples of a unitary path with
+    W_k = U_k U_0^* and det-phases theta_k, the same with or without a
+    polynomial factor.
+
+    With W = A + iB, the factor X = A - i B M_0 of the fractional-linear law
+    is conj(W) (I + Z C)(I + M_0)/2 for Z = W^T W and the Cayley image
+    C = (I - M_0)(I + M_0)^{-1}, and ||C||_2 < 1 as Re M_0 > 0.  So every
+    eigenvalue of I + Z C has a positive real part, for every unitary W, and
+    the continuous branch of det(X)^{-1/2} from W_0 = I is
+    c_k / c_0 = e^{i theta_k / 2} f(Z_k) / f(Z_0), with f(Z) the product of the
+    principal roots of the eigenvalues of I + Z C, each of argument at most
+    arcsin ||C||_2: where n arcsin ||C||_2 < pi by the margin, f is the
+    principal root of one batched det, and eigvals give it elsewhere.
+
+    M_0 = I gives C = 0, f = 1 and M_k = I.  Any other M_0 takes its M_k from
+    ``_closed_matrices``, checked to have min eig(Re M) at least rank_floor;
+    the check takes no eigvalsh where the Gershgorin bound
     min_i (2 Re M_ii - sum_j |Re M_ij|) <= min eig(Re M) clears the floor by
-    the margin.  Where ||X - I||_F = r < sin(pi / max(n, 2)) by the margin
-    (every transport step, M = I, at n <= 4), every |arg| <= arcsin r, the
-    sum is under pi and that product is the principal root of one batched
-    det X; eigvals elsewhere, as a chirped M can take the sum past pi at
-    n >= 2."""
-    W = _times(U, _adjoint(U[0]))
+    the margin."""
+    n, c = s0.n, s0.c * np.exp(0.5j * theta)
+    I = np.eye(n)
+    if np.array_equal(s0.M, I):
+        return c, np.tile(I.astype(complex), (len(W), 1, 1))
+    C = np.linalg.solve(I + s0.M, I - s0.M)
+    Y = I + _times(_T(W) @ W, C)
+    if n * np.arcsin(min(np.linalg.norm(C, 2), 1.0)) < (1 - _SCREEN_MARGIN) * np.pi:
+        f = np.linalg.det(Y) ** -0.5  # complex powers take the principal branch
+    else:
+        f = np.prod(np.linalg.eigvals(Y) ** -0.5, axis=1)
     M = _closed_matrices(W, s0.M)
-    R, floor = M.real, tol.rank_floor(s0.n)
+    R, floor = M.real, tol.rank_floor(n)
     low = np.min(2 * np.diagonal(R, axis1=1, axis2=2) - np.sum(np.abs(R), axis=2), axis=1)
-    open_ = ~(low >= (1 + _SCREEN_MARGIN) * floor)
-    low[open_] = np.linalg.eigvalsh(R[open_])[:, 0]
+    open_ = np.flatnonzero(~(low >= (1 + _SCREEN_MARGIN) * floor))
+    if open_.size:
+        low[open_] = np.linalg.eigvalsh(R[open_])[:, 0]
     check_stack(low >= floor, StateDomainError,
-                "Re(M) must be positive definite; min eig %.3e", low, entry="dense sample")
-    X = V.real - 1j * (V.imag @ M[:-1])
-    cut = np.linalg.norm(X - np.eye(s0.n), axis=(1, 2)) < (
-        (1 - _SCREEN_MARGIN) * np.sin(np.pi / max(s0.n, 2)))
-    root = lambda z: np.abs(z) ** -0.5 * np.exp(-0.5j * np.angle(z))  # principal z^{-1/2}
-    fac = np.empty(len(X), dtype=complex)
-    fac[cut] = root(np.linalg.det(X[cut]))
-    fac[~cut] = np.prod(root(np.linalg.eigvals(X[~cut])), axis=1)
-    return np.cumprod(np.concatenate([[s0.c], fac])), M, W
+                "Re(M) must be positive definite; min eig %.3e", low, entry="sample")
+    return c * (f / f[0]), M
 
 
 def _factor_vectors(W: np.ndarray, M: np.ndarray, poly: Polynomial) -> np.ndarray:
@@ -682,92 +658,59 @@ def _factor_vectors(W: np.ndarray, M: np.ndarray, poly: Polynomial) -> np.ndarra
 
 
 def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
-                          tol: Tolerances = DEFAULT_TOLERANCES,
-                          max_depth: int = 12):
+                          tol: Tolerances = DEFAULT_TOLERANCES):
     """States of the continuous metaplectic lift at every sample of a path of
     unitaries Us, shape (N, n, n), starting at the identity, as the arrays
     (c, M, polys): scalars of shape (N,), matrices of shape (N, n, n) and
     one polynomial factor per sample.
 
-    Steps are bisected geodesically in U(n) until each is within the step
-    bound of the identity, where the per-step branch is unambiguous; a call
-    with the bytes, tolerances and depth of the last path lifted reuses its
-    checks and refinement (see ``_lift``).  Every state takes its scalar and
-    matrix from the closed law as one batch (see ``_closed_law``); a
-    polynomial factor is one substitution from the start at each sample
-    (see ``_factor_vectors``).  A depth that is not a non-negative integer
-    raises SamplingError.
+    The lift follows the geodesic of U(n) between consecutive samples and
+    is taken at the samples alone: the scalar and matrix in closed form
+    from the det-phases of the path (see ``core._det_phase_steps`` and
+    ``_closed_law``), a polynomial factor as one substitution from the
+    start at each sample (see ``_factor_vectors``).  A step with an
+    eigenvalue within rank_floor of -1 has no preferred geodesic and raises
+    SamplingError.
     """
-    c, M, W = _lift(Us, s0, tol, max_depth)
+    c, M, W = _lift(Us, s0, tol)
     if s0.poly.is_constant():
         return c, M, [s0.poly] * len(c)
     return c, M, [Polynomial._dense(s0.poly.basis, v) for v in _factor_vectors(W, M, s0.poly)]
 
 
-#: The last path _lift refined, as ((shape, bytes, tol, depth), (U, V, keep)).
-_last_refined = None
-
-
-def _lift(Us, s0: GaussianAmplitude, tol: Tolerances, max_depth: int):
-    """Scalars, matrices and W_k = U_k U_0^* at the input samples of Us.
-
-    What reads only the path (its unitarity and start checks and
-    _refine_unitary_path) is kept, read-only, for the last path that passed
-    them: a call with the same shape and bytes of Us (so -0.0 is not 0.0),
-    an equal tol and the same integer depth reuses those checks and the
-    dense U, V and keep.  The shape, the state's dimension and the depth are
-    checked on every call, and the closed law, with its Re(M) check, runs
-    for every state."""
-    global _last_refined
+def _lift(Us, s0: GaussianAmplitude, tol: Tolerances):
+    """Scalars, matrices and W_k = U_k U_0^* at the samples of Us, checked
+    to be a nonempty (N, n, n) stack over the state's n, unitary and starting
+    at the identity."""
     Us = np.asarray(Us, dtype=complex)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
     n = Us.shape[-1]
     if s0.n != n:
         raise DimensionMismatch("state dimension does not match the path")
-    depth = check_depth(max_depth)
-    key = (Us.shape, Us.tobytes(), tol, depth)  # a shape miss compares no bytes
-    last = _last_refined  # read once: another thread replaces the whole entry
-    if last is not None and last[0] == key:
-        U, V, keep = last[1]
-    else:
-        # check and refine the immutable copy the key holds: an unrefined U
-        # is that copy, never the caller's array
-        Us = np.frombuffer(key[1], dtype=complex).reshape(Us.shape)
-        resid = _unitarity_residuals(Us)
-        check_stack(resid <= tol.residual_tol, InvariantViolation,
-                    "not unitary: residual %.3e", resid, entry="sample")
-        if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
-            raise InvariantViolation("path must start at the identity")
-        U, V, keep = _refine_unitary_path(Us, _step_bound(n), depth, tol)
-        for a in (U, V, keep):
-            a.setflags(write=False)
-        _last_refined = (key, (U, V, keep))
-    c, M, W = _closed_law(U, V, s0, tol)
-    return c[keep], M[keep], W[keep]
+    resid = _unitarity_residuals(Us)
+    check_stack(resid <= tol.residual_tol, InvariantViolation,
+                "not unitary: residual %.3e", resid, entry="sample")
+    if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
+        raise InvariantViolation("path must start at the identity")
+    W = _times(Us, _adjoint(Us[0]))
+    steps = _det_phase_steps(Us, tol, "sample %d to %d", np.arange(len(Us)))[1]
+    return (*_closed_law(W, np.concatenate([[0.0], np.cumsum(steps)]), s0, tol), W)
 
 
 def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude,
-                    tol: Tolerances = DEFAULT_TOLERANCES,
-                    max_depth: int = 12) -> GaussianAmplitude:
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> GaussianAmplitude:
     """Transport a Gaussian state along a unitary-image symplectic path
-    starting at the identity, with the metaplectic branch tracked continuously.
-
-    Steps are subdivided (geodesically in U(n)) until each one's eigenvalues
-    are within _step_bound(n) = min(MAX_UNITARY_STEP, 2 sin(pi/8n)) of 1
-    (0.39 at n = 2); the per-step branch is then unambiguous.  Lifting
-    several states along one path refines it once: the unitaries, the
-    tolerances and the depth of the last path lifted are the key of its
-    refinement (see ``_lift``), while the closed law and the substitution
-    run for each state.
-    The endpoint is sampling-independent within phase_tol.  Its polynomial
-    factor is the one endpoint substitution of ``_factor_vectors``.
+    starting at the identity, with the metaplectic branch tracked continuously
+    along the geodesics of U(n) between samples: the endpoint of
+    ``lift_frame_path_trace``.  Its polynomial factor is the one endpoint
+    substitution of ``_factor_vectors``.
     """
-    c, M, W = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol, max_depth)
+    c, M, W = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol)
     poly = s0.poly
     if not poly.is_constant():
         poly = Polynomial._dense(poly.basis, _factor_vectors(W[-1:], M[-1:], poly)[0])
-    # the lift checked every dense state; its M are exactly symmetric
+    # the lift checked every state; its M are exactly symmetric
     return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=poly)
 
 

@@ -1,9 +1,9 @@
-"""Geodesic steps of the two lifts: the polar midpoint with which the
-metaplectic lift bisects its unitary stacks, against a reference that shares
-no code with it; the det-phase increment of a Lagrangian path's Souriau
-geodesic steps, against the same path densified by reference midpoints;
-stability of the integers under resampling, antipodal steps, and a library
-that runs without scipy."""
+"""Geodesic steps of the lifts: the polar midpoint with which the tests'
+reference metaplectic lift bisects its unitary stacks, against a Schur-form
+root; the det-phase increment of a Lagrangian path's Souriau geodesic steps,
+against the same path densified by reference midpoints; stability of the
+integers under resampling, antipodal steps, and a library that runs without
+scipy."""
 
 import os
 import subprocess
@@ -16,10 +16,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import maslov
-from maslov.core import (LagrangianFrame, SymplecticMatrix, bisect_geodesics,
-                         embed_unitary, lagrangian_from_souriau,
-                         random_lagrangian, random_unitary, souriau_map,
-                         standard_j)
+from lift_oracle import bisect_geodesics
+from maslov.core import (LagrangianFrame, SymplecticMatrix, embed_unitary,
+                         lagrangian_from_souriau, random_lagrangian, random_unitary,
+                         souriau_map, standard_j)
 from maslov.errors import SamplingError
 from maslov.index import (LagrangianPath, clm_index, induced_lagrangian_path,
                           lift_path, mu_hat_on_cover)
@@ -155,8 +155,10 @@ def test_antipodal_steps_raise_and_name_the_step(n):
     with pytest.raises(SamplingError, match="antipodal step from t = 0.5 to 1:"):
         clm_index(LagrangianPath([L, L, JL]))
     I = np.eye(n, dtype=complex)
-    with pytest.raises(SamplingError, match="antipodal step from t = 0 to 1:"):
+    with pytest.raises(SamplingError, match="antipodal step from sample 0 to 1:"):
         lift_frame_path_trace(np.array([I, -I]), ground_state(n))
+    with pytest.raises(SamplingError, match="antipodal step from sample 1 to 2:"):
+        lift_frame_path_trace(np.array([I, 1j * I, -1j * I]), ground_state(n))
 
 
 def test_library_runs_without_scipy():

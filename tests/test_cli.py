@@ -229,10 +229,20 @@ def test_report_command_catalog():
     {"command": "report"},
 ], ids=["index", "verify", "report"])
 def test_refine_max_rejected_outside_holonomy(spec):
-    for kwargs, fields in (({}, {"refine_max": 20}), ({"refine_max": 20}, {})):
+    # the spec field and the flag, each error naming the one given
+    for kwargs, fields, name in (({}, {"refine_max": 20}, "spec.refine_max"),
+                                 ({"refine_max": 20}, {}, "--refine-max")):
         with pytest.raises(SpecError) as err:
             run({**spec, **fields}, **kwargs)
-        assert "spec.refine_max" in str(err.value)
+        assert str(err.value).startswith(name + ":")
+
+
+def test_refine_max_flag_outside_holonomy_names_the_flag(capsys):
+    # a verify spec that has no refine_max field, run with the flag
+    assert main(["--spec", str(GOLDEN / "circle_verify.spec.json"), "--refine-max", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("maslov: invalid spec: --refine-max: read by holonomy only")
+    assert "spec.refine_max" not in err
 
 
 CIRCLE_LOOP = {"chart": {"name": "circle"}, "path": {"kind": "arc", "turns": 1.0}}
@@ -313,7 +323,7 @@ def test_refine_max_must_be_a_non_negative_integer(tmp_path, value):
                 "path": {"kind": "arc", "turns": 1.0, "samples": samples}}
         with pytest.raises(SpecError, match=r"^spec\.refine_max: must be a non-negative"):
             run({**spec, "refine_max": value})
-        with pytest.raises(SpecError, match=r"^spec\.refine_max:"):
+        with pytest.raises(SpecError, match=r"^--refine-max: must be a non-negative"):
             run(spec, refine_max=value)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**spec, "refine_max": value}))

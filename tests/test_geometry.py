@@ -9,8 +9,9 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lift_oracle import reference_lift
 from maslov import geometry, metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, bisect_geodesics,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES,
                          embed_unitary, intersection_dim, line_frame,
                          random_lagrangian, random_unitary)
 from maslov.errors import (CaseError, ConditioningError, ImmersionError,
@@ -241,9 +242,8 @@ def test_start_relative_and_lift_products_match_the_broadcast_ones(n, seed):
     H = random_unitary(n, rng).entries
     lam = rng.uniform(-2.0, 2.0, n)
     Us = np.array([(H * np.exp(1j * t * lam)) @ H.conj().T for t in np.linspace(0.0, 1.0, 5)])
-    Ud, _, keep = metaplectic._refine_unitary_path(Us, metaplectic._step_bound(n), 12)
-    W = metaplectic._lift(Us, ground_state(n), DEFAULT_TOLERANCES, 12)[2]
-    assert np.max(np.abs(W - Ud[keep] @ Ud[0].conj().T)) <= 1e-15
+    W = metaplectic._lift(Us, ground_state(n), DEFAULT_TOLERANCES)[2]
+    assert np.max(np.abs(W - Us @ Us[0].conj().T)) <= 1e-15
 
 
 def q_plane_chart(As):
@@ -383,19 +383,6 @@ def test_running_products_match_the_sequential_loop(n, steps, seed):
     assert np.array_equal(_running_products(D), sequential_products(D))
 
 
-def reference_ground_lift(Us, tol=DEFAULT_TOLERANCES, max_depth=12):
-    """(c, M) of the ground state lifted along Us, with the eigenvalue step
-    measure on every step."""
-    n, steps = Us.shape[-1], metaplectic._steps
-    t = np.arange(len(Us), dtype=float)
-    U, td = bisect_geodesics(
-        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps(U)) - 1.0), axis=1),
-        metaplectic._step_bound(n), max_depth, tol)
-    c, M, _ = metaplectic._closed_law(U, steps(U), ground_state(n), tol)
-    keep = np.searchsorted(td, t)
-    return c[keep], M[keep]
-
-
 ORACLE_PATHS = {
     "circle": (circle_chart(1.3), ParamPath.circle_arc(1.0, 7)),
     "product_torus": (product_torus_chart((1.0, 0.7)), ParamPath.torus_loop((1, 2), 9)),
@@ -406,9 +393,10 @@ ORACLE_PATHS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PATHS) + ["gradient_graph_n3"])
-def test_screens_leave_the_dense_path_and_lift_unchanged(name):
-    # the dense grid, frames and ground-state lift, bit for bit, against the
-    # loops that take every SVD and eigensolve
+def test_screens_leave_the_dense_path_unchanged_and_the_lift_on_the_reference(name):
+    # the dense grid and frames, bit for bit, against the loops that take
+    # every SVD and eigensolve; the ground-state lift along them within
+    # rounding of the reference lift, which bisects and steps one at a time
     if name == "gradient_graph_n3":
         waves, loop = CURVED_LOOPS[3]
         chart = cosine_gradient_chart(waves)
@@ -424,8 +412,8 @@ def test_screens_leave_the_dense_path_and_lift_unchanged(name):
     U = tr.start_relative
     assert np.max(np.abs(U - V[0].conj().T @ V)) <= 1e-15
     c, M, _ = lift_frame_path_trace(U, ground_state(chart.n))
-    c_ref, M_ref = reference_ground_lift(U)
-    assert np.array_equal(c, c_ref) and np.array_equal(M, M_ref)
+    c_ref, M_ref = reference_lift(U, ground_state(chart.n))
+    assert np.max(np.abs(c - c_ref)) <= 1e-12 and np.max(np.abs(M - M_ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -624,31 +612,18 @@ def test_transport_refinement_exhaustion():
 def test_negative_refinement_depths_raise_a_library_error():
     # a loop that needs no refinement and one that does
     for samples in (900, 6):
-        tr = transport_frame(circle_chart(), ParamPath.circle_arc(1.0, samples))
         with pytest.raises(SamplingError, match="refinement depth must be non-negative"):
             transport_frame(circle_chart(), ParamPath.circle_arc(1.0, samples), max_depth=-1)
-        with pytest.raises(SamplingError, match="refinement depth must be non-negative"):
-            lift_frame_path_trace(tr.start_relative, ground_state(1), max_depth=-1)
 
 
 def test_refinement_depths_must_be_integers():
     # a float, even an integral one, and a string are SamplingErrors naming
-    # the value at both lift entries and in transport, also right after a
-    # lift of the same path at depth 3; numpy integers are depths
-    Us = np.exp(1j * np.array([0.0, 3.0]))[:, None, None]  # needs three levels
-    path = [embed_unitary(U) for U in Us]
+    # the value in transport; numpy integers are depths
     loop = ParamPath.circle_arc(1.0, 10)
-    c = lift_frame_path_trace(Us, ground_state(1), max_depth=3)[0]
     for depth in (3.0, 2.5, -1, "3"):
         message = re.escape("refinement depth must be non-negative and integral, got %r" % (depth,))
         with pytest.raises(SamplingError, match=message):
-            lift_frame_path_trace(Us, ground_state(1), max_depth=depth)
-        with pytest.raises(SamplingError, match=message):
-            metaplectic.lift_frame_path(path, ground_state(1), max_depth=depth)
-        with pytest.raises(SamplingError, match=message):
             transport_frame(circle_chart(), loop, max_depth=depth)
-    assert lift_frame_path_trace(Us, ground_state(1), max_depth=np.int64(3))[0][-1] == c[-1]
-    assert metaplectic.lift_frame_path(path, ground_state(1), max_depth=np.int64(3)).c == c[-1]
     assert transport_frame(circle_chart(), loop, max_depth=np.int64(30)).refinement_depth > 2
 
 

@@ -8,7 +8,8 @@ The one-dimensional quadrature oracle below applies the oscillatory kernel
 directly on a grid, independently of the generator-word implementation.
 """
 
-import contextlib
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -16,21 +17,21 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lift_oracle import bisect_geodesics, reference_lift
 from maslov import metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
                          embed_unitary, l0_frame, random_unitary,
                          unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
-                           InvariantViolation, SamplingError, StateDomainError)
+                           InvariantViolation, StateDomainError)
 from maslov.index import mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
                                 QuadraticFourier, _fourier_poly,
-                                _refine_unitary_path, _step_bound,
                                 adjoint_quad_fourier, apply_generator,
                                 apply_quad_fourier, apply_to_delta,
                                 apply_word_to_delta, det_branch_power,
@@ -293,9 +294,11 @@ UNIT = st.floats(-1.0, 1.0)
 @st.composite
 def polynomials(draw, n, max_degree=4):
     """Up to eight monomials of degree <= max_degree with complex
-    coefficients of modulus at most 2*sqrt(2)."""
+    coefficients of modulus at most 2*sqrt(2), their parts never subnormal:
+    a vector of subnormal coefficients has no relative accuracy to compare."""
+    part = st.floats(-2.0, 2.0, allow_subnormal=False)
     terms = draw(st.lists(st.tuples(st.lists(st.integers(0, n - 1), max_size=max_degree),
-                                    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                                    part, part),
                           min_size=1, max_size=8))
     coeffs = {}
     for idx, re, im in terms:
@@ -732,55 +735,62 @@ def test_lift_polynomial_state_against_word(rng):
         assert abs(moved(x) - direct(x)) < 1e-9
 
 
-def closed_law_reference(Us, s):
-    """Sequential closed-law lift of a pure Gaussian state, one bisected
-    step at a time, with the product of principal eigenvalue roots as the
-    scalar factor; returns (c, M) at every input sample."""
-    bound = _step_bound(Us.shape[-1])
-    c, M = s.c, s.M
-    out = [(c, M)]
-    for Ua, Ub in zip(Us[:-1], Us[1:]):
-        stack = [(Ua, Ub)]
-        while stack:
-            Ua, Ub = stack.pop()
-            V = Ub @ Ua.conj().T
-            if np.max(np.abs(np.linalg.eigvals(V) - 1.0)) > bound:
-                Um = schur_sqrt(V) @ Ua
-                stack += [(Um, Ub), (Ua, Um)]
-                continue
-            Z = V.real - 1j * (V.imag @ M)
-            c = c * np.prod(np.linalg.eigvals(Z) ** -0.5)
-            M = (V.real @ M - 1j * V.imag) @ np.linalg.inv(Z)
-            M = (M + M.T) / 2
-        out.append((c, M))
-    return out
-
-
 def test_lift_closed_law_matches_sequential_reference(rng):
-    # paths t -> expm(t H) sampled at k points, with a complex M_0
+    # paths t -> expm(t H) sampled at k points, with a complex M_0, against
+    # the reference lift, which bisects and steps one at a time
     cases = []
     for n in (1, 2, 3):
         Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         X, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
         cases.append((2.0 * (Z - Z.conj().T), 12, GaussianAmplitude(
             0.7 * np.exp(0.4j), np.eye(n) + 0.3 * X @ X.T + 0.5j * (B + B.T))))
-    # M_0 = (1 - 10i) I at n = 2 with one step e^{0.19i} I, within the step
-    # bound: each eigenvalue of A - iBM has argument -2.94, the two add up
-    # past -pi, and the principal root of the determinant would flip the sign
+    # M_0 = (1 - 10i) I at n = 2 with one step e^{0.19i} I: each eigenvalue
+    # of A - iBM has argument -2.94, the two add up past -pi, and the
+    # principal root of the determinant of that factor would flip the sign
     cases.append((0.19j * np.eye(2), 2, GaussianAmplitude(1.0, (1.0 - 10.0j) * np.eye(2))))
     for H, k, s in cases:
         Us = np.array([scipy.linalg.expm(t * H) for t in np.linspace(0.0, 1.0, k)])
         cs, Ms, polys = lift_frame_path_trace(Us, s)
-        ref = closed_law_reference(Us, s)
-        assert len(cs) == len(Ms) == len(polys) == len(ref) == len(Us)
-        for j, (c, M) in enumerate(ref):
-            assert abs(cs[j] - c) < 1e-12
-            assert np.max(np.abs(Ms[j] - M)) < 1e-12
+        c_ref, M_ref = reference_lift(Us, s)
+        assert len(cs) == len(Ms) == len(polys) == len(c_ref) == len(Us)
+        assert np.max(np.abs(cs - c_ref)) < 1e-12 and np.max(np.abs(Ms - M_ref)) < 1e-12
         end = lift_frame_path([embed_unitary(U) for U in Us], s)
         assert abs(end.c - cs[-1]) < 1e-12 and np.max(np.abs(end.M - Ms[-1])) < 1e-12
         # the same path in 400 steps: the lift does not depend on the sampling
         fine = np.array([scipy.linalg.expm(t * H) for t in np.linspace(0.0, 1.0, 401)])
         assert abs(lift_frame_path_trace(fine, s)[0][-1] - cs[-1]) < 1e-10
+
+
+def cayley_norm(M0):
+    """||C||_2 of the Cayley image C = (I - M_0)(I + M_0)^{-1}."""
+    I = np.eye(len(M0))
+    return np.linalg.norm((I - M0) @ np.linalg.inv(I + M0), 2)
+
+
+@example(n=3, seed=1, k=6, turn=3.0, im=5.0, low=0.05)
+@example(n=4, seed=2, k=4, turn=2.5, im=4.0, low=0.1)
+@given(n=DIMS, seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 6),
+       turn=st.floats(0.1, 3.0), im=st.floats(0.0, 5.0), low=st.floats(0.05, 1.0))
+def test_lift_matches_the_reference_lift(n, seed, k, turn, im, low):
+    # k samples joined by random steps whose largest eigenphase is turn, a
+    # chirped M_0 = low I + A A^T / n + i im (B + B^T) / max|B + B^T|: the
+    # closed form at the samples against the reference, which bisects until
+    # every step's factor is near I and advances the state step by step;
+    # at n >= 3 a small low takes n arcsin ||C||_2 past pi
+    rng = np.random.default_rng(seed)
+    Us = [np.eye(n, dtype=complex)]
+    for _ in range(k - 1):
+        Q = random_unitary(n, rng).entries
+        lam = rng.uniform(-1.0, 1.0, n)
+        Us.append((Q * np.exp(1j * turn * lam / np.max(np.abs(lam)))) @ Q.conj().T @ Us[-1])
+    Us = np.array(Us)
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    M0 = low * np.eye(n) + A @ A.T / n + 1j * im * (B + B.T) / np.max(np.abs(B + B.T))
+    s0 = GaussianAmplitude(0.6 - 0.8j, M0)
+    c, M, _ = lift_frame_path_trace(Us, s0)
+    c_ref, M_ref = reference_lift(Us, s0, max_depth=30)
+    assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) <= 1e-12
+    assert rel_drift(M, M_ref) <= 1e-12
 
 
 def reference_step_word(V, s, tol=DEFAULT_TOLERANCES, near=None):
@@ -824,8 +834,8 @@ def continuous_step_word(V, s, tol=DEFAULT_TOLERANCES):
 def unitary_paths(draw, n):
     """t -> expm(t s H) at 3..5 samples, H anti-Hermitian with spectral
     radius 1 and s in [2, 4]: the fastest eigenvalue turns by 0.5 to 2 per
-    input step, above the step bound, so the lift bisects, and below pi, so
-    the geodesic steps follow the path."""
+    input step, above word_step_bound, and below pi, so the geodesic steps
+    follow the path."""
     Z = draw(square(n)) + 1j * draw(square(n))
     H = (Z - Z.conj().T) / 2 + 0.5j * np.eye(n)
     radius = np.max(np.abs(np.linalg.eigvals(H)))
@@ -840,16 +850,38 @@ def rel_drift(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def word_steps(Us, n):
+    """Us bisected geodesically until every step V has max |eig(V) - 1| at
+    most word_step_bound(n): the dense path, its steps and the dense
+    positions of the samples."""
+    t = np.arange(len(Us), dtype=float)
+    U, td = bisect_geodesics(
+        Us, t, lambda U: np.max(np.abs(np.linalg.eigvals(steps_of(U)) - 1.0), axis=1),
+        word_step_bound(n), 12)
+    return U, steps_of(U), np.searchsorted(td, t)
+
+
+def steps_of(U):
+    return U[1:] @ np.conj(np.swapaxes(U[:-1], 1, 2))
+
+
+def word_step_bound(n):
+    """A step size under which the word's branch is rounded per dense step:
+    max |eig - 1| <= min(0.4, 2 sin(pi / 8n))."""
+    return min(0.4, 2.0 * np.sin(np.pi / (8.0 * n)))
+
+
 @given(st.data())
 def test_word_lift_matches_reference_step_word(data):
-    # the closed-law lift against the word applied one dense step at a time
+    # the closed-form lift, at the samples, against the word applied one
+    # dense step at a time along the path bisected for the word
     n = data.draw(DIMS)
     p = data.draw(polynomials(n))
     assume(not p.is_constant())
     s0 = GaussianAmplitude(0.8 + 0.5j, data.draw(gaussian_matrices(n)), p)
     Us, _ = data.draw(unitary_paths(n))
-    U, V, keep = _refine_unitary_path(Us, _step_bound(n), 12)
-    assert len(U) > len(Us)
+    U, V, keep = word_steps(Us, n)
+    assert len(U) > len(Us)  # the lift takes the coarse steps whole
     ref, ms = [s0], []
     for step in V:
         s, m = continuous_step_word(step, ref[-1])
@@ -916,7 +948,7 @@ def rotating_path(n, rng, lam, t_end, k):
 
 
 def closed_law_perturbed(at, delta):
-    """The closed-law matrices with delta added at dense sample at."""
+    """The closed-law matrices with delta added at sample at."""
     closed = metaplectic._closed_matrices
 
     def law(U, M0):
@@ -926,26 +958,27 @@ def closed_law_perturbed(at, delta):
     return law
 
 
-def test_lift_names_the_dense_sample_of_a_bad_state(rng, monkeypatch):
-    # 12 dense steps, the polynomial factor formed in chunks of 3 samples, so
+def test_lift_names_the_sample_of_a_bad_state(rng, monkeypatch):
+    # 13 samples, the polynomial factor formed in chunks of 3 samples, so
     # sample 7 lies inside the third chunk: a pure and a polynomial state
     # alike fail the closed law's check there, and the error names the sample
     n = 2
     poly = hermite_state((1, 2), n).poly
-    states = (ground_state(n), GaussianAmplitude(1.0, np.eye(n) + 0.5j, poly))
+    M0 = np.eye(n) + 0.5j
+    states = (GaussianAmplitude(1.0, M0), GaussianAmplitude(1.0, M0, poly))
     Us = rotating_path(n, rng, [0.1, -0.2], 12.0, 13)
     monkeypatch.setattr(metaplectic, "WORD_CHUNK_BYTES", 3 * 16 * poly.basis.size ** 2)
     for s in states:
-        lift_frame_path_trace(Us, s, max_depth=0)
+        lift_frame_path_trace(Us, s)
     monkeypatch.setattr(metaplectic, "_closed_matrices",
                         closed_law_perturbed(7, -10.0 * np.eye(n)))
     for s in states:
-        with pytest.raises(StateDomainError, match="positive definite; .* at dense sample 7$"):
-            lift_frame_path_trace(Us, s, max_depth=0)
+        with pytest.raises(StateDomainError, match="positive definite; .* at sample 7$"):
+            lift_frame_path_trace(Us, s)
 
 
 def test_re_m_check_past_the_gershgorin_screen(rng, monkeypatch):
-    # dense samples with min eig(Re M) at 2x and at 0.5x rank_floor, rotated
+    # samples with min eig(Re M) at 2x and at 0.5x rank_floor, rotated
     # so that the off-diagonal mass leaves the Gershgorin bound under the
     # floor: the screen leaves both to eigvalsh, which passes the first and
     # names the second, with its eigenvalue, as the check without the screen
@@ -963,11 +996,12 @@ def test_re_m_check_past_the_gershgorin_screen(rng, monkeypatch):
         monkeypatch.setattr(metaplectic, "_closed_matrices", lambda W, M0: Ms.copy())
         low = np.linalg.eigvalsh(Ms.real)[:, 0]
         assert low[3] >= floor > low[6]
+        s0, theta = GaussianAmplitude(1.0, 2.0 * np.eye(n)), np.zeros(len(U))
         with pytest.raises(StateDomainError,
-                           match=r"positive definite; min eig %.3e at dense sample 6$" % low[6]):
-            metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
+                           match=r"positive definite; min eig %.3e at sample 6$" % low[6]):
+            metaplectic._closed_law(U, theta, s0, tol)
         Ms[6] = np.eye(n)
-        metaplectic._closed_law(U, metaplectic._steps(U), ground_state(n), tol)
+        metaplectic._closed_law(U, theta, s0, tol)
 
 
 def chirped_cases(rng, dims=(2, 3, 4)):
@@ -1022,64 +1056,60 @@ def test_chirped_polynomial_lift_matches_the_fine_step_word(rng):
         assert rel_drift(polys[-1].vec, ref.poly.vec) <= 1e-9
 
 
-def one_step_factor(V, M0):
-    """The lift's factor of the single step V = A + iB from the state
-    e^{-<M0 x, x>/2}, the product of the principal roots of the eigenvalues
-    of X = A - i B M0, and X."""
+def cayley_factor(W, M0, by_det=False):
+    """f(W^T W) / f(I) for f(Z) the product of the principal roots
+    lambda_j(I + Z C)^{-1/2}, C the Cayley image of M_0, or the principal
+    root of det(I + Z C) in place of f."""
     n = len(M0)
-    c, M, _ = metaplectic._closed_law(np.array([np.eye(n), V]), V[None],
-                                      GaussianAmplitude(1.0, M0), DEFAULT_TOLERANCES)
-    X = V.real - 1j * (V.imag @ M[0])
-    lam = np.linalg.eigvals(X)
-    return c[1], np.prod(np.abs(lam) ** -0.5 * np.exp(-0.5j * np.angle(lam))), X
+    C = (np.eye(n) - M0) @ np.linalg.inv(np.eye(n) + M0)
 
-
-def inside_the_cut(X):
-    n = len(X)
-    return np.linalg.norm(X - np.eye(n)) < (1 - _SCREEN_MARGIN) * np.sin(np.pi / max(n, 2))
+    def f(Z):
+        Y = np.eye(n) + Z @ C
+        if by_det:
+            return np.linalg.det(Y) ** -0.5
+        return np.prod(np.linalg.eigvals(Y) ** -0.5)
+    return f(W.T @ W) / f(np.eye(n))
 
 
 @given(st.data())
-def test_step_factor_by_determinant_inside_the_cut(data):
-    # a step halved until X = A - i B M is inside the cut takes the principal
-    # root of det X: the eigenvalue product within rounding
+def test_cayley_factor_by_determinant_inside_the_screen(data):
+    # where n arcsin ||C||_2 < pi, f is the principal root of one det: the
+    # eigenvalue product within rounding, for any unitary W
     n = data.draw(DIMS)
     M0 = data.draw(gaussian_matrices(n))
+    assume(n * np.arcsin(cayley_norm(M0)) < (1 - _SCREEN_MARGIN) * np.pi)
     Z = data.draw(square(n)) + 1j * data.draw(square(n))
-    H = (Z - Z.conj().T) / 2
-    for s in 2.0 ** -np.arange(60):
-        V = scipy.linalg.expm(s * H)
-        fac, ref, X = one_step_factor(V, M0)
-        if inside_the_cut(X):
-            break
-    assert inside_the_cut(X)
-    assert abs(fac - ref) <= 4e-15
+    W = scipy.linalg.expm(Z - Z.conj().T)
+    c = lift_frame_path_trace(np.array([np.eye(n), W]), GaussianAmplitude(1.0, M0))[0]
+    want = np.exp(0.5j * np.sum(np.angle(np.linalg.eigvals(W)))) * cayley_factor(W, M0)
+    assert abs(c[1] - want) <= 1e-14 * abs(want)
 
 
-def test_step_factor_by_eigenvalues_where_the_arguments_pass_pi(rng):
-    # chirped states (|Im M| = 5) and steps just under the step bound, drawn
-    # until the eigenvalue arguments of X add up past pi: such a step is
-    # outside the cut, its factor is the eigenvalue product, and the
-    # principal root of det X has the opposite sign
-    for n in (2, 3, 4):
+def test_cayley_factor_by_eigenvalues_where_the_arguments_pass_pi(rng):
+    # chirped states (|Im M| = 5, Re M near 0.1 I) and steps turning by up to
+    # 3 rad, drawn until the eigenvalue arguments of I + Z C add up past pi:
+    # such a state is past the screen, its lift matches the reference, and
+    # the principal root of det(I + Z C) has the opposite sign
+    for n in (3, 4):
         for _ in range(200):
             B = rng.normal(size=(n, n))
-            M0 = np.eye(n) + 5j * (B + B.T) / np.max(np.abs(B + B.T))
-            Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-            lam = rng.uniform(-1.0, 1.0, n)
-            lam *= 2 * np.arcsin(0.99 * _step_bound(n) / 2) / np.max(np.abs(lam))
-            V = (Q * np.exp(1j * lam)) @ Q.conj().T
-            fac, ref, X = one_step_factor(V, M0)
-            if abs(np.sum(np.angle(np.linalg.eigvals(X)))) > np.pi:
+            M0 = 0.1 * np.eye(n) + 5j * (B + B.T) / np.max(np.abs(B + B.T))
+            Q = random_unitary(n, rng).entries
+            W = (Q * np.exp(3j * rng.uniform(-1.0, 1.0, n))) @ Q.conj().T
+            C = (np.eye(n) - M0) @ np.linalg.inv(np.eye(n) + M0)
+            if abs(np.sum(np.angle(np.linalg.eigvals(np.eye(n) + W.T @ W @ C)))) > np.pi:
                 break
         else:
             pytest.fail("no step with arguments past pi at n = %d" % n)
-        assert not inside_the_cut(X)
-        assert abs(fac - ref) <= 4e-15 * abs(ref)
-        det = np.linalg.det(X)
-        assert abs(np.abs(det) ** -0.5 * np.exp(-0.5j * np.angle(det)) + ref) <= 1e-12 * abs(ref)
-        c = lift_frame_path_trace(np.array([np.eye(n), V]), GaussianAmplitude(1.0, M0))[0]
-        assert c[-1] == fac
+        assert n * np.arcsin(cayley_norm(M0)) >= np.pi
+        fac = cayley_factor(W, M0)
+        assert abs(cayley_factor(W, M0, by_det=True) + fac) <= 1e-12 * abs(fac)
+        Us, s0 = np.array([np.eye(n), W]), GaussianAmplitude(1.0, M0)
+        c = lift_frame_path_trace(Us, s0)[0]
+        c_ref = reference_lift(Us, s0, max_depth=30)[0]
+        assert abs(c[1] - c_ref[1]) <= 1e-12 * abs(c_ref[1])
+        assert abs(c[1] - np.exp(0.5j * np.sum(np.angle(np.linalg.eigvals(W)))) * fac) <= (
+            1e-14 * abs(fac))
 
 
 def test_word_lift_does_not_depend_on_the_chunks(rng, monkeypatch):
@@ -1103,7 +1133,7 @@ def test_word_lift_memory_is_bounded(rng):
         Us = rotating_path(n, rng, lam, 0.1 * (k - 1), k)
         tracemalloc.start()
         try:
-            c, M, polys = lift_frame_path_trace(Us, s0, max_depth=0)
+            c, M, polys = lift_frame_path_trace(Us, s0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1162,63 +1192,47 @@ def test_factor_substitution_matches_the_generator_words(data):
     assert rel_drift(got, out.poly.vec) <= 1e-12
 
 
-@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), spread=st.booleans())
-def test_lift_step_screen_keeps_the_eigenvalue_rule(n, seed, spread):
-    # steps whose largest |eig - 1| is (1 + rel) _step_bound(n), the other
-    # eigenphases zero (the Frobenius norm is then that largest one) or spread
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), spread=st.booleans())
+def test_det_phase_steps_past_pi_take_the_eigenvalues(n, seed, spread):
+    # single steps whose eigenphases, all of one sign, add up to (1 + rel) pi:
+    # the lifted ground state gains e^{i sum / 2}, where the wrapped
+    # difference of the det phases would read sum - 2 pi past pi; the
+    # eigenphases are equal or spread
     rng = np.random.default_rng(seed)
-    bound = _step_bound(n)
-    for rel in (-0.5, -1e-3, -2e-6, -5e-7, -1e-9, 0.0, 1e-9, 5e-7, 2e-6, 1e-3):
-        top = 2 * np.arcsin((1 + rel) * bound / 2)
-        phi = np.zeros(n)
-        if spread:
-            phi = top * rng.uniform(-0.3, 0.3, n)
-        phi[0] = top
+    for rel in (-0.5, -1e-3, -2e-6, -1e-9, 1e-9, 2e-6, 1e-3, 0.5):
+        phi = rng.uniform(0.5, 1.0, n) if spread else np.ones(n)
+        phi *= (1 + rel) * np.pi / np.sum(phi) * rng.choice([-1.0, 1.0])
         E = random_unitary(n, rng).entries
         Us = np.stack([np.eye(n), (E * np.exp(1j * phi)) @ E.conj().T])
-        if np.max(np.abs(np.linalg.eigvals(Us[1]) - 1.0)) <= bound:
-            _refine_unitary_path(Us, bound, 0)
-        else:
-            with pytest.raises(SamplingError, match="refinement exhausted"):
-                _refine_unitary_path(Us, bound, 0)
+        c = lift_frame_path_trace(Us, ground_state(n))[0]
+        assert abs(c[1] - np.exp(0.5j * np.sum(phi))) <= 1e-14
 
 
-def test_lift_refinement_exhaustion():
-    # one step of angle 3 needs three bisection levels under the n = 1 bound
+def test_lift_takes_a_three_radian_step_whole():
+    # one step of angle 3, lifted whole: the ground state gains e^{1.5i}
     Us = np.exp(1j * np.array([0.0, 3.0]))[:, None, None]
-    with pytest.raises(SamplingError, match="refinement exhausted"):
-        lift_frame_path_trace(Us, ground_state(1), max_depth=2)
-    cs, _, _ = lift_frame_path_trace(Us, ground_state(1), max_depth=3)
+    cs, _, _ = lift_frame_path_trace(Us, ground_state(1))
     assert abs(cs[-1] - np.exp(1.5j)) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# the lift's one-entry memo of the last refined path
-
-
-def memo_path(n, rng, k=7):
-    """A path of k rotations, exactly I at the start, whose every step turns
-    by 1.5 times the step bound's eigenphase: each step is bisected once,
-    so the dense samples 1, 3, ... are midpoints."""
-    lam = rng.uniform(-1.0, 1.0, n)
-    lam /= np.max(np.abs(lam))
-    turn = 2 * np.arcsin(_step_bound(n) / 2)
-    Us = rotating_path(n, rng, lam, 1.5 * turn * (k - 1), k)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_states_lifted_along_one_path_match_their_endpoint_lifts(n, seed):
+    # levels 0..4 and a chirped state lifted in turn along one path: the
+    # trace's last state is bit for bit the endpoint lift, lifted before or
+    # after a lift along another path
+    rng = np.random.default_rng(seed)
+    Us, other = (rotating_path(n, rng, rng.uniform(-1.0, 1.0, n), 4.0, 7) for _ in range(2))
     Us[0] = np.eye(n)
-    return Us
-
-
-@contextlib.contextmanager
-def counted_refinements():
-    """The list of the paths the lift refines inside the block."""
-    calls, refine = [], metaplectic._refine_unitary_path
-
-    def counted(Us, *args):
-        calls.append(Us)
-        return refine(Us, *args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metaplectic, "_refine_unitary_path", counted)
-        yield calls
+    M0, poly, _ = chirped_cases(rng, dims=(n,) if n > 1 else ())[-1]
+    states = [hermite_state(level, n) for level in range(5)]
+    states.append(GaussianAmplitude(0.6 - 0.8j, M0, poly))
+    path = [embed_unitary(U) for U in Us]
+    for s in states:
+        c, M, polys = lift_frame_path_trace(Us, s)
+        lift_frame_path_trace(other, s)
+        end = lift_frame_path(path, s)
+        assert (c[-1], M[-1].tobytes(), polys[-1].vec.tobytes()) == (
+            end.c, end.M.tobytes(), end.poly.vec.tobytes())
 
 
 def trace_bytes(trace):
@@ -1226,110 +1240,13 @@ def trace_bytes(trace):
     return c.tobytes(), M.tobytes(), [p.vec.tobytes() for p in polys]
 
 
-@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_states_lifted_along_one_path_match_cold_lifts(n, seed):
-    # levels 0..4 and a chirped state lifted in turn along one path refine it
-    # once, and every trace and endpoint is bit for bit the one the state
-    # gets lifted right after a lift along another path
-    rng = np.random.default_rng(seed)
-    Us, other = memo_path(n, rng), memo_path(n, rng)
-    M0, poly, _ = chirped_cases(rng, dims=(n,) if n > 1 else ())[-1]
-    states = [hermite_state(level, n) for level in range(5)]
-    states.append(GaussianAmplitude(0.6 - 0.8j, M0, poly))
-    path = [embed_unitary(U) for U in Us]
-    with counted_refinements() as calls:
-        hot = [(lift_frame_path_trace(Us, s), lift_frame_path(path, s)) for s in states]
-    assert len(calls) == 1
-    for s, (trace, end) in zip(states, hot):
-        lift_frame_path_trace(other, s)
-        assert trace_bytes(trace) == trace_bytes(lift_frame_path_trace(Us, s))
-        lift_frame_path_trace(other, s)
-        cold = lift_frame_path(path, s)
-        assert (end.c, end.M.tobytes(), end.poly.vec.tobytes()) == (
-            cold.c, cold.M.tobytes(), cold.poly.vec.tobytes())
-
-
-@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_a_path_refines_afresh_unless_its_bytes_tolerances_and_depth_repeat(n, seed):
-    # the key is the exact bytes of the stack, the tolerances by value and
-    # the integer depth: a copy, an equal Tolerances and a numpy depth reuse
-    # the refinement; one ulp, a signed zero, another tolerance or another
-    # depth refine afresh, and so does the path after each of them
-    rng = np.random.default_rng(seed)
-    Us, s, tol = memo_path(n, rng), hermite_state(1, n), DEFAULT_TOLERANCES
-    k, i, j = rng.integers(1, len(Us)), *rng.integers(0, n, 2)
-    ulp = Us.copy()
-    ulp[k, i, j] = complex(np.nextafter(Us[k, i, j].real, np.inf), Us[k, i, j].imag)
-    zero = Us.copy()
-    zero[0, 0, 0] = complex(1.0, -0.0)
-    with counted_refinements() as calls:
-        lift_frame_path_trace(Us, s, tol, 12)
-        for args in ((Us.copy(), tol, 12), (Us, Tolerances(), np.int64(12))):
-            lift_frame_path_trace(args[0], s, *args[1:])
-        assert len(calls) == 1
-        for args in ((ulp, tol, 12), (zero, tol, 12), (Us, Tolerances(residual_tol=2e-9), 12),
-                     (Us, tol, 13)):
-            lift_frame_path_trace(args[0], s, *args[1:])
-            lift_frame_path_trace(Us, s, tol, 12)
-        assert len(calls) == 9
-
-
-@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_a_path_that_fails_leaves_the_last_refinement_in_use(n, seed):
-    # a path whose refinement is exhausted, and one that is not unitary,
-    # raise on every call and store nothing: the last path lifted before
-    # them is still a hit, with the same trace
-    rng = np.random.default_rng(seed)
-    Us, coarse, s = memo_path(n, rng), memo_path(n, rng), hermite_state(2, n)
-    skew = Us.copy()
-    skew[2] *= 1 + 1e-6
-    with counted_refinements() as calls:
-        want = trace_bytes(lift_frame_path_trace(Us, s))
-        entry = metaplectic._last_refined
-        for _ in range(2):
-            with pytest.raises(SamplingError, match="refinement exhausted"):
-                lift_frame_path_trace(coarse, s, max_depth=0)
-            with pytest.raises(InvariantViolation, match="not unitary: .* at sample 2$"):
-                lift_frame_path_trace(skew, s)
-        assert metaplectic._last_refined is entry
-        assert trace_bytes(lift_frame_path_trace(Us, s)) == want
-    assert len(calls) == 3
-
-
-@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_a_hit_names_a_bad_state_as_a_cold_lift_does(n, seed):
-    # the Re(M) check runs for every state: with the closed law's matrix at
-    # dense sample 1, a midpoint, made indefinite, the lift right after
-    # another path and the lift that reuses the refinement raise the same
-    rng = np.random.default_rng(seed)
-    Us, other, s = memo_path(n, rng), memo_path(n, rng), hermite_state(3, n)
-    messages = []
-    with counted_refinements() as calls, pytest.MonkeyPatch.context() as mp:
-        lift_frame_path_trace(other, s)
-        mp.setattr(metaplectic, "_closed_matrices", closed_law_perturbed(1, -10.0 * np.eye(n)))
-        for _ in range(2):
-            with pytest.raises(StateDomainError, match="positive definite; .* at dense sample 1$") as err:
-                lift_frame_path_trace(Us, s)
-            messages.append(str(err.value))
-    assert len(calls) == 2 and messages[0] == messages[1]
-
-
-def test_the_held_refinement_is_read_only_and_not_the_callers(rng):
-    # a refined path and one that needs no refinement: the lift holds
-    # read-only arrays of its own and leaves the caller's stack writeable
-    for n in (1, 2, 3, 4):
-        for Us in (memo_path(n, rng), rotating_path(n, rng, [0.1] * n, 0.5, 6)):
-            lift_frame_path_trace(Us, ground_state(n))
-            held = metaplectic._last_refined[1]
-            assert [a.flags.writeable for a in held] == [False] * 3
-            assert not np.shares_memory(held[0], Us) and Us.flags.writeable
-
-
 def test_threads_lifting_along_their_own_paths_get_their_own_traces(rng):
     # four threads, more than the cores, each lifting three levels along its
-    # own path over and over with a short switch interval: a lift that read
-    # the entry another thread stored meanwhile would give another trace
-    paths = [memo_path(2, rng) for _ in range(4)]
+    # own path over and over with a short switch interval: a lift that kept
+    # state between calls and read another thread's would give another trace
+    paths = [rotating_path(2, rng, rng.uniform(-1.0, 1.0, 2), 4.0, 7) for _ in range(4)]
+    for Us in paths:
+        Us[0] = np.eye(2)
     states = [hermite_state(level, 2) for level in range(3)]
     want = [[trace_bytes(lift_frame_path_trace(Us, s)) for s in states] for Us in paths]
     same = [0] * len(paths)
@@ -1350,6 +1267,35 @@ def test_threads_lifting_along_their_own_paths_get_their_own_traces(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert same == [45] * len(paths)
+
+
+def test_metaplectic_imports_nothing_from_index():
+    # the lift and the cover route stay independent: importing the lift
+    # loads no module of the cover route
+    code = "import sys, maslov.metaplectic; print('maslov.index' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_lift_takes_no_linalg_call_on_an_empty_stack(rng, monkeypatch):
+    # a one-sample path, steps inside and past the det-phase screen, the
+    # ground state and chirped states inside and past the Cayley screen
+    def nonempty(fn):
+        def call(a, *args, **kwargs):
+            assert np.size(a), fn.__name__
+            return fn(a, *args, **kwargs)
+        return call
+    for name in ("det", "eigvals", "eigvalsh", "solve", "norm", "inv"):
+        monkeypatch.setattr(np.linalg, name, nonempty(getattr(np.linalg, name)))
+    for n in (1, 3, 4):
+        B = rng.normal(size=(n, n))
+        for M0 in (np.eye(n), np.eye(n) + 0.5j, 0.1 * np.eye(n) + 5j * (B + B.T)):
+            s0 = GaussianAmplitude(1.0, M0, hermite_state(1, n).poly)
+            for Us in (np.eye(n)[None], rotating_path(n, rng, np.linspace(0.1, 3.0, n), 1.0, 2),
+                       rotating_path(n, rng, np.full(n, 0.01), 1.0, 3)):
+                lift_frame_path_trace(Us, s0)
 
 
 # ---------------------------------------------------------------------------

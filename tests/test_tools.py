@@ -1,7 +1,8 @@
 """The scripts that show two trees give the same output: tools/golden_drift.py,
 tools/leray_pairs.py (its Leray pairs, Kashiwara triples and Lagrangian paths),
 tools/word_lifts.py (the lifted endpoint states of gaussian_words) and
-tools/battery_payloads.py (the report payloads of holonomy_battery)."""
+tools/battery_payloads.py (the report payloads of holonomy_battery); and
+the selection and failure parsing of tools/hypothesis_sweep.py."""
 
 import importlib.util
 import json
@@ -167,3 +168,21 @@ def test_battery_payloads_writes_the_same_bytes_twice(tmp_path, monkeypatch):
         first = (tmp_path / "a" / "seed3" / name).read_bytes()
         assert first == (tmp_path / "b" / "seed3" / name).read_bytes()
         assert json.loads(first)["command"] in ("verify", "holonomy", "report")
+
+
+def test_hypothesis_sweep_keeps_the_property_tests_and_reads_the_failures():
+    from hypothesis import given
+    from hypothesis import strategies as st
+    sweep = load_tool("hypothesis_sweep")
+
+    class Item:
+        def __init__(self, obj):
+            self.obj = obj
+    prop = given(st.integers())(lambda x: None)
+    items = [Item(prop), Item(lambda: None), Item(None)]
+    sweep.pytest_collection_modifyitems(None, items)
+    assert [item.obj for item in items] == [prop]
+    out = ("..F\nFAILED tests/a.py::test_x - AssertionError: bad - worse\n"
+           "FAILED tests/b.py::test_y[1]\n1 failed, 2 passed")
+    assert sweep.failures(out) == {"tests/a.py::test_x": "AssertionError: bad - worse",
+                                   "tests/b.py::test_y[1]": ""}
