@@ -310,8 +310,11 @@ def _run_verify(spec, tol):
     if theorem == "1":
         rep = verify_theorem1(chart, ppath, tol)
     else:
-        levels = tuple(spec.get("levels", (0, 1, 2)))
-        rep = verify_theorem2(chart, ppath, tol, levels=levels)
+        levels = spec.get("levels", [0, 1, 2])
+        if not (isinstance(levels, list)
+                and all(type(l) is int and l >= 0 for l in levels)):  # bool is no level
+            raise SpecError("spec.levels", "must be a list of non-negative integers")
+        rep = verify_theorem2(chart, ppath, tol, levels=tuple(levels))
     return rep, rep["pass"]
 
 

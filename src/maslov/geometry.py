@@ -13,7 +13,8 @@ re-orthonormalizing it by its polar factor, and it converges to Levi-Civita
 transport of the induced metric without touching second derivatives of the
 chart.  Segments are bisected level by level until the spectral step norm
 ||B_{k+1} P_k - B_k||_2, which does not depend on the frame, is at most
-FRAME_INCREMENT_BOUND.
+FRAME_INCREMENT_BOUND.  A level works on the open segments only, and one
+stable merge by parameter of the closed ones gives the dense path.
 """
 
 from __future__ import annotations
@@ -333,10 +334,10 @@ def _screened_transfers(Ba: np.ndarray, Bb: np.ndarray):
     step = np.sqrt(np.maximum(n - np.sum(C * C, axis=(1, 2)), 0.0) / n)
     P = np.full(C.shape, np.nan)
     open_ = ~(step > (1 + _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
-    P[open_], D = _polar_transfers(Ba[open_], Bb[open_], C[open_])
+    P[open_], D = _polar_transfers(*(np.compress(open_, x, axis=0) for x in (Ba, Bb, C)))
     size = np.sqrt(np.sum(D * D, axis=(1, 2)))
     exact = ~(size <= (1 - _SCREEN_MARGIN) * FRAME_INCREMENT_BOUND)
-    size[exact] = _spectral_norms(D[exact])
+    size[exact] = _spectral_norms(np.compress(exact, D, axis=0))
     step[open_] = size
     return P, step
 
@@ -351,6 +352,14 @@ def _running_products(P: np.ndarray) -> np.ndarray:
     return G
 
 
+def _halves(a: np.ndarray, m: np.ndarray, b: np.ndarray):
+    """The starts and ends of the halves [a, m] and [m, b] of a stack of
+    segments, each interleaved as first half, second half per segment."""
+    starts, ends = np.empty((2, 2 * len(a)) + a.shape[1:])
+    starts[0::2], starts[1::2], ends[0::2], ends[1::2] = a, m, m, b
+    return starts, ends
+
+
 def transport_frame(chart: LagrangianChart, path: ParamPath,
                     tol: Tolerances = DEFAULT_TOLERANCES,
                     max_depth: int = 30) -> TransportResult:
@@ -361,9 +370,14 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     Newton-Schulz steps where a cheap bound leaves them undecided (see
     _screened_transfers).  Every segment whose spectral step norm
     ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
-    whole level at a time, up to max_depth levels.  The norm bounds every
-    column of the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k,
-    for the frames F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
+    whole level at a time, up to max_depth levels.  A level takes only the
+    open segments, in path order (one _tangent_bases call at their midpoints,
+    one _screened_transfers call on both halves), and sets aside those that
+    close; one stable merge by t then gives the dense samples, bases and
+    transfers, as bisecting in place would, since a segment's transfer does
+    not depend on its batch.  The norm bounds every column of the frame
+    increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k, for the frames
+    F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
     """
     u, n = path.samples, chart.n
     max_depth = check_depth(max_depth)
@@ -373,20 +387,31 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
     B = _tangent_bases(chart, u, tol)
     t = np.arange(len(u)) / (len(u) - 1.0)
-    P, step = _screened_transfers(B[:-1], B[1:])
+    ua, ub, ta, tb, Ba, Bb = u[:-1], u[1:], t[:-1], t[1:], B[:-1], B[1:]
+    P, step = _screened_transfers(Ba, Bb)
+    accepted = []  # (t, B, P) at the starts of the segments each level closes
     for depth in range(max_depth + 1):
-        bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))  # NaN steps fail too
-        if not bad.size:
+        ok = step <= FRAME_INCREMENT_BOUND  # NaN steps stay open
+        # np.compress and np.take: several times faster than masks on small matrices
+        accepted.append([np.compress(ok, x, axis=0) for x in (ta, Ba, P)])
+        if ok.all():
             break
         if depth == max_depth:
-            raise SamplingError("transport refinement exhausted at t = %.17g" % t[bad[0]])
-        um, tm = (u[bad] + u[bad + 1]) / 2.0, (t[bad] + t[bad + 1]) / 2.0
+            raise SamplingError("transport refinement exhausted at t = %.17g" % ta[~ok][0])
+        ua, ub, ta, tb, Ba, Bb = (np.compress(~ok, x, axis=0) for x in (ua, ub, ta, tb, Ba, Bb))
+        um, tm = (ua + ub) / 2.0, (ta + tb) / 2.0
         Bm = _tangent_bases(chart, um, tol)
-        P[bad], step[bad] = _screened_transfers(B[bad], Bm)
-        Pb, sb = _screened_transfers(Bm, B[bad + 1])
-        P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
-        u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
-        B = np.insert(B, bad + 1, Bm, axis=0)
+        # both halves of every open segment, interleaved in path order
+        ua, ub = _halves(ua, um, ub)
+        ta, tb = _halves(ta, tm, tb)
+        Ba, Bb = _halves(Ba, Bm, Bb)
+        P, step = _screened_transfers(Ba, Bb)
+
+    ta, Ba, P = (np.concatenate(x) for x in zip(*accepted))
+    if depth:  # closed level by level: one stable merge by t
+        order = np.argsort(ta, kind="stable")
+        ta, Ba, P = ta[order], np.take(Ba, order, axis=0), np.take(P, order, axis=0)
+    t, B = np.append(ta, t[-1]), np.concatenate([Ba, B[-1:]])
 
     F = B @ _running_products(P)
     max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))

@@ -331,3 +331,24 @@ def test_refine_max_must_be_a_non_negative_integer(tmp_path, value):
     if value == -1:
         path.write_text(json.dumps(spec))
         assert main(["--spec", str(path), "--refine-max", "-1"]) == 1
+
+
+@pytest.mark.parametrize("levels", [["a"], [2.5], 3, [-1], [True, 2], None],
+                         ids=["string", "float", "scalar", "negative", "bool", "null"])
+def test_levels_must_be_a_list_of_non_negative_integers(levels):
+    with pytest.raises(SpecError, match=r"^spec\.levels: must be a list of non-negative"):
+        run({"command": "verify", **CIRCLE_ARC, "levels": levels})
+
+
+def test_levels_error_is_an_invalid_spec_on_the_command_line(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"command": "verify", **CIRCLE_ARC, "levels": ["a"]}))
+    assert main(["--spec", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("maslov: invalid spec: spec.levels")
+
+
+def test_levels_reach_the_eigenstate_pairings():
+    report, code, _ = run({"command": "verify", **CIRCLE_LOOP, "theorem": "2",
+                           "levels": [2, 0]})
+    assert code == 0
+    assert [p["level"] for p in report["results"]["eigenstate_pairings"]] == [2, 0]

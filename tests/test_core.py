@@ -5,15 +5,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
-                         UnitaryComplex, embed_unitary, intersection_dim,
+                         UnitaryComplex, _unitarity_residuals, embed_unitary, intersection_dim,
                          l0_frame, lagrangian_from_souriau, line_frame,
                          omega_gram, random_lagrangian, random_unitary,
                          souriau_images, souriau_map, standard_j,
                          unitaries_from_symplectic)
 from maslov.errors import DimensionMismatch, InvariantViolation
 from maslov.index import LagrangianPath
+from maslov.metaplectic import ground_state, lift_frame_path_trace
 
 
 def same_span(F1, F2):
@@ -138,6 +141,50 @@ def test_souriau_images_check_frame_unitaries(rng):
         with pytest.raises(InvariantViolation,
                            match=r"^not Lagrangian: unitarity residual nan at frame 1$"):
             route(W)
+
+
+def near_unitary_stack(n, size, rng):
+    """Random unitaries, each scaled off U(n) by up to 1e-3."""
+    V = np.array([random_unitary(n, rng).entries for _ in range(size)])
+    return V * (1 + rng.uniform(-1e-3, 1e-3, size))[:, None, None]
+
+
+@given(n=st.integers(1, 4), size=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_products_match_one_matrix_at_a_time(n, size, seed):
+    # the single-pass products are the 2-D ones up to summation order: a few
+    # ulp of the entries, which are about 1
+    V = near_unitary_stack(n, size, np.random.default_rng(seed))
+    direct = [np.abs(Vk.conj().T @ Vk - np.eye(n)).max() for Vk in V]
+    assert np.max(np.abs(_unitarity_residuals(V) - direct)) <= 4 * n * np.finfo(float).eps
+    w = souriau_images(V, Tolerances(residual_tol=1e-2))
+    direct = [-(Vk @ Vk.T + (Vk @ Vk.T).T) / 2 for Vk in V]
+    assert np.max(np.abs(w - direct)) <= 4 * n * np.finfo(float).eps
+
+
+def test_stacked_unitarity_residual_keeps_a_nan_entry(rng):
+    V = near_unitary_stack(3, 6, rng)
+    V[4, 2, 1] = complex(np.nan, 0.0)
+    resid = _unitarity_residuals(V)
+    assert np.isnan(resid[4]) and np.all(np.isfinite(np.delete(resid, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boundary_checks_name_the_one_non_unitary_sample(n, rng):
+    # LagrangianPath and the lift each check their whole stack at the public
+    # boundary: one bad sample, off by 1e-7 or NaN, is named
+    V = np.array([random_unitary(n, rng).entries for _ in range(7)])
+    Us = V @ V[0].conj().T  # starts at I
+    for bad in (1 + 1e-7, np.nan):
+        W, U = V.copy(), Us.copy()
+        W[5] *= bad
+        U[5] *= bad
+        with pytest.raises(InvariantViolation,
+                           match=r"^not Lagrangian: unitarity residual .* at frame 5$"):
+            LagrangianPath(W)
+        with pytest.raises(InvariantViolation, match=r"^not unitary: residual .* at sample 5$"):
+            lift_frame_path_trace(U, ground_state(n))
+    lift_frame_path_trace(Us, ground_state(n))
+    LagrangianPath(V)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])

@@ -336,32 +336,45 @@ def test_chart_check_names_a_degenerate_jacobian_without_warnings(n, kind, rng):
         _tangent_bases(chart, us[:3], DEFAULT_TOLERANCES)
 
 
-def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30):
-    """The dense parameters and frames of transport_frame's refinement with
-    a rank SVD at every sample and the exact transfers of every segment (the
-    running products are the library's, checked on their own below)."""
-    def bases(us):
-        J = chart.jacobians(us)
-        assert np.all(np.linalg.svd(J, compute_uv=False)[:, -1] >= tol.rank_floor(2 * n))
-        return _gram_schmidt(J)[0]
-
+def insert_per_level_transport(chart, path, tol=DEFAULT_TOLERANCES, max_depth=30,
+                               bases=_tangent_bases, transfers=_screened_transfers):
+    """transport_frame as it was when every level re-inserted its midpoints
+    into the whole stacks: by default the same bases, screened transfers,
+    products and residuals, with each level's halves placed by np.insert."""
     u, n = path.samples, chart.n
-    B = bases(u)
+    B = bases(chart, u, tol)
     t = np.arange(len(u)) / (len(u) - 1.0)
-    P, step = _transfers(B[:-1], B[1:])
-    for _ in range(max_depth):
+    P, step = transfers(B[:-1], B[1:])
+    for depth in range(max_depth + 1):
         bad = np.flatnonzero(~(step <= FRAME_INCREMENT_BOUND))
         if not bad.size:
             break
+        if depth == max_depth:
+            raise SamplingError("transport refinement exhausted at t = %.17g" % t[bad[0]])
         um, tm = (u[bad] + u[bad + 1]) / 2.0, (t[bad] + t[bad + 1]) / 2.0
-        Bm = bases(um)
-        P[bad], step[bad] = _transfers(B[bad], Bm)
-        Pb, sb = _transfers(Bm, B[bad + 1])
+        Bm = bases(chart, um, tol)
+        P[bad], step[bad] = transfers(B[bad], Bm)
+        Pb, sb = transfers(Bm, B[bad + 1])
         P, step = np.insert(P, bad + 1, Pb, axis=0), np.insert(step, bad + 1, sb)
         u, t = np.insert(u, bad + 1, um, axis=0), np.insert(t, bad + 1, tm)
         B = np.insert(B, bad + 1, Bm, axis=0)
     F = B @ _running_products(P)
-    return t, F[:, :n] + 1j * F[:, n:]
+    max_step = float(np.max(np.linalg.norm(F[1:] - F[:-1], axis=1)))
+    ortho_resid = float(np.max(np.abs(np.swapaxes(F, 1, 2).copy() @ F - np.eye(n))))
+    tangency = float(np.max(np.abs(F - B @ (np.swapaxes(B, 1, 2).copy() @ F))))
+    return t, F[:, :n] + 1j * F[:, n:], depth, max_step, ortho_resid, tangency
+
+
+def reference_dense_transport(chart, path, tol=DEFAULT_TOLERANCES):
+    """The dense parameters and frames of transport_frame's refinement with
+    a rank SVD at every sample and the exact transfers of every segment (the
+    running products are the library's, checked on their own below)."""
+    def bases(chart, us, tol):
+        J = chart.jacobians(us)
+        assert np.all(np.linalg.svd(J, compute_uv=False)[:, -1] >= tol.rank_floor(2 * chart.n))
+        return _gram_schmidt(J)[0]
+
+    return insert_per_level_transport(chart, path, tol, bases=bases, transfers=_transfers)[:2]
 
 
 def sequential_products(P):
@@ -625,6 +638,47 @@ def test_refinement_depths_must_be_integers():
         with pytest.raises(SamplingError, match=message):
             transport_frame(circle_chart(), loop, max_depth=depth)
     assert transport_frame(circle_chart(), loop, max_depth=np.int64(30)).refinement_depth > 2
+
+
+def epicycle_chart(r=1.0, e=0.075, k=2):
+    """q + ip = r e^{it} + e e^{-ikt}, the holonomy battery's custom curve."""
+    return curve_chart_from_series({"cos": [[1, r], [k, e]]}, {"sin": [[1, r], [k, -e]]})
+
+
+LEVEL_PATHS = {
+    "circle": (circle_chart(), ParamPath.circle_arc(1.0, 8)),
+    "torus": (product_torus_chart(), ParamPath.torus_loop((1, 1), 10)),
+    "custom": (epicycle_chart(), ParamPath.line([0.0], [2 * np.pi], 12, closed=True)),
+    # input steps from 2e-3 to 2.1 rad, out of order: its segments close at
+    # levels 7, 0, 6, 3, 8, 5, 1 and 8
+    "uneven": (circle_chart(1.5), ParamPath(np.append(np.cumsum(
+        [0.0, 1.2, 0.002, 0.6, 0.05, 2.0, 0.3, 0.02]), 2 * np.pi), closed=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PATHS))
+def test_open_segment_levels_match_the_insert_per_level_loop(name):
+    chart, path = LEVEL_PATHS[name]
+    tr = transport_frame(chart, path)
+    t, V, depth, max_step, ortho, tangency = insert_per_level_transport(chart, path)
+    assert np.array_equal(tr.params, t) and np.array_equal(tr.frames, V)
+    assert (tr.refinement_depth, tr.max_frame_step) == (depth, max_step)
+    assert (tr.orthonormality_residual, tr.tangency_residual) == (ortho, tangency)
+    assert depth >= 5
+    if name == "uneven":  # dense samples each input segment was split into
+        per_segment = np.diff(np.searchsorted(t, np.linspace(0.0, 1.0, 9)))
+        assert list(per_segment) == [128, 1, 64, 8, 256, 32, 2, 256]
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PATHS))
+def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name):
+    chart, path = LEVEL_PATHS[name]
+    for max_depth in range(7):
+        with pytest.raises(SamplingError) as want:
+            insert_per_level_transport(chart, path, max_depth=max_depth)
+        with pytest.raises(SamplingError, match="^transport refinement exhausted at t = ") as got:
+            transport_frame(chart, path, max_depth=max_depth)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The scripts that show two trees give the same output: tools/golden_drift.py,
 tools/leray_pairs.py (its Leray pairs, Kashiwara triples and Lagrangian paths),
-tools/word_lifts.py (the lifted endpoint states of gaussian_words) and
-tools/battery_payloads.py (the report payloads of holonomy_battery); and
-the selection and failure parsing of tools/hypothesis_sweep.py."""
+tools/word_lifts.py (the lifted endpoint states of gaussian_words),
+tools/battery_payloads.py (the report payloads of holonomy_battery) and
+tools/transport_levels.py (its refinement levels and dense counts); and the
+selection and failure parsing of tools/hypothesis_sweep.py."""
 
 import importlib.util
 import json
@@ -186,3 +187,18 @@ def test_hypothesis_sweep_keeps_the_property_tests_and_reads_the_failures():
            "FAILED tests/b.py::test_y[1]\n1 failed, 2 passed")
     assert sweep.failures(out) == {"tests/a.py::test_x": "AssertionError: bad - worse",
                                    "tests/b.py::test_y[1]": ""}
+
+
+def test_transport_levels_counts_the_same_dense_samples_twice(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ first
+    transport_levels = load_tool("transport_levels")
+    out = tmp_path / "levels.json"
+    assert transport_levels.main(["--repeats", "1", "--out", str(out)]) == 0
+    first, second = json.loads(out.read_text()), transport_levels.measure(1)
+    assert sorted(first) == sorted(transport_levels.CASES)
+    for name, record in first.items():
+        counts = ("levels", "input_samples", "dense_samples")
+        assert [record[k] for k in counts] == [second[name][k] for k in counts]
+        assert record["wall_s"] > 0 and record["us_per_dense_sample"] > 0
+    assert first["circle.coarse"]["dense_samples"] == 897  # 8 samples, 7 levels
+    assert first["circle.fine"]["levels"] == 0
