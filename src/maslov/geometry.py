@@ -392,10 +392,11 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     accepted = []  # (t, B, P) at the starts of the segments each level closes
     for depth in range(max_depth + 1):
         ok = step <= FRAME_INCREMENT_BOUND  # NaN steps stay open
+        if ok.all():
+            accepted.append((ta, Ba, P))
+            break
         # np.compress and np.take: several times faster than masks on small matrices
         accepted.append([np.compress(ok, x, axis=0) for x in (ta, Ba, P)])
-        if ok.all():
-            break
         if depth == max_depth:
             raise SamplingError("transport refinement exhausted at t = %.17g" % ta[~ok][0])
         ua, ub, ta, tb, Ba, Bb = (np.compress(~ok, x, axis=0) for x in (ua, ub, ta, tb, Ba, Bb))
