@@ -134,7 +134,7 @@ def test_canonical_json_table_rows_match_the_join_form(table):
 
 
 def test_golden_reports_reproduce():
-    for name in ("circle_verify", "quarter_verify", "kashiwara_index",
+    for name in ("circle_verify", "quarter_verify", "tangent_verify", "kashiwara_index",
                  "torus_corollary"):
         _, code, payload = run(load_spec(name))
         assert code == 0
