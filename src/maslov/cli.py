@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from itertools import chain
 
@@ -121,13 +122,46 @@ def trace_csv(rows) -> str:
 # strict spec parsing
 
 
-def _require(d, key, path, typ=None):
+#: Kinds of spec values, named as in "must be a finite number": a number is a
+#: real that is not a bool.  A kind (*shape, name) is a rectangular nested list
+#: of that name's values, None in the shape for any length.
+_KINDS = {"string": lambda v: isinstance(v, str),
+          "object": lambda v: isinstance(v, dict),
+          "boolean": lambda v: isinstance(v, bool),
+          "finite number": lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                      and math.isfinite(v)),
+          "finite positive number": lambda v: _fits(v, NUM) and v > 0,
+          "integer": lambda v: type(v) is int,
+          "non-negative integer": lambda v: type(v) is int and v >= 0}
+NUM, COUNT, MATRIX = "finite number", "non-negative integer", (None, None, "finite number")
+
+
+def _fits(v, kind) -> bool:
+    if isinstance(kind, str):
+        return _KINDS[kind](v)
+    return (isinstance(v, list) and kind[0] in (None, len(v))
+            and all(_fits(x, kind[1] if len(kind) == 2 else kind[1:]) for x in v)
+            and len({len(x) for x in v if isinstance(x, list)}) <= 1)
+
+
+def _what(kind, many=False) -> str:
+    if isinstance(kind, str):
+        return kind + "s" if many else ("an " if kind[0] in "aeiou" else "a ") + kind
+    head = ("lists of " if many else "a list of ") + ("" if kind[0] is None else "%d " % kind[0])
+    return head + _what(kind[1] if len(kind) == 2 else kind[1:], True)
+
+
+def _require(d, key, path, kind, default=None):
+    """d[key] of the given kind (see _KINDS); default if it is absent and a
+    default is given.  A path of None names the field by its key alone."""
+    name = key if path is None else "%s.%s" % (path, key)
     if key not in d:
-        raise SpecError("%s.%s" % (path, key), "missing required field")
-    v = d[key]
-    if typ is not None and not isinstance(v, typ):
-        raise SpecError("%s.%s" % (path, key), "expected %s" % typ.__name__)
-    return v
+        if default is None:
+            raise SpecError(name, "missing required field")
+        return default
+    if not _fits(d[key], kind):
+        raise SpecError(name, "must be %s" % _what(kind))
+    return d[key]
 
 
 def _check_keys(d, allowed, path, problem="unknown field"):
@@ -145,79 +179,82 @@ def _check_fields(spec, command):
                 "not read by %s" % command)
 
 
-def _tolerance(value, path) -> float:
-    if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-        raise SpecError(path, "must be a finite positive number")
-    return float(value)
-
-
 def parse_tolerances(spec, path="tolerances",
                      phase_override=None) -> Tolerances:
     spec = spec or {}
     _check_keys(spec, {"residual_tol", "rank_tol", "phase_tol"}, path)
-    kw = {k: _tolerance(v, "%s.%s" % (path, k)) for k, v in spec.items()}
+    kw = {k: float(_require(spec, k, path, "finite positive number")) for k in spec}
     if phase_override is not None:
-        kw["phase_tol"] = _tolerance(phase_override, "--tol-phase")
+        kw["phase_tol"] = float(_require({"--tol-phase": phase_override}, "--tol-phase",
+                                         None, "finite positive number"))
     return Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **kw})
 
 
+def _series(spec, key, path):
+    """A series record of a custom chart: {"cos": [[k, a], ...], ...}."""
+    series, path = _require(spec, key, path, "object"), "%s.%s" % (path, key)
+    _check_keys(series, {"cos", "sin", "poly"}, path)
+    return {k: _require(series, k, path, (None, NUM) if k == "poly" else (None, 2, NUM))
+            for k in series}
+
+
 def build_chart(spec, path="chart"):
-    name = _require(spec, "name", path, str)
+    name = _require(spec, "name", path, "string")
     if name == "circle":
         _check_keys(spec, {"name", "radius"}, path)
-        return circle_chart(float(spec.get("radius", 1.0)))
+        return circle_chart(float(_require(spec, "radius", path, NUM, 1.0)))
     if name == "product_torus":
         _check_keys(spec, {"name", "radii"}, path)
-        return product_torus_chart(tuple(spec.get("radii", (1.0, 1.0))))
+        return product_torus_chart(tuple(_require(spec, "radii", path, (2, NUM), (1.0, 1.0))))
     if name == "gradient_graph":
         _check_keys(spec, {"name", "phi_coeffs", "hessian"}, path)
         if "phi_coeffs" in spec:
-            return gradient_graph_chart(phi_coeffs=spec["phi_coeffs"])
+            return gradient_graph_chart(phi_coeffs=_require(spec, "phi_coeffs", path, (None, NUM)))
         if "hessian" in spec:
-            return gradient_graph_chart(hessian=spec["hessian"])
+            return gradient_graph_chart(hessian=_require(spec, "hessian", path, MATRIX))
         raise SpecError(path, "gradient_graph needs phi_coeffs or hessian")
     if name == "flat_plane":
         _check_keys(spec, {"name", "angle", "frame"}, path)
         if "frame" in spec:
-            return flat_plane_chart(LagrangianFrame(np.asarray(spec["frame"], dtype=float)))
-        return flat_plane_chart(line_frame(float(spec.get("angle", 0.0))))
+            return flat_plane_chart(LagrangianFrame(_require(spec, "frame", path, MATRIX)))
+        return flat_plane_chart(line_frame(float(_require(spec, "angle", path, NUM, 0.0))))
     if name == "custom":
         _check_keys(spec, {"name", "q", "p"}, path)
-        return curve_chart_from_series(_require(spec, "q", path, dict),
-                                       _require(spec, "p", path, dict))
+        return curve_chart_from_series(_series(spec, "q", path), _series(spec, "p", path))
     raise SpecError("%s.name" % path, "unknown chart %r" % name)
 
 
 def build_path(spec, chart, path="path") -> ParamPath:
-    kind = _require(spec, "kind", path, str)
+    kind, n = _require(spec, "kind", path, "string"), chart.n
     if kind == "arc":
         _check_keys(spec, {"kind", "turns", "samples", "start"}, path)
-        return ParamPath.circle_arc(float(_require(spec, "turns", path, (int, float))),
-                                    int(spec.get("samples", 200)),
-                                    float(spec.get("start", 0.0)))
+        return ParamPath.circle_arc(float(_require(spec, "turns", path, NUM)),
+                                    _require(spec, "samples", path, COUNT, 200),
+                                    float(_require(spec, "start", path, NUM, 0.0)))
     if kind == "interval":
         _check_keys(spec, {"kind", "start", "stop", "samples", "closed"}, path)
-        return ParamPath.line(spec.get("start", [0.0] * chart.n),
-                              _require(spec, "stop", path),
-                              int(spec.get("samples", 200)),
-                              bool(spec.get("closed", False)))
+        return ParamPath.line(_require(spec, "start", path, (n, NUM), [0.0] * n),
+                              _require(spec, "stop", path, (n, NUM)),
+                              _require(spec, "samples", path, COUNT, 200),
+                              _require(spec, "closed", path, "boolean", False))
     if kind == "torus_loop":
         _check_keys(spec, {"kind", "winding", "samples", "base"}, path)
-        return ParamPath.torus_loop(_require(spec, "winding", path, list),
-                                    int(spec.get("samples", 400)),
-                                    tuple(spec.get("base", (0.0, 0.0))))
+        return ParamPath.torus_loop(_require(spec, "winding", path, (2, "integer")),
+                                    _require(spec, "samples", path, COUNT, 400),
+                                    tuple(_require(spec, "base", path, (2, NUM), (0.0, 0.0))))
     if kind == "samples":
         _check_keys(spec, {"kind", "values", "closed"}, path)
-        return ParamPath(np.asarray(_require(spec, "values", path, list), dtype=float),
-                         bool(spec.get("closed", False)))
+        values = _require(spec, "values", path, (None, n, NUM) if n > 1 else (None, NUM))
+        return ParamPath(np.asarray(values, dtype=float),
+                         _require(spec, "closed", path, "boolean", False))
     raise SpecError("%s.kind" % path, "unknown path kind %r" % kind)
 
 
 def _cover_point_from_spec(spec, path, tol):
     _check_keys(spec, {"w_re", "w_im", "theta"}, path)
-    w = np.asarray(_require(spec, "w_re", path, list), dtype=float) \
-        + 1j * np.asarray(_require(spec, "w_im", path, list), dtype=float)
-    return CoverPoint(w, float(_require(spec, "theta", path, (int, float))), tol)
+    w = np.asarray(_require(spec, "w_re", path, MATRIX), dtype=float) \
+        + 1j * np.asarray(_require(spec, "w_im", path, MATRIX), dtype=float)
+    return CoverPoint(w, float(_require(spec, "theta", path, NUM)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +263,33 @@ def _cover_point_from_spec(spec, path, tol):
 
 def _run_index(spec, tol):
     _check_fields(spec, "index")
-    payload = _require(spec, "index", "spec", dict)
+    payload = _require(spec, "index", "spec", "object")
     _check_keys(payload, {"kashiwara", "leray", "clm"}, "spec.index")
     results = {}
     if "kashiwara" in payload:
         ka = payload["kashiwara"]
         _check_keys(ka, {"angles", "frames"}, "spec.index.kashiwara")
         if "angles" in ka:
-            frames = [line_frame(float(a)) for a in ka["angles"]]
+            frames = [line_frame(float(a))
+                      for a in _require(ka, "angles", "spec.index.kashiwara", (3, NUM))]
         else:
-            frames = [LagrangianFrame(np.asarray(f, dtype=float))
-                      for f in _require(ka, "frames", "spec.index.kashiwara", list)]
-        if len(frames) != 3:
-            raise SpecError("spec.index.kashiwara", "exactly three Lagrangians required")
+            frames = [LagrangianFrame(f) for f in _require(
+                ka, "frames", "spec.index.kashiwara", (3, None, None, NUM))]
         results["tau"] = kashiwara_signature(*frames, tol=tol)
     if "leray" in payload:
         le = payload["leray"]
         _check_keys(le, {"x", "y"}, "spec.index.leray")
-        x = _cover_point_from_spec(_require(le, "x", "spec.index.leray", dict),
+        x = _cover_point_from_spec(_require(le, "x", "spec.index.leray", "object"),
                                    "spec.index.leray.x", tol)
-        y = _cover_point_from_spec(_require(le, "y", "spec.index.leray", dict),
+        y = _cover_point_from_spec(_require(le, "y", "spec.index.leray", "object"),
                                    "spec.index.leray.y", tol)
         results["mu"] = leray_index(x, y, tol)
     if "clm" in payload:
         cl = payload["clm"]
         _check_keys(cl, {"chart", "path"}, "spec.index.clm")
-        chart = build_chart(_require(cl, "chart", "spec.index.clm", dict),
+        chart = build_chart(_require(cl, "chart", "spec.index.clm", "object"),
                             "spec.index.clm.chart")
-        ppath = build_path(_require(cl, "path", "spec.index.clm", dict), chart,
+        ppath = build_path(_require(cl, "path", "spec.index.clm", "object"), chart,
                            "spec.index.clm.path")
         tangent = tangent_lagrangian_path(chart, ppath, tol)
         results["mu_clm"] = clm_index(tangent, tol)
@@ -263,18 +299,11 @@ def _run_index(spec, tol):
     return results, True
 
 
-def _refine_depth(value, path) -> int:
-    if type(value) is not int or value < 0:
-        raise SpecError(path, "must be a non-negative integer")
-    return value
-
-
 def _run_holonomy(spec, tol):
     _check_fields(spec, "holonomy")
-    refine_max = _refine_depth(12 if spec.get("refine_max") is None else spec["refine_max"],
-                               "spec.refine_max")
-    chart = build_chart(_require(spec, "chart", "spec", dict))
-    ppath = build_path(_require(spec, "path", "spec", dict), chart)
+    refine_max = _require(spec, "refine_max", "spec", COUNT, 12)
+    chart = build_chart(_require(spec, "chart", "spec", "object"))
+    ppath = build_path(_require(spec, "path", "spec", "object"), chart)
     tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
     c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)
     theta = lift_path(tr.tangent_path, tol)
@@ -295,25 +324,21 @@ def _run_verify(spec, tol):
     theorem = spec.get("theorem", "auto")
     if theorem not in ("auto", "1", "2", "corollary1"):
         raise SpecError("spec.theorem", "must be auto, 1, 2 or corollary1")
-    chart = build_chart(_require(spec, "chart", "spec", dict))
+    chart = build_chart(_require(spec, "chart", "spec", "object"))
     if theorem == "corollary1":
         _check_fields(spec, "verify corollary1")
-        loop_specs = _require(spec, "loops", "spec", list)
         loops = [build_path(ls, chart, "spec.loops[%d]" % i)
-                 for i, ls in enumerate(loop_specs)]
+                 for i, ls in enumerate(_require(spec, "loops", "spec", (None, "object")))]
         rep = verify_corollary1(chart, loops, tol)
         return rep, rep["pass"]
-    ppath = build_path(_require(spec, "path", "spec", dict), chart)
+    ppath = build_path(_require(spec, "path", "spec", "object"), chart)
     if theorem == "auto":
         theorem = "1" if ppath.closed else "2"
     _check_fields(spec, "verify " + theorem)
     if theorem == "1":
         rep = verify_theorem1(chart, ppath, tol)
     else:
-        levels = spec.get("levels", [0, 1, 2])
-        if not (isinstance(levels, list)
-                and all(type(l) is int and l >= 0 for l in levels)):  # bool is no level
-            raise SpecError("spec.levels", "must be a list of non-negative integers")
+        levels = _require(spec, "levels", "spec", (None, COUNT), [0, 1, 2])
         rep = verify_theorem2(chart, ppath, tol, levels=tuple(levels))
     return rep, rep["pass"]
 
@@ -357,19 +382,20 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     refinement depth; its errors name the flag."""
     if not isinstance(spec, dict):
         raise SpecError("spec", "expected an object")
-    command = _require(spec, "command", "spec", str)
+    command = _require(spec, "command", "spec", "string")
     if command not in _COMMANDS:
         raise SpecError("spec.command", "unknown command %r" % command)
     version = spec.get("spec_version", SPEC_VERSION)
     if str(version) != SPEC_VERSION:
         raise SpecError("spec.spec_version", "unsupported version %r" % version)
     tol = parse_tolerances(spec.get("tolerances"), phase_override=tol_phase)
-    seed = seed if seed is not None else spec.get("seed", 0)
+    seed = _require(spec, "seed", "spec", "integer", 0) if seed is None else seed
     given = spec
     if refine_max is not None:
         if command != "holonomy":
             raise SpecError("--refine-max", "read by holonomy only, not by %s" % command)
-        given = {**spec, "refine_max": _refine_depth(refine_max, "--refine-max")}
+        given = {**spec, "refine_max": _require({"--refine-max": refine_max}, "--refine-max",
+                                                None, COUNT)}
     results, ok = _COMMANDS[command](given, tol)
 
     report = {
@@ -387,7 +413,7 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     fmt = out_format or output.get("format", "json")
     if fmt not in ("json", "csv"):
         raise SpecError("spec.output.format", "must be json or csv")
-    dest = out_path or output.get("path")
+    dest = out_path or _require(output, "path", "spec.output", "string", "")
     if fmt == "csv":
         if command != "holonomy":
             raise SpecError("spec.output.format", "csv traces exist for holonomy only")

@@ -224,12 +224,12 @@ def lift_path(path: LagrangianPath,
 
 
 def _endpoint_indices(path: LagrangianPath, tol: Tolerances):
-    """(mu, clm, k, s) of the path: _leray of its (end, start) lift, and
+    """(mu, clm, k) of the path: _leray of its (end, start) lift, and
     clm = (mu - n + k)/2."""
     w = path.souriau
     theta = lift_path(path, tol)
-    mu, k, s = _leray(w[-1], w[0], theta[-1] - theta[0], tol)
-    return mu, (mu - path.n + k) // 2, k, s
+    mu, k, _ = _leray(w[-1], w[0], theta[-1] - theta[0], tol)
+    return mu, (mu - path.n + k) // 2, k
 
 
 def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int:

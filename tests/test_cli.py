@@ -3,6 +3,7 @@ golden files."""
 
 import json
 import math
+import re
 import pathlib
 
 import numpy as np
@@ -352,3 +353,74 @@ def test_levels_reach_the_eigenstate_pairings():
                            "levels": [2, 0]})
     assert code == 0
     assert [p["level"] for p in report["results"]["eigenstate_pairings"]] == [2, 0]
+
+
+TORUS_LOOP = {"chart": {"name": "product_torus"},
+              "path": {"kind": "torus_loop", "winding": [1, 0]}}
+CUSTOM = {"name": "custom", "q": {"cos": [[1, 1]]}, "p": {"sin": [[1, 1]]}}
+
+
+def with_field(spec, field, value):
+    """A copy of spec with the dotted field (under "chart", "path", ...) set."""
+    spec = json.loads(json.dumps(spec))
+    *parents, key = field.split(".")
+    node = spec
+    for p in parents:
+        node = node.setdefault(p, {})
+    node[key] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec, field", [
+    pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "chart.radius", "abc"),
+                 "chart.radius", id="radius-string"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", "ab"),
+                 "chart.radii", id="radii-string"),
+    pytest.param({"command": "verify", "chart": {"name": "circle"},
+                  "path": {"kind": "interval", "stop": ["x"]}}, "path.stop", id="stop-string"),
+    pytest.param({"command": "verify", "chart": {"name": "gradient_graph", "hessian": [["a"]]},
+                  "path": {"kind": "interval", "stop": [1.0]}}, "chart.hessian",
+                 id="hessian-string"),
+    pytest.param({**KASHIWARA, "index": {"kashiwara": {"angles": [0, "x", 1]}}},
+                 "spec.index.kashiwara.angles", id="angles-string"),
+    pytest.param({**KASHIWARA, "index": {"kashiwara": {"angles": [0, 1]}}},
+                 "spec.index.kashiwara.angles", id="angles-two"),
+    pytest.param({**KASHIWARA, "seed": "x"}, "spec.seed", id="seed-string"),
+    pytest.param({"command": "verify", **CIRCLE_LOOP, "chart": {**CUSTOM, "q": {"cos": [[1]]}}},
+                 "chart.q.cos", id="series-pair-short"),
+    pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.turns", "x"),
+                 "path.turns", id="turns-string"),
+    pytest.param({**KASHIWARA, "output": {"path": 5}}, "spec.output.path", id="output-path-int"),
+    pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.samples", 50.7),
+                 "path.samples", id="samples-float"),
+    pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.turns", True),
+                 "path.turns", id="turns-bool"),
+    pytest.param({"command": "verify", "chart": {"name": "circle"},
+                  "path": {"kind": "interval", "stop": [1.0], "closed": "no"}},
+                 "path.closed", id="closed-string"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.winding", [1.7, 0]),
+                 "path.winding", id="winding-float"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.winding", [1, 0, 5]),
+                 "path.winding", id="winding-three"),
+    pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.samples", True),
+                 "path.samples", id="samples-bool"),
+    pytest.param({**KASHIWARA, "seed": 2.7}, "spec.seed", id="seed-float"),
+    pytest.param({"command": "verify", **CIRCLE_LOOP, "chart": {**CUSTOM, "q": {"coss": [[1, 1]]}}},
+                 "chart.q.coss", id="series-unknown-key"),
+])
+def test_spec_values_are_type_checked_where_read(tmp_path, spec, field):
+    with pytest.raises(SpecError, match=r"^%s: " % re.escape(field)):
+        run(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path)]) == 1
+
+
+@pytest.mark.parametrize("levels", [[18], [20], [24]])
+def test_high_eigenstate_levels_pass_on_the_command_line(tmp_path, levels):
+    spec = {"command": "verify", **CIRCLE_LOOP, "theorem": "2", "levels": levels}
+    report, code, _ = run(spec)
+    assert code == 0 and report["results"]["eigenstate_pairings"][0]["pass"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path), "--out", str(tmp_path / "out.json")]) == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lift_oracle import reference_lift
 from maslov import geometry, metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, Tolerances,
                          embed_unitary, intersection_dim, line_frame,
                          random_lagrangian, random_unitary)
 from maslov.errors import (CaseError, ConditioningError, ImmersionError,
@@ -80,6 +80,31 @@ def test_custom_series_chart_matches_circle():
     for u in (0.0, 0.4, 2.2):
         assert np.allclose(chart.at([u]), ref.at([u]))
         assert np.allclose(chart.jac([u]), ref.jac([u]))
+
+
+def polynomial_gradient_graph(phi_coeffs):
+    """The point and Jacobian maps of the one-variable gradient graph
+    u -> (u, phi'(u)) by their own evaluator of the derivative coefficients."""
+    c = [float(v) for v in phi_coeffs]
+    dc = [j * c[j] for j in range(1, len(c))]
+    ddc = [j * dc[j] for j in range(1, len(dc))]
+    ev1 = lambda cs, x: sum((v * x ** j for j, v in enumerate(cs)), np.zeros_like(x))
+    return (lambda us: np.stack([us[:, 0], ev1(dc, us[:, 0])], axis=1),
+            lambda us: np.stack([np.ones(len(us)), ev1(ddc, us[:, 0])], axis=1)[:, :, None])
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_polynomial_gradient_graph_is_bit_equal_to_its_own_evaluator(degree, rng):
+    # the chart is a series curve; on parameters other than -0.0 (which the
+    # series maps to +0.0) its points and Jacobians keep every bit
+    us = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 40)])[:, None]
+    for _ in range(4):
+        coeffs = rng.normal(size=degree) * 10.0 ** rng.integers(-3, 4, degree)
+        chart, (point, jac) = gradient_graph_chart(phi_coeffs=coeffs), \
+            polynomial_gradient_graph(coeffs)
+        assert chart.tag == "gradient_graph" and chart.n == 1
+        assert chart.points(us).tobytes() == point(us).tobytes()
+        assert chart.jacobians(us).tobytes() == jac(us).tobytes()
 
 
 def builtin_charts(n, rng):
@@ -922,6 +947,31 @@ def test_theorem2_tangent_case_decides_its_phase_once(monkeypatch):
                 pin_branch_orthogonal(phase)
             with pytest.raises(ConditioningError, match="^%s$" % re.escape(str(err.value))):
                 verify_theorem2(chart, loop)
+
+
+@pytest.mark.parametrize("delta, tangent", [(5e-7, True), (2e-6, False)])
+def test_theorem2_orthogonal_type_cut(delta, tangent):
+    # under a loose rank_tol the endpoint tangents of a circle arc a little
+    # past one turn still meet; the endpoint U_N is then orthogonal-type while
+    # max |Im U_N| = |sin delta| is within 1e-6
+    tol = Tolerances(rank_tol=1e-3, phase_tol=1e-4)
+    path = ParamPath.line([0.0], [2 * np.pi + delta], 300)
+    if tangent:
+        rep = verify_theorem2(circle_chart(), path, tol)
+        assert rep["case"] == "tangent" and rep["pass"]
+    else:
+        with pytest.raises(CaseError, match="^tangent-case endpoint is not orthogonal-type$"):
+            verify_theorem2(circle_chart(), path, tol)
+
+
+@pytest.mark.parametrize("level", [18, 20, 24])
+def test_theorem2_eigenstate_pairings_are_judged_relative_to_the_state(level):
+    # |H_l(0)| grows like (l - 1)!! 2^{l/2} (H_20(0) = -6.7e11), so the
+    # rounding of e^{i pi mu/2} alone is far above an absolute 10 phase_tol
+    rep = verify_theorem2(circle_chart(), ParamPath.circle_arc(1.0, 300), levels=(0, level))
+    big = rep["eigenstate_pairings"][1]
+    assert abs(complex(*big["lhs"])) > 1e9
+    assert big["pass"] and rep["pass"]
 
 
 # ---------------------------------------------------------------------------
