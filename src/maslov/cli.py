@@ -132,8 +132,10 @@ _KINDS = {"string": lambda v: isinstance(v, str),
                                       and math.isfinite(v)),
           "finite positive number": lambda v: _fits(v, NUM) and v > 0,
           "integer": lambda v: type(v) is int,
-          "non-negative integer": lambda v: type(v) is int and v >= 0}
+          "non-negative integer": lambda v: type(v) is int and v >= 0,
+          "integer of at least 2": lambda v: type(v) is int and v >= 2}
 NUM, COUNT, MATRIX = "finite number", "non-negative integer", (None, None, "finite number")
+SAMPLES = "integer of at least 2"
 
 
 def _fits(v, kind) -> bool:
@@ -181,7 +183,6 @@ def _check_fields(spec, command):
 
 def parse_tolerances(spec, path="tolerances",
                      phase_override=None) -> Tolerances:
-    spec = spec or {}
     _check_keys(spec, {"residual_tol", "rank_tol", "phase_tol"}, path)
     kw = {k: float(_require(spec, k, path, "finite positive number")) for k in spec}
     if phase_override is not None:
@@ -208,13 +209,15 @@ def build_chart(spec, path="chart"):
         return product_torus_chart(tuple(_require(spec, "radii", path, (2, NUM), (1.0, 1.0))))
     if name == "gradient_graph":
         _check_keys(spec, {"name", "phi_coeffs", "hessian"}, path)
+        if ("phi_coeffs" in spec) == ("hessian" in spec):
+            raise SpecError(path, "give exactly one of phi_coeffs and hessian")
         if "phi_coeffs" in spec:
             return gradient_graph_chart(phi_coeffs=_require(spec, "phi_coeffs", path, (None, NUM)))
-        if "hessian" in spec:
-            return gradient_graph_chart(hessian=_require(spec, "hessian", path, MATRIX))
-        raise SpecError(path, "gradient_graph needs phi_coeffs or hessian")
+        return gradient_graph_chart(hessian=_require(spec, "hessian", path, MATRIX))
     if name == "flat_plane":
         _check_keys(spec, {"name", "angle", "frame"}, path)
+        if "frame" in spec and "angle" in spec:
+            raise SpecError(path, "give exactly one of frame and angle, or neither for angle 0")
         if "frame" in spec:
             return flat_plane_chart(LagrangianFrame(_require(spec, "frame", path, MATRIX)))
         return flat_plane_chart(line_frame(float(_require(spec, "angle", path, NUM, 0.0))))
@@ -229,22 +232,24 @@ def build_path(spec, chart, path="path") -> ParamPath:
     if kind == "arc":
         _check_keys(spec, {"kind", "turns", "samples", "start"}, path)
         return ParamPath.circle_arc(float(_require(spec, "turns", path, NUM)),
-                                    _require(spec, "samples", path, COUNT, 200),
+                                    _require(spec, "samples", path, SAMPLES, 200),
                                     float(_require(spec, "start", path, NUM, 0.0)))
     if kind == "interval":
         _check_keys(spec, {"kind", "start", "stop", "samples", "closed"}, path)
         return ParamPath.line(_require(spec, "start", path, (n, NUM), [0.0] * n),
                               _require(spec, "stop", path, (n, NUM)),
-                              _require(spec, "samples", path, COUNT, 200),
+                              _require(spec, "samples", path, SAMPLES, 200),
                               _require(spec, "closed", path, "boolean", False))
     if kind == "torus_loop":
         _check_keys(spec, {"kind", "winding", "samples", "base"}, path)
         return ParamPath.torus_loop(_require(spec, "winding", path, (2, "integer")),
-                                    _require(spec, "samples", path, COUNT, 400),
+                                    _require(spec, "samples", path, SAMPLES, 400),
                                     tuple(_require(spec, "base", path, (2, NUM), (0.0, 0.0))))
     if kind == "samples":
         _check_keys(spec, {"kind", "values", "closed"}, path)
         values = _require(spec, "values", path, (None, n, NUM) if n > 1 else (None, NUM))
+        if len(values) < 2:
+            raise SpecError("%s.values" % path, "must hold at least two samples")
         return ParamPath(np.asarray(values, dtype=float),
                          _require(spec, "closed", path, "boolean", False))
     raise SpecError("%s.kind" % path, "unknown path kind %r" % kind)
@@ -252,8 +257,8 @@ def build_path(spec, chart, path="path") -> ParamPath:
 
 def _cover_point_from_spec(spec, path, tol):
     _check_keys(spec, {"w_re", "w_im", "theta"}, path)
-    w = np.asarray(_require(spec, "w_re", path, MATRIX), dtype=float) \
-        + 1j * np.asarray(_require(spec, "w_im", path, MATRIX), dtype=float)
+    w_re = np.asarray(_require(spec, "w_re", path, MATRIX), dtype=float)
+    w = w_re + 1j * np.asarray(_require(spec, "w_im", path, (*w_re.shape, NUM)), dtype=float)
     return CoverPoint(w, float(_require(spec, "theta", path, NUM)), tol)
 
 
@@ -388,7 +393,8 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     version = spec.get("spec_version", SPEC_VERSION)
     if str(version) != SPEC_VERSION:
         raise SpecError("spec.spec_version", "unsupported version %r" % version)
-    tol = parse_tolerances(spec.get("tolerances"), phase_override=tol_phase)
+    tol = parse_tolerances(_require(spec, "tolerances", "spec", "object", {}),
+                           phase_override=tol_phase)
     seed = _require(spec, "seed", "spec", "integer", 0) if seed is None else seed
     given = spec
     if refine_max is not None:
@@ -408,7 +414,7 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
         "pass": bool(ok),
     }
 
-    output = spec.get("output") or {}
+    output = _require(spec, "output", "spec", "object", {})
     _check_keys(output, {"path", "format"}, "spec.output")
     fmt = out_format or output.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -469,7 +475,7 @@ def main(argv=None) -> int:
         print("maslov: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 
-    if not args.out and not (spec.get("output") or {}).get("path"):
+    if not args.out and not _require(spec, "output", "spec", "object", {}).get("path"):
         sys.stdout.write(payload)
     if code == 0:
         print("maslov %s: pass" % report["command"])

@@ -70,7 +70,7 @@ def omega_gram(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.swapaxes(standard_j(F.shape[-2] // 2) @ F, -1, -2) @ G
 
 
-def check_stack(ok, error, message: str, *values, entry: str = "stack entry"):
+def check_stack(ok, error, message: str, *values, entry: str | None):
     """Raise error(message) unless ok holds everywhere; a comparison with a
     NaN is False, so NaN data fails too.  For a stack, message is
     %-formatted with each of values at the first failing entry along the

@@ -13,6 +13,10 @@ det(M)^{-1/2} is the canonical branch on {Re M > 0}: the product of the
 principal half-argument roots of the eigenvalues, continuous and positive on
 real positive definite M.
 
+A state or generator is one object: a scalar c, n x n matrices and one
+coefficient vector, whose constructor checks them by one rule (``_matrix``).
+The path lift alone works on stacks, one entry per sample.
+
 A quadratic Fourier transform with data (P, L, Q, m) is the word
 
     Chirp(-P) o Dilate(L^T, m) o JHat o Chirp(-Q)
@@ -36,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
-                   Tolerances, _det_phase_steps, _set_fields, _trusted,
-                   _unitarity_residuals,
+from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
+                   _det_phase_steps, _set_fields, _trusted, _unitarity_residuals,
                    check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
@@ -73,11 +76,22 @@ def _T(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _square(A, what: str, dtype=float) -> np.ndarray:
-    """A as an array of square matrices (..., n, n), else InvariantViolation."""
-    A = np.asarray(A, dtype=dtype)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise InvariantViolation("%s must be square, shape (..., n, n); got %s" % (what, A.shape))
+def _matrix(A, what: str, tol: Tolerances, dtype=float, symmetric=False,
+            invertible=False) -> np.ndarray:
+    """A as a new finite square matrix, symmetrized if it must be symmetric
+    (within residual_tol), with |det A| >= rank_floor if it must be
+    invertible; else InvariantViolation naming what."""
+    A = np.array(A, dtype=dtype)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvariantViolation("%s must be square, shape (n, n); got %s" % (what, A.shape))
+    if not np.isfinite(A).all():
+        raise InvariantViolation("%s must be finite" % what)
+    if symmetric:
+        if not np.max(np.abs(A - A.T)) <= tol.residual_tol:
+            raise InvariantViolation("%s must be symmetric" % what)
+        A = (A + A.T) / 2
+    if invertible and not abs(np.linalg.det(A)) >= tol.rank_floor(len(A)):
+        raise InvariantViolation("%s must be invertible" % what)
     return A
 
 
@@ -86,15 +100,17 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
 
     Computed as the product of principal powers of the eigenvalues; all
     eigenvalues have positive real part on this domain, so the result is the
-    unique continuous branch that is positive on real SPD matrices.  M may
-    be a stack (..., n, n).
+    unique continuous branch that is positive on real SPD matrices.
     """
-    check_stack(np.isfinite(M).all(axis=(-2, -1)), StateDomainError,
-                "canonical determinant branch needs a finite matrix")
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvariantViolation("determinant branch needs a square matrix; got %s" % (M.shape,))
+    if not np.isfinite(M).all():
+        raise StateDomainError("canonical determinant branch needs a finite matrix")
     lam = np.linalg.eigvals(M)
-    check_stack(np.min(lam.real, axis=-1) > 0, StateDomainError,
-                "canonical determinant branch needs Re(eigenvalues) > 0")
-    return np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam)), axis=-1)
+    if not np.min(lam.real) > 0:
+        raise StateDomainError("canonical determinant branch needs Re(eigenvalues) > 0")
+    return np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +197,7 @@ class Polynomial:
     """Multivariate polynomial with complex coefficients, stored as the dense
     vector ``vec`` over the graded monomial basis ``basis`` of its arity and
     a degree bound.  ``Polynomial(n, {exponent: coeff})`` builds one from a
-    mapping, and ``coeffs`` gives the nonzero entries back as one.  The
-    factor of a stack of states (see ``GaussianAmplitude``) holds a stack of
-    vectors, shape (..., K); the other methods take a single one."""
+    mapping, and ``coeffs`` gives the nonzero entries back as one."""
 
     __slots__ = ("basis", "vec")
 
@@ -281,8 +295,8 @@ class Polynomial:
 
 
 def _push(poly: Polynomial, G: np.ndarray, H: np.ndarray | None = None) -> Polynomial:
-    """p(X) 1 for the X of ``_MonomialBasis.images``; p and G may be stacks."""
-    return Polynomial._dense(poly.basis, (poly.basis.images(G, H) @ poly.vec[..., None])[..., 0])
+    """p(X) 1 for the X of ``_MonomialBasis.images``."""
+    return Polynomial._dense(poly.basis, poly.basis.images(G, H) @ poly.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +305,7 @@ def _push(poly: Polynomial, G: np.ndarray, H: np.ndarray | None = None) -> Polyn
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
-    """The state x -> c * poly(x) * exp(-<M x, x>/2).
-
-    A stack of states carries leading axes on c, on M (shape (..., n, n)) and
-    on the coefficient vectors ``poly.vec`` (shape (..., K)); they broadcast
-    together, each entry one state, and a failed check names the first bad
-    entry.
-    """
+    """The state x -> c * poly(x) * exp(-<M x, x>/2)."""
 
     c: complex
     M: np.ndarray
@@ -305,37 +313,37 @@ class GaussianAmplitude:
 
     def __init__(self, c, M, poly: Polynomial | None = None,
                  tol: Tolerances = DEFAULT_TOLERANCES):
-        M = _square(M, "Gaussian matrix", complex)
-        n = M.shape[-1]
-        if poly is None:
-            poly = Polynomial.constant(1.0, n)
+        M = _matrix(M, "Gaussian matrix", tol, complex, symmetric=True)
+        n = len(M)
+        poly = Polynomial.constant(1.0, n) if poly is None else poly
         if poly.n != n:
             raise DimensionMismatch("polynomial arity does not match M")
-        c = np.array(c, dtype=complex)  # a copy: the stored c is made read-only
-        check_stack(np.isfinite(c) & np.isfinite(poly.vec).all(axis=-1)
-                    & np.isfinite(M).all(axis=(-2, -1)), InvariantViolation,
-                    "state data c, M and poly must be finite")
-        check_stack(np.max(np.abs(M - _T(M)), axis=(-2, -1)) <= tol.residual_tol,
-                    InvariantViolation, "Gaussian matrix must be symmetric")
-        M = (M + _T(M)) / 2
-        low = np.linalg.eigvalsh(M.real)[..., 0]
-        check_stack(low >= tol.rank_floor(n), StateDomainError,
-                    "Re(M) must be positive definite; min eig %.3e", low)
-        _set_fields(self, c=c if c.ndim else complex(c), M=M, poly=poly)
+        if not np.isfinite(poly.vec).all():
+            raise InvariantViolation("polynomial factor must be finite")
+        c, low = _scalar(c), np.linalg.eigvalsh(M.real)[0]
+        if not low >= tol.rank_floor(n):
+            raise StateDomainError("Re(M) must be positive definite; min eig %.3e" % low)
+        _set_fields(self, c=c, M=M, poly=poly)
 
     @property
     def n(self):
-        return self.M.shape[-1]
+        return len(self.M)
 
     def __call__(self, x) -> complex:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.c * self.poly(x) * np.exp(-0.5 * x @ self.M @ x)
 
     def scaled(self, a) -> "GaussianAmplitude":
-        c = np.array(self.c * a, dtype=complex)
-        check_stack(np.isfinite(c), InvariantViolation, "state data c, M and poly must be finite")
         # only c changes: M and poly are this checked state's
-        return _trusted(GaussianAmplitude, c=c if c.ndim else complex(c), M=self.M, poly=self.poly)
+        return _trusted(GaussianAmplitude, c=_scalar(self.c * a), M=self.M, poly=self.poly)
+
+
+def _scalar(c) -> complex:
+    """c as one finite complex number, else InvariantViolation."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim or not np.isfinite(c):
+        raise InvariantViolation("state scalar c must be finite and a single number")
+    return complex(c)
 
 
 def ground_state(n: int) -> GaussianAmplitude:
@@ -408,33 +416,23 @@ class DistributionState:
 
 @dataclass(frozen=True)
 class Dilate:
-    """f -> |det A|^{1/2} i^m f(A^T x); A may be a stack (..., n, n)."""
+    """f -> |det A|^{1/2} i^m f(A^T x)."""
 
     A: np.ndarray
     m: int
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        A = _square(A, "dilation matrix")
-        check_stack(np.isfinite(A).all(axis=(-2, -1)), InvariantViolation,
-                    "dilation matrix must be finite")
-        check_stack(abs(np.linalg.det(A)) >= tol.rank_floor(A.shape[-1]), InvariantViolation,
-                    "dilation matrix must be invertible")
-        _set_fields(self, A=A.copy(), m=int(m) % 4)
+        _set_fields(self, A=_matrix(A, "dilation matrix", tol, invertible=True), m=int(m) % 4)
 
 
 @dataclass(frozen=True)
 class Chirp:
-    """Multiplication by e^{-i <B x, x>/2}; B may be a stack (..., n, n)."""
+    """Multiplication by e^{-i <B x, x>/2}."""
 
     B: np.ndarray
 
     def __init__(self, B, tol: Tolerances = DEFAULT_TOLERANCES):
-        B = _square(B, "chirp matrix")
-        check_stack(np.isfinite(B).all(axis=(-2, -1)), InvariantViolation,
-                    "chirp matrix must be finite")
-        check_stack(np.max(np.abs(B - _T(B)), axis=(-2, -1)) <= tol.residual_tol,
-                    InvariantViolation, "chirp matrix must be symmetric")
-        _set_fields(self, B=(B + _T(B)) / 2)
+        _set_fields(self, B=_matrix(B, "chirp matrix", tol, symmetric=True))
 
 
 class JHat:
@@ -457,24 +455,20 @@ def _fourier_poly(poly: Polynomial, N: np.ndarray) -> Polynomial:
 
 def apply_generator(gen, s: GaussianAmplitude,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> GaussianAmplitude:
-    """Apply one generator to a state; exact on (c, M, poly) data.  The
-    generator and the state may be stacks, whose leading axes broadcast:
-    each entry of the result is one generator applied to one state."""
-    n = (gen.A if isinstance(gen, Dilate) else gen.B if isinstance(gen, Chirp) else s.M).shape[-1]
+    """Apply one generator to a state; exact on (c, M, poly) data."""
+    n = len(gen.A if isinstance(gen, Dilate) else gen.B if isinstance(gen, Chirp) else s.M)
     if n != s.n:
         raise DimensionMismatch("generator over n = %d applied to a state over n = %d" % (n, s.n))
     if isinstance(gen, Dilate):
-        A = gen.A
-        c = s.c * np.sqrt(abs(np.linalg.det(A))) * quarter_turn(gen.m)
-        M = A @ s.M @ _T(A)
-        return GaussianAmplitude(c, M, s.poly.compose_linear(_T(A)), tol)
+        c = s.c * np.sqrt(abs(np.linalg.det(gen.A))) * quarter_turn(gen.m)
+        return GaussianAmplitude(c, gen.A @ s.M @ gen.A.T, s.poly.compose_linear(gen.A.T), tol)
     if isinstance(gen, Chirp):
         # Re(M + iB) = Re M, checked with s; M + iB is exactly symmetric as M and B are
         return _trusted(GaussianAmplitude, c=s.c, M=s.M + 1j * gen.B, poly=s.poly)
     if isinstance(gen, JHat):
         c = s.c * det_branch_power(s.M, -0.5) * root_i_power(-s.n)
         Minv = np.linalg.inv(s.M)
-        Minv = (Minv + _T(Minv)) / 2
+        Minv = (Minv + Minv.T) / 2
         return GaussianAmplitude(c, Minv, _fourier_poly(s.poly, Minv), tol)
     raise InvariantViolation("unknown generator %r" % (gen,))
 
@@ -486,7 +480,7 @@ def apply_generator(gen, s: GaussianAmplitude,
 @dataclass(frozen=True)
 class QuadraticFourier:
     """Generating data (P, L, Q) of a free quadratic form plus branch integer
-    m; P, L and Q may be stacks (..., n, n) sharing m."""
+    m."""
 
     P: np.ndarray
     L: np.ndarray
@@ -494,22 +488,15 @@ class QuadraticFourier:
     m: int
 
     def __init__(self, P, L, Q, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        P, L, Q = (_square(X, "P, L and Q") for X in (P, L, Q))
-        if not P.shape[-1] == L.shape[-1] == Q.shape[-1]:
+        P, Q = (_matrix(X, "P, L and Q", tol, symmetric=True) for X in (P, Q))
+        L = _matrix(L, "P, L and Q", tol, invertible=True)
+        if not len(P) == len(L) == len(Q):
             raise DimensionMismatch("P, L and Q must be over one n")
-        check_stack(np.isfinite(P).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-2, -1))
-                    & np.isfinite(Q).all(axis=(-2, -1)),
-                    InvariantViolation, "P, L and Q must be finite")
-        check_stack(np.maximum(np.max(np.abs(P - _T(P)), axis=(-2, -1)),
-                               np.max(np.abs(Q - _T(Q)), axis=(-2, -1))) <= tol.residual_tol,
-                    InvariantViolation, "P and Q must be symmetric")
-        check_stack(abs(np.linalg.det(L)) >= tol.rank_floor(L.shape[-1]), InvariantViolation,
-                    "L must be invertible")
-        _set_fields(self, P=(P + _T(P)) / 2, L=L.copy(), Q=(Q + _T(Q)) / 2, m=int(m) % 4)
+        _set_fields(self, P=P, L=L, Q=Q, m=int(m) % 4)
 
     @property
     def n(self):
-        return self.L.shape[-1]
+        return len(self.L)
 
     def with_branch(self, m: int) -> "QuadraticFourier":
         # only the branch changes; P, L and Q stay as checked under their tolerance
@@ -521,14 +508,13 @@ def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
     """Generating data of a symplectic matrix with invertible upper-right
     block: (P, L, Q) = (D B^{-1}, B^{-1}, B^{-1} A)."""
     A, B, C, D = S.blocks
-    check_stack(abs(np.linalg.det(B)) >= tol.rank_floor(S.n), CaseError,
-                "B-block is singular: no free generating function; "
-                "compose with the fixed Fourier factor first")
+    if not abs(np.linalg.det(B)) >= tol.rank_floor(S.n):
+        raise CaseError("B-block is singular: no free generating function; "
+                        "compose with the fixed Fourier factor first")
     Bi = np.linalg.inv(B)
     P, L, Q = D @ Bi, Bi, Bi @ A
-    asym = np.maximum(np.max(np.abs(P - P.T)), np.max(np.abs(Q - Q.T)))
-    check_stack(asym <= 1e3 * tol.residual_tol, InvariantViolation,
-                "block data is not symmetric; input not symplectic?")
+    if not np.maximum(np.max(np.abs(P - P.T)), np.max(np.abs(Q - Q.T))) <= 1e3 * tol.residual_tol:
+        raise InvariantViolation("block data is not symmetric; input not symplectic?")
     return QuadraticFourier((P + P.T) / 2, L, (Q + Q.T) / 2, m, tol)
 
 
@@ -545,10 +531,12 @@ def symplectic_from_quad_fourier(qf: QuadraticFourier,
 def apply_quad_fourier(qf: QuadraticFourier, s: GaussianAmplitude,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> GaussianAmplitude:
     """Apply the quadratic Fourier transform as its four-generator word."""
-    s = apply_generator(Chirp(-qf.Q, tol), s, tol)
+    # qf holds P and Q exactly symmetric and L invertible: the generators'
+    # checks would pass and their symmetrization keep every bit
+    s = apply_generator(_trusted(Chirp, B=-qf.Q), s, tol)
     s = apply_generator(JHat(), s, tol)
-    s = apply_generator(Dilate(_T(qf.L), qf.m, tol), s, tol)
-    return apply_generator(Chirp(-qf.P, tol), s, tol)
+    s = apply_generator(_trusted(Dilate, A=qf.L.T.copy(), m=qf.m), s, tol)
+    return apply_generator(_trusted(Chirp, B=-qf.P), s, tol)
 
 
 def adjoint_quad_fourier(qf: QuadraticFourier) -> QuadraticFourier:
@@ -576,10 +564,6 @@ def mu_hat_composed(qf1: QuadraticFourier, qf2: QuadraticFourier,
 
 # ---------------------------------------------------------------------------
 # path lifting
-
-
-def _adjoint(U: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(U, -1, -2))
 
 
 def _times(S: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -693,7 +677,7 @@ def _lift(Us, s0: GaussianAmplitude, tol: Tolerances):
                 "not unitary: residual %.3e", resid, entry="sample")
     if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
         raise InvariantViolation("path must start at the identity")
-    W = _times(Us, _adjoint(Us[0]))
+    W = _times(Us, Us[0].conj().T)
     steps = _det_phase_steps(Us, tol, "sample %d to %d", np.arange(len(Us)))[1]
     return (*_closed_law(W, np.concatenate([[0.0], np.cumsum(steps)]), s0, tol), W)
 

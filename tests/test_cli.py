@@ -407,6 +407,27 @@ def with_field(spec, field, value):
     pytest.param({**KASHIWARA, "seed": 2.7}, "spec.seed", id="seed-float"),
     pytest.param({"command": "verify", **CIRCLE_LOOP, "chart": {**CUSTOM, "q": {"coss": [[1, 1]]}}},
                  "chart.q.coss", id="series-unknown-key"),
+    # rival fields, mismatched parts, falsy stand-ins and one-sample paths
+    pytest.param({"command": "verify", "path": {"kind": "interval", "stop": [1.0]},
+                  "chart": {"name": "gradient_graph", "phi_coeffs": [0, 0, 0.5],
+                            "hessian": [[5.0]]}}, "chart", id="phi-coeffs-and-hessian"),
+    pytest.param({"command": "verify", "path": {"kind": "interval", "stop": [1.0]},
+                  "chart": {"name": "flat_plane", "frame": [[1.0], [0.0]], "angle": 0.5}},
+                 "chart", id="frame-and-angle"),
+    pytest.param({"command": "index", "index": {"leray": {
+        "x": {"w_re": [[-1]], "w_im": [[0, 0], [0, 0]], "theta": 0.0},
+        "y": {"w_re": [[1.0]], "w_im": [[0.0]], "theta": 0.0}}}},
+        "spec.index.leray.x.w_im", id="w-parts-of-two-shapes"),
+    pytest.param({**KASHIWARA, "output": []}, "spec.output", id="output-list"),
+    pytest.param({**KASHIWARA, "tolerances": 0}, "spec.tolerances", id="tolerances-zero"),
+    *[pytest.param(with_field({"command": "verify", **spec}, "path.samples", k),
+                   "path.samples", id="%s-samples-%d" % (spec["path"]["kind"], k))
+      for spec in (CIRCLE_LOOP, TORUS_LOOP,
+                   {"chart": {"name": "circle"}, "path": {"kind": "interval", "stop": [1.0]}})
+      for k in (0, 1)],
+    pytest.param({"command": "verify", "chart": {"name": "circle"},
+                  "path": {"kind": "samples", "values": [0.5]}}, "path.values",
+                 id="one-value"),
 ])
 def test_spec_values_are_type_checked_where_read(tmp_path, spec, field):
     with pytest.raises(SpecError, match=r"^%s: " % re.escape(field)):

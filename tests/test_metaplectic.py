@@ -189,7 +189,7 @@ I2 = np.eye(2)
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: GaussianAmplitude(1, np.ones((2, 3))), InvariantViolation,
-     r"^Gaussian matrix must be square, shape \(\.\.\., n, n\); got \(2, 3\)$"),
+     r"^Gaussian matrix must be square, shape \(n, n\); got \(2, 3\)$"),
     (lambda: GaussianAmplitude(1, np.ones(3)), InvariantViolation,
      r"^Gaussian matrix must be square"),
     (lambda: GaussianAmplitude(np.ones(2), np.ones((2, 1, 3))), InvariantViolation,
@@ -204,12 +204,31 @@ I2 = np.eye(2)
      r"^generator over n = 3 applied to a state over n = 2$"),
     (lambda: apply_generator(Chirp(np.eye(1)), ground_state(2)), DimensionMismatch,
      r"^generator over n = 1 applied to a state over n = 2$"),
-    (lambda: apply_generator(Chirp(np.stack([I2] * 3)), ground_state(3)), DimensionMismatch,
-     r"^generator over n = 2 applied to a state over n = 3$"),
+    # one state or generator at a time: a stack of any of their data raises
+    (lambda: GaussianAmplitude(np.ones(2), I2), InvariantViolation,
+     r"^state scalar c must be finite and a single number$"),
+    (lambda: GaussianAmplitude(np.ones(1), I2), InvariantViolation,
+     r"^state scalar c must be finite and a single number$"),
+    (lambda: GaussianAmplitude(1, np.stack([I2] * 3)), InvariantViolation,
+     r"^Gaussian matrix must be square, shape \(n, n\); got \(3, 2, 2\)$"),
+    (lambda: ground_state(2).scaled(np.ones(3)), InvariantViolation,
+     r"^state scalar c must be finite and a single number$"),
+    (lambda: Dilate(np.stack([I2] * 3), 0), InvariantViolation, r"^dilation matrix must be square"),
+    (lambda: Chirp(np.stack([I2] * 3)), InvariantViolation, r"^chirp matrix must be square"),
+    (lambda: QuadraticFourier(np.stack([I2] * 3), I2, I2, 0), InvariantViolation,
+     r"^P, L and Q must be square"),
+    (lambda: QuadraticFourier(I2, np.stack([I2] * 3), I2, 0), InvariantViolation,
+     r"^P, L and Q must be square"),
+    (lambda: QuadraticFourier(I2, I2, np.stack([I2] * 3), 0), InvariantViolation,
+     r"^P, L and Q must be square"),
+    (lambda: det_branch_power(np.stack([I2] * 3), -0.5), InvariantViolation,
+     r"^determinant branch needs a square matrix; got \(3, 2, 2\)$"),
+    (lambda: det_branch_power(np.ones((2, 3)), -0.5), InvariantViolation,
+     r"^determinant branch needs a square matrix; got \(2, 3\)$"),
 ])
 def test_mis_shaped_gaussian_data_raise_typed_errors(make, error, message):
-    # the parent raised ValueError, AxisError or LinAlgError here, or
-    # broadcast a 1 x 1 chirp over an n = 2 state
+    # the parent raised ValueError, AxisError, LinAlgError or TypeError here,
+    # broadcast a 1 x 1 chirp over an n = 2 state, or took a stack
     with pytest.raises(error, match=message):
         make()
 
@@ -401,46 +420,6 @@ def norm_without_underflow(s):
     return np.sqrt(l2_norm_squared(unit)) * a
 
 
-def test_stacked_generators_act_entrywise(rng):
-    # a stack of generators on a stack of states equals each generator on
-    # its own state
-    n, S = 2, 3
-    basis = hermite_state(3, n).poly.basis
-    vecs = rng.normal(size=(S, basis.size)) + 1j * rng.normal(size=(S, basis.size))
-    cs = 0.5 + np.arange(S) - 0.3j
-    Ms = np.array([(1.0 + k) * np.eye(n) + 0.2j * k for k in range(S)])
-    stack = GaussianAmplitude(cs, Ms, Polynomial._dense(basis, vecs))
-    B = rng.normal(size=(S, n, n))
-    B = B + np.swapaxes(B, 1, 2)
-    A = np.eye(n) + 0.3 * rng.normal(size=(S, n, n))
-    for gen, singles in ((JHat(), [JHat()] * S), (Chirp(B), [Chirp(b) for b in B]),
-                         (Dilate(A, 3), [Dilate(a, 3) for a in A])):
-        out = apply_generator(gen, stack)
-        for k, single in enumerate(singles):
-            want = apply_generator(single, GaussianAmplitude(
-                cs[k], Ms[k], Polynomial._dense(basis, vecs[k])))
-            assert abs(out.c[k] - want.c) <= 1e-14 * abs(want.c)
-            assert np.max(np.abs(out.M[k] - want.M)) <= 1e-14 * np.max(np.abs(want.M))
-            assert np.max(np.abs(out.poly.vec[k] - want.poly.vec)) \
-                <= 1e-13 * np.max(np.abs(want.poly.vec))
-
-
-def test_stacks_name_their_bad_entry():
-    I = np.eye(2)
-    B = np.stack([I] * 4)
-    B[2, 0, 1] = 0.5
-    with pytest.raises(InvariantViolation, match="symmetric at stack entry 2$"):
-        Chirp(B)
-    A = np.stack([I] * 4)
-    A[1] = [[1.0, 2.0], [2.0, 4.0]]
-    with pytest.raises(InvariantViolation, match="invertible at stack entry 1$"):
-        Dilate(A, 0)
-    M = np.stack([I] * 4).astype(complex)
-    M[3] = np.diag([1.0, -0.5])
-    with pytest.raises(StateDomainError, match="min eig -5.000e-01 at stack entry 3$"):
-        GaussianAmplitude(np.ones(4), M)
-
-
 # ---------------------------------------------------------------------------
 # quadratic Fourier transforms
 
@@ -488,6 +467,22 @@ def test_round_trip_random(rng):
         assert np.max(np.abs(qf2.P - qf.P)) < 1e-8
         assert np.max(np.abs(qf2.L - qf.L)) < 1e-8
         assert np.max(np.abs(qf2.Q - qf.Q)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quad_fourier_word_is_the_public_generator_word_bit_for_bit(n, rng):
+    # apply_quad_fourier builds its generators without their checks; the
+    # public constructors would accept them and store the same bits
+    for _ in range(20):
+        P, Q, L = (rng.normal(size=(n, n)) for _ in range(3))
+        qf = QuadraticFourier(P + P.T, L + 2 * np.eye(n), Q + Q.T, int(rng.integers(0, 4)))
+        for q in (qf, adjoint_quad_fourier(qf)):
+            s = random_state(n, rng)
+            got = apply_quad_fourier(q, s)
+            for gen in (Chirp(-q.Q), JHat(), Dilate(q.L.T, q.m), Chirp(-q.P)):
+                s = apply_generator(gen, s)
+            assert (got.c, got.M.tobytes(), got.poly.vec.tobytes()) \
+                == (s.c, s.M.tobytes(), s.poly.vec.tobytes())
 
 
 def test_apply_orthogonal_pair_phase(rng):
