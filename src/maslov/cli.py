@@ -345,6 +345,8 @@ def _run_verify(spec, tol):
     else:
         levels = _require(spec, "levels", "spec", (None, COUNT), [0, 1, 2])
         rep = verify_theorem2(chart, ppath, tol, levels=tuple(levels))
+        if rep["case"] == "transverse" and "levels" in spec:
+            raise SpecError("spec.levels", "read at tangent endpoints; this one is transverse")
     return rep, rep["pass"]
 
 

@@ -178,17 +178,23 @@ def _det_phase_steps(U: np.ndarray, tol: Tolerances, ends: str, labels):
     return dets, steps
 
 
+def _integer(v, message: str, error=InvariantViolation, low=None) -> int:
+    """v as an int: an integer (numpy's too, not a stack) of at least low if
+    low is given, else error(message % (v,))."""
+    try:
+        k = operator.index(v)
+    except TypeError:
+        k = None
+    if k is None or low is not None and k < low:
+        raise error(message % (v,))
+    return k
+
+
 def check_depth(max_depth) -> int:
     """A refinement depth as an int: an integer (numpy's too) that is not
     negative, else SamplingError naming the value."""
-    try:
-        depth = operator.index(max_depth)
-    except TypeError:
-        depth = -1
-    if depth < 0:
-        raise SamplingError("refinement depth must be non-negative and integral, got %r"
-                            % (max_depth,))
-    return depth
+    return _integer(max_depth, "refinement depth must be non-negative and integral, got %r",
+                    SamplingError, 0)
 
 
 def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, _set_fields, check_depth, check_stack, embed_unitary, omega_gram)
+                   Tolerances, _integer, _set_fields, check_depth, check_stack, embed_unitary,
+                   omega_gram)
 from .errors import (CaseError, ImmersionError, InvariantViolation,
                      SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
@@ -38,9 +39,6 @@ from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
 #: Transport refinement bound: maximum frame increment per accepted step.
 FRAME_INCREMENT_BOUND = 1e-2
 
-#: Central-difference step of the Jacobians of a chart without a jacobian.
-FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class LagrangianChart:
@@ -48,13 +46,12 @@ class LagrangianChart:
     vanishing pullback of the symplectic form.
 
     Both callables take a stack of parameters, shape (N, n): point returns the
-    points, (N, 2n), and jacobian the Jacobians, (N, 2n, n).  Without a
-    jacobian, central differences of point are taken on the whole stack.
+    points, (N, 2n), and jacobian their closed-form Jacobians, (N, 2n, n).
     """
 
     n: int
     point: Callable
-    jacobian: Callable = None
+    jacobian: Callable
     tag: str = "custom"
 
     def points(self, us) -> np.ndarray:
@@ -65,15 +62,7 @@ class LagrangianChart:
     def jacobians(self, us) -> np.ndarray:
         """The Jacobians at a parameter stack, shape (N, 2n, n)."""
         us = np.asarray(us, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(us), dtype=float).reshape(
-                len(us), 2 * self.n, self.n)
-        J = np.empty((len(us), 2 * self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = FD_STEP
-            J[:, :, j] = (self.points(us + e) - self.points(us - e)) / (2 * FD_STEP)
-        return J
+        return np.asarray(self.jacobian(us), dtype=float).reshape(len(us), 2 * self.n, self.n)
 
     def at(self, u) -> np.ndarray:
         return self.points(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
@@ -216,10 +205,9 @@ class ParamPath:
 
     @classmethod
     def torus_loop(cls, winding, k: int, base=(0.0, 0.0)) -> "ParamPath":
-        a, b = int(winding[0]), int(winding[1])
+        a, b = (_integer(w, "torus winding must be integral, got %r") for w in winding)
         base = np.asarray(base, dtype=float)
-        stop = base + 2 * np.pi * np.array([a, b], dtype=float)
-        return cls.line(base, stop, k, closed=True)
+        return cls.line(base, base + 2 * np.pi * np.array([a, b], dtype=float), k, closed=True)
 
     def reversed(self) -> "ParamPath":
         return ParamPath(self.samples[::-1], self.closed)

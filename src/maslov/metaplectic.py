@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _det_phase_steps, _set_fields, _trusted, _unitarity_residuals,
+                   _det_phase_steps, _integer, _set_fields, _trusted, _unitarity_residuals,
                    check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
@@ -194,10 +195,11 @@ def _pair_table(n: int, D1: int, D2: int) -> np.ndarray:
 
 
 class Polynomial:
-    """Multivariate polynomial with complex coefficients, stored as the dense
-    vector ``vec`` over the graded monomial basis ``basis`` of its arity and
-    a degree bound.  ``Polynomial(n, {exponent: coeff})`` builds one from a
-    mapping, and ``coeffs`` gives the nonzero entries back as one."""
+    """Multivariate polynomial with complex coefficients: the dense vector
+    ``vec`` over the graded monomial basis ``basis`` of its arity and a degree
+    bound, with no algebra; the generators substitute into it.
+    ``Polynomial(n, {exponent: coeff})`` builds one from a mapping, and
+    ``coeffs`` gives the nonzero entries back as one."""
 
     __slots__ = ("basis", "vec")
 
@@ -225,12 +227,6 @@ class Polynomial:
     def constant(cls, value, n: int) -> "Polynomial":
         return cls(n, {(0,) * n: value})
 
-    @classmethod
-    def coordinate(cls, j: int, n: int) -> "Polynomial":
-        e = [0] * n
-        e[j] = 1
-        return cls(n, {tuple(e): 1.0})
-
     @property
     def n(self) -> int:
         return self.basis.n
@@ -247,42 +243,6 @@ class Polynomial:
     @property
     def degree(self):
         return int(self.basis.deg[self.vec != 0].max(initial=0))
-
-    def _padded(self, D: int) -> np.ndarray:
-        """The coefficients over the basis of degree D >= the own one."""
-        out = np.zeros(_basis(self.n, D).size, dtype=complex)
-        out[:len(self.vec)] = self.vec
-        return out
-
-    def _check_arity(self, other: "Polynomial"):
-        if other.n != self.n:
-            raise DimensionMismatch("polynomials in %d and %d variables" % (self.n, other.n))
-
-    def __add__(self, other):
-        self._check_arity(other)
-        D = max(self.basis.D, other.basis.D)
-        return Polynomial._dense(_basis(self.n, D), self._padded(D) + other._padded(D))
-
-    def __mul__(self, other):
-        """p q, each product of coefficients added at the position of the
-        summed exponents."""
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check_arity(other)
-        b = _basis(self.n, self.basis.D + other.basis.D)
-        vec = np.zeros(b.size, dtype=complex)
-        np.add.at(vec, _pair_table(self.n, self.basis.D, other.basis.D),
-                  np.outer(self.vec, other.vec))
-        return Polynomial._dense(b, vec)
-
-    __rmul__ = __mul__
-
-    def scale(self, a) -> "Polynomial":
-        return Polynomial._dense(self.basis, a * self.vec)
-
-    def diff(self, j: int) -> "Polynomial":
-        low = _basis(self.n, max(self.basis.D - 1, 0))
-        return Polynomial._dense(low, self.basis.diff(self.vec, j)[:low.size])
 
     def compose_linear(self, T: np.ndarray) -> "Polynomial":
         """p(T x): substitute each coordinate x_j by the linear form (T x)_j,
@@ -340,10 +300,18 @@ class GaussianAmplitude:
 
 def _scalar(c) -> complex:
     """c as one finite complex number, else InvariantViolation."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim or not np.isfinite(c):
+    try:
+        c = np.asarray(c, dtype=complex)
+    except (TypeError, ValueError):
+        c = None
+    if c is None or c.ndim or not np.isfinite(c):
         raise InvariantViolation("state scalar c must be finite and a single number")
     return complex(c)
+
+
+def _branch(m) -> int:
+    """A branch integer m mod 4, else InvariantViolation."""
+    return _integer(m, "branch integer m must be an integer, got %r") % 4
 
 
 def ground_state(n: int) -> GaussianAmplitude:
@@ -422,7 +390,7 @@ class Dilate:
     m: int
 
     def __init__(self, A, m: int, tol: Tolerances = DEFAULT_TOLERANCES):
-        _set_fields(self, A=_matrix(A, "dilation matrix", tol, invertible=True), m=int(m) % 4)
+        _set_fields(self, A=_matrix(A, "dilation matrix", tol, invertible=True), m=_branch(m))
 
 
 @dataclass(frozen=True)
@@ -492,7 +460,7 @@ class QuadraticFourier:
         L = _matrix(L, "P, L and Q", tol, invertible=True)
         if not len(P) == len(L) == len(Q):
             raise DimensionMismatch("P, L and Q must be over one n")
-        _set_fields(self, P=P, L=L, Q=Q, m=int(m) % 4)
+        _set_fields(self, P=P, L=L, Q=Q, m=_branch(m))
 
     @property
     def n(self):
@@ -500,7 +468,7 @@ class QuadraticFourier:
 
     def with_branch(self, m: int) -> "QuadraticFourier":
         # only the branch changes; P, L and Q stay as checked under their tolerance
-        return _trusted(QuadraticFourier, P=self.P, L=self.L, Q=self.Q, m=int(m) % 4)
+        return _trusted(QuadraticFourier, P=self.P, L=self.L, Q=self.Q, m=_branch(m))
 
 
 def quad_fourier_from_symplectic(S: SymplecticMatrix, m: int,
@@ -763,10 +731,10 @@ def apply_word_to_delta(A: np.ndarray, m: int,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> DistributionState:
     """Dual action of an orthogonal-endpoint word on the Dirac functional:
     i^{-m} times the Dirac functional again."""
-    A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A.T @ A - np.eye(A.shape[0]))) > 100 * tol.residual_tol:
+    A = _matrix(A, "endpoint word matrix", tol)
+    if np.max(np.abs(A.T @ A - np.eye(len(A)))) > 100 * tol.residual_tol:
         raise CaseError("endpoint word is not orthogonal-type")
-    return DistributionState(DELTA, quarter_turn(-m))
+    return DistributionState(DELTA, quarter_turn(-_branch(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,23 +758,17 @@ def hermite_state(l, n: int) -> GaussianAmplitude:
     """Oscillator eigenstate at level l: a Hermite polynomial times the ground
     state, spanning a vector of the eigenspace with eigenvalue -(l + n/2).
 
-    An integer level places H_l on the first coordinate; a multi-index gives
-    the product state with total level sum(l).
+    An integer level places H_l on the first coordinate; a multi-index of
+    non-negative integers gives the product state with total level sum(l),
+    its coefficient at x^gamma the product of those of x_j^gamma_j in H_{l_j}.
     """
-    if isinstance(l, (int, np.integer)):
-        levels = (int(l),) + (0,) * (n - 1)
-    else:
-        levels = tuple(int(v) for v in l)
-        if len(levels) != n:
-            raise DimensionMismatch("multi-index length must equal n")
-    if any(v < 0 for v in levels):
-        raise InvariantViolation("levels must be nonnegative")
-    poly = Polynomial.constant(1.0, n)
-    for j, k in enumerate(levels):
-        cj = _hermite_coeffs(k)
-        pj = Polynomial(n, {tuple(d * (i == j) for i in range(n)): c
-                            for d, c in enumerate(cj) if c != 0.0})
-        poly = poly * pj
+    levels = (l,) + (0,) * (n - 1) if np.ndim(l) == 0 else tuple(l)
+    if len(levels) != n:
+        raise DimensionMismatch("multi-index length must equal n")
+    levels = [_integer(v, "levels must be nonnegative integers, got %r", low=0) for v in levels]
+    supports = [[(d, c) for d, c in enumerate(_hermite_coeffs(k)) if c != 0.0] for k in levels]
+    poly = Polynomial(n, {tuple(d for d, _ in terms): math.prod(c for _, c in terms)
+                          for terms in itertools.product(*supports)})
     return GaussianAmplitude(1.0, np.eye(n), poly)
 
 

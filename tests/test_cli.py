@@ -286,8 +286,10 @@ def test_fields_a_command_does_not_read_are_rejected(tmp_path, spec, field):
 
 
 def test_fields_each_theorem_reads_are_accepted():
-    _, code, _ = run({"command": "verify", **CIRCLE_ARC, **LEVELS})
-    assert code == 0
+    # theorem 2 reads levels at a tangent endpoint: the half arc's
+    report, code, _ = run({"command": "verify", "chart": {"name": "circle"},
+                           "path": {"kind": "arc", "turns": 0.5}, **LEVELS})
+    assert code == 0 and report["results"]["case"] == "tangent"
     _, code, _ = run({"command": "verify", "theorem": "corollary1",
                       "chart": {"name": "circle"}, **LOOPS})
     assert code == 0
@@ -428,6 +430,11 @@ def with_field(spec, field, value):
     pytest.param({"command": "verify", "chart": {"name": "circle"},
                   "path": {"kind": "samples", "values": [0.5]}}, "path.values",
                  id="one-value"),
+    # levels are read by the tangent case only: a transverse endpoint rejects them
+    pytest.param({"command": "verify", **CIRCLE_ARC, "theorem": "2", "levels": [7, 11]},
+                 "spec.levels", id="levels-at-a-transverse-endpoint"),
+    pytest.param({"command": "verify", **CIRCLE_ARC, "levels": [0, 1, 2]},
+                 "spec.levels", id="default-levels-given-at-a-transverse-endpoint"),
 ])
 def test_spec_values_are_type_checked_where_read(tmp_path, spec, field):
     with pytest.raises(SpecError, match=r"^%s: " % re.escape(field)):

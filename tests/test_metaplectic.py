@@ -8,6 +8,7 @@ The one-dimensional quadrature oracle below applies the oscillatory kernel
 directly on a grid, independently of the generator-word implementation.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -185,6 +186,7 @@ def test_metaplectic_types_reject_nan():
 
 
 I2 = np.eye(2)
+BRANCH = r"^branch integer m must be an integer, got "
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -225,6 +227,29 @@ I2 = np.eye(2)
      r"^determinant branch needs a square matrix; got \(3, 2, 2\)$"),
     (lambda: det_branch_power(np.ones((2, 3)), -0.5), InvariantViolation,
      r"^determinant branch needs a square matrix; got \(2, 3\)$"),
+    # branch integers and levels are integers, and the scalar and the
+    # endpoint word are checked at their boundary
+    (lambda: Dilate(I2, 1.5), InvariantViolation, BRANCH + r"1\.5$"),
+    (lambda: Dilate(I2, np.array([1, 2])), InvariantViolation, BRANCH + r"array\(\[1, 2\]\)$"),
+    (lambda: QuadraticFourier(I2, I2, I2, 2.7), InvariantViolation, BRANCH + r"2\.7$"),
+    (lambda: QuadraticFourier(I2, I2, I2, np.array([1, 2])), InvariantViolation, BRANCH),
+    (lambda: QuadraticFourier(I2, I2, I2, 1).with_branch(2.7), InvariantViolation,
+     BRANCH + r"2\.7$"),
+    (lambda: QuadraticFourier(I2, I2, I2, 1).with_branch(np.ones(2, dtype=int)),
+     InvariantViolation, BRANCH),
+    (lambda: hermite_state(2.7, 1), InvariantViolation,
+     r"^levels must be nonnegative integers, got 2\.7$"),
+    (lambda: hermite_state((1, 0.5), 2), InvariantViolation,
+     r"^levels must be nonnegative integers, got 0\.5$"),
+    (lambda: hermite_state(-1, 1), InvariantViolation,
+     r"^levels must be nonnegative integers, got -1$"),
+    (lambda: GaussianAmplitude("abc", I2), InvariantViolation,
+     r"^state scalar c must be finite and a single number$"),
+    (lambda: apply_word_to_delta(np.stack([I2] * 3), 0), InvariantViolation,
+     r"^endpoint word matrix must be square, shape \(n, n\); got \(3, 2, 2\)$"),
+    (lambda: apply_word_to_delta(I2, 1.5), InvariantViolation, BRANCH + r"1\.5$"),
+    (lambda: apply_word_to_delta(np.full((2, 2), np.nan), 0), InvariantViolation,
+     r"^endpoint word matrix must be finite$"),
 ])
 def test_mis_shaped_gaussian_data_raise_typed_errors(make, error, message):
     # the parent raised ValueError, AxisError, LinAlgError or TypeError here,
@@ -233,19 +258,22 @@ def test_mis_shaped_gaussian_data_raise_typed_errors(make, error, message):
         make()
 
 
+def test_numpy_integers_are_branch_integers_and_levels():
+    qf = QuadraticFourier(I2, I2, I2, np.int64(7))
+    assert Dilate(I2, np.int32(5)).m == 1 and qf.m == 3 and qf.with_branch(np.int8(-1)).m == 3
+    assert type(qf.m) is int and type(qf.with_branch(np.int64(2)).m) is int
+    assert hermite_state(np.int64(2), 1).poly.vec.tobytes() == \
+        hermite_state(2, 1).poly.vec.tobytes()
+
+
 def test_polynomial_surface():
     p = Polynomial(2, {(2, 0): 1.5, (0, 1): -1j, (1, 1): 0})
     assert p.coeffs == {(2, 0): 1.5 + 0j, (0, 1): -1j}
     assert p.degree == 2 and not p.is_constant()
     assert Polynomial.constant(3.0, 2).is_constant() and Polynomial(2).degree == 0
     assert abs(p([0.5, 2.0]) - (0.375 - 2j)) < 1e-15
-    assert (p * Polynomial.coordinate(1, 2)).coeffs == {(2, 1): 1.5 + 0j, (0, 2): -1j}
-    assert p.diff(0).coeffs == {(1, 0): 3.0 + 0j}
-    assert (p + p.scale(-1.0)).coeffs == {}
     with pytest.raises(DimensionMismatch):
         Polynomial(2, {(1,): 1.0})
-    with pytest.raises(DimensionMismatch):
-        p + Polynomial.constant(1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1035,7 @@ def chirped_cases(rng, dims=(2, 3, 4)):
     def rotations(Q, lam):
         return lambda t: (Q * np.exp(1j * np.multiply.outer(t, lam))[:, None, :]) @ Q.conj().T
 
-    cases = [(np.array([[1.0 + 2.0j]]), Polynomial.coordinate(0, 1),
+    cases = [(np.array([[1.0 + 2.0j]]), Polynomial(1, {(1,): 1.0}),
               rotations(np.eye(1), [1.0]))]
     for n in dims:
         B = rng.normal(size=(n, n))
@@ -1374,17 +1402,47 @@ def test_hermite_against_numpy(rng):
 
 
 def test_hermite_eigenvalue_check():
-    # symbolic differentiation oracle on H2: the oscillator acts by -(l + n/2)
+    # symbolic differentiation oracle on H2, in dict arithmetic: the
+    # oscillator acts by -(l + n/2), so -p'' + 2 x p' - 4 p = 0
     h2 = hermite_state(2, 1)
     assert oscillator_level(h2) == 2
-    p = h2.poly
-    lhs = Polynomial(1)
-    lhs = lhs + p.diff(0).diff(0).scale(-1.0) \
-        + Polynomial.coordinate(0, 1) * p.diff(0).scale(2.0)
-    resid = lhs + p.scale(-4.0)
-    assert all(abs(v) < 1e-12 for v in resid.coeffs.values())
+    p = h2.poly.coeffs
+
+    def d(q):
+        return {(k - 1,): k * v for (k,), v in q.items() if k}
+
+    resid = {}
+    for q, w in ((d(d(p)), -1.0), (_dict_times_linear(d(p), [1.0]), 2.0), (p, -4.0)):
+        for k, v in q.items():
+            _dict_add_to(resid, k, w * v)
+    assert resid and all(abs(v) < 1e-12 for v in resid.values())
     assert oscillator_level(hermite_state((1, 1), 2)) == 2
     assert oscillator_level(hermite_state(1, 2)) == 1
+
+
+def dict_hermite_product(levels):
+    """Coefficients of prod_j H_{l_j}(x_j) in dict arithmetic, each H_l from
+    numpy's Hermite-to-power conversion, multiplied one factor at a time."""
+    from numpy.polynomial.hermite import herm2poly
+    out = {(): 1.0}
+    for level in levels:
+        h = herm2poly([0.0] * level + [1.0])
+        out = {k + (d,): v * c for k, v in out.items() for d, c in enumerate(h) if c != 0}
+    return out
+
+
+def test_hermite_state_is_the_dict_product_bit_for_bit():
+    for n in range(1, 5):
+        cases = [(level,) + (0,) * (n - 1) for level in range(9)]
+        cases += list(itertools.product(range(4), repeat=n))
+        for levels in cases:
+            poly = hermite_state(levels, n).poly
+            want = np.zeros(poly.basis.size, dtype=complex)
+            for k, v in dict_hermite_product(levels).items():
+                want[poly.basis.index[k]] = v
+            assert poly.basis.D == sum(levels) and poly.vec.tobytes() == want.tobytes()
+            if levels[1:] == (0,) * (n - 1):
+                assert hermite_state(levels[0], n).poly.vec.tobytes() == poly.vec.tobytes()
 
 
 def test_eigenspace_dimension_bookkeeping():
