@@ -206,7 +206,10 @@ def build_chart(spec, path="chart"):
         return circle_chart(float(_require(spec, "radius", path, NUM, 1.0)))
     if name == "product_torus":
         _check_keys(spec, {"name", "radii"}, path)
-        return product_torus_chart(tuple(_require(spec, "radii", path, (2, NUM), (1.0, 1.0))))
+        radii = _require(spec, "radii", path, (None, NUM), (1.0, 1.0))
+        if not radii:
+            raise SpecError("%s.radii" % path, "must hold at least one radius")
+        return product_torus_chart(tuple(radii))
     if name == "gradient_graph":
         _check_keys(spec, {"name", "phi_coeffs", "hessian"}, path)
         if ("phi_coeffs" in spec) == ("hessian" in spec):
@@ -242,9 +245,9 @@ def build_path(spec, chart, path="path") -> ParamPath:
                               _require(spec, "closed", path, "boolean", False))
     if kind == "torus_loop":
         _check_keys(spec, {"kind", "winding", "samples", "base"}, path)
-        return ParamPath.torus_loop(_require(spec, "winding", path, (2, "integer")),
+        return ParamPath.torus_loop(_require(spec, "winding", path, (n, "integer")),
                                     _require(spec, "samples", path, SAMPLES, 400),
-                                    tuple(_require(spec, "base", path, (2, NUM), (0.0, 0.0))))
+                                    _require(spec, "base", path, (n, NUM), [0.0] * n))
     if kind == "samples":
         _check_keys(spec, {"kind", "values", "closed"}, path)
         values = _require(spec, "values", path, (None, n, NUM) if n > 1 else (None, NUM))
@@ -369,12 +372,9 @@ def _run_report(spec, tol):
             torus, [results["torus_loop_10"], results["torus_loop_01"]])),
     ]
     results = {}
-    ok = True
-    for name, fn in cases:
-        rep = fn()
-        results[name] = rep
-        ok = ok and rep["pass"]
-    return results, ok
+    for name, fn in cases:  # in order: torus_corollary1 reads earlier entries
+        results[name] = fn()
+    return results, all(rep["pass"] for rep in results.values())
 
 
 _COMMANDS = {"index": _run_index, "holonomy": _run_holonomy,

@@ -190,13 +190,6 @@ def _integer(v, message: str, error=InvariantViolation, low=None) -> int:
     return k
 
 
-def check_depth(max_depth) -> int:
-    """A refinement depth as an int: an integer (numpy's too) that is not
-    negative, else SamplingError naming the value."""
-    return _integer(max_depth, "refinement depth must be non-negative and integral, got %r",
-                    SamplingError, 0)
-
-
 def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:
     """A read-only complex copy of U (or of its entries), checked square, then
     symmetric if a message for that is given, then unitary."""

@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, _integer, _set_fields, check_depth, check_stack, embed_unitary,
+                   Tolerances, _integer, _set_fields, check_stack, embed_unitary,
                    omega_gram)
-from .errors import (CaseError, ImmersionError, InvariantViolation,
-                     SamplingError)
+from .errors import (CaseError, DimensionMismatch, ImmersionError,
+                     InvariantViolation, SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
 from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
                           apply_generator, apply_to_delta, apply_word_to_delta,
@@ -76,36 +76,33 @@ class LagrangianChart:
         _tangent_bases(self, np.atleast_1d(np.asarray(u, dtype=float))[None], tol)
 
 
-def _constant(M: np.ndarray) -> Callable:
-    """The stacked callable us -> (M, ..., M), one copy per parameter."""
-    return lambda us: np.broadcast_to(M, (len(us),) + M.shape)
-
-
 def circle_chart(radius: float = 1.0) -> LagrangianChart:
-    """Unit-speed circle u -> (r cos u, r sin u) in (q, p)."""
-    r = float(radius)
-    return LagrangianChart(
-        1,
-        point=lambda us: np.stack([r * np.cos(us[:, 0]), r * np.sin(us[:, 0])], axis=1),
-        jacobian=lambda us: np.stack([-r * np.sin(us[:, 0]), r * np.cos(us[:, 0])],
-                                     axis=1)[:, :, None],
-        tag="circle")
+    """Unit-speed circle u -> (r cos u, r sin u) in (q, p), the Clifford torus T^1."""
+    return replace(product_torus_chart((radius,)), tag="circle")
 
 
 def product_torus_chart(radii=(1.0, 1.0)) -> LagrangianChart:
-    """Clifford-type torus (u1, u2) -> (r1 cos u1, r2 cos u2, r1 sin u1, r2 sin u2)."""
-    r = np.array([float(radii[0]), float(radii[1])])
-
-    def pt(us):
-        return np.concatenate([r * np.cos(us), r * np.sin(us)], axis=1)
+    """Clifford torus T^n = S^1(r_1) x ... x S^1(r_n) in C^n, n = len(radii):
+    u -> (r_1 cos u_1, ..., r_n cos u_n, r_1 sin u_1, ..., r_n sin u_n)."""
+    r = np.array([float(v) for v in radii])
+    n, j = len(r), np.arange(len(r))
+    if not n:
+        raise InvariantViolation("a torus needs at least one radius")
 
     def jac(us):
-        J = np.zeros((len(us), 4, 2))
-        J[:, [0, 1], [0, 1]] = -r * np.sin(us)
-        J[:, [2, 3], [0, 1]] = r * np.cos(us)
+        J = np.zeros((len(us), 2 * n, n))
+        J[:, j, j] = -r * np.sin(us)
+        J[:, n + j, j] = r * np.cos(us)
         return J
 
-    return LagrangianChart(2, point=pt, jacobian=jac, tag="product_torus")
+    return LagrangianChart(n, point=lambda us: np.concatenate([r * np.cos(us), r * np.sin(us)], 1),
+                           jacobian=jac, tag="product_torus")
+
+
+def _linear_chart(A: np.ndarray, tag: str) -> LagrangianChart:
+    """The Lagrangian plane u -> A u, with the constant Jacobian A (2n x n)."""
+    return LagrangianChart(A.shape[1], lambda us: us @ A.T,
+                           lambda us: np.broadcast_to(A, (len(us),) + A.shape), tag)
 
 
 def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
@@ -113,7 +110,8 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
     """Graph of an exact gradient: u -> (u, grad phi(u)).
 
     Either a coefficient list of a one-variable polynomial phi, or a constant
-    Hessian H for the quadratic phi(u) = <H u, u>/2 in any dimension.
+    Hessian H for the quadratic phi(u) = <H u, u>/2 in any dimension, the
+    linear chart u -> [I; H] u.
     """
     if (phi_coeffs is None) == (hessian is None):
         raise InvariantViolation("give exactly one of phi_coeffs or hessian")
@@ -123,21 +121,16 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
             {"poly": [0.0, 1.0]}, {"poly": [j * c[j] for j in range(1, len(c))]}),
             tag="gradient_graph")
     H = np.asarray(hessian, dtype=float)
+    if H.ndim != 2 or not 0 < len(H) == H.shape[1]:
+        raise InvariantViolation("hessian must be a square matrix, got shape %s" % (H.shape,))
     if np.max(np.abs(H - H.T)) > 1e-12:
         raise InvariantViolation("hessian must be symmetric")
-    n = H.shape[0]
-    return LagrangianChart(
-        n,
-        point=lambda us: np.concatenate([us, us @ H.T], axis=1),
-        jacobian=_constant(np.vstack([np.eye(n), H])),
-        tag="gradient_graph")
+    return _linear_chart(np.vstack([np.eye(len(H)), H]), "gradient_graph")
 
 
 def flat_plane_chart(frame: LagrangianFrame) -> LagrangianChart:
-    """Affine Lagrangian plane u -> F u spanned by a fixed frame."""
-    F = frame.orthonormalized().columns
-    return LagrangianChart(frame.n, point=lambda us: us @ F.T,
-                           jacobian=_constant(F), tag="flat_plane")
+    """Lagrangian plane u -> F u spanned by a fixed frame, orthonormalized."""
+    return _linear_chart(frame.orthonormalized().columns, "flat_plane")
 
 
 def curve_chart_from_series(qspec: dict, pspec: dict) -> LagrangianChart:
@@ -194,6 +187,7 @@ class ParamPath:
     def line(cls, start, stop, k: int, closed: bool = False) -> "ParamPath":
         start = np.atleast_1d(np.asarray(start, dtype=float))
         stop = np.atleast_1d(np.asarray(stop, dtype=float))
+        k = _integer(k, "sample count must be a non-negative integer, got %r", low=0)
         t = np.linspace(0.0, 1.0, k)[:, None]
         return cls(start[None, :] * (1 - t) + stop[None, :] * t, closed)
 
@@ -204,10 +198,13 @@ class ParamPath:
         return cls.line([start], [stop], k, closed)
 
     @classmethod
-    def torus_loop(cls, winding, k: int, base=(0.0, 0.0)) -> "ParamPath":
-        a, b = (_integer(w, "torus winding must be integral, got %r") for w in winding)
-        base = np.asarray(base, dtype=float)
-        return cls.line(base, base + 2 * np.pi * np.array([a, b], dtype=float), k, closed=True)
+    def torus_loop(cls, winding, k: int, base=None) -> "ParamPath":
+        """The loop base + 2 pi t w on T^n of n integral windings w, from base 0 by default."""
+        w = np.array([_integer(v, "torus winding must be integral, got %r") for v in winding])
+        base = np.zeros(len(w)) if base is None else np.asarray(base, dtype=float)
+        if base.shape != w.shape:
+            raise DimensionMismatch("torus base needs %d entries, got %r" % (len(w), base.tolist()))
+        return cls.line(base, base + 2 * np.pi * w, k, closed=True)
 
     def reversed(self) -> "ParamPath":
         return ParamPath(self.samples[::-1], self.closed)
@@ -362,7 +359,8 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
     """
     u, n = path.samples, chart.n
-    max_depth = check_depth(max_depth)
+    max_depth = _integer(max_depth, "refinement depth must be non-negative and integral, got %r",
+                         SamplingError, 0)
     if path.closed:
         gap = np.max(np.abs(chart.at(u[0]) - chart.at(u[-1])))
         if not gap <= 1e-7:  # a non-finite endpoint fails too

@@ -204,7 +204,7 @@ class Polynomial:
     __slots__ = ("basis", "vec")
 
     def __init__(self, n: int, coeffs: dict | None = None):
-        terms = {}
+        n, terms = _integer(n, "arity n must be a non-negative integer, got %r", low=0), {}
         for k, v in (coeffs or {}).items():
             k = tuple(int(e) for e in k)
             if len(k) != n or min(k, default=0) < 0:
@@ -316,6 +316,7 @@ def _branch(m) -> int:
 
 def ground_state(n: int) -> GaussianAmplitude:
     """u0(x) = exp(-<x, x>/2)."""
+    n = _integer(n, "dimension n must be a positive integer, got %r", low=1)
     return GaussianAmplitude(1.0, np.eye(n))
 
 
@@ -368,8 +369,8 @@ class DistributionState:
     def __post_init__(self):
         if self.kind not in (DELTA, CONST):
             raise InvariantViolation("kind must be DELTA or CONST")
-        if not np.isfinite(self.c) or self.c == 0:
-            raise InvariantViolation("prefactor must be finite and nonzero")
+        if _scalar(self.c) == 0:
+            raise InvariantViolation("prefactor must be nonzero")
 
     def pair(self, s: GaussianAmplitude) -> complex:
         """Evaluate the functional on a Gaussian amplitude."""
@@ -762,6 +763,7 @@ def hermite_state(l, n: int) -> GaussianAmplitude:
     non-negative integers gives the product state with total level sum(l),
     its coefficient at x^gamma the product of those of x_j^gamma_j in H_{l_j}.
     """
+    n = _integer(n, "dimension n must be a positive integer, got %r", low=1)
     levels = (l,) + (0,) * (n - 1) if np.ndim(l) == 0 else tuple(l)
     if len(levels) != n:
         raise DimensionMismatch("multi-index length must equal n")

@@ -404,6 +404,14 @@ def with_field(spec, field, value):
                  "path.winding", id="winding-float"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.winding", [1, 0, 5]),
                  "path.winding", id="winding-three"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", []),
+                 "chart.radii", id="radii-empty"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", [1.0, 2.0, 1.0]),
+                 "path.winding", id="winding-two-on-a-three-torus"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.base", [0.0, 0.0, 0.0]),
+                 "path.base", id="base-three"),
+    pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.base", [0.5]),
+                 "path.base", id="base-one"),
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.samples", True),
                  "path.samples", id="samples-bool"),
     pytest.param({**KASHIWARA, "seed": 2.7}, "spec.seed", id="seed-float"),
@@ -442,6 +450,16 @@ def test_spec_values_are_type_checked_where_read(tmp_path, spec, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["--spec", str(path)]) == 1
+
+
+def test_theorem1_on_a_three_torus_spec():
+    # radii are n entries, and so are the winding and base of a loop on T^n
+    spec = {"command": "verify", "chart": {"name": "product_torus", "radii": [1.0, 0.5, 1.5]},
+            "path": {"kind": "torus_loop", "winding": [1, -2, 2], "base": [0.1, -0.2, 0.3]}}
+    report, code, _ = run(spec)
+    rep = report["results"]
+    assert code == 0 and rep["pass"] and (rep["n"], rep["mu_clm"]) == (3, 2)
+    assert rep["phase_label"] == "-1"
 
 
 @pytest.mark.parametrize("levels", [[18], [20], [24]])

@@ -14,8 +14,9 @@ from maslov import geometry, metaplectic
 from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, Tolerances,
                          embed_unitary, intersection_dim, line_frame,
                          random_lagrangian, random_unitary)
-from maslov.errors import (CaseError, ConditioningError, ImmersionError,
-                           InvariantViolation, SamplingError, StateDomainError)
+from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
+                           ImmersionError, InvariantViolation, MaslovError,
+                           SamplingError, StateDomainError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              TransportResult, circle_chart, curve_chart_from_series,
                              flat_plane_chart, fourth_root_label, gradient_graph_chart,
@@ -25,7 +26,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              _gram_schmidt, _running_products,
                              _screened_transfers, _tangent_bases, _transfers)
 from maslov.index import LagrangianPath, clm_index, lift_path
-from maslov.metaplectic import ground_state, lift_frame_path_trace, pin_branch_orthogonal
+from maslov.metaplectic import (DELTA, DistributionState, Polynomial, ground_state,
+                                hermite_state, lift_frame_path_trace, pin_branch_orthogonal)
 
 
 def phase_of(report):
@@ -59,6 +61,39 @@ def test_induced_metric_gradient_graph():
 def test_induced_metric_torus_identity():
     chart = product_torus_chart()
     assert np.allclose(induced_metric(chart, [0.2, 1.1]), np.eye(2))
+
+
+def two_chart_closed_forms(radii):
+    """The point and Jacobian maps the circle (one radius) and the 2-torus
+    (two radii) had as charts of their own, before both were the Clifford
+    torus T^n."""
+    if len(radii) == 1:
+        r = float(radii[0])
+        return (lambda us: np.stack([r * np.cos(us[:, 0]), r * np.sin(us[:, 0])], axis=1),
+                lambda us: np.stack([-r * np.sin(us[:, 0]), r * np.cos(us[:, 0])],
+                                    axis=1)[:, :, None])
+    r = np.array([float(radii[0]), float(radii[1])])
+
+    def jac(us):
+        J = np.zeros((len(us), 4, 2))
+        J[:, [0, 1], [0, 1]] = -r * np.sin(us)
+        J[:, [2, 3], [0, 1]] = r * np.cos(us)
+        return J
+
+    return lambda us: np.concatenate([r * np.cos(us), r * np.sin(us)], axis=1), jac
+
+
+@pytest.mark.parametrize("radii", [(1.0,), (0.37,), (2.5,), (1.0, 1.0), (0.6, 1.9), (3.0, 0.25)])
+def test_clifford_torus_is_bit_equal_to_the_circle_and_two_torus_charts(radii, rng):
+    n = len(radii)
+    chart = circle_chart(radii[0]) if n == 1 else product_torus_chart(radii)
+    edges = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi])
+    us = np.concatenate([rng.uniform(-20.0, 20.0, (500, n)),
+                         np.stack(np.meshgrid(*[edges] * n), axis=-1).reshape(-1, n)])
+    point, jacobian = two_chart_closed_forms(radii)
+    assert chart.points(us).tobytes() == point(us).tobytes()
+    assert chart.jacobians(us).tobytes() == jacobian(us).tobytes()
+    assert chart.tag == ("circle" if n == 1 else "product_torus")
 
 
 def test_chart_lagrangian_validation():
@@ -713,9 +748,46 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name):
 # tangent paths
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ParamPath.line([0.0], [1.0], 2.5), InvariantViolation,
+     r"^sample count must be a non-negative integer, got 2\.5$"),
+    (lambda: ParamPath.line([0.0], [1.0], -3), InvariantViolation,
+     r"^sample count must be a non-negative integer, got -3$"),
+    (lambda: ParamPath.circle_arc(0.5, 1.5), InvariantViolation,
+     r"^sample count must be a non-negative integer, got 1\.5$"),
+    (lambda: ParamPath.torus_loop((1, 0, 2), 5, base=(0.0, 0.0)), DimensionMismatch,
+     r"^torus base needs 3 entries, got \[0\.0, 0\.0\]$"),
+    (lambda: product_torus_chart(()), InvariantViolation, r"^a torus needs at least one radius$"),
+    (lambda: gradient_graph_chart(hessian=np.ones((2, 3))), InvariantViolation,
+     r"^hessian must be a square matrix, got shape \(2, 3\)$"),
+    (lambda: gradient_graph_chart(hessian=np.ones(3)), InvariantViolation,
+     r"^hessian must be a square matrix, got shape \(3,\)$"),
+    (lambda: gradient_graph_chart(hessian=2.0), InvariantViolation,
+     r"^hessian must be a square matrix, got shape \(\)$"),
+    (lambda: DistributionState(DELTA, "abc"), InvariantViolation,
+     r"^state scalar c must be finite and a single number$"),
+    (lambda: hermite_state(1, 1.5), InvariantViolation,
+     r"^dimension n must be a positive integer, got 1\.5$"),
+    (lambda: ground_state(0), InvariantViolation,
+     r"^dimension n must be a positive integer, got 0$"),
+    (lambda: ground_state(1.5), InvariantViolation,
+     r"^dimension n must be a positive integer, got 1\.5$"),
+    (lambda: Polynomial(-1, {}), InvariantViolation,
+     r"^arity n must be a non-negative integer, got -1$"),
+])
+def test_counts_dimensions_and_shapes_raise_typed_errors_at_the_boundary(make, error, message):
+    # unchecked, numpy raises TypeError, ValueError or IndexError on each of
+    # these, or builds a chart whose transport fails with one
+    with pytest.raises(MaslovError) as info:
+        make()
+    assert type(info.value) is error and re.search(message, str(info.value))
+
+
 def test_torus_windings_are_integers():
     assert np.array_equal(ParamPath.torus_loop((np.int64(1), 2), 3).samples[-1],
                           [2 * np.pi, 4 * np.pi])
+    assert np.array_equal(ParamPath.torus_loop((1, 0, 2), 5).samples[-1],
+                          [2 * np.pi, 0.0, 4 * np.pi])
     for winding in ((1.5, 0.7), (1, 0.5), (np.array([1, 0]), 0)):
         with pytest.raises(InvariantViolation, match=r"^torus winding must be integral, got "):
             ParamPath.torus_loop(winding, 5)
@@ -815,6 +887,17 @@ def test_theorem1_torus_diagonal():
     rep = verify_theorem1(product_torus_chart(), ParamPath.torus_loop((1, 1), 400))
     assert rep["mu_clm"] == 4 and rep["mu_clm_mod4"] == 0
     assert abs(phase_of(rep) - 1.0) < 1e-9
+    assert rep["pass"]
+
+
+@pytest.mark.parametrize("winding", [(1, 0, 0), (1, -1, 2), (0, 1, 0, 0), (2, -1, -1, -1)])
+def test_theorem1_on_clifford_tori_of_dimension_three_and_four(winding):
+    # a loop of windings w on T^n has mu_CLM = 2 sum w, so the phase is (-1)^(sum w)
+    n = len(winding)
+    chart = product_torus_chart((1.0, 0.6, 1.7, 1.2)[:n])
+    rep = verify_theorem1(chart, ParamPath.torus_loop(winding, 60, base=(0.3, -1.1, 2.0, 0.5)[:n]))
+    assert (rep["n"], rep["chart"], rep["mu_clm"]) == (n, "product_torus", 2 * sum(winding))
+    assert abs(phase_of(rep) - (-1) ** sum(winding)) < 1e-9
     assert rep["pass"]
 
 
