@@ -41,12 +41,12 @@ from .metaplectic import ground_state, lift_frame_path_trace
 SPEC_VERSION = "1"
 
 #: Top-level spec fields every command reads.
-COMMON_FIELDS = frozenset({"spec_version", "command", "tolerances", "output", "seed"})
+COMMON_FIELDS = frozenset({"spec_version", "command", "tolerances", "output"})
 #: Further top-level spec fields read by each command, and by each theorem
 #: of verify; a spec that carries any other field is rejected.
 COMMAND_FIELDS = {
     "index": {"index"},
-    "holonomy": {"chart", "path", "refine_max"},
+    "holonomy": {"chart", "path"},
     "verify 1": {"theorem", "chart", "path"},
     "verify 2": {"theorem", "chart", "path", "levels"},
     "verify corollary1": {"theorem", "chart", "loops"},
@@ -113,8 +113,7 @@ def canonical_json(obj) -> str:
 
 def trace_csv(rows) -> str:
     lines = ["t,theta_unwrapped,phase_re,phase_im"]
-    for t, theta, pr, pi in rows:
-        lines.append(",".join("%.17g" % float(v) for v in (t, theta, pr, pi)))
+    lines += [",".join("%.17g" % float(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -155,8 +154,8 @@ def _what(kind, many=False) -> str:
 
 def _require(d, key, path, kind, default=None):
     """d[key] of the given kind (see _KINDS); default if it is absent and a
-    default is given.  A path of None names the field by its key alone."""
-    name = key if path is None else "%s.%s" % (path, key)
+    default is given."""
+    name = "%s.%s" % (path, key)
     if key not in d:
         if default is None:
             raise SpecError(name, "missing required field")
@@ -181,13 +180,9 @@ def _check_fields(spec, command):
                 "not read by %s" % command)
 
 
-def parse_tolerances(spec, path="tolerances",
-                     phase_override=None) -> Tolerances:
-    _check_keys(spec, {"residual_tol", "rank_tol", "phase_tol"}, path)
-    kw = {k: float(_require(spec, k, path, "finite positive number")) for k in spec}
-    if phase_override is not None:
-        kw["phase_tol"] = float(_require({"--tol-phase": phase_override}, "--tol-phase",
-                                         None, "finite positive number"))
+def parse_tolerances(spec) -> Tolerances:
+    _check_keys(spec, {"residual_tol", "rank_tol", "phase_tol"}, "spec.tolerances")
+    kw = {k: float(_require(spec, k, "spec.tolerances", "finite positive number")) for k in spec}
     return Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **kw})
 
 
@@ -258,7 +253,9 @@ def build_path(spec, chart, path="path") -> ParamPath:
     raise SpecError("%s.kind" % path, "unknown path kind %r" % kind)
 
 
-def _cover_point_from_spec(spec, path, tol):
+def _cover_point_from_spec(d, key, path, tol):
+    """The cover point of the object d[key], from w_re, w_im and theta."""
+    spec, path = _require(d, key, path, "object"), "%s.%s" % (path, key)
     _check_keys(spec, {"w_re", "w_im", "theta"}, path)
     w_re = np.asarray(_require(spec, "w_re", path, MATRIX), dtype=float)
     w = w_re + 1j * np.asarray(_require(spec, "w_im", path, (*w_re.shape, NUM)), dtype=float)
@@ -287,11 +284,8 @@ def _run_index(spec, tol):
     if "leray" in payload:
         le = payload["leray"]
         _check_keys(le, {"x", "y"}, "spec.index.leray")
-        x = _cover_point_from_spec(_require(le, "x", "spec.index.leray", "object"),
-                                   "spec.index.leray.x", tol)
-        y = _cover_point_from_spec(_require(le, "y", "spec.index.leray", "object"),
-                                   "spec.index.leray.y", tol)
-        results["mu"] = leray_index(x, y, tol)
+        results["mu"] = leray_index(*(_cover_point_from_spec(le, k, "spec.index.leray", tol)
+                                      for k in "xy"), tol)
     if "clm" in payload:
         cl = payload["clm"]
         _check_keys(cl, {"chart", "path"}, "spec.index.clm")
@@ -309,10 +303,9 @@ def _run_index(spec, tol):
 
 def _run_holonomy(spec, tol):
     _check_fields(spec, "holonomy")
-    refine_max = _require(spec, "refine_max", "spec", COUNT, 12)
     chart = build_chart(_require(spec, "chart", "spec", "object"))
     ppath = build_path(_require(spec, "path", "spec", "object"), chart)
-    tr = transport_frame(chart, ppath, tol=tol, max_depth=refine_max)
+    tr = transport_frame(chart, ppath, tol=tol)
     c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)
     theta = lift_path(tr.tangent_path, tol)
     phase = c[-1]
@@ -381,12 +374,11 @@ _COMMANDS = {"index": _run_index, "holonomy": _run_holonomy,
              "verify": _run_verify, "report": _run_report}
 
 
-def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
-        seed=None, refine_max=None):
-    """Execute one experiment spec; returns (report, exit_code).  The
-    refine_max argument (the --refine-max flag) overrides the spec field,
-    and like it is read by the holonomy command only, as transport's
-    refinement depth; its errors name the flag."""
+def run(spec: dict, out_path=None, out_format=None):
+    """Execute one experiment spec; returns (report, exit_code, payload).  The
+    spec is the run's only input: the report echoes it as "inputs", and running
+    those again gives the same payload.  out_path and out_format (--out and
+    --format) override the spec's output block: where the payload goes, and how."""
     if not isinstance(spec, dict):
         raise SpecError("spec", "expected an object")
     command = _require(spec, "command", "spec", "string")
@@ -395,22 +387,13 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     version = spec.get("spec_version", SPEC_VERSION)
     if str(version) != SPEC_VERSION:
         raise SpecError("spec.spec_version", "unsupported version %r" % version)
-    tol = parse_tolerances(_require(spec, "tolerances", "spec", "object", {}),
-                           phase_override=tol_phase)
-    seed = _require(spec, "seed", "spec", "integer", 0) if seed is None else seed
-    given = spec
-    if refine_max is not None:
-        if command != "holonomy":
-            raise SpecError("--refine-max", "read by holonomy only, not by %s" % command)
-        given = {**spec, "refine_max": _require({"--refine-max": refine_max}, "--refine-max",
-                                                None, COUNT)}
-    results, ok = _COMMANDS[command](given, tol)
+    tol = parse_tolerances(_require(spec, "tolerances", "spec", "object", {}))
+    results, ok = _COMMANDS[command](spec, tol)
 
     report = {
         "spec_version": SPEC_VERSION,
         "convention_profile": "paper-v1",
         "command": command,
-        "seed": int(seed),
         "inputs": spec,
         "results": results,
         "pass": bool(ok),
@@ -422,12 +405,9 @@ def run(spec: dict, out_path=None, out_format=None, tol_phase=None,
     if fmt not in ("json", "csv"):
         raise SpecError("spec.output.format", "must be json or csv")
     dest = out_path or _require(output, "path", "spec.output", "string", "")
-    if fmt == "csv":
-        if command != "holonomy":
-            raise SpecError("spec.output.format", "csv traces exist for holonomy only")
-        payload = trace_csv(results["trace"])
-    else:
-        payload = canonical_json(report)
+    if fmt == "csv" and command != "holonomy":
+        raise SpecError("spec.output.format", "csv traces exist for holonomy only")
+    payload = trace_csv(results["trace"]) if fmt == "csv" else canonical_json(report)
     if dest:
         with open(dest, "w") as fh:
             fh.write(payload)
@@ -454,10 +434,10 @@ def main(argv=None) -> int:
     ap.add_argument("--spec", required=True, help="experiment spec JSON file")
     ap.add_argument("--out", default=None, help="output file (overrides spec)")
     ap.add_argument("--format", default=None, choices=("json", "csv"))
-    ap.add_argument("--tol-phase", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--refine-max", type=int, default=None)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
 
     try:
         with open(args.spec) as fh:
@@ -467,9 +447,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        report, code, payload = run(spec, out_path=args.out, out_format=args.format,
-                                    tol_phase=args.tol_phase, seed=args.seed,
-                                    refine_max=args.refine_max)
+        report, code, payload = run(spec, out_path=args.out, out_format=args.format)
     except SpecError as exc:
         print("maslov: invalid spec: %s" % exc, file=sys.stderr)
         return 1

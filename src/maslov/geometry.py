@@ -40,6 +40,17 @@ from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
 FRAME_INCREMENT_BOUND = 1e-2
 
 
+def _floats(v, message: str, ndim=None) -> np.ndarray:
+    """A float copy of v, with ndim axes if given, else InvariantViolation(message % (v,))."""
+    try:
+        a = np.array(v, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or ndim is not None and a.ndim != ndim:
+        raise InvariantViolation(message % (v,))
+    return a
+
+
 @dataclass(frozen=True)
 class LagrangianChart:
     """Parametrized embedding of an n-dimensional patch into R^{2n} with
@@ -84,7 +95,7 @@ def circle_chart(radius: float = 1.0) -> LagrangianChart:
 def product_torus_chart(radii=(1.0, 1.0)) -> LagrangianChart:
     """Clifford torus T^n = S^1(r_1) x ... x S^1(r_n) in C^n, n = len(radii):
     u -> (r_1 cos u_1, ..., r_n cos u_n, r_1 sin u_1, ..., r_n sin u_n)."""
-    r = np.array([float(v) for v in radii])
+    r = _floats(radii, "torus radii must be a list of numbers, got %r", 1)
     n, j = len(r), np.arange(len(r))
     if not n:
         raise InvariantViolation("a torus needs at least one radius")
@@ -116,11 +127,11 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
     if (phi_coeffs is None) == (hessian is None):
         raise InvariantViolation("give exactly one of phi_coeffs or hessian")
     if phi_coeffs is not None:  # the plane curve u -> (u, phi'(u))
-        c = [float(v) for v in phi_coeffs]
+        c = _floats(phi_coeffs, "phi_coeffs must be a list of numbers, got %r", 1)
         return replace(curve_chart_from_series(
             {"poly": [0.0, 1.0]}, {"poly": [j * c[j] for j in range(1, len(c))]}),
             tag="gradient_graph")
-    H = np.asarray(hessian, dtype=float)
+    H = _floats(hessian, "hessian must be a matrix of numbers, got %r")
     if H.ndim != 2 or not 0 < len(H) == H.shape[1]:
         raise InvariantViolation("hessian must be a square matrix, got shape %s" % (H.shape,))
     if np.max(np.abs(H - H.T)) > 1e-12:
@@ -176,23 +187,26 @@ class ParamPath:
     closed: bool = False
 
     def __init__(self, samples, closed: bool = False):
-        samples = np.asarray(samples, dtype=float)
+        samples = _floats(samples, "path samples must be numbers, got %r")
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.shape[0] < 2:
             raise InvariantViolation("a path needs at least two parameter samples")
-        _set_fields(self, samples=samples.copy(), closed=bool(closed))
+        _set_fields(self, samples=samples, closed=bool(closed))  # _floats copied it
 
     @classmethod
     def line(cls, start, stop, k: int, closed: bool = False) -> "ParamPath":
-        start = np.atleast_1d(np.asarray(start, dtype=float))
-        stop = np.atleast_1d(np.asarray(stop, dtype=float))
+        start, stop = (np.atleast_1d(_floats(v, "line ends must be numbers, got %r"))
+                       for v in (start, stop))
+        if start.shape != stop.shape:
+            raise DimensionMismatch("line ends have shapes %s and %s" % (start.shape, stop.shape))
         k = _integer(k, "sample count must be a non-negative integer, got %r", low=0)
         t = np.linspace(0.0, 1.0, k)[:, None]
         return cls(start[None, :] * (1 - t) + stop[None, :] * t, closed)
 
     @classmethod
     def circle_arc(cls, turns: float, k: int, start: float = 0.0) -> "ParamPath":
+        turns, start = _floats((turns, start), "arc turns and start must be numbers, got %r", 1)
         stop = start + 2 * np.pi * turns
         closed = abs(turns - round(turns)) < 1e-12 and turns != 0
         return cls.line([start], [stop], k, closed)
@@ -200,8 +214,12 @@ class ParamPath:
     @classmethod
     def torus_loop(cls, winding, k: int, base=None) -> "ParamPath":
         """The loop base + 2 pi t w on T^n of n integral windings w, from base 0 by default."""
-        w = np.array([_integer(v, "torus winding must be integral, got %r") for v in winding])
-        base = np.zeros(len(w)) if base is None else np.asarray(base, dtype=float)
+        w = np.array([_integer(v, "torus winding must be integral, got %r")
+                      for v in (winding if np.iterable(winding) else ())])
+        if not len(w):
+            raise InvariantViolation("a torus loop needs a list of windings, got %r" % (winding,))
+        base = _floats(np.zeros(len(w)) if base is None else base,
+                       "torus base must be numbers, got %r")
         if base.shape != w.shape:
             raise DimensionMismatch("torus base needs %d entries, got %r" % (len(w), base.tolist()))
         return cls.line(base, base + 2 * np.pi * w, k, closed=True)
@@ -519,7 +537,6 @@ def verify_theorem2(chart: LagrangianChart, path: ParamPath,
         "lift_phase": _phase_pair(phase),
         "lift_phase_label": label,
         "lift_phase_label_residual": label_resid,
-        "warnings": [],
         "notes": [
             "endpoint tangent plane is taken at the path endpoint (transport direction)",
             "transverse-case phases carry the factor i^{+n/2} (state) / i^{-n/2} (dual) "

@@ -1,10 +1,13 @@
 """Command line front end: spec validation, report content, determinism,
 golden files."""
 
+import importlib
+import inspect
 import json
 import math
 import re
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +145,49 @@ def test_golden_reports_reproduce():
         assert payload == (GOLDEN / f"{name}.report.json").read_text()
 
 
+def as_written(report):
+    """The report as a reader of its JSON payload sees it."""
+    return json.loads(canonical_json(report))
+
+
+@pytest.mark.parametrize("name", ["circle_verify", "quarter_verify", "tangent_verify",
+                                  "kashiwara_index", "torus_corollary", "circle_holonomy"])
+def test_a_reports_inputs_reproduce_its_payload(name):
+    # the spec is the one input of a run: out_path and out_format only choose
+    # where the payload goes and in what format
+    assert list(inspect.signature(run).parameters) == ["spec", "out_path", "out_format"]
+    report, _, payload = run(load_spec(name))
+    assert run(as_written(report)["inputs"])[2] == payload
+
+
+def holonomy_battery(monkeypatch):
+    """perfbench/holonomy_battery.py, imported without writing bytecode there."""
+    monkeypatch.setattr(sys, "path", [str(GOLDEN.parent / "perfbench"), *sys.path])
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("holonomy_battery")
+
+
+def test_battery_reports_reproduce_from_their_inputs(monkeypatch):
+    for op in holonomy_battery(monkeypatch).make_ops(1):
+        got = op.call()
+        assert op.check(got) is None, op.name
+        assert run(as_written(got[0])["inputs"])[2] == got[2], op.name
+
+
+@pytest.mark.parametrize("path, depth", [
+    ({"kind": "arc", "turns": 1.0, "samples": 8}, 7),
+    # every command refines up to transport's one bound, 30 levels
+    ({"kind": "arc", "turns": 25.0, "samples": 4}, 13),
+], ids=["depth-7", "depth-13"])
+def test_holonomy_and_verify_share_one_refinement_bound(path, depth):
+    spec = {"chart": {"name": "circle"}, "path": path}
+    holonomy, code_h, _ = run({"command": "holonomy", **spec})
+    verify, code_v, _ = run({"command": "verify", **spec})
+    assert code_h == code_v == 0 and verify["results"]["mu_clm"] == 2 * path["turns"]
+    assert holonomy["results"]["sampling"] == verify["results"]["sampling"]
+    assert holonomy["results"]["sampling"]["refinement_depth"] == depth
+
+
 def test_golden_holonomy_trace():
     _, code, payload = run(load_spec("circle_holonomy"))
     assert code == 0
@@ -166,7 +212,7 @@ def test_malformed_chart_name():
     assert "chart.name" in str(err.value)
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(canonical_json(load_spec("kashiwara_index")))
     out = tmp_path / "out.json"
@@ -179,28 +225,39 @@ def test_main_exit_codes(tmp_path):
 
     assert main(["--spec", str(tmp_path / "missing.json")]) == 1
 
+    # argparse's usage errors are malformed input (1), not a failed assertion
+    # (2); the removed flags --tol-phase, --seed and --refine-max among them
+    for argv in (["--format", "xml"], ["--bogus"], ["--seed", "x"], ["--tol-phase", "0.1"],
+                 ["--seed", "0"], ["--refine-max", "20"]):
+        capsys.readouterr()
+        assert main(["--spec", str(good), *argv]) == 1
+        assert "usage: maslov" in capsys.readouterr().err
+    assert main([]) == 1
+    assert "the following arguments are required: --spec" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "--format" in capsys.readouterr().out
+
 
 def test_tolerance_overrides():
-    spec = load_spec("kashiwara_index")
-    report, code, _ = run(spec, tol_phase=1e-9)
-    assert code == 0
-    with pytest.raises(SpecError):
-        run({**spec, "tolerances": {"phase_tol": -1.0}})
+    # the spec's tolerances are the one way to set them, and inputs echo them
+    spec = {**load_spec("quarter_verify"), "tolerances": {"phase_tol": 0.1}}
+    report, code, _ = run(spec)
+    assert code == 0 and report["inputs"]["tolerances"] == {"phase_tol": 0.1}
+    assert report["results"]["lift_phase_label"] == "i"
+    assert run(load_spec("quarter_verify"))[0]["results"]["lift_phase_label"] == "none"
+    with pytest.raises(SpecError, match=r"^spec\.tolerances\.phase_tol: must be a finite positive"):
+        run({**load_spec("kashiwara_index"), "tolerances": {"phase_tol": -1.0}})
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
 def test_non_finite_tolerances_are_spec_errors(tmp_path, value):
     spec = load_spec("kashiwara_index")
     for name in ("residual_tol", "rank_tol", "phase_tol"):
-        with pytest.raises(SpecError, match=r"^tolerances\.%s:" % name):
+        with pytest.raises(SpecError, match=r"^spec\.tolerances\.%s:" % name):
             run({**spec, "tolerances": {name: value}})
-    with pytest.raises(SpecError, match="^--tol-phase:"):
-        run(spec, tol_phase=value)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**spec, "tolerances": {"phase_tol": value}}))
     assert main(["--spec", str(path)]) == 1
-    path.write_text(json.dumps(spec))
-    assert main(["--spec", str(path), "--tol-phase", repr(value)]) == 1
 
 
 def test_custom_chart_verify():
@@ -222,28 +279,6 @@ def test_report_command_catalog():
     assert {"circle_loop", "circle_double_loop", "circle_quarter_arc",
             "torus_loop_11", "torus_corollary1"} <= names
     assert all(v["pass"] for v in report["results"].values())
-
-
-@pytest.mark.parametrize("spec", [
-    load_spec("kashiwara_index"),
-    load_spec("circle_verify"),
-    {"command": "report"},
-], ids=["index", "verify", "report"])
-def test_refine_max_rejected_outside_holonomy(spec):
-    # the spec field and the flag, each error naming the one given
-    for kwargs, fields, name in (({}, {"refine_max": 20}, "spec.refine_max"),
-                                 ({"refine_max": 20}, {}, "--refine-max")):
-        with pytest.raises(SpecError) as err:
-            run({**spec, **fields}, **kwargs)
-        assert str(err.value).startswith(name + ":")
-
-
-def test_refine_max_flag_outside_holonomy_names_the_flag(capsys):
-    # a verify spec that has no refine_max field, run with the flag
-    assert main(["--spec", str(GOLDEN / "circle_verify.spec.json"), "--refine-max", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("maslov: invalid spec: --refine-max: read by holonomy only")
-    assert "spec.refine_max" not in err
 
 
 CIRCLE_LOOP = {"chart": {"name": "circle"}, "path": {"kind": "arc", "turns": 1.0}}
@@ -276,6 +311,16 @@ KASHIWARA = load_spec("kashiwara_index")
                  id="holonomy-theorem"),
     pytest.param({"command": "report", "chart": {"name": "circle"}}, "chart",
                  id="report-chart"),
+    # no command reads a seed, and transport's depth bound is not a setting
+    pytest.param({**KASHIWARA, "seed": 0}, "seed", id="index-seed"),
+    pytest.param({"command": "holonomy", **CIRCLE_LOOP, "seed": 0}, "seed", id="holonomy-seed"),
+    pytest.param({"command": "verify", **CIRCLE_LOOP, "seed": 0}, "seed", id="verify-seed"),
+    pytest.param({"command": "report", "seed": 0}, "seed", id="report-seed"),
+    pytest.param({"command": "holonomy", **CIRCLE_LOOP, "refine_max": 20}, "refine_max",
+                 id="holonomy-refine-max"),
+    pytest.param({"command": "verify", **CIRCLE_LOOP, "refine_max": 20}, "refine_max",
+                 id="verify-refine-max"),
+    pytest.param({**KASHIWARA, "refine_max": 20}, "refine_max", id="index-refine-max"),
 ])
 def test_fields_a_command_does_not_read_are_rejected(tmp_path, spec, field):
     with pytest.raises(SpecError, match=r"^spec\.%s: not read by " % field):
@@ -306,34 +351,6 @@ def test_leray_cover_points_use_the_spec_tolerances():
         run(spec)
     report, code, _ = run({**spec, "tolerances": {"phase_tol": 0.5}})
     assert code == 0 and report["results"]["mu"] == -1
-
-
-def test_refine_max_reaches_holonomy():
-    spec = load_spec("circle_holonomy")
-    _, code, _ = run({**spec, "refine_max": 20})
-    assert code == 0
-    from maslov.errors import SamplingError
-    with pytest.raises(SamplingError):
-        run({**spec, "refine_max": 0})
-
-
-@pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
-def test_refine_max_must_be_a_non_negative_integer(tmp_path, value):
-    # a fine loop (no refinement needed) and a coarse one: both are
-    # rejected before any transport, from the spec field and from the flag
-    for samples in (900, 6):
-        spec = {"command": "holonomy", "chart": {"name": "circle"},
-                "path": {"kind": "arc", "turns": 1.0, "samples": samples}}
-        with pytest.raises(SpecError, match=r"^spec\.refine_max: must be a non-negative"):
-            run({**spec, "refine_max": value})
-        with pytest.raises(SpecError, match=r"^--refine-max: must be a non-negative"):
-            run(spec, refine_max=value)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({**spec, "refine_max": value}))
-    assert main(["--spec", str(path)]) == 1
-    if value == -1:
-        path.write_text(json.dumps(spec))
-        assert main(["--spec", str(path), "--refine-max", "-1"]) == 1
 
 
 @pytest.mark.parametrize("levels", [["a"], [2.5], 3, [-1], [True, 2], None],

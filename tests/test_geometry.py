@@ -774,6 +774,30 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name):
      r"^dimension n must be a positive integer, got 1\.5$"),
     (lambda: Polynomial(-1, {}), InvariantViolation,
      r"^arity n must be a non-negative integer, got -1$"),
+    # ends of two lengths, an empty or scalar winding, and values that are
+    # not numbers or not lists
+    (lambda: ParamPath.line([0.0, 0.0], [1.0, 1.0, 1.0], 5), DimensionMismatch,
+     r"^line ends have shapes \(2,\) and \(3,\)$"),
+    (lambda: ParamPath.torus_loop((), 5), InvariantViolation,
+     r"^a torus loop needs a list of windings, got \(\)$"),
+    (lambda: ParamPath.torus_loop(3, 5), InvariantViolation,
+     r"^a torus loop needs a list of windings, got 3$"),
+    (lambda: product_torus_chart(1.0), InvariantViolation,
+     r"^torus radii must be a list of numbers, got 1\.0$"),
+    (lambda: product_torus_chart(("a",)), InvariantViolation,
+     r"^torus radii must be a list of numbers, got \('a',\)$"),
+    (lambda: circle_chart("x"), InvariantViolation,
+     r"^torus radii must be a list of numbers, got \('x',\)$"),
+    (lambda: gradient_graph_chart(phi_coeffs=1.0), InvariantViolation,
+     r"^phi_coeffs must be a list of numbers, got 1\.0$"),
+    (lambda: gradient_graph_chart(phi_coeffs=["a"]), InvariantViolation,
+     r"^phi_coeffs must be a list of numbers, got \['a'\]$"),
+    (lambda: gradient_graph_chart(hessian=[["a"]]), InvariantViolation,
+     r"^hessian must be a matrix of numbers, got \[\['a'\]\]$"),
+    (lambda: ParamPath([[0.0], ["a"]]), InvariantViolation,
+     r"^path samples must be numbers, got \[\[0\.0\], \['a'\]\]$"),
+    (lambda: ParamPath.circle_arc("a", 5), InvariantViolation,
+     r"^arc turns and start must be numbers, got \('a', 0\.0\)$"),
 ])
 def test_counts_dimensions_and_shapes_raise_typed_errors_at_the_boundary(make, error, message):
     # unchecked, numpy raises TypeError, ValueError or IndexError on each of

@@ -30,13 +30,13 @@ def golden_drift():
 REPORT = {"n": 1, "pass": True, "label": "i^1", "trace": [{"theta": 0.5}, {"theta": 1.25}]}
 
 
-def drift_of(golden_drift, tmp_path, old, new):
-    """(exit code, printed lines) of golden_drift on two JSON documents."""
+def drift_of(golden_drift, tmp_path, old, new, *options):
+    """The exit code of golden_drift on two JSON documents."""
     paths = []
     for name, doc in (("old.json", old), ("new.json", new)):
         paths.append(str(tmp_path / name))
         (tmp_path / name).write_text(json.dumps(doc))
-    return golden_drift.main(paths)
+    return golden_drift.main(paths + list(options))
 
 
 def test_golden_drift_passes_identical_files(golden_drift, tmp_path, capsys):
@@ -64,6 +64,26 @@ def test_golden_drift_fails_a_key_set_difference(golden_drift, tmp_path, capsys)
 def test_golden_drift_fails_an_integer_difference(golden_drift, tmp_path, capsys):
     assert drift_of(golden_drift, tmp_path, REPORT, dict(REPORT, n=2)) == 1
     assert "DIFFERS n: 1 != 2" in capsys.readouterr().out
+
+
+def test_golden_drift_leaves_out_the_key_paths_it_is_told_to_ignore(golden_drift, tmp_path,
+                                                                    capsys):
+    # a top-level key only one side has, and a key inside list entries
+    old = dict(REPORT, seed=0, trace=[{"theta": 0.5, "w": []}, {"theta": 1.25, "w": [1]}])
+    ignore = ("--ignore", "seed", "--ignore", "trace[].w")
+    assert drift_of(golden_drift, tmp_path, old, REPORT, *ignore) == 0
+    assert "non-float values: identical" in capsys.readouterr().out
+    # every other value is still compared
+    assert drift_of(golden_drift, tmp_path, old, dict(REPORT, n=2), *ignore) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS n: 1 != 2" in out and "keys differ" not in out
+    assert drift_of(golden_drift, tmp_path, old, REPORT, "--ignore", "trace[].w") == 1
+    assert "keys differ: ['seed']" in capsys.readouterr().out
+    # a trace CSV has columns, not key paths
+    for name in ("old.csv", "new.csv"):
+        (tmp_path / name).write_text("t,theta\n0,1\n")
+    with pytest.raises(SystemExit):
+        golden_drift.main([str(tmp_path / "old.csv"), str(tmp_path / "new.csv"), *ignore])
 
 
 def test_leray_pairs_writes_the_same_bytes_twice(tmp_path, monkeypatch):

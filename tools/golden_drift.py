@@ -1,6 +1,6 @@
 """Compare two maslov report JSON files or two holonomy trace CSV files.
 
-    python tools/golden_drift.py OLD NEW
+    python tools/golden_drift.py OLD NEW [--ignore KEY ...]
 
 Every non-float value (integer, string, boolean, null, key set) and every
 length must be identical; floats may drift.  Prints the largest absolute
@@ -8,15 +8,18 @@ float drift for each key (JSON: the key path with list indices dropped;
 CSV: the column name) and exits 1 if anything other than a float differs.
 A float printed without a fraction ("1") parses as an integer, so a number
 pair counts as floats when either side is a float; two integers must match.
-Uses the standard library only.
+Each ``--ignore KEY`` (repeatable; JSON only) drops that key path, written as
+in the drift table (``seed``, ``results.warnings``, ``loops[].phase``), from
+both files before comparing, so a change that removes or adds a key can show
+that every other value is unchanged.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import re
-import sys
 
 
 def _is_number(v):
@@ -39,6 +42,16 @@ def _walk(a, b, path, drift, errors):
         drift[key] = max(drift.get(key, 0.0), abs(float(a) - float(b)))
     elif type(a) is not type(b) or a != b:
         errors.append("%s: %r != %r" % (path, a, b))
+
+
+def _drop(node, ignore, path=""):
+    """A copy of a JSON document without the key paths in ignore."""
+    if isinstance(node, list):
+        return [_drop(v, ignore, path + "[]") for v in node]
+    if isinstance(node, dict):
+        keys = {k: "%s.%s" % (path, k) if path else k for k in node}
+        return {k: _drop(v, ignore, keys[k]) for k, v in node.items() if keys[k] not in ignore}
+    return node
 
 
 def _csv_rows(name):
@@ -69,17 +82,21 @@ def compare_csv(old, new, drift, errors):
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    old, new = args
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("--ignore", action="append", default=[], metavar="KEY",
+                    help="a JSON key path to leave out of the comparison (repeatable)")
+    args = ap.parse_args(argv)
+    old, new, ignore = args.old, args.new, frozenset(args.ignore)
     drift, errors = {}, []
     if old.endswith(".csv"):
+        if ignore:
+            ap.error("--ignore takes JSON key paths; CSV columns are compared whole")
         compare_csv(old, new, drift, errors)
     else:
         with open(old) as fa, open(new) as fb:
-            _walk(json.load(fa), json.load(fb), "", drift, errors)
+            _walk(_drop(json.load(fa), ignore), _drop(json.load(fb), ignore), "", drift, errors)
     for key in sorted(drift):
         print("%-50s %.3e" % (key, drift[key]))
     print("max float drift: %.3e" % max(drift.values(), default=0.0))
