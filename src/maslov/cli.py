@@ -194,7 +194,7 @@ def _series(spec, key, path):
             for k in series}
 
 
-def build_chart(spec, path="chart"):
+def build_chart(spec, path):
     name = _require(spec, "name", path, "string")
     if name == "circle":
         _check_keys(spec, {"name", "radius"}, path)
@@ -225,7 +225,7 @@ def build_chart(spec, path="chart"):
     raise SpecError("%s.name" % path, "unknown chart %r" % name)
 
 
-def build_path(spec, chart, path="path") -> ParamPath:
+def build_path(spec, chart, path) -> ParamPath:
     kind, n = _require(spec, "kind", path, "string"), chart.n
     if kind == "arc":
         _check_keys(spec, {"kind", "turns", "samples", "start"}, path)
@@ -303,8 +303,8 @@ def _run_index(spec, tol):
 
 def _run_holonomy(spec, tol):
     _check_fields(spec, "holonomy")
-    chart = build_chart(_require(spec, "chart", "spec", "object"))
-    ppath = build_path(_require(spec, "path", "spec", "object"), chart)
+    chart = build_chart(_require(spec, "chart", "spec", "object"), "spec.chart")
+    ppath = build_path(_require(spec, "path", "spec", "object"), chart, "spec.path")
     tr = transport_frame(chart, ppath, tol=tol)
     c, _, _ = lift_frame_path_trace(tr.start_relative, ground_state(chart.n), tol)
     theta = lift_path(tr.tangent_path, tol)
@@ -325,14 +325,14 @@ def _run_verify(spec, tol):
     theorem = spec.get("theorem", "auto")
     if theorem not in ("auto", "1", "2", "corollary1"):
         raise SpecError("spec.theorem", "must be auto, 1, 2 or corollary1")
-    chart = build_chart(_require(spec, "chart", "spec", "object"))
+    chart = build_chart(_require(spec, "chart", "spec", "object"), "spec.chart")
     if theorem == "corollary1":
         _check_fields(spec, "verify corollary1")
         loops = [build_path(ls, chart, "spec.loops[%d]" % i)
                  for i, ls in enumerate(_require(spec, "loops", "spec", (None, "object")))]
         rep = verify_corollary1(chart, loops, tol)
         return rep, rep["pass"]
-    ppath = build_path(_require(spec, "path", "spec", "object"), chart)
+    ppath = build_path(_require(spec, "path", "spec", "object"), chart, "spec.path")
     if theorem == "auto":
         theorem = "1" if ppath.closed else "2"
     _check_fields(spec, "verify " + theorem)

@@ -115,7 +115,7 @@ class SymplecticMatrix:
 
     entries: np.ndarray
     n: int = 0
-    _tol = DEFAULT_TOLERANCES  # the policy of the check, reused by @ and inverse(); not a field
+    _tol = DEFAULT_TOLERANCES  # the policy of the check, reused by inverse(); not a field
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
         entries = np.asarray(entries, dtype=float)
@@ -128,11 +128,6 @@ class SymplecticMatrix:
             raise InvariantViolation(
                 "not symplectic: ||S^T J S - J||_inf = %.3e" % resid)
         _set_fields(self, entries=np.array(entries), n=n, _tol=tol)
-
-    def __matmul__(self, other):
-        if isinstance(other, SymplecticMatrix):
-            return SymplecticMatrix(self.entries @ other.entries, self._tol)
-        return self.entries @ other
 
     def inverse(self) -> "SymplecticMatrix":
         J = standard_j(self.n)
@@ -178,15 +173,15 @@ def _det_phase_steps(U: np.ndarray, tol: Tolerances, ends: str, labels):
     return dets, steps
 
 
-def _integer(v, message: str, error=InvariantViolation, low=None) -> int:
+def _integer(v, message: str, low=None) -> int:
     """v as an int: an integer (numpy's too, not a stack) of at least low if
-    low is given, else error(message % (v,))."""
+    low is given, else InvariantViolation(message % (v,))."""
     try:
         k = operator.index(v)
     except TypeError:
         k = None
     if k is None or low is not None and k < low:
-        raise error(message % (v,))
+        raise InvariantViolation(message % (v,))
     return k
 
 
@@ -296,8 +291,8 @@ def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         if V.ndim != 3 or V.shape[1] != V.shape[2]:
             raise InvariantViolation("frame unitaries must form an (N, n, n) stack")
     else:
-        F = np.asarray(F, dtype=float)
-        if F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
+        F = np.asarray(F)
+        if F.dtype.kind not in "biuf" or F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
             raise InvariantViolation("frames must form an (N, 2n, n) stack")
         Q, n = _orthonormal_columns(F), F.shape[2]
         V = Q[:, :n] + 1j * Q[:, n:]

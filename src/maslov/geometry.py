@@ -38,6 +38,8 @@ from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
 
 #: Transport refinement bound: maximum frame increment per accepted step.
 FRAME_INCREMENT_BOUND = 1e-2
+#: Bisection levels transport may take before it raises SamplingError.
+MAX_REFINEMENT_DEPTH = 30
 
 
 def _floats(v, message: str, ndim=None) -> np.ndarray:
@@ -74,17 +76,6 @@ class LagrangianChart:
         """The Jacobians at a parameter stack, shape (N, 2n, n)."""
         us = np.asarray(us, dtype=float)
         return np.asarray(self.jacobian(us), dtype=float).reshape(len(us), 2 * self.n, self.n)
-
-    def at(self, u) -> np.ndarray:
-        return self.points(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
-
-    def jac(self, u) -> np.ndarray:
-        return self.jacobians(np.atleast_1d(np.asarray(u, dtype=float))[None])[0]
-
-    def check(self, u, tol: Tolerances = DEFAULT_TOLERANCES):
-        """Validate the immersion and Lagrangian conditions at u: the
-        one-point case of the chart check in _tangent_bases."""
-        _tangent_bases(self, np.atleast_1d(np.asarray(u, dtype=float))[None], tol)
 
 
 def circle_chart(radius: float = 1.0) -> LagrangianChart:
@@ -190,6 +181,9 @@ class ParamPath:
         samples = _floats(samples, "path samples must be numbers, got %r")
         if samples.ndim == 1:
             samples = samples[:, None]
+        if samples.ndim != 2 or not samples.shape[1]:
+            raise InvariantViolation("path samples must be an (N, n) stack, n >= 1, got shape %s"
+                                     % (samples.shape,))
         if samples.shape[0] < 2:
             raise InvariantViolation("a path needs at least two parameter samples")
         _set_fields(self, samples=samples, closed=bool(closed))  # _floats copied it
@@ -207,6 +201,9 @@ class ParamPath:
     @classmethod
     def circle_arc(cls, turns: float, k: int, start: float = 0.0) -> "ParamPath":
         turns, start = _floats((turns, start), "arc turns and start must be numbers, got %r", 1)
+        if not np.isfinite([turns, start]).all():
+            raise InvariantViolation("arc turns and start must be finite, got %g and %g"
+                                     % (turns, start))
         stop = start + 2 * np.pi * turns
         closed = abs(turns - round(turns)) < 1e-12 and turns != 0
         return cls.line([start], [stop], k, closed)
@@ -357,9 +354,16 @@ def _halves(a: np.ndarray, m: np.ndarray, b: np.ndarray):
     return starts, ends
 
 
+def _samples_on(chart: LagrangianChart, path: ParamPath) -> np.ndarray:
+    """The path's samples, checked to be points of the chart's n-dimensional domain."""
+    if path.samples.shape[1] != chart.n:
+        raise DimensionMismatch("path samples are %d-dimensional, the chart has n = %d"
+                                % (path.samples.shape[1], chart.n))
+    return path.samples
+
+
 def transport_frame(chart: LagrangianChart, path: ParamPath,
-                    tol: Tolerances = DEFAULT_TOLERANCES,
-                    max_depth: int = 30) -> TransportResult:
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> TransportResult:
     """Discrete Levi-Civita transport of a tangent frame along the path.
 
     The tangent bases B_k of all samples of a level come from one stacked
@@ -367,20 +371,18 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     Newton-Schulz steps where a cheap bound leaves them undecided (see
     _screened_transfers).  Every segment whose spectral step norm
     ||B_{k+1} P_k - B_k||_2 exceeds FRAME_INCREMENT_BOUND is bisected, a
-    whole level at a time, up to max_depth levels.  A level takes only the
-    open segments, in path order (one _tangent_bases call at their midpoints,
-    one _screened_transfers call on both halves), and sets aside those that
-    close; one stable merge by t then gives the dense samples, bases and
-    transfers, as bisecting in place would, since a segment's transfer does
-    not depend on its batch.  The norm bounds every column of the frame
-    increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k, for the frames
-    F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
+    whole level at a time, up to MAX_REFINEMENT_DEPTH levels.  A level takes
+    only the open segments, in path order (one _tangent_bases call at their
+    midpoints, one _screened_transfers call on both halves), and sets aside
+    those that close; one stable merge by t then gives the dense samples,
+    bases and transfers, as bisecting in place would, since a segment's
+    transfer does not depend on its batch.  The norm bounds every column of
+    the frame increment F_{k+1} - F_k = (B_{k+1} P_k - B_k) G_k, for the
+    frames F_k = B_k G_k, G_0 = I, G_{k+1} = P_k G_k (one scan).
     """
-    u, n = path.samples, chart.n
-    max_depth = _integer(max_depth, "refinement depth must be non-negative and integral, got %r",
-                         SamplingError, 0)
+    u, n = _samples_on(chart, path), chart.n
     if path.closed:
-        gap = np.max(np.abs(chart.at(u[0]) - chart.at(u[-1])))
+        gap = np.max(np.abs(np.diff(chart.points(u[[0, -1]]), axis=0)))
         if not gap <= 1e-7:  # a non-finite endpoint fails too
             raise InvariantViolation("closed flag set but endpoints differ by %.3e" % gap)
     B = _tangent_bases(chart, u, tol)
@@ -388,14 +390,14 @@ def transport_frame(chart: LagrangianChart, path: ParamPath,
     ua, ub, ta, tb, Ba, Bb = u[:-1], u[1:], t[:-1], t[1:], B[:-1], B[1:]
     P, step = _screened_transfers(Ba, Bb)
     accepted = []  # (t, B, P) at the starts of the segments each level closes
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_REFINEMENT_DEPTH + 1):
         ok = step <= FRAME_INCREMENT_BOUND  # NaN steps stay open
         if ok.all():
             accepted.append((ta, Ba, P))
             break
         # np.compress and np.take: several times faster than masks on small matrices
         accepted.append([np.compress(ok, x, axis=0) for x in (ta, Ba, P)])
-        if depth == max_depth:
+        if depth == MAX_REFINEMENT_DEPTH:
             raise SamplingError("transport refinement exhausted at t = %.17g" % ta[~ok][0])
         ua, ub, ta, tb, Ba, Bb = (np.compress(~ok, x, axis=0) for x in (ua, ub, ta, tb, Ba, Bb))
         um, tm = (ua + ub) / 2.0, (ta + tb) / 2.0
@@ -426,7 +428,7 @@ def tangent_lagrangian_path(chart: LagrangianChart, path: ParamPath,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
     """The path of tangent planes t -> span(Jac(u(t))), entered as the
     unitaries of their orthonormal bases B_k from _tangent_bases."""
-    B, n = _tangent_bases(chart, path.samples, tol), chart.n
+    B, n = _tangent_bases(chart, _samples_on(chart, path), tol), chart.n
     return LagrangianPath(B[:, :n] + 1j * B[:, n:], tol=tol)
 
 

@@ -181,14 +181,10 @@ class LagrangianPath:
     """
 
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
-        """frames: LagrangianFrame objects, an (N, 2n, n) array of frame columns,
-        or an (N, n, n) complex array of the unitaries of orthonormal frames."""
+        """frames: an (N, 2n, n) array of frame columns, or an (N, n, n)
+        complex array of the unitaries of orthonormal frames."""
         if len(frames) < 2:
             raise InvariantViolation("a path needs at least two samples")
-        if not isinstance(frames, np.ndarray):
-            if len({f.n for f in frames}) > 1:
-                raise DimensionMismatch("inconsistent frame dimensions along path")
-            frames = [f.columns for f in frames]
         if params is None:
             params = np.linspace(0.0, 1.0, len(frames))
         params = np.asarray(params, dtype=float)
@@ -242,7 +238,12 @@ def clm_index(path: LagrangianPath, tol: Tolerances = DEFAULT_TOLERANCES) -> int
 def induced_lagrangian_path(symp_path: Sequence[SymplecticMatrix],
                             L: LagrangianFrame,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
-    """The Lagrangian path t -> S(t) . L induced by a symplectic path."""
+    """The Lagrangian path t -> S(t) . L induced by a non-empty symplectic path over L.n."""
+    ns = np.array([S.n for S in symp_path])
+    if not len(ns):
+        raise InvariantViolation("empty symplectic path")
+    check_stack(ns == L.n, DimensionMismatch, "symplectic sample over n = %d acts on a frame "
+                "over n = %d", ns, L.n, entry="sample")
     return LagrangianPath(np.array([S.entries @ L.columns for S in symp_path]), tol=tol)
 
 
@@ -251,19 +252,19 @@ def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,
     """mu_L of the lifted symplectic path: the Leray index of (endpoint lift,
     start lift) along the induced path t -> S(t) L.  Independent of the lift
     of L by the deck-shift cancellation."""
+    path = induced_lagrangian_path(symp_path, L, tol)
     S0 = symp_path[0].entries
     if np.max(np.abs(S0 - np.eye(S0.shape[0]))) > tol.residual_tol * 100:
         raise InvariantViolation("symplectic path must start at the identity")
-    return _endpoint_indices(induced_lagrangian_path(symp_path, L, tol), tol)[0]
+    return _endpoint_indices(path, tol)[0]
 
 
 def random_cover_point(n: int, rng: np.random.Generator,
-                       deck_range: int = 3,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> CoverPoint:
     """Random lifted Lagrangian: random frame, principal theta plus a random
-    deck shift."""
+    deck shift of -3..3 turns."""
     from .core import random_lagrangian
     F = random_lagrangian(n, rng)
     w = souriau_map(F, tol).entries
-    theta = float(np.angle(np.linalg.det(w))) + 2 * np.pi * int(rng.integers(-deck_range, deck_range + 1))
+    theta = float(np.angle(np.linalg.det(w))) + 2 * np.pi * int(rng.integers(-3, 4))
     return CoverPoint(w, theta, tol)

@@ -209,7 +209,7 @@ def test_malformed_chart_name():
     with pytest.raises(SpecError) as err:
         run({"command": "verify", "chart": {"name": "circl"},
              "path": {"kind": "arc", "turns": 1.0}})
-    assert "chart.name" in str(err.value)
+    assert str(err.value).startswith("spec.chart.name: ")
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -392,13 +392,14 @@ def with_field(spec, field, value):
 
 @pytest.mark.parametrize("spec, field", [
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "chart.radius", "abc"),
-                 "chart.radius", id="radius-string"),
+                 "spec.chart.radius", id="radius-string"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", "ab"),
-                 "chart.radii", id="radii-string"),
+                 "spec.chart.radii", id="radii-string"),
     pytest.param({"command": "verify", "chart": {"name": "circle"},
-                  "path": {"kind": "interval", "stop": ["x"]}}, "path.stop", id="stop-string"),
+                  "path": {"kind": "interval", "stop": ["x"]}}, "spec.path.stop",
+                 id="stop-string"),
     pytest.param({"command": "verify", "chart": {"name": "gradient_graph", "hessian": [["a"]]},
-                  "path": {"kind": "interval", "stop": [1.0]}}, "chart.hessian",
+                  "path": {"kind": "interval", "stop": [1.0]}}, "spec.chart.hessian",
                  id="hessian-string"),
     pytest.param({**KASHIWARA, "index": {"kashiwara": {"angles": [0, "x", 1]}}},
                  "spec.index.kashiwara.angles", id="angles-string"),
@@ -406,41 +407,41 @@ def with_field(spec, field, value):
                  "spec.index.kashiwara.angles", id="angles-two"),
     pytest.param({**KASHIWARA, "seed": "x"}, "spec.seed", id="seed-string"),
     pytest.param({"command": "verify", **CIRCLE_LOOP, "chart": {**CUSTOM, "q": {"cos": [[1]]}}},
-                 "chart.q.cos", id="series-pair-short"),
+                 "spec.chart.q.cos", id="series-pair-short"),
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.turns", "x"),
-                 "path.turns", id="turns-string"),
+                 "spec.path.turns", id="turns-string"),
     pytest.param({**KASHIWARA, "output": {"path": 5}}, "spec.output.path", id="output-path-int"),
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.samples", 50.7),
-                 "path.samples", id="samples-float"),
+                 "spec.path.samples", id="samples-float"),
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.turns", True),
-                 "path.turns", id="turns-bool"),
+                 "spec.path.turns", id="turns-bool"),
     pytest.param({"command": "verify", "chart": {"name": "circle"},
                   "path": {"kind": "interval", "stop": [1.0], "closed": "no"}},
-                 "path.closed", id="closed-string"),
+                 "spec.path.closed", id="closed-string"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.winding", [1.7, 0]),
-                 "path.winding", id="winding-float"),
+                 "spec.path.winding", id="winding-float"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.winding", [1, 0, 5]),
-                 "path.winding", id="winding-three"),
+                 "spec.path.winding", id="winding-three"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", []),
-                 "chart.radii", id="radii-empty"),
+                 "spec.chart.radii", id="radii-empty"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "chart.radii", [1.0, 2.0, 1.0]),
-                 "path.winding", id="winding-two-on-a-three-torus"),
+                 "spec.path.winding", id="winding-two-on-a-three-torus"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.base", [0.0, 0.0, 0.0]),
-                 "path.base", id="base-three"),
+                 "spec.path.base", id="base-three"),
     pytest.param(with_field({"command": "verify", **TORUS_LOOP}, "path.base", [0.5]),
-                 "path.base", id="base-one"),
+                 "spec.path.base", id="base-one"),
     pytest.param(with_field({"command": "verify", **CIRCLE_LOOP}, "path.samples", True),
-                 "path.samples", id="samples-bool"),
+                 "spec.path.samples", id="samples-bool"),
     pytest.param({**KASHIWARA, "seed": 2.7}, "spec.seed", id="seed-float"),
     pytest.param({"command": "verify", **CIRCLE_LOOP, "chart": {**CUSTOM, "q": {"coss": [[1, 1]]}}},
-                 "chart.q.coss", id="series-unknown-key"),
+                 "spec.chart.q.coss", id="series-unknown-key"),
     # rival fields, mismatched parts, falsy stand-ins and one-sample paths
     pytest.param({"command": "verify", "path": {"kind": "interval", "stop": [1.0]},
                   "chart": {"name": "gradient_graph", "phi_coeffs": [0, 0, 0.5],
-                            "hessian": [[5.0]]}}, "chart", id="phi-coeffs-and-hessian"),
+                            "hessian": [[5.0]]}}, "spec.chart", id="phi-coeffs-and-hessian"),
     pytest.param({"command": "verify", "path": {"kind": "interval", "stop": [1.0]},
                   "chart": {"name": "flat_plane", "frame": [[1.0], [0.0]], "angle": 0.5}},
-                 "chart", id="frame-and-angle"),
+                 "spec.chart", id="frame-and-angle"),
     pytest.param({"command": "index", "index": {"leray": {
         "x": {"w_re": [[-1]], "w_im": [[0, 0], [0, 0]], "theta": 0.0},
         "y": {"w_re": [[1.0]], "w_im": [[0.0]], "theta": 0.0}}}},
@@ -448,12 +449,12 @@ def with_field(spec, field, value):
     pytest.param({**KASHIWARA, "output": []}, "spec.output", id="output-list"),
     pytest.param({**KASHIWARA, "tolerances": 0}, "spec.tolerances", id="tolerances-zero"),
     *[pytest.param(with_field({"command": "verify", **spec}, "path.samples", k),
-                   "path.samples", id="%s-samples-%d" % (spec["path"]["kind"], k))
+                   "spec.path.samples", id="%s-samples-%d" % (spec["path"]["kind"], k))
       for spec in (CIRCLE_LOOP, TORUS_LOOP,
                    {"chart": {"name": "circle"}, "path": {"kind": "interval", "stop": [1.0]}})
       for k in (0, 1)],
     pytest.param({"command": "verify", "chart": {"name": "circle"},
-                  "path": {"kind": "samples", "values": [0.5]}}, "path.values",
+                  "path": {"kind": "samples", "values": [0.5]}}, "spec.path.values",
                  id="one-value"),
     # levels are read by the tangent case only: a transverse endpoint rejects them
     pytest.param({"command": "verify", **CIRCLE_ARC, "theorem": "2", "levels": [7, 11]},

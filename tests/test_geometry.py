@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lift_oracle import reference_lift
 from maslov import geometry, metaplectic
 from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, Tolerances,
-                         embed_unitary, intersection_dim, line_frame,
+                         embed_unitary, intersection_dim, l0_frame, line_frame,
                          random_lagrangian, random_unitary)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            ImmersionError, InvariantViolation, MaslovError,
@@ -25,7 +25,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              verify_theorem1, verify_theorem2,
                              _gram_schmidt, _running_products,
                              _screened_transfers, _tangent_bases, _transfers)
-from maslov.index import LagrangianPath, clm_index, lift_path
+from maslov.index import (LagrangianPath, clm_index, induced_lagrangian_path, lift_path,
+                          mu_hat_on_cover)
 from maslov.metaplectic import (DELTA, DistributionState, Polynomial, ground_state,
                                 hermite_state, lift_frame_path_trace, pin_branch_orthogonal)
 
@@ -36,7 +37,7 @@ def phase_of(report):
 
 def induced_metric(chart, u):
     """Pullback metric Jac^T Jac of the ambient inner product at u."""
-    J = chart.jac(u)
+    J = chart.jacobians([u])[0]
     return J.T @ J
 
 
@@ -54,7 +55,8 @@ def test_induced_metric_gradient_graph():
     assert np.allclose(induced_metric(chart, [1.3]), [[2.0]])
     # oracle: central differences of the chart's points
     h = 1e-6
-    fd = (chart.at([1.3 + h]) - chart.at([1.3 - h])) / (2 * h)
+    X = chart.points([[1.3 + h], [1.3 - h]])
+    fd = (X[0] - X[1]) / (2 * h)
     assert np.allclose(fd @ fd, 2.0, atol=1e-8)
 
 
@@ -98,7 +100,7 @@ def test_clifford_torus_is_bit_equal_to_the_circle_and_two_torus_charts(radii, r
 
 def test_chart_lagrangian_validation():
     chart = product_torus_chart()
-    chart.check([0.3, 0.4])
+    _tangent_bases(chart, np.array([[0.3, 0.4]]), DEFAULT_TOLERANCES)
     # a non-Lagrangian surface: (u1, u2, u2, 0) has dq2 ^ dp1 = du2 ^ du2 ... use
     # (u1, u2) -> (u1, u2, u2, u1): omega pullback = du1^du2 + du2^du1 = 0; make
     # it fail with (u1, u2, u2, 2 u1)
@@ -106,15 +108,15 @@ def test_chart_lagrangian_validation():
     bad = LagrangianChart(2, point=lambda us: us[:, [0, 1, 1, 0]] * [1.0, 1.0, 1.0, 2.0],
                           jacobian=lambda us: np.broadcast_to(J, (len(us), 4, 2)))
     with pytest.raises(InvariantViolation):
-        bad.check([0.1, 0.2])
+        _tangent_bases(bad, np.array([[0.1, 0.2]]), DEFAULT_TOLERANCES)
 
 
 def test_custom_series_chart_matches_circle():
     chart = curve_chart_from_series({"cos": [[1.0, 1.0]]}, {"sin": [[1.0, 1.0]]})
     ref = circle_chart()
-    for u in (0.0, 0.4, 2.2):
-        assert np.allclose(chart.at([u]), ref.at([u]))
-        assert np.allclose(chart.jac([u]), ref.jac([u]))
+    us = np.array([[0.0], [0.4], [2.2]])
+    assert np.allclose(chart.points(us), ref.points(us))
+    assert np.allclose(chart.jacobians(us), ref.jacobians(us))
 
 
 def polynomial_gradient_graph(phi_coeffs):
@@ -172,9 +174,9 @@ def test_stacked_jacobian_matches_differences_of_stacked_point(n, seed):
             e[j] = h
             fd = (chart.point(us + e) - chart.point(us - e)) / (2 * h)
             assert np.max(np.abs(J[:, :, j] - fd)) < 1e-6, chart.tag
-        for k, u in enumerate(us):
-            assert np.array_equal(J[k], chart.jac(u)), chart.tag
-            assert np.allclose(chart.at(u), X[k], rtol=0, atol=1e-12)
+        for k in range(len(us)):  # one sample at a time
+            assert np.array_equal(J[k], chart.jacobians(us[k:k + 1])[0]), chart.tag
+            assert np.allclose(chart.points(us[k:k + 1])[0], X[k], rtol=0, atol=1e-12)
 
 
 def reference_transfers(Ba, Bb):
@@ -334,10 +336,10 @@ def test_chart_check_screen_keeps_the_rank_decision(n, seed):
     full = np.linalg.svd(J, compute_uv=False)[:, -1] >= floor
     for j in range(len(As)):
         if full[j]:
-            chart.check(us[j])
+            _tangent_bases(chart, us[j:j + 1], DEFAULT_TOLERANCES)
         else:
             with pytest.raises(ImmersionError, match="rank deficient"):
-                chart.check(us[j])
+                _tangent_bases(chart, us[j:j + 1], DEFAULT_TOLERANCES)
     # on the stack, the first rank-deficient parameter is named
     with pytest.raises(ImmersionError, match=r"at u = \[%d\.( 0\.)*\]$" % np.argmin(full)):
         _tangent_bases(chart, us, DEFAULT_TOLERANCES)
@@ -545,7 +547,7 @@ def reference_transport(chart, us):
     """Project each frame onto the next tangent space and orthonormalize it
     by its polar factor, one sample at a time."""
     def basis(u):
-        Q, R = np.linalg.qr(chart.jac(u))
+        Q, R = np.linalg.qr(chart.jacobians([u])[0])
         return Q * np.sign(np.diagonal(R))
 
     frames = [basis(us[0])]
@@ -604,7 +606,7 @@ def test_chart_check_names_non_finite_jacobian():
     nan_jacobian = LagrangianChart(1, point=circle.point,
                                    jacobian=lambda us: np.full((len(us), 2, 1), np.nan))
     with pytest.raises(ImmersionError, match="not finite"):
-        nan_jacobian.check([0.3])
+        _tangent_bases(nan_jacobian, np.array([[0.3]]), DEFAULT_TOLERANCES)
 
 
 def twisted_graph_chart():
@@ -626,9 +628,9 @@ def graph_jacobian(d1, d2):
 
 def test_chart_check_names_the_first_non_lagrangian_parameter():
     chart = twisted_graph_chart()
-    chart.check([0.3, 0.0])
+    _tangent_bases(chart, np.array([[0.3, 0.0]]), DEFAULT_TOLERANCES)
     with pytest.raises(InvariantViolation, match=r"not Lagrangian at u = \[0\.3 0\.1\]:"):
-        chart.check([0.3, 0.1])
+        _tangent_bases(chart, np.array([[0.3, 0.1]]), DEFAULT_TOLERANCES)
     # from u = (0.3, 0) the path leaves the Lagrangian locus at its second
     # sample, u = (0.3, 0.25): both routes name that parameter
     path = ParamPath.line([0.3, 0.0], [0.3, 1.0], 5)
@@ -678,29 +680,12 @@ def test_transport_rejects_non_finite_closing_point():
         transport_frame(chart, ParamPath.circle_arc(1.0, 50))
 
 
-def test_transport_refinement_exhaustion():
+def test_transport_refinement_exhaustion(monkeypatch):
     path = ParamPath.circle_arc(1.0, 10)
-    with pytest.raises(SamplingError, match="transport refinement exhausted"):
-        transport_frame(circle_chart(), path, max_depth=2)
     assert transport_frame(circle_chart(), path).refinement_depth > 2
-
-
-def test_negative_refinement_depths_raise_a_library_error():
-    # a loop that needs no refinement and one that does
-    for samples in (900, 6):
-        with pytest.raises(SamplingError, match="refinement depth must be non-negative"):
-            transport_frame(circle_chart(), ParamPath.circle_arc(1.0, samples), max_depth=-1)
-
-
-def test_refinement_depths_must_be_integers():
-    # a float, even an integral one, and a string are SamplingErrors naming
-    # the value in transport; numpy integers are depths
-    loop = ParamPath.circle_arc(1.0, 10)
-    for depth in (3.0, 2.5, -1, "3"):
-        message = re.escape("refinement depth must be non-negative and integral, got %r" % (depth,))
-        with pytest.raises(SamplingError, match=message):
-            transport_frame(circle_chart(), loop, max_depth=depth)
-    assert transport_frame(circle_chart(), loop, max_depth=np.int64(30)).refinement_depth > 2
+    monkeypatch.setattr(geometry, "MAX_REFINEMENT_DEPTH", 2)
+    with pytest.raises(SamplingError, match="transport refinement exhausted"):
+        transport_frame(circle_chart(), path)
 
 
 def epicycle_chart(r=1.0, e=0.075, k=2):
@@ -734,13 +719,14 @@ def test_open_segment_levels_match_the_insert_per_level_loop(name):
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_PATHS))
-def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name):
+def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name, monkeypatch):
     chart, path = LEVEL_PATHS[name]
     for max_depth in range(7):
         with pytest.raises(SamplingError) as want:
             insert_per_level_transport(chart, path, max_depth=max_depth)
+        monkeypatch.setattr(geometry, "MAX_REFINEMENT_DEPTH", max_depth)
         with pytest.raises(SamplingError, match="^transport refinement exhausted at t = ") as got:
-            transport_frame(chart, path, max_depth=max_depth)
+            transport_frame(chart, path)
         assert str(got.value) == str(want.value)
 
 
@@ -798,10 +784,31 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name):
      r"^path samples must be numbers, got \[\[0\.0\], \['a'\]\]$"),
     (lambda: ParamPath.circle_arc("a", 5), InvariantViolation,
      r"^arc turns and start must be numbers, got \('a', 0\.0\)$"),
+    # samples of the wrong dimension at the two transport entries
+    (lambda: transport_frame(circle_chart(), ParamPath([[0.0, 0.0], [1.0, 1.0]])),
+     DimensionMismatch, r"^path samples are 2-dimensional, the chart has n = 1$"),
+    (lambda: tangent_lagrangian_path(circle_chart(), ParamPath([[0.0, 0.0], [1.0, 1.0]])),
+     DimensionMismatch, r"^path samples are 2-dimensional, the chart has n = 1$"),
+    # samples with no coordinate, or no axis
+    (lambda: ParamPath.line([], [], 5), InvariantViolation,
+     r"^path samples must be an \(N, n\) stack, n >= 1, got shape \(5, 0\)$"),
+    (lambda: ParamPath(3.0), InvariantViolation,
+     r"^path samples must be an \(N, n\) stack, n >= 1, got shape \(\)$"),
+    # non-finite arcs, before the closedness test rounds their turns
+    (lambda: ParamPath.circle_arc(float("nan"), 5), InvariantViolation,
+     r"^arc turns and start must be finite, got nan and 0$"),
+    (lambda: ParamPath.circle_arc(float("inf"), 5), InvariantViolation,
+     r"^arc turns and start must be finite, got inf and 0$"),
+    # an empty symplectic path, and samples over another n than the frame
+    (lambda: mu_hat_on_cover([], l0_frame(1)), InvariantViolation,
+     r"^empty symplectic path$"),
+    (lambda: induced_lagrangian_path([embed_unitary(np.eye(2))], l0_frame(1)), DimensionMismatch,
+     r"^symplectic sample over n = 2 acts on a frame over n = 1 at sample 0$"),
 ])
 def test_counts_dimensions_and_shapes_raise_typed_errors_at_the_boundary(make, error, message):
-    # unchecked, numpy raises TypeError, ValueError or IndexError on each of
-    # these, or builds a chart whose transport fails with one
+    # unchecked, Python or numpy raises TypeError, ValueError, IndexError or
+    # OverflowError on each of these, or builds a chart or path whose
+    # transport fails with one
     with pytest.raises(MaslovError) as info:
         make()
     assert type(info.value) is error and re.search(message, str(info.value))

@@ -118,9 +118,14 @@ def cover_pair_meeting_in(n, k, rng, shifts, near=False):
             for w, s in zip(ws, shifts)]
 
 
+def frame_stack(frames):
+    """The (N, 2n, n) stack of the columns of LagrangianFrame objects."""
+    return np.array([F.columns for F in frames])
+
+
 def circle_tangent_path(turns=1.0, k=300, start=0.0):
     ts = np.linspace(start, start + 2 * np.pi * turns, k)
-    return LagrangianPath([line_frame(t + np.pi / 2) for t in ts]), ts
+    return LagrangianPath(frame_stack([line_frame(t + np.pi / 2) for t in ts])), ts
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +453,7 @@ def test_cover_point_rejects_nan():
 
 
 def test_lift_constant_path():
-    path = LagrangianPath([line_frame(0.4)] * 5)
+    path = LagrangianPath(frame_stack([line_frame(0.4)] * 5))
     theta = lift_path(path)
     assert theta.shape == (5,)
     assert np.allclose(theta, theta[0])
@@ -479,13 +484,13 @@ def test_lift_product_path_multiplicative():
         F[0, 0], F[2, 0] = np.cos(a), np.sin(a)
         F[1, 1], F[3, 1] = fixed[0, 0], fixed[1, 0]
         frames.append(LagrangianFrame(F))
-    path = LagrangianPath(frames)
+    path = LagrangianPath(frame_stack(frames))
     theta = lift_path(path)
     assert abs((theta[-1] - theta[0]) - 4 * np.pi) < 1e-9
 
 
 def test_clm_constant_path():
-    assert clm_index(LagrangianPath([line_frame(0.4)] * 4)) == 0
+    assert clm_index(LagrangianPath(frame_stack([line_frame(0.4)] * 4))) == 0
 
 
 def test_clm_circle_loop_with_crossing_oracle():
@@ -523,7 +528,7 @@ def test_clm_homotopy_invariance(rng):
         ts = np.sort(ts)
         ts[0], ts[-1] = 0.0, 2 * np.pi
         frames = [line_frame(t + np.pi / 2) for t in ts]
-        assert clm_index(LagrangianPath(frames)) == 2
+        assert clm_index(LagrangianPath(frame_stack(frames))) == 2
 
 
 def test_mu_hat_on_cover_constant():
@@ -564,12 +569,12 @@ def test_mu_hat_on_cover_matches_clm_random(rng):
         assert mu % 8 == (2 * clm_index(induced) + (n - d)) % 8
 
 
-def test_path_from_frame_stack_matches_frame_list():
+def test_path_takes_a_frame_stack_not_a_frame_list():
     ts = np.linspace(0.0, 2 * np.pi, 12)
     frames = [line_frame(t + np.pi / 2) for t in ts]
-    from_list = LagrangianPath(frames)
-    from_stack = LagrangianPath(np.array([f.columns for f in frames]))
-    assert np.array_equal(from_list.souriau, from_stack.souriau)
+    with pytest.raises(InvariantViolation, match=r"^frames must form an \(N, 2n, n\) stack$"):
+        LagrangianPath(frames)
+    from_stack = LagrangianPath(frame_stack(frames))
     assert len(from_stack.frames) == len(from_stack) == len(from_stack.params) == 12
     # every sample's frame spans the Lagrangian of its image
     for k in range(len(from_stack)):
@@ -581,7 +586,7 @@ def test_path_from_frame_stack_matches_frame_list():
 @pytest.mark.parametrize("params", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
                                     [-np.inf, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0]])
 def test_path_params_must_be_finite_and_increasing(params):
-    frames = [line_frame(a) for a in (0.0, 0.3, 0.6)]
+    frames = frame_stack([line_frame(a) for a in (0.0, 0.3, 0.6)])
     with pytest.raises(InvariantViolation,
                        match="^params must be finite and strictly increasing, one per frame$"):
         LagrangianPath(frames, params=params)
