@@ -330,6 +330,8 @@ def _run_verify(spec, tol):
         _check_fields(spec, "verify corollary1")
         loops = [build_path(ls, chart, "spec.loops[%d]" % i)
                  for i, ls in enumerate(_require(spec, "loops", "spec", (None, "object")))]
+        if not loops:
+            raise SpecError("spec.loops", "must hold at least one loop")
         rep = verify_corollary1(chart, loops, tol)
         return rep, rep["pass"]
     ppath = build_path(_require(spec, "path", "spec", "object"), chart, "spec.path")

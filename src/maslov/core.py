@@ -96,10 +96,10 @@ def _orthonormal_columns(F: np.ndarray) -> np.ndarray:
 
 def _set_fields(obj, **fields):
     """Store the fields of the frozen obj, arrays made read-only; returns obj."""
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # what object.__setattr__ would do, field by field
     return obj
 
 
@@ -118,16 +118,20 @@ class SymplecticMatrix:
     _tol = DEFAULT_TOLERANCES  # the policy of the check, reused by inverse(); not a field
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] % 2:
-            raise InvariantViolation("symplectic matrix must be square of even size")
-        n = entries.shape[0] // 2
+        try:
+            S = np.array(entries, dtype=float)  # the one copy, kept read-only
+        except (TypeError, ValueError):  # not numbers, or a ragged list
+            raise InvariantViolation("symplectic matrix entries must be real numbers") from None
+        if S.ndim != 2 or S.shape[0] != S.shape[1] or not S.shape[0] or S.shape[0] % 2:
+            raise InvariantViolation("symplectic matrix must be square of nonzero even size; "
+                                     "got shape %s" % (S.shape,))
+        n = S.shape[0] // 2
         J = standard_j(n)
-        resid = np.max(np.abs(entries.T @ J @ entries - J))
+        resid = abs(S.T @ J @ S - J).max()
         if not resid <= tol.residual_tol:  # NaN entries fail too
             raise InvariantViolation(
                 "not symplectic: ||S^T J S - J||_inf = %.3e" % resid)
-        _set_fields(self, entries=np.array(entries), n=n, _tol=tol)
+        _set_fields(self, entries=S, n=n, _tol=tol)
 
     def inverse(self) -> "SymplecticMatrix":
         J = standard_j(self.n)
@@ -161,7 +165,7 @@ def _det_phase_steps(U: np.ndarray, tol: Tolerances, ends: str, labels):
     dets = np.linalg.det(U)
     steps = (np.diff(np.angle(dets)) + np.pi) % (2 * np.pi) - np.pi
     D = U[1:] - U[:-1]
-    bound = np.pi / 2 * np.sqrt(n * np.sum(D.real ** 2 + D.imag ** 2, axis=(1, 2)))
+    bound = np.pi / 2 * np.sqrt(n * (D.real ** 2 + D.imag ** 2).sum(axis=(1, 2)))
     far = np.flatnonzero(~(bound < (1 - _SCREEN_MARGIN) * np.pi))
     if far.size:
         lam = np.linalg.eigvals(U[far + 1] @ U[far].conj().swapaxes(1, 2))
@@ -242,7 +246,12 @@ class LagrangianFrame:
 
 
 def l0_frame(n: int) -> LagrangianFrame:
-    """Frame of the vertical basepoint L0 = {0} x R^n."""
+    """Frame of the vertical basepoint L0 = {0} x R^n, one shared object per n."""
+    return _l0_frame(_integer(n, "dimension n must be a positive integer, got %r", low=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _l0_frame(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.vstack([np.zeros((n, n)), np.eye(n)]))
 
 
@@ -260,18 +269,33 @@ def embed_unitary(U, tol: Tolerances = DEFAULT_TOLERANCES) -> SymplecticMatrix:
     return _trusted(SymplecticMatrix, entries=np.block([[A, -B], [B, A]]), n=U.n, _tol=tol)
 
 
+def _symplectic_stack(symp_path, n=None,
+                      over="symplectic sample over n = %d in a path over n = %d") -> np.ndarray:
+    """The (N, 2n, 2n) entries of a nonempty path of SymplecticMatrix samples
+    (each checked when built) over n, by default the first sample's; else
+    InvariantViolation, or DimensionMismatch(over % (its n, n)), naming the
+    first bad sample."""
+    if not len(symp_path):
+        raise InvariantViolation("empty symplectic path")
+    for k, S in enumerate(symp_path):
+        if not isinstance(S, SymplecticMatrix):
+            raise InvariantViolation("symplectic path samples must be SymplecticMatrix objects, "
+                                     "got %s at sample %d" % (type(S).__name__, k))
+        n = S.n if n is None else n
+        if S.n != n:
+            raise DimensionMismatch((over + " at sample %d") % (S.n, n, k))
+    return np.array([S.entries for S in symp_path])
+
+
 def unitaries_from_symplectic(symp_path, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Stack of the U_k with embed_unitary(U_k) = S_k along a path of checked
     symplectic matrices, which are unitary images if of block form: one
     batched block check names the first sample outside the unitary image."""
-    if not len(symp_path):
-        raise InvariantViolation("empty symplectic path")
-    S = np.array([s.entries for s in symp_path])
+    S = _symplectic_stack(symp_path)
     n = S.shape[-1] // 2
     A, B, C, D = S[:, :n, :n], S[:, :n, n:], S[:, n:, :n], S[:, n:, n:]
     U = A + 1j * C
-    block = np.maximum(np.max(np.abs(A - D), axis=(1, 2)),
-                       np.max(np.abs(B + C), axis=(1, 2)))
+    block = np.maximum(abs(A - D).max(axis=(1, 2)), abs(B + C).max(axis=(1, 2)))
     check_stack(block <= 10 * tol.residual_tol, InvariantViolation,
                 "not in the unitary image: block residual %.3e", block, entry="sample")
     return U

@@ -495,7 +495,9 @@ def _sampling_stats(tr: TransportResult) -> dict:
 def corollary1_from_reports(chart: LagrangianChart, reports: Sequence[dict]) -> dict:
     """The Corollary 1 report of a chart from the Theorem 1 reports of its
     loops: a parallel ground-state section exists iff every loop's CLM index
-    vanishes mod 4."""
+    vanishes mod 4; over no loop at all there is nothing to decide."""
+    if not reports:
+        raise InvariantViolation("Corollary 1 needs the report of at least one loop")
     per_loop = [{"mu_clm": rep["mu_clm"], "mu_clm_mod4": rep["mu_clm_mod4"],
                  "phase": rep["phase"], "pass": rep["pass"]} for rep in reports]
     dim = 1 if all(r["mu_clm_mod4"] == 0 for r in per_loop) else 0

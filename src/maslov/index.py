@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
                    Tolerances, UnitaryComplex, _checked_unitary, _det_phase_steps,
-                   _orthonormal_columns, _set_fields, _souriau_frame, check_stack, omega_gram,
-                   souriau_images, souriau_map)
+                   _orthonormal_columns, _set_fields, _souriau_frame, _symplectic_stack,
+                   check_stack, omega_gram, souriau_images, souriau_map)
 from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
                      SamplingError, TransversalityError)
 
@@ -183,13 +183,19 @@ class LagrangianPath:
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
         """frames: an (N, 2n, n) array of frame columns, or an (N, n, n)
         complex array of the unitaries of orthonormal frames."""
+        try:
+            frames = np.asarray(frames)
+        except ValueError:  # a ragged list
+            frames = None
+        if frames is None or not frames.ndim:
+            raise InvariantViolation("frames must form an (N, 2n, n) stack")
         if len(frames) < 2:
             raise InvariantViolation("a path needs at least two samples")
         if params is None:
             params = np.linspace(0.0, 1.0, len(frames))
         params = np.asarray(params, dtype=float)
-        if len(params) != len(frames) or not (np.isfinite(params).all()
-                                              and (np.diff(params) > 0).all()):
+        if params.shape != frames.shape[:1] or not (np.isfinite(params).all()
+                                                    and (np.diff(params) > 0).all()):
             raise InvariantViolation("params must be finite and strictly increasing, one per frame")
         self.souriau, self.params = souriau_images(frames, tol), params
         self.n = self.souriau.shape[1]
@@ -239,12 +245,9 @@ def induced_lagrangian_path(symp_path: Sequence[SymplecticMatrix],
                             L: LagrangianFrame,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> LagrangianPath:
     """The Lagrangian path t -> S(t) . L induced by a non-empty symplectic path over L.n."""
-    ns = np.array([S.n for S in symp_path])
-    if not len(ns):
-        raise InvariantViolation("empty symplectic path")
-    check_stack(ns == L.n, DimensionMismatch, "symplectic sample over n = %d acts on a frame "
-                "over n = %d", ns, L.n, entry="sample")
-    return LagrangianPath(np.array([S.entries @ L.columns for S in symp_path]), tol=tol)
+    S = _symplectic_stack(symp_path, L.n, "symplectic sample over n = %d acts on a frame "
+                          "over n = %d")
+    return LagrangianPath(S @ L.columns, tol=tol)
 
 
 def mu_hat_on_cover(symp_path: Sequence[SymplecticMatrix], L: LagrangianFrame,

@@ -88,7 +88,7 @@ def _matrix(A, what: str, tol: Tolerances, dtype=float, symmetric=False,
     if not np.isfinite(A).all():
         raise InvariantViolation("%s must be finite" % what)
     if symmetric:
-        if not np.max(np.abs(A - A.T)) <= tol.residual_tol:
+        if not abs(A - A.T).max() <= tol.residual_tol:
             raise InvariantViolation("%s must be symmetric" % what)
         A = (A + A.T) / 2
     if invertible and not abs(np.linalg.det(A)) >= tol.rank_floor(len(A)):
@@ -106,12 +106,14 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvariantViolation("determinant branch needs a square matrix; got %s" % (M.shape,))
+    if not len(M):
+        raise InvariantViolation("determinant branch needs a matrix over n >= 1; got n = 0")
     if not np.isfinite(M).all():
         raise StateDomainError("canonical determinant branch needs a finite matrix")
     lam = np.linalg.eigvals(M)
-    if not np.min(lam.real) > 0:
+    if not lam.real.min() > 0:
         raise StateDomainError("canonical determinant branch needs Re(eigenvalues) > 0")
-    return np.prod(np.abs(lam) ** power * np.exp(1j * power * np.angle(lam)))
+    return (abs(lam) ** power * np.exp(1j * power * np.angle(lam))).prod()
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +127,15 @@ class _MonomialBasis:
     descending exponent order, so the basis of degree D is a prefix of the
     basis of degree D + 1.  A monomial of degree d >= 1 is x_j times its
     parent of degree d - 1, with j its first nonzero coordinate (``levels``
-    holds, per degree, the slice bounds, these j and the parents).  The
-    shifts S_c (multiplication by x_c, truncated at degree D) and the
-    derivatives D_j act on coefficient vectors as gathers: (S_c v)_gamma is
-    v at gamma - e_c (``down``), and (D_j v)_gamma is (gamma_j + 1) times v
-    at gamma + e_j (``up``); both tables point one past the basis, at a zero
-    pad, where there is no such monomial.
+    holds, per degree, the slice bounds, these j, the parents, their
+    exponents transposed and the positions of parent - e_c).  The shifts S_c
+    (multiplication by x_c, truncated at degree D) and the derivatives D_j
+    act on coefficient vectors as gathers: (S_c v)_gamma is v at
+    gamma - e_c (``down``), and (D_j v)_gamma is (gamma_j + 1) times v at
+    gamma + e_j (``up``); the tables point one past the basis, at a zero
+    pad, where there is no such monomial.  ``second`` holds D_j^2 as the
+    factors gamma_j + 1 and gamma_j + 2 and the position of gamma + 2 e_j.
+    Every table is built once, with the basis, and read-only.
     """
 
     def __init__(self, n: int, D: int):
@@ -147,33 +152,46 @@ class _MonomialBasis:
         self.down, self.up = (np.array([[self.index.get(tuple(e + s * unit[c]), K)
                                          for e in self.exps] for c in range(n)], dtype=int)
                               for s in (-1, 1))
+        ext = np.hstack([self.up, np.full((n, 1), K)])
+        self.second = (self.exps.T + 1, self.exps.T + 2, np.take_along_axis(ext, self.up, 1))
         bounds = np.searchsorted(self.deg, np.arange(D + 2))
         self.levels = []
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             step = np.argmax(self.exps[lo:hi] > 0, axis=1)
-            self.levels.append((lo, hi, step, self.down[step, np.arange(lo, hi)]))
-        for a in (self.exps, self.deg, self.down, self.up):  # shared by every caller
+            parent = self.down[step, np.arange(lo, hi)]
+            self.levels.append((lo, hi, step, parent, self.exps[parent].T, self.down[:, parent]))
+        # for images: the j of every monomial past 1, and the factors gamma_c + 1 of D_c
+        self.steps = np.concatenate([np.zeros(0, dtype=int), *(lv[2] for lv in self.levels)])
+        self.up_factor = self.second[0][:, :, None]
+        for a in (self.exps, self.deg, self.down, self.up, *self.second, self.steps,
+                  self.up_factor, *(t for lv in self.levels for t in lv[2:])):  # shared
             a.setflags(write=False)
 
-    def diff(self, v: np.ndarray, j: int) -> np.ndarray:
-        """D_j v for a coefficient vector v over this basis."""
-        return (self.exps[:, j] + 1) * np.append(v, 0)[self.up[j]]
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        """sum_j D_j^2 v for a coefficient vector v over this basis."""
+        f1, f2, up2 = self.second
+        return sum(f1 * (f2 * np.append(v, 0)[up2]))
 
     def images(self, G: np.ndarray, H: np.ndarray | None = None) -> np.ndarray:
         """The matrices whose column gamma is X^gamma 1, shape (..., K, K),
         for the commuting operators X_j = sum_c (G_jc S_c + H_jc D_c) on this
         basis, G and H (None: 0) of shape (..., n, n).  Each degree is one
         gathered step from the degree below: the column of x_j x^gamma' is
-        X_j applied to the column of x^gamma'."""
-        K = self.size
+        X_j applied to the column of x^gamma', one gather of the parents'
+        columns per operand; the terms are summed over c in order, slice by
+        slice, so that the rounding does not depend on the batch shape."""
+        K, down, up = self.size, self.down[:, :, None], self.up[:, :, None]
         img = np.zeros(G.shape[:-2] + (K + 1, K), dtype=complex)  # last row: the pad
         img[..., 0, 0] = 1.0
-        for lo, hi, step, parent in self.levels:
-            V = img[..., parent]
-            new = sum(G[..., None, step, c] * V[..., self.down[c], :] for c in range(self.n))
+        # the coefficients G_jc and H_jc of every monomial's j, shape (..., n, 1, K - 1)
+        Gj = _T(G[..., self.steps, :])[..., None, :]
+        Hj = None if H is None else _T(H[..., self.steps, :])[..., None, :]
+        for lo, hi, _, parent, _, _ in self.levels:
+            terms = Gj[..., lo - 1:hi - 1] * img[..., down, parent]
+            new = sum(terms[..., c, :, :] for c in range(self.n))
             if H is not None:
-                new = new + sum(H[..., None, step, c] * (self.exps[:, c, None] + 1)
-                                * V[..., self.up[c], :] for c in range(self.n))
+                terms = Hj[..., lo - 1:hi - 1] * self.up_factor * img[..., up, parent]
+                new = new + sum(terms[..., c, :, :] for c in range(self.n))
             img[..., :K, lo:hi] = new
         return img[..., :K, :]
 
@@ -251,6 +269,9 @@ class Polynomial:
 
     def __call__(self, x) -> complex:
         x = np.atleast_1d(np.asarray(x))
+        if x.shape != (self.n,):
+            raise DimensionMismatch("a point of shape %s for a polynomial over n = %d"
+                                    % (x.shape, self.n))
         return complex(np.prod(x ** self.basis.exps, axis=1) @ self.vec)
 
 
@@ -315,9 +336,9 @@ def _branch(m) -> int:
 
 
 def ground_state(n: int) -> GaussianAmplitude:
-    """u0(x) = exp(-<x, x>/2)."""
+    """u0(x) = exp(-<x, x>/2), the level-0 ``hermite_state``."""
     n = _integer(n, "dimension n must be a positive integer, got %r", low=1)
-    return GaussianAmplitude(1.0, np.eye(n))
+    return _hermite((0,) * n)
 
 
 def gaussian_integral(s: GaussianAmplitude) -> complex:
@@ -334,9 +355,8 @@ def _gaussian_moments(Sigma: np.ndarray, basis: _MonomialBasis) -> np.ndarray:
     the odd degrees stay zero."""
     mom = np.zeros(basis.size + 1, dtype=complex)  # last entry: the zero pad
     mom[0] = 1.0
-    for lo, hi, step, parent in basis.levels[1::2]:
-        mom[lo:hi] = np.sum(Sigma[step].T * basis.exps[parent].T * mom[basis.down[:, parent]],
-                            axis=0)
+    for lo, hi, step, _, parent_exps, parent_down in basis.levels[1::2]:
+        mom[lo:hi] = (Sigma[step].T * parent_exps * mom[parent_down]).sum(axis=0)
     return mom[:-1]
 
 
@@ -576,7 +596,7 @@ def _closed_law(W: np.ndarray, theta: np.ndarray, s0: GaussianAmplitude,
     n, c = s0.n, s0.c * np.exp(0.5j * theta)
     I = np.eye(n)
     if np.array_equal(s0.M, I):
-        return c, np.tile(I.astype(complex), (len(W), 1, 1))
+        return c, np.repeat(I[None].astype(complex), len(W), axis=0)
     C = np.linalg.solve(I + s0.M, I - s0.M)
     Y = I + _times(_T(W) @ W, C)
     if n * np.arcsin(min(np.linalg.norm(C, 2), 1.0)) < (1 - _SCREEN_MARGIN) * np.pi:
@@ -585,7 +605,7 @@ def _closed_law(W: np.ndarray, theta: np.ndarray, s0: GaussianAmplitude,
         f = np.prod(np.linalg.eigvals(Y) ** -0.5, axis=1)
     M = _closed_matrices(W, s0.M)
     R, floor = M.real, tol.rank_floor(n)
-    low = np.min(2 * np.diagonal(R, axis1=1, axis2=2) - np.sum(np.abs(R), axis=2), axis=1)
+    low = (2 * np.diagonal(R, axis1=1, axis2=2) - abs(R).sum(axis=2)).min(axis=1)
     open_ = np.flatnonzero(~(low >= (1 + _SCREEN_MARGIN) * floor))
     if open_.size:
         low[open_] = np.linalg.eigvalsh(R[open_])[:, 0]
@@ -644,7 +664,7 @@ def _lift(Us, s0: GaussianAmplitude, tol: Tolerances):
     resid = _unitarity_residuals(Us)
     check_stack(resid <= tol.residual_tol, InvariantViolation,
                 "not unitary: residual %.3e", resid, entry="sample")
-    if np.max(np.abs(Us[0] - np.eye(n))) > 100 * tol.residual_tol:
+    if abs(Us[0] - np.eye(n)).max() > 100 * tol.residual_tol:
         raise InvariantViolation("path must start at the identity")
     W = _times(Us, Us[0].conj().T)
     steps = _det_phase_steps(Us, tol, "sample %d to %d", np.arange(len(Us)))[1]
@@ -762,16 +782,23 @@ def hermite_state(l, n: int) -> GaussianAmplitude:
     An integer level places H_l on the first coordinate; a multi-index of
     non-negative integers gives the product state with total level sum(l),
     its coefficient at x^gamma the product of those of x_j^gamma_j in H_{l_j}.
+    One read-only state is shared by every call with the same levels.
     """
     n = _integer(n, "dimension n must be a positive integer, got %r", low=1)
     levels = (l,) + (0,) * (n - 1) if np.ndim(l) == 0 else tuple(l)
     if len(levels) != n:
         raise DimensionMismatch("multi-index length must equal n")
-    levels = [_integer(v, "levels must be nonnegative integers, got %r", low=0) for v in levels]
+    return _hermite(tuple(_integer(v, "levels must be nonnegative integers, got %r", low=0)
+                          for v in levels))
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite(levels: tuple) -> GaussianAmplitude:
     supports = [[(d, c) for d, c in enumerate(_hermite_coeffs(k)) if c != 0.0] for k in levels]
-    poly = Polynomial(n, {tuple(d for d, _ in terms): math.prod(c for _, c in terms)
-                          for terms in itertools.product(*supports)})
-    return GaussianAmplitude(1.0, np.eye(n), poly)
+    poly = Polynomial(len(levels), {tuple(d for d, _ in terms): math.prod(c for _, c in terms)
+                                    for terms in itertools.product(*supports)})
+    poly.vec.setflags(write=False)
+    return GaussianAmplitude(1.0, np.eye(len(levels)), poly)
 
 
 def oscillator_level(s: GaussianAmplitude, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -781,11 +808,11 @@ def oscillator_level(s: GaussianAmplitude, tol: Tolerances = DEFAULT_TOLERANCES)
     Acts symbolically: for s = P u_0 the Hamiltonian sends P to
     -(1/2) sum_j (-d_j^2 P + 2 x_j d_j P + P).
     """
-    if np.max(np.abs(s.M - np.eye(s.n))) > tol.residual_tol:
+    if abs(s.M - np.eye(s.n)).max() > tol.residual_tol:
         return None
     b, p = s.poly.basis, s.poly.vec
     # x_j d_j summed over j is the degree; out must equal 2 l * poly
-    out = 2.0 * b.deg * p - sum(b.diff(b.diff(p, j), j) for j in range(s.n))
+    out = 2.0 * b.deg * p - b.laplacian(p)
     k0 = int(np.argmax(np.abs(p)))
     v0 = p[k0]
     if v0 == 0:
@@ -794,6 +821,6 @@ def oscillator_level(s: GaussianAmplitude, tol: Tolerances = DEFAULT_TOLERANCES)
     if abs(cand - round(cand.real)) > tol.phase_tol:
         return None
     l = int(round(cand.real))
-    if np.any(np.abs(out - 2.0 * l * p) > 1e-8 * abs(v0)):
+    if (abs(out - 2.0 * l * p) > 1e-8 * abs(v0)).any():
         return None
     return l

@@ -456,6 +456,9 @@ def with_field(spec, field, value):
     pytest.param({"command": "verify", "chart": {"name": "circle"},
                   "path": {"kind": "samples", "values": [0.5]}}, "spec.path.values",
                  id="one-value"),
+    # Corollary 1 over no loop would pass vacuously
+    pytest.param({"command": "verify", "theorem": "corollary1", "chart": {"name": "circle"},
+                  "loops": []}, "spec.loops", id="corollary1-no-loops"),
     # levels are read by the tangent case only: a transverse endpoint rejects them
     pytest.param({"command": "verify", **CIRCLE_ARC, "theorem": "2", "levels": [7, 11]},
                  "spec.levels", id="levels-at-a-transverse-endpoint"),

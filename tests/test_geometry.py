@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from lift_oracle import reference_lift
 from maslov import geometry, metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, Tolerances,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
                          embed_unitary, intersection_dim, l0_frame, line_frame,
-                         random_lagrangian, random_unitary)
+                         random_lagrangian, random_unitary, unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            ImmersionError, InvariantViolation, MaslovError,
                            SamplingError, StateDomainError)
 from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
-                             TransportResult, circle_chart, curve_chart_from_series,
+                             TransportResult, circle_chart, corollary1_from_reports,
+                             curve_chart_from_series,
                              flat_plane_chart, fourth_root_label, gradient_graph_chart,
                              product_torus_chart, tangent_lagrangian_path,
                              transport_frame, verify_corollary1,
@@ -28,7 +29,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
 from maslov.index import (LagrangianPath, clm_index, induced_lagrangian_path, lift_path,
                           mu_hat_on_cover)
 from maslov.metaplectic import (DELTA, DistributionState, Polynomial, ground_state,
-                                hermite_state, lift_frame_path_trace, pin_branch_orthogonal)
+                                hermite_state, lift_frame_path, lift_frame_path_trace,
+                                pin_branch_orthogonal)
 
 
 def phase_of(report):
@@ -804,6 +806,38 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name, m
      r"^empty symplectic path$"),
     (lambda: induced_lagrangian_path([embed_unitary(np.eye(2))], l0_frame(1)), DimensionMismatch,
      r"^symplectic sample over n = 2 acts on a frame over n = 1 at sample 0$"),
+    (lambda: unitaries_from_symplectic([embed_unitary(np.eye(1)), embed_unitary(np.eye(2))]),
+     DimensionMismatch, r"^symplectic sample over n = 2 in a path over n = 1 at sample 1$"),
+    # symplectic matrices that are empty, not numbers or ragged
+    (lambda: SymplecticMatrix(np.zeros((0, 0))), InvariantViolation,
+     r"^symplectic matrix must be square of nonzero even size; got shape \(0, 0\)$"),
+    (lambda: SymplecticMatrix("abc"), InvariantViolation,
+     r"^symplectic matrix entries must be real numbers$"),
+    (lambda: SymplecticMatrix([[1.0, 0.0], [0.0]]), InvariantViolation,
+     r"^symplectic matrix entries must be real numbers$"),
+    # basepoint frames over no or a non-integral dimension
+    (lambda: l0_frame(0), InvariantViolation, r"^dimension n must be a positive integer, got 0$"),
+    (lambda: l0_frame(1.5), InvariantViolation,
+     r"^dimension n must be a positive integer, got 1\.5$"),
+    (lambda: l0_frame(-1), InvariantViolation,
+     r"^dimension n must be a positive integer, got -1$"),
+    # a path sample that is not a SymplecticMatrix, named at every entry
+    *[(make, InvariantViolation, r"^symplectic path samples must be SymplecticMatrix objects, "
+       r"got ndarray at sample 1$")
+      for make in (lambda: lift_frame_path([embed_unitary(np.eye(1)), np.eye(2)], ground_state(1)),
+                   lambda: unitaries_from_symplectic([embed_unitary(np.eye(1)), np.eye(2)]),
+                   lambda: induced_lagrangian_path([embed_unitary(np.eye(1)), np.eye(2)],
+                                                   l0_frame(1)),
+                   lambda: mu_hat_on_cover([embed_unitary(np.eye(1)), np.eye(2)], l0_frame(1)))],
+    # Lagrangian paths from a scalar, a ragged list, or params that are not one axis
+    (lambda: LagrangianPath(3.0), InvariantViolation, r"^frames must form an \(N, 2n, n\) stack$"),
+    (lambda: LagrangianPath([np.zeros((2, 1)), np.zeros((4, 2))]), InvariantViolation,
+     r"^frames must form an \(N, 2n, n\) stack$"),
+    (lambda: LagrangianPath(np.array([[[1.0], [0.0]]] * 3), params=[[0], [1], [2]]),
+     InvariantViolation, r"^params must be finite and strictly increasing, one per frame$"),
+    # Corollary 1 over no loop at all
+    (lambda: corollary1_from_reports(circle_chart(), []), InvariantViolation,
+     r"^Corollary 1 needs the report of at least one loop$"),
 ])
 def test_counts_dimensions_and_shapes_raise_typed_errors_at_the_boundary(make, error, message):
     # unchecked, Python or numpy raises TypeError, ValueError, IndexError or

@@ -227,6 +227,15 @@ BRANCH = r"^branch integer m must be an integer, got "
      r"^determinant branch needs a square matrix; got \(3, 2, 2\)$"),
     (lambda: det_branch_power(np.ones((2, 3)), -0.5), InvariantViolation,
      r"^determinant branch needs a square matrix; got \(2, 3\)$"),
+    (lambda: det_branch_power(np.zeros((0, 0)), -0.5), InvariantViolation,
+     r"^determinant branch needs a matrix over n >= 1; got n = 0$"),
+    # a point with another number of coordinates than the state's n
+    (lambda: hermite_state(2, 2).poly(np.array([1.0])), DimensionMismatch,
+     r"^a point of shape \(1,\) for a polynomial over n = 2$"),
+    (lambda: hermite_state(2, 2)(np.array([1.0])), DimensionMismatch,
+     r"^a point of shape \(1,\) for a polynomial over n = 2$"),
+    (lambda: ground_state(1)([0.5, 0.5]), DimensionMismatch,
+     r"^a point of shape \(2,\) for a polynomial over n = 1$"),
     # branch integers and levels are integers, and the scalar and the
     # endpoint word are checked at their boundary
     (lambda: Dilate(I2, 1.5), InvariantViolation, BRANCH + r"1\.5$"),
@@ -274,6 +283,110 @@ def test_polynomial_surface():
     assert abs(p([0.5, 2.0]) - (0.375 - 2j)) < 1e-15
     with pytest.raises(DimensionMismatch):
         Polynomial(2, {(1,): 1.0})
+
+
+def test_constant_states_and_frames_are_shared_and_read_only():
+    # one object per normalized key, numpy integers included
+    assert hermite_state(2, 1) is hermite_state(np.int64(2), np.int32(1))
+    assert hermite_state(2, 1) is hermite_state((2,), 1) is hermite_state([np.int8(2)], 1)
+    assert hermite_state((1, 2), 2) is hermite_state(np.array([1, 2]), np.int64(2))
+    assert ground_state(2) is ground_state(np.int64(2)) is hermite_state(0, 2)
+    assert l0_frame(3) is l0_frame(np.int64(3)) and l0_frame(3) is not l0_frame(2)
+    # so no caller can change them in place
+    state = hermite_state(3, 2)
+    for a in (state.poly.vec, state.M, ground_state(1).poly.vec, l0_frame(2).columns):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    assert state.poly.coeffs == {(3, 0): 8.0, (1, 0): -12.0}
+
+
+def reference_images(basis, G, H=None):
+    """_MonomialBasis.images as one gather and one term per coordinate c per
+    degree."""
+    K = basis.size
+    img = np.zeros(G.shape[:-2] + (K + 1, K), dtype=complex)
+    img[..., 0, 0] = 1.0
+    for lo, hi, step, parent, *_ in basis.levels:
+        V = img[..., parent]
+        new = sum(G[..., None, step, c] * V[..., basis.down[c], :] for c in range(basis.n))
+        if H is not None:
+            new = new + sum(H[..., None, step, c] * (basis.exps[:, c, None] + 1)
+                            * V[..., basis.up[c], :] for c in range(basis.n))
+        img[..., :K, lo:hi] = new
+    return img[..., :K, :]
+
+
+def reference_moments(Sigma, basis):
+    """_gaussian_moments with the parents' exponents and shifts gathered per
+    degree."""
+    mom = np.zeros(basis.size + 1, dtype=complex)
+    mom[0] = 1.0
+    for lo, hi, step, parent, *_ in basis.levels[1::2]:
+        mom[lo:hi] = np.sum(Sigma[step].T * basis.exps[parent].T * mom[basis.down[:, parent]],
+                            axis=0)
+    return mom[:-1]
+
+
+def reference_laplacian(basis, v):
+    """sum_j D_j (D_j v), one first derivative at a time."""
+    def diff(v, j):
+        return (basis.exps[:, j] + 1) * np.append(v, 0)[basis.up[j]]
+    return sum(diff(diff(v, j), j) for j in range(basis.n))
+
+
+def signed_zeros(rng, shape):
+    """Complex data with exact zeros, negative zeros among them: the sums
+    must keep the sign of every zero."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z[rng.random(shape) < 0.3] = 0.0
+    z.real[rng.random(shape) < 0.2] = -0.0
+    return z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("D", [0, 1, 2, 3, 4, 5, 6])
+def test_basis_tables_match_the_per_coordinate_loops_bit_for_bit(n, D):
+    rng = np.random.default_rng(100 * n + D)
+    basis = metaplectic._basis(n, D)
+    for batch in ((), (1,), (3,), (2, 2)):
+        G, H = signed_zeros(rng, batch + (n, n)), signed_zeros(rng, batch + (n, n))
+        for h in (None, H):
+            got = basis.images(G, h)
+            assert got.tobytes() == reference_images(basis, G, h).tobytes()
+            # each batch entry is the image of its own operands
+            for k in np.ndindex(*batch):
+                one = basis.images(G[k], None if h is None else h[k])
+                assert one.tobytes() == got[k].tobytes()
+    v = signed_zeros(rng, basis.size)
+    assert basis.laplacian(v).tobytes() == reference_laplacian(basis, v).tobytes()
+    Sigma = signed_zeros(rng, (n, n))
+    Sigma = Sigma + Sigma.T
+    assert (metaplectic._gaussian_moments(Sigma, basis).tobytes()
+            == reference_moments(Sigma, basis).tobytes())
+
+
+def test_oscillator_level_matches_the_per_coordinate_loops(rng):
+    def reference_level(s):
+        b, p = s.poly.basis, s.poly.vec
+        if np.max(np.abs(s.M - np.eye(s.n))) > DEFAULT_TOLERANCES.residual_tol:
+            return None
+        out = 2.0 * b.deg * p - reference_laplacian(b, p)
+        k0 = int(np.argmax(np.abs(p)))
+        cand = out[k0] / (2.0 * p[k0])
+        if abs(cand - round(cand.real)) > DEFAULT_TOLERANCES.phase_tol:
+            return None
+        l = int(round(cand.real))
+        return None if np.any(np.abs(out - 2.0 * l * p) > 1e-8 * abs(p[k0])) else l
+    for n in (1, 2, 3):
+        U = random_unitary(n, rng).entries
+        for levels in itertools.product(range(4), repeat=n):
+            s = hermite_state(levels, n)
+            lifted = lift_frame_path([embed_unitary(np.eye(n)), embed_unitary(U)], s)
+            noisy = GaussianAmplitude(1.0, np.eye(n), Polynomial._dense(
+                s.poly.basis, s.poly.vec + 1e-7 * signed_zeros(rng, s.poly.basis.size)))
+            for t in (s, lifted, noisy):
+                assert oscillator_level(t) == reference_level(t)
+            assert oscillator_level(s) == oscillator_level(lifted) == sum(levels)
 
 
 # ---------------------------------------------------------------------------

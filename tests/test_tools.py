@@ -136,17 +136,38 @@ def test_word_lifts_writes_the_same_bytes_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     word_lifts = load_tool("word_lifts")
-    monkeypatch.setattr(word_lifts.gaussian_words, "ROUNDS", 1)  # 12 lift operations
+    monkeypatch.setattr(word_lifts.gaussian_words, "ROUNDS", 1)  # 6 identities, 12 lifts
     for run in ("a", "b"):
-        assert word_lifts.write_lifts(3, str(tmp_path / run)) == 12
+        assert word_lifts.write_lifts(3, str(tmp_path / run)) == 18
     names = sorted(p.name for p in (tmp_path / "a" / "seed3").iterdir())
-    assert len(names) == 12
+    assert len(names) == 18
     for name in names:
         first = (tmp_path / "a" / "seed3" / name).read_bytes()
         assert first == (tmp_path / "b" / "seed3" / name).read_bytes()
         record = json.loads(first)
         assert record["op"] == name[3:-5]
+        if name[3:].startswith("identities."):
+            # three routes, one cocycle value per factor, and the miss
+            assert len(record["routes"]) == 3 and len(record["values"]) == 2
+            assert record["routes"] == [record["routes"][0]] * 3 and 0 <= record["miss"] < 1e-8
+            continue
         assert [level["level"] for level in record["levels"]] == [0, 1, 2, 3, 4]
+        for level in record["levels"]:
+            # the lift keeps the level and the norm of each Hermite state
+            assert level["oscillator_level"] == level["level"]
+            norm0, norm1 = level["norms"]
+            assert abs(norm1 - norm0) <= 1e-9 * max(1.0, norm0)
+
+
+def test_word_lifts_writes_a_failing_operation_as_its_error(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    word_lifts = load_tool("word_lifts")
+    from maslov.metaplectic import ground_state
+    op = word_lifts.gaussian_words.Op("identities.n1", lambda: ground_state(0), None)
+    assert word_lifts.endpoint_record(op) == {
+        "op": "identities.n1", "error": "InvariantViolation",
+        "message": "dimension n must be a positive integer, got 0"}
 
 
 def test_word_lifts_records_do_not_depend_on_the_order_of_the_operations(monkeypatch):
@@ -161,15 +182,10 @@ def test_word_lifts_records_do_not_depend_on_the_order_of_the_operations(monkeyp
     ops = list(enumerate(word_lifts.gaussian_words.make_ops(1)))
 
     def records(order):
-        out = {}
-        for i, op in order:
-            if op.name.startswith("lift."):
-                out[i] = word_lifts.canonical_json(word_lifts.endpoint_record(op))
-            else:
-                op.call()
-        return out
+        return {i: word_lifts.canonical_json(word_lifts.endpoint_record(op)) for i, op in order}
     forward = records(ops)
-    assert len(forward) == 12 and all('"levels"' in record for record in forward.values())
+    assert len(forward) == 18
+    assert sum('"levels"' in record for record in forward.values()) == 12
     assert records(ops[::-1]) == forward
 
 
