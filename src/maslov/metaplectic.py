@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -126,16 +126,17 @@ class _MonomialBasis:
     They are graded by degree and, within a degree, in lexicographically
     descending exponent order, so the basis of degree D is a prefix of the
     basis of degree D + 1.  A monomial of degree d >= 1 is x_j times its
-    parent of degree d - 1, with j its first nonzero coordinate (``levels``
-    holds, per degree, the slice bounds, these j, the parents, their
-    exponents transposed and the positions of parent - e_c).  The shifts S_c
-    (multiplication by x_c, truncated at degree D) and the derivatives D_j
-    act on coefficient vectors as gathers: (S_c v)_gamma is v at
-    gamma - e_c (``down``), and (D_j v)_gamma is (gamma_j + 1) times v at
-    gamma + e_j (``up``); the tables point one past the basis, at a zero
-    pad, where there is no such monomial.  ``second`` holds D_j^2 as the
-    factors gamma_j + 1 and gamma_j + 2 and the position of gamma + 2 e_j.
-    Every table is built once, with the basis, and read-only.
+    parent of degree d - 1, with j its first nonzero coordinate (``steps``
+    holds these j for every monomial past 1, and ``levels`` holds, per
+    degree, the slice bounds, the parents, their exponents transposed and
+    the positions of parent - e_c).  The shifts S_c (multiplication by x_c,
+    truncated at degree D) and the derivatives D_j act on coefficient
+    vectors as gathers: (S_c v)_gamma is v at gamma - e_c (``down``), and
+    (D_j v)_gamma is (gamma_j + 1) times v at gamma + e_j (``up``); the
+    tables point one past the basis, at a zero pad, where there is no such
+    monomial.  ``second`` holds D_j^2 as the factors gamma_j + 1 and
+    gamma_j + 2 and the position of gamma + 2 e_j.  Every table is built
+    once, with the basis, and read-only.
     """
 
     def __init__(self, n: int, D: int):
@@ -155,16 +156,14 @@ class _MonomialBasis:
         ext = np.hstack([self.up, np.full((n, 1), K)])
         self.second = (self.exps.T + 1, self.exps.T + 2, np.take_along_axis(ext, self.up, 1))
         bounds = np.searchsorted(self.deg, np.arange(D + 2))
-        self.levels = []
+        self.levels, steps = [], [np.zeros(0, dtype=int)]
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            step = np.argmax(self.exps[lo:hi] > 0, axis=1)
-            parent = self.down[step, np.arange(lo, hi)]
-            self.levels.append((lo, hi, step, parent, self.exps[parent].T, self.down[:, parent]))
-        # for images: the j of every monomial past 1, and the factors gamma_c + 1 of D_c
-        self.steps = np.concatenate([np.zeros(0, dtype=int), *(lv[2] for lv in self.levels)])
-        self.up_factor = self.second[0][:, :, None]
+            steps.append(np.argmax(self.exps[lo:hi] > 0, axis=1))
+            parent = self.down[steps[-1], np.arange(lo, hi)]
+            self.levels.append((lo, hi, parent, self.exps[parent].T, self.down[:, parent]))
+        self.steps = np.concatenate(steps)
         for a in (self.exps, self.deg, self.down, self.up, *self.second, self.steps,
-                  self.up_factor, *(t for lv in self.levels for t in lv[2:])):  # shared
+                  *(t for lv in self.levels for t in lv[2:])):  # shared
             a.setflags(write=False)
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
@@ -185,12 +184,13 @@ class _MonomialBasis:
         img[..., 0, 0] = 1.0
         # the coefficients G_jc and H_jc of every monomial's j, shape (..., n, 1, K - 1)
         Gj = _T(G[..., self.steps, :])[..., None, :]
-        Hj = None if H is None else _T(H[..., self.steps, :])[..., None, :]
-        for lo, hi, _, parent, _, _ in self.levels:
+        if H is not None:  # with the factors gamma_c + 1 of D_c
+            Hj, up_factor = _T(H[..., self.steps, :])[..., None, :], self.second[0][:, :, None]
+        for lo, hi, parent, _, _ in self.levels:
             terms = Gj[..., lo - 1:hi - 1] * img[..., down, parent]
             new = sum(terms[..., c, :, :] for c in range(self.n))
             if H is not None:
-                terms = Hj[..., lo - 1:hi - 1] * self.up_factor * img[..., up, parent]
+                terms = Hj[..., lo - 1:hi - 1] * up_factor * img[..., up, parent]
                 new = new + sum(terms[..., c, :, :] for c in range(self.n))
             img[..., :K, lo:hi] = new
         return img[..., :K, :]
@@ -217,7 +217,8 @@ class Polynomial:
     ``vec`` over the graded monomial basis ``basis`` of its arity and a degree
     bound, with no algebra; the generators substitute into it.
     ``Polynomial(n, {exponent: coeff})`` builds one from a mapping, and
-    ``coeffs`` gives the nonzero entries back as one."""
+    ``coeffs`` gives the nonzero entries back as one.  Its two fields are
+    fixed once built, like those of the frozen state classes."""
 
     __slots__ = ("basis", "vec")
 
@@ -230,16 +231,25 @@ class Polynomial:
                                         % (k, n))
             if v != 0:
                 terms[k] = complex(v)
-        self.basis = _basis(n, max(map(sum, terms), default=0))
-        self.vec = np.zeros(self.basis.size, dtype=complex)
+        basis = _basis(n, max(map(sum, terms), default=0))
+        vec = np.zeros(basis.size, dtype=complex)
         for k, v in terms.items():
-            self.vec[self.basis.index[k]] = v
+            vec[basis.index[k]] = v
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "vec", vec)
 
     @classmethod
     def _dense(cls, basis: _MonomialBasis, vec: np.ndarray) -> "Polynomial":
         p = cls.__new__(cls)
-        p.basis, p.vec = basis, vec
+        object.__setattr__(p, "basis", basis)
+        object.__setattr__(p, "vec", vec)
         return p
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
 
     @classmethod
     def constant(cls, value, n: int) -> "Polynomial":
@@ -355,8 +365,9 @@ def _gaussian_moments(Sigma: np.ndarray, basis: _MonomialBasis) -> np.ndarray:
     the odd degrees stay zero."""
     mom = np.zeros(basis.size + 1, dtype=complex)  # last entry: the zero pad
     mom[0] = 1.0
-    for lo, hi, step, _, parent_exps, parent_down in basis.levels[1::2]:
-        mom[lo:hi] = (Sigma[step].T * parent_exps * mom[parent_down]).sum(axis=0)
+    for lo, hi, _, parent_exps, parent_down in basis.levels[1::2]:
+        mom[lo:hi] = (Sigma[basis.steps[lo - 1:hi - 1]].T * parent_exps
+                      * mom[parent_down]).sum(axis=0)
     return mom[:-1]
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -297,6 +298,13 @@ def test_constant_states_and_frames_are_shared_and_read_only():
     for a in (state.poly.vec, state.M, ground_state(1).poly.vec, l0_frame(2).columns):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7.0
+    # nor rebind their fields
+    for obj, field in ((state.poly, "vec"), (state.poly, "basis"), (state, "poly"),
+                       (state, "M"), (l0_frame(2), "columns")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, np.zeros(3))
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, field)
     assert state.poly.coeffs == {(3, 0): 8.0, (1, 0): -12.0}
 
 
@@ -306,7 +314,9 @@ def reference_images(basis, G, H=None):
     K = basis.size
     img = np.zeros(G.shape[:-2] + (K + 1, K), dtype=complex)
     img[..., 0, 0] = 1.0
-    for lo, hi, step, parent, *_ in basis.levels:
+    for lo, hi, *_ in basis.levels:
+        step = np.argmax(basis.exps[lo:hi] > 0, axis=1)  # the first nonzero coordinate
+        parent = basis.down[step, np.arange(lo, hi)]
         V = img[..., parent]
         new = sum(G[..., None, step, c] * V[..., basis.down[c], :] for c in range(basis.n))
         if H is not None:
@@ -321,7 +331,9 @@ def reference_moments(Sigma, basis):
     degree."""
     mom = np.zeros(basis.size + 1, dtype=complex)
     mom[0] = 1.0
-    for lo, hi, step, parent, *_ in basis.levels[1::2]:
+    for lo, hi, *_ in basis.levels[1::2]:
+        step = np.argmax(basis.exps[lo:hi] > 0, axis=1)  # the first nonzero coordinate
+        parent = basis.down[step, np.arange(lo, hi)]
         mom[lo:hi] = np.sum(Sigma[step].T * basis.exps[parent].T * mom[basis.down[:, parent]],
                             axis=0)
     return mom[:-1]
