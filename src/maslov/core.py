@@ -28,6 +28,49 @@ _EPS = float(np.finfo(float).eps)
 _SCREEN_MARGIN = 1e-6
 
 
+def _set_fields(obj, **fields):
+    """Store the fields of the frozen obj, arrays made read-only; returns obj."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)  # what object.__setattr__ would do, field by field
+    return obj
+
+
+def _trusted(cls, **fields):
+    """A cls holding fields without its constructor's checks: only for values
+    built from checked values, each call site saying why they would pass."""
+    return _set_fields(object.__new__(cls), **fields)
+
+
+def _numbers(v, message: str, *values, dtype=float, ndim=None, finite=False,
+             copy=True) -> np.ndarray:
+    """v as an array of numbers, of dtype or, if dtype is None, of its own
+    numeric type; a new array if copy, else v itself where it is one already.
+    With ndim axes if ndim is given, and finite if finite is set; else
+    InvariantViolation(message % values)."""
+    try:
+        a = np.array(v, dtype=dtype, copy=copy)
+    except (TypeError, ValueError):  # not numbers, or a ragged list
+        a = None
+    if (a is None or a.dtype.kind not in "biufc" or ndim is not None and a.ndim != ndim
+            or finite and not np.isfinite(a).all()):
+        raise InvariantViolation(message % values)
+    return a
+
+
+def _integer(v, message: str, low=None) -> int:
+    """v as an int: an integer (numpy's too, not a bool or a stack) of at least
+    low if low is given, else InvariantViolation(message % (v,))."""
+    try:
+        k = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        k = None
+    if k is None or low is not None and k < low:
+        raise InvariantViolation(message % (v,))
+    return k
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical policy threaded through every operation.
@@ -44,8 +87,11 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("residual_tol", "rank_tol", "phase_tol"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise InvariantViolation("%s must be finite and strictly positive" % name)
+            message = "%s must be finite and strictly positive" % name
+            v = float(_numbers(getattr(self, name), message, ndim=0, finite=True))
+            if not v > 0:
+                raise InvariantViolation(message)
+            _set_fields(self, **{name: v})
 
     def rank_floor(self, dim):
         # rank_tol may never undercut machine precision at the given size
@@ -94,21 +140,6 @@ def _orthonormal_columns(F: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _set_fields(obj, **fields):
-    """Store the fields of the frozen obj, arrays made read-only; returns obj."""
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj.__dict__.update(fields)  # what object.__setattr__ would do, field by field
-    return obj
-
-
-def _trusted(cls, **fields):
-    """A cls holding fields without its constructor's checks: only for values
-    built from checked values, each call site saying why they would pass."""
-    return _set_fields(object.__new__(cls), **fields)
-
-
 @dataclass(frozen=True)
 class SymplecticMatrix:
     """A 2n x 2n real matrix S with S^T J0 S = J0 (within residual_tol)."""
@@ -118,10 +149,7 @@ class SymplecticMatrix:
     _tol = DEFAULT_TOLERANCES  # the policy of the check, reused by inverse(); not a field
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        try:
-            S = np.array(entries, dtype=float)  # the one copy, kept read-only
-        except (TypeError, ValueError):  # not numbers, or a ragged list
-            raise InvariantViolation("symplectic matrix entries must be real numbers") from None
+        S = _numbers(entries, "symplectic matrix entries must be real numbers")  # kept read-only
         if S.ndim != 2 or S.shape[0] != S.shape[1] or not S.shape[0] or S.shape[0] % 2:
             raise InvariantViolation("symplectic matrix must be square of nonzero even size; "
                                      "got shape %s" % (S.shape,))
@@ -177,22 +205,11 @@ def _det_phase_steps(U: np.ndarray, tol: Tolerances, ends: str, labels):
     return dets, steps
 
 
-def _integer(v, message: str, low=None) -> int:
-    """v as an int: an integer (numpy's too, not a stack) of at least low if
-    low is given, else InvariantViolation(message % (v,))."""
-    try:
-        k = operator.index(v)
-    except TypeError:
-        k = None
-    if k is None or low is not None and k < low:
-        raise InvariantViolation(message % (v,))
-    return k
-
-
 def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:
-    """A read-only complex copy of U (or of its entries), checked square, then
+    """A complex copy of U (or of its entries), checked square, then
     symmetric if a message for that is given, then unitary."""
-    U = np.array(U.entries if isinstance(U, UnitaryComplex) else U, dtype=complex)
+    U = _numbers(U.entries if isinstance(U, UnitaryComplex) else U,
+                 "unitary matrix entries must be complex numbers", dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise InvariantViolation("unitary matrix must be square")
     if symmetric and abs(U - U.T).max() > tol.residual_tol:
@@ -200,7 +217,6 @@ def _checked_unitary(U, tol: Tolerances, symmetric: str = "") -> np.ndarray:
     resid = abs(U.conj().T @ U - np.eye(len(U))).max()
     if not resid <= tol.residual_tol:  # NaN entries fail too
         raise InvariantViolation("not unitary: ||U*U - I||_inf = %.3e" % resid)
-    U.setflags(write=False)
     return U
 
 
@@ -226,7 +242,7 @@ class LagrangianFrame:
     n: int = 0
 
     def __init__(self, columns, tol: Tolerances = DEFAULT_TOLERANCES):
-        columns = np.asarray(columns, dtype=float)
+        columns = _numbers(columns, "frame entries must be real numbers")
         if columns.ndim != 2 or columns.shape[0] != 2 * columns.shape[1]:
             raise InvariantViolation("frame must be a 2n x n matrix")
         if not np.all(np.isfinite(columns)):
@@ -238,7 +254,7 @@ class LagrangianFrame:
             raise InvariantViolation("frame is not isotropic: residual %.3e" % iso)
         if sv[-1] < tol.rank_floor(2 * n):
             raise InvariantViolation("frame is rank deficient: sigma_min %.3e" % sv[-1])
-        _set_fields(self, columns=np.array(columns), n=n)
+        _set_fields(self, columns=columns, n=n)
 
     def orthonormalized(self) -> "LagrangianFrame":
         # QR of a checked full-rank isotropic frame: the same plane, orthonormal
@@ -257,6 +273,7 @@ def _l0_frame(n: int) -> LagrangianFrame:
 
 def line_frame(alpha: float) -> LagrangianFrame:
     """The line at angle alpha in R^2 (every line is Lagrangian for n = 1)."""
+    alpha = _numbers(alpha, "line angle must be a real number, got %r", alpha)
     return LagrangianFrame(np.array([[np.cos(alpha)], [np.sin(alpha)]]))
 
 
@@ -310,16 +327,14 @@ def souriau_images(F, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     carrying L0 onto its plane.  One unitarity residual of V checks that every
     frame is orthonormal and isotropic, and names the first that is not.
     """
-    if np.iscomplexobj(F):
-        V = np.asarray(F)
-        if V.ndim != 3 or V.shape[1] != V.shape[2]:
-            raise InvariantViolation("frame unitaries must form an (N, n, n) stack")
-    else:
-        F = np.asarray(F)
-        if F.dtype.kind not in "biuf" or F.ndim != 3 or F.shape[1] != 2 * F.shape[2]:
+    V = _numbers(F, "frames must form an (N, 2n, n) stack", dtype=None, copy=None)
+    if not np.iscomplexobj(V):
+        if V.ndim != 3 or V.shape[1] != 2 * V.shape[2]:
             raise InvariantViolation("frames must form an (N, 2n, n) stack")
-        Q, n = _orthonormal_columns(F), F.shape[2]
+        Q, n = _orthonormal_columns(V), V.shape[2]
         V = Q[:, :n] + 1j * Q[:, n:]
+    elif V.ndim != 3 or V.shape[1] != V.shape[2]:
+        raise InvariantViolation("frame unitaries must form an (N, n, n) stack")
     resid = _unitarity_residuals(V)
     check_stack(resid <= tol.residual_tol, InvariantViolation,
                 "not Lagrangian: unitarity residual %.3e", resid, entry="frame")

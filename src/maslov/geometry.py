@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame,
-                   Tolerances, _integer, _set_fields, check_stack, embed_unitary,
-                   omega_gram)
+                   Tolerances, _integer, _numbers, _set_fields, check_stack,
+                   embed_unitary, omega_gram)
 from .errors import (CaseError, DimensionMismatch, ImmersionError,
                      InvariantViolation, SamplingError)
 from .index import LagrangianPath, _endpoint_indices, clm_index
@@ -40,17 +40,6 @@ from .metaplectic import (Dilate, _nearest_fourth_root, _orthogonal_pin, _times,
 FRAME_INCREMENT_BOUND = 1e-2
 #: Bisection levels transport may take before it raises SamplingError.
 MAX_REFINEMENT_DEPTH = 30
-
-
-def _floats(v, message: str, ndim=None) -> np.ndarray:
-    """A float copy of v, with ndim axes if given, else InvariantViolation(message % (v,))."""
-    try:
-        a = np.array(v, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or ndim is not None and a.ndim != ndim:
-        raise InvariantViolation(message % (v,))
-    return a
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ def circle_chart(radius: float = 1.0) -> LagrangianChart:
 def product_torus_chart(radii=(1.0, 1.0)) -> LagrangianChart:
     """Clifford torus T^n = S^1(r_1) x ... x S^1(r_n) in C^n, n = len(radii):
     u -> (r_1 cos u_1, ..., r_n cos u_n, r_1 sin u_1, ..., r_n sin u_n)."""
-    r = _floats(radii, "torus radii must be a list of numbers, got %r", 1)
+    r = _numbers(radii, "torus radii must be a list of numbers, got %r", radii, ndim=1)
     n, j = len(r), np.arange(len(r))
     if not n:
         raise InvariantViolation("a torus needs at least one radius")
@@ -118,11 +107,11 @@ def gradient_graph_chart(phi_coeffs: Sequence[float] = None,
     if (phi_coeffs is None) == (hessian is None):
         raise InvariantViolation("give exactly one of phi_coeffs or hessian")
     if phi_coeffs is not None:  # the plane curve u -> (u, phi'(u))
-        c = _floats(phi_coeffs, "phi_coeffs must be a list of numbers, got %r", 1)
+        c = _numbers(phi_coeffs, "phi_coeffs must be a list of numbers, got %r", phi_coeffs, ndim=1)
         return replace(curve_chart_from_series(
             {"poly": [0.0, 1.0]}, {"poly": [j * c[j] for j in range(1, len(c))]}),
             tag="gradient_graph")
-    H = _floats(hessian, "hessian must be a matrix of numbers, got %r")
+    H = _numbers(hessian, "hessian must be a matrix of numbers, got %r", hessian)
     if H.ndim != 2 or not 0 < len(H) == H.shape[1]:
         raise InvariantViolation("hessian must be a square matrix, got shape %s" % (H.shape,))
     if np.max(np.abs(H - H.T)) > 1e-12:
@@ -178,7 +167,7 @@ class ParamPath:
     closed: bool = False
 
     def __init__(self, samples, closed: bool = False):
-        samples = _floats(samples, "path samples must be numbers, got %r")
+        samples = _numbers(samples, "path samples must be numbers, got %r", samples)
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.ndim != 2 or not samples.shape[1]:
@@ -186,11 +175,13 @@ class ParamPath:
                                      % (samples.shape,))
         if samples.shape[0] < 2:
             raise InvariantViolation("a path needs at least two parameter samples")
-        _set_fields(self, samples=samples, closed=bool(closed))  # _floats copied it
+        if not isinstance(closed, (bool, np.bool_)):
+            raise InvariantViolation("closed must be a boolean, got %r" % (closed,))
+        _set_fields(self, samples=samples, closed=bool(closed))  # _numbers copied it
 
     @classmethod
     def line(cls, start, stop, k: int, closed: bool = False) -> "ParamPath":
-        start, stop = (np.atleast_1d(_floats(v, "line ends must be numbers, got %r"))
+        start, stop = (np.atleast_1d(_numbers(v, "line ends must be numbers, got %r", v))
                        for v in (start, stop))
         if start.shape != stop.shape:
             raise DimensionMismatch("line ends have shapes %s and %s" % (start.shape, stop.shape))
@@ -200,7 +191,8 @@ class ParamPath:
 
     @classmethod
     def circle_arc(cls, turns: float, k: int, start: float = 0.0) -> "ParamPath":
-        turns, start = _floats((turns, start), "arc turns and start must be numbers, got %r", 1)
+        turns, start = _numbers((turns, start), "arc turns and start must be numbers, got %r",
+                                (turns, start), ndim=1)
         if not np.isfinite([turns, start]).all():
             raise InvariantViolation("arc turns and start must be finite, got %g and %g"
                                      % (turns, start))
@@ -215,8 +207,8 @@ class ParamPath:
                       for v in (winding if np.iterable(winding) else ())])
         if not len(w):
             raise InvariantViolation("a torus loop needs a list of windings, got %r" % (winding,))
-        base = _floats(np.zeros(len(w)) if base is None else base,
-                       "torus base must be numbers, got %r")
+        base = _numbers(np.zeros(len(w)) if base is None else base,
+                        "torus base must be numbers, got %r", base)
         if base.shape != w.shape:
             raise DimensionMismatch("torus base needs %d entries, got %r" % (len(w), base.tolist()))
         return cls.line(base, base + 2 * np.pi * w, k, closed=True)
@@ -236,6 +228,9 @@ class TransportResult:
     max_frame_step: float
     orthonormality_residual: float
     tangency_residual: float
+
+    def __post_init__(self):
+        _set_fields(self, params=self.params, frames=self.frames)  # the arrays made read-only
 
     @property
     def start_relative(self) -> np.ndarray:

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
-                   Tolerances, UnitaryComplex, _checked_unitary, _det_phase_steps,
-                   _orthonormal_columns, _set_fields, _souriau_frame, _symplectic_stack,
-                   check_stack, omega_gram, souriau_images, souriau_map)
-from .errors import (ConditioningError, DimensionMismatch, InvariantViolation,
-                     SamplingError, TransversalityError)
+                   Tolerances, UnitaryComplex, _checked_unitary, _det_phase_steps, _integer,
+                   _numbers, _orthonormal_columns, _set_fields, _souriau_frame,
+                   _symplectic_stack, check_stack, omega_gram, souriau_images, souriau_map)
+from .errors import ConditioningError, DimensionMismatch, InvariantViolation, TransversalityError
 
 # Sign of the last term in the Kashiwara form
 #   Q(z1, z2, z3) = omega(z1, z2) + omega(z2, z3) + KASHIWARA_LAST_SIGN * omega(z3, z1).
@@ -54,11 +53,12 @@ class CoverPoint:
 
     def __init__(self, w, theta, tol: Tolerances = DEFAULT_TOLERANCES):
         w = _checked_unitary(w, tol, "cover point needs a symmetric w")
+        theta = float(_numbers(theta, "theta must be a real number, got %r", theta, ndim=0))
         resid = abs(complex(np.linalg.det(w)) - cmath.exp(1j * theta))
         if not resid <= tol.phase_tol:  # a NaN theta fails too
             raise InvariantViolation(
                 "theta is not a lift of arg det w: |det w - e^{i theta}| = %.3e" % resid)
-        _set_fields(self, w=w, theta=float(theta))
+        _set_fields(self, w=w, theta=theta)
 
     @property
     def n(self):
@@ -75,6 +75,9 @@ class DeckAction:
 
     r: int
 
+    def __init__(self, r: int):
+        _set_fields(self, r=_integer(r, "deck power r must be an integer, got %r"))
+
     def __call__(self, x: CoverPoint,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> CoverPoint:
         return CoverPoint(x.w, x.theta + 2.0 * np.pi * self.r, tol)
@@ -84,7 +87,9 @@ def cover_action(r, phi: float, x: CoverPoint,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> CoverPoint:
     """Action (r, phi) . (w, theta) = (r w r^T, theta + 2 phi) of the lifted
     unitary group on the cover."""
-    r = np.asarray(r.entries if isinstance(r, UnitaryComplex) else r, dtype=complex)
+    r = _numbers(r.entries if isinstance(r, UnitaryComplex) else r,
+                 "r must be a matrix of complex numbers", dtype=complex, copy=None)
+    phi = float(_numbers(phi, "phi must be a real number, got %r", phi, ndim=0))
     if r.shape != x.w.shape:
         raise DimensionMismatch("r of shape %s acts on points of shape %s" % (r.shape, x.w.shape))
     if not abs(complex(np.linalg.det(r)) - cmath.exp(1j * phi)) <= tol.phase_tol:
@@ -174,31 +179,31 @@ class _FrameView(Sequence):
         return _souriau_frame(self._w[k])
 
 
+@dataclass(frozen=True, eq=False)
 class LagrangianPath:
     """Sampled path in Lag(n): the Souriau images w_k of its samples and the
     sample parameters; frames[k] is built from w_k on access.  Between two
     samples the path is the Souriau geodesic (see lift_path).
     """
 
+    souriau: np.ndarray
+    params: np.ndarray
+    n: int
+
     def __init__(self, frames, params=None, tol: Tolerances = DEFAULT_TOLERANCES):
         """frames: an (N, 2n, n) array of frame columns, or an (N, n, n)
         complex array of the unitaries of orthonormal frames."""
-        try:
-            frames = np.asarray(frames)
-        except ValueError:  # a ragged list
-            frames = None
-        if frames is None or not frames.ndim:
+        frames = _numbers(frames, "frames must form an (N, 2n, n) stack", dtype=None, copy=None)
+        if not frames.ndim:
             raise InvariantViolation("frames must form an (N, 2n, n) stack")
         if len(frames) < 2:
             raise InvariantViolation("a path needs at least two samples")
-        if params is None:
-            params = np.linspace(0.0, 1.0, len(frames))
-        params = np.asarray(params, dtype=float)
-        if params.shape != frames.shape[:1] or not (np.isfinite(params).all()
-                                                    and (np.diff(params) > 0).all()):
-            raise InvariantViolation("params must be finite and strictly increasing, one per frame")
-        self.souriau, self.params = souriau_images(frames, tol), params
-        self.n = self.souriau.shape[1]
+        message = "params must be finite and strictly increasing, one per frame"
+        params = (np.linspace(0.0, 1.0, len(frames)) if params is None
+                  else _numbers(params, message, finite=True))
+        if params.shape != frames.shape[:1] or not (np.diff(params) > 0).all():
+            raise InvariantViolation(message)
+        _set_fields(self, souriau=souriau_images(frames, tol), params=params, n=frames.shape[-1])
 
     @property
     def frames(self) -> Sequence[LagrangianFrame]:

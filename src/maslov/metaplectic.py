@@ -37,13 +37,13 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                   _det_phase_steps, _integer, _set_fields, _trusted, _unitarity_residuals,
-                   check_stack, unitaries_from_symplectic)
+                   _det_phase_steps, _integer, _numbers, _set_fields, _trusted,
+                   _unitarity_residuals, check_stack, unitaries_from_symplectic)
 from .errors import (CaseError, ConditioningError, DimensionMismatch,
                      InvariantViolation, SamplingError, StateDomainError)
 
@@ -82,7 +82,7 @@ def _matrix(A, what: str, tol: Tolerances, dtype=float, symmetric=False,
     """A as a new finite square matrix, symmetrized if it must be symmetric
     (within residual_tol), with |det A| >= rank_floor if it must be
     invertible; else InvariantViolation naming what."""
-    A = np.array(A, dtype=dtype)
+    A = _numbers(A, "%s entries must be numbers", what, dtype=dtype)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvariantViolation("%s must be square, shape (n, n); got %s" % (what, A.shape))
     if not np.isfinite(A).all():
@@ -103,7 +103,7 @@ def det_branch_power(M: np.ndarray, power: float) -> complex:
     eigenvalues have positive real part on this domain, so the result is the
     unique continuous branch that is positive on real SPD matrices.
     """
-    M = np.asarray(M)
+    M = _numbers(M, "determinant branch needs a matrix of numbers", dtype=None, copy=None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvariantViolation("determinant branch needs a square matrix; got %s" % (M.shape,))
     if not len(M):
@@ -212,44 +212,32 @@ def _pair_table(n: int, D1: int, D2: int) -> np.ndarray:
     return t
 
 
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Multivariate polynomial with complex coefficients: the dense vector
     ``vec`` over the graded monomial basis ``basis`` of its arity and a degree
     bound, with no algebra; the generators substitute into it.
     ``Polynomial(n, {exponent: coeff})`` builds one from a mapping, and
-    ``coeffs`` gives the nonzero entries back as one.  Its two fields are
-    fixed once built, like those of the frozen state classes."""
+    ``coeffs`` gives the nonzero entries back as one."""
 
-    __slots__ = ("basis", "vec")
+    basis: _MonomialBasis
+    vec: np.ndarray
 
     def __init__(self, n: int, coeffs: dict | None = None):
         n, terms = _integer(n, "arity n must be a non-negative integer, got %r", low=0), {}
         for k, v in (coeffs or {}).items():
-            k = tuple(int(e) for e in k)
-            if len(k) != n or min(k, default=0) < 0:
-                raise DimensionMismatch("exponent %r is not a multi-index of length %d"
-                                        % (k, n))
+            k = tuple(_integer(e, "exponents must be nonnegative integers, got %r", low=0)
+                      for e in k)
+            if len(k) != n:
+                raise DimensionMismatch("exponent %r is not a multi-index of length %d" % (k, n))
+            v = complex(_numbers(v, "coefficients must be numbers, got %r", v, dtype=complex, ndim=0))
             if v != 0:
-                terms[k] = complex(v)
+                terms[k] = v
         basis = _basis(n, max(map(sum, terms), default=0))
         vec = np.zeros(basis.size, dtype=complex)
         for k, v in terms.items():
             vec[basis.index[k]] = v
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "vec", vec)
-
-    @classmethod
-    def _dense(cls, basis: _MonomialBasis, vec: np.ndarray) -> "Polynomial":
-        p = cls.__new__(cls)
-        object.__setattr__(p, "basis", basis)
-        object.__setattr__(p, "vec", vec)
-        return p
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
+        _set_fields(self, basis=basis, vec=vec)
 
     @classmethod
     def constant(cls, value, n: int) -> "Polynomial":
@@ -278,7 +266,7 @@ class Polynomial:
         return _push(self, np.asarray(T))
 
     def __call__(self, x) -> complex:
-        x = np.atleast_1d(np.asarray(x))
+        x = np.atleast_1d(_numbers(x, "a point must be numbers", dtype=None, copy=None))
         if x.shape != (self.n,):
             raise DimensionMismatch("a point of shape %s for a polynomial over n = %d"
                                     % (x.shape, self.n))
@@ -287,7 +275,7 @@ class Polynomial:
 
 def _push(poly: Polynomial, G: np.ndarray, H: np.ndarray | None = None) -> Polynomial:
     """p(X) 1 for the X of ``_MonomialBasis.images``."""
-    return Polynomial._dense(poly.basis, poly.basis.images(G, H) @ poly.vec)
+    return _trusted(Polynomial, basis=poly.basis, vec=poly.basis.images(G, H) @ poly.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ class GaussianAmplitude:
         return len(self.M)
 
     def __call__(self, x) -> complex:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(_numbers(x, "a point must be real numbers", copy=None))
         return self.c * self.poly(x) * np.exp(-0.5 * x @ self.M @ x)
 
     def scaled(self, a) -> "GaussianAmplitude":
@@ -331,13 +319,8 @@ class GaussianAmplitude:
 
 def _scalar(c) -> complex:
     """c as one finite complex number, else InvariantViolation."""
-    try:
-        c = np.asarray(c, dtype=complex)
-    except (TypeError, ValueError):
-        c = None
-    if c is None or c.ndim or not np.isfinite(c):
-        raise InvariantViolation("state scalar c must be finite and a single number")
-    return complex(c)
+    return complex(_numbers(c, "state scalar c must be finite and a single number",
+                            dtype=complex, ndim=0, finite=True))
 
 
 def _branch(m) -> int:
@@ -400,7 +383,8 @@ class DistributionState:
     def __post_init__(self):
         if self.kind not in (DELTA, CONST):
             raise InvariantViolation("kind must be DELTA or CONST")
-        if _scalar(self.c) == 0:
+        _set_fields(self, c=_scalar(self.c))
+        if self.c == 0:
             raise InvariantViolation("prefactor must be nonzero")
 
     def pair(self, s: GaussianAmplitude) -> complex:
@@ -435,11 +419,9 @@ class Chirp:
         _set_fields(self, B=_matrix(B, "chirp matrix", tol, symmetric=True))
 
 
+@dataclass(frozen=True)
 class JHat:
     """The fixed factor i^{-n/2} F."""
-
-    def __repr__(self):
-        return "JHat()"
 
 
 def _fourier_poly(poly: Polynomial, N: np.ndarray) -> Polynomial:
@@ -659,14 +641,16 @@ def lift_frame_path_trace(Us: np.ndarray, s0: GaussianAmplitude,
     c, M, W = _lift(Us, s0, tol)
     if s0.poly.is_constant():
         return c, M, [s0.poly] * len(c)
-    return c, M, [Polynomial._dense(s0.poly.basis, v) for v in _factor_vectors(W, M, s0.poly)]
+    return c, M, [_trusted(Polynomial, basis=s0.poly.basis, vec=v)
+                  for v in _factor_vectors(W, M, s0.poly)]
 
 
 def _lift(Us, s0: GaussianAmplitude, tol: Tolerances):
     """Scalars, matrices and W_k = U_k U_0^* at the samples of Us, checked
     to be a nonempty (N, n, n) stack over the state's n, unitary and starting
     at the identity."""
-    Us = np.asarray(Us, dtype=complex)
+    Us = _numbers(Us, "expected a nonempty (N, n, n) stack of unitaries", dtype=complex,
+                  copy=None)
     if Us.ndim != 3 or not len(Us) or Us.shape[1] != Us.shape[2]:
         raise InvariantViolation("expected a nonempty (N, n, n) stack of unitaries")
     n = Us.shape[-1]
@@ -693,7 +677,7 @@ def lift_frame_path(symp_path: Sequence[SymplecticMatrix], s0: GaussianAmplitude
     c, M, W = _lift(unitaries_from_symplectic(symp_path, tol), s0, tol)
     poly = s0.poly
     if not poly.is_constant():
-        poly = Polynomial._dense(poly.basis, _factor_vectors(W[-1:], M[-1:], poly)[0])
+        poly = _trusted(Polynomial, basis=poly.basis, vec=_factor_vectors(W[-1:], M[-1:], poly)[0])
     # the lift checked every state; its M are exactly symmetric
     return _trusted(GaussianAmplitude, c=complex(c[-1]), M=M[-1], poly=poly)
 
@@ -808,7 +792,6 @@ def _hermite(levels: tuple) -> GaussianAmplitude:
     supports = [[(d, c) for d, c in enumerate(_hermite_coeffs(k)) if c != 0.0] for k in levels]
     poly = Polynomial(len(levels), {tuple(d for d, _ in terms): math.prod(c for _, c in terms)
                                     for terms in itertools.product(*supports)})
-    poly.vec.setflags(write=False)
     return GaussianAmplitude(1.0, np.eye(len(levels)), poly)
 
 

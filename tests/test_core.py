@@ -1,13 +1,16 @@
 """Substrate checks: the unitary embedding, the Souriau identification and its
 inverse, and intersection dimensions."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import maslov
 from maslov.core import (LagrangianFrame, SymplecticMatrix, Tolerances,
                          UnitaryComplex, _unitarity_residuals, embed_unitary, intersection_dim,
                          l0_frame, lagrangian_from_souriau, line_frame,
@@ -351,3 +354,17 @@ def test_kahler_pair_and_tolerances():
     with pytest.raises(InvariantViolation):
         Tolerances(residual_tol=0.0)
     assert Tolerances().rank_floor(4) >= 4 * np.finfo(float).eps
+
+
+def test_only_core_converts_outside_numbers():
+    # core._numbers and core._integer are the one place that turns numpy's
+    # TypeError and ValueError into typed errors; a module catching either
+    # (or everything) would hold a converter of its own
+    broad = {"TypeError", "ValueError", "Exception", "BaseException"}
+    catchers = set()
+    for path in pathlib.Path(maslov.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and (node.type is None or broad & {
+                    n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}):
+                catchers.add(path.stem)
+    assert catchers == {"core"}

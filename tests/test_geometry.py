@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from lift_oracle import reference_lift
 from maslov import geometry, metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
-                         embed_unitary, intersection_dim, l0_frame, line_frame,
-                         random_lagrangian, random_unitary, unitaries_from_symplectic)
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, LagrangianFrame, SymplecticMatrix,
+                         Tolerances, UnitaryComplex, embed_unitary, intersection_dim, l0_frame,
+                         lagrangian_from_souriau, line_frame, random_lagrangian,
+                         random_unitary, unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            ImmersionError, InvariantViolation, MaslovError,
                            SamplingError, StateDomainError)
@@ -26,8 +27,8 @@ from maslov.geometry import (FRAME_INCREMENT_BOUND, LagrangianChart, ParamPath,
                              verify_theorem1, verify_theorem2,
                              _gram_schmidt, _running_products,
                              _screened_transfers, _tangent_bases, _transfers)
-from maslov.index import (LagrangianPath, clm_index, induced_lagrangian_path, lift_path,
-                          mu_hat_on_cover)
+from maslov.index import (CoverPoint, DeckAction, LagrangianPath, clm_index, cover_action,
+                          induced_lagrangian_path, lift_path, mu_hat_on_cover)
 from maslov.metaplectic import (DELTA, DistributionState, Polynomial, ground_state,
                                 hermite_state, lift_frame_path, lift_frame_path_trace,
                                 pin_branch_orthogonal)
@@ -736,6 +737,9 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name, m
 # tangent paths
 
 
+X1 = CoverPoint(np.eye(1), 0.0)  # the basepoint of the cover over n = 1
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: ParamPath.line([0.0], [1.0], 2.5), InvariantViolation,
      r"^sample count must be a non-negative integer, got 2\.5$"),
@@ -835,6 +839,34 @@ def test_exhausted_levels_name_the_first_open_segment_of_the_insert_loop(name, m
      r"^frames must form an \(N, 2n, n\) stack$"),
     (lambda: LagrangianPath(np.array([[[1.0], [0.0]]] * 3), params=[[0], [1], [2]]),
      InvariantViolation, r"^params must be finite and strictly increasing, one per frame$"),
+    (lambda: LagrangianPath(np.array([[[1.0], [0.0]]] * 2), params=["a", "b"]),
+     InvariantViolation, r"^params must be finite and strictly increasing, one per frame$"),
+    # numbers that are not numbers, each converted by the one rule of core
+    (lambda: DeckAction("a")(X1), InvariantViolation,
+     r"^deck power r must be an integer, got 'a'$"),
+    (lambda: cover_action(np.eye(1), "a", X1), InvariantViolation,
+     r"^phi must be a real number, got 'a'$"),
+    (lambda: cover_action([["a"]], 0.0, X1), InvariantViolation,
+     r"^r must be a matrix of complex numbers$"),
+    (lambda: CoverPoint(X1.w, "a"), InvariantViolation, r"^theta must be a real number, got 'a'$"),
+    (lambda: CoverPoint("ab", 0.0), InvariantViolation,
+     r"^unitary matrix entries must be complex numbers$"),
+    (lambda: Tolerances(residual_tol="a"), InvariantViolation,
+     r"^residual_tol must be finite and strictly positive$"),
+    (lambda: LagrangianFrame([["a"], ["b"]]), InvariantViolation,
+     r"^frame entries must be real numbers$"),
+    (lambda: line_frame("a"), InvariantViolation, r"^line angle must be a real number, got 'a'$"),
+    (lambda: embed_unitary([["a"]]), InvariantViolation,
+     r"^unitary matrix entries must be complex numbers$"),
+    (lambda: UnitaryComplex([[1, 0], [0]]), InvariantViolation,
+     r"^unitary matrix entries must be complex numbers$"),
+    (lambda: lagrangian_from_souriau([["a"]]), InvariantViolation,
+     r"^unitary matrix entries must be complex numbers$"),
+    # a flag is a bool, and a bool is not an integer
+    (lambda: ParamPath([0.0, 1.0], closed="no"), InvariantViolation,
+     r"^closed must be a boolean, got 'no'$"),
+    (lambda: l0_frame(True), InvariantViolation,
+     r"^dimension n must be a positive integer, got True$"),
     # Corollary 1 over no loop at all
     (lambda: corollary1_from_reports(circle_chart(), []), InvariantViolation,
      r"^Corollary 1 needs the report of at least one loop$"),

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -25,12 +25,13 @@ from hypothesis.extra.numpy import arrays
 
 from lift_oracle import bisect_geodesics, reference_lift
 from maslov import metaplectic
-from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix,
-                         embed_unitary, l0_frame, random_unitary,
+from maslov.core import (_SCREEN_MARGIN, DEFAULT_TOLERANCES, SymplecticMatrix, Tolerances,
+                         UnitaryComplex, _trusted, embed_unitary, l0_frame, random_unitary,
                          unitaries_from_symplectic)
 from maslov.errors import (CaseError, ConditioningError, DimensionMismatch,
                            InvariantViolation, StateDomainError)
-from maslov.index import mu_hat_on_cover
+from maslov.geometry import ParamPath, circle_chart, transport_frame
+from maslov.index import CoverPoint, DeckAction, LagrangianPath, mu_hat_on_cover
 from maslov.metaplectic import (CONST, DELTA, Chirp, Dilate, DistributionState,
                                 GaussianAmplitude, JHat, Polynomial,
                                 QuadraticFourier, _fourier_poly,
@@ -260,6 +261,23 @@ BRANCH = r"^branch integer m must be an integer, got "
     (lambda: apply_word_to_delta(I2, 1.5), InvariantViolation, BRANCH + r"1\.5$"),
     (lambda: apply_word_to_delta(np.full((2, 2), np.nan), 0), InvariantViolation,
      r"^endpoint word matrix must be finite$"),
+    # numbers that are not numbers, each converted by the one rule of core
+    (lambda: Polynomial(1, {(1,): "a"}), InvariantViolation,
+     r"^coefficients must be numbers, got 'a'$"),
+    (lambda: Polynomial(1, {"x": 1.0}), InvariantViolation,
+     r"^exponents must be nonnegative integers, got 'x'$"),
+    (lambda: GaussianAmplitude(1.0, [["a"]]), InvariantViolation,
+     r"^Gaussian matrix entries must be numbers$"),
+    (lambda: Chirp([["a"]]), InvariantViolation, r"^chirp matrix entries must be numbers$"),
+    (lambda: det_branch_power([["a"]], 0.5), InvariantViolation,
+     r"^determinant branch needs a matrix of numbers$"),
+    (lambda: lift_frame_path_trace([["a"]], ground_state(1)), InvariantViolation,
+     r"^expected a nonempty \(N, n, n\) stack of unitaries$"),
+    # a bool is not an integer, and an exponent is not truncated to one
+    (lambda: hermite_state(True, 1), InvariantViolation,
+     r"^levels must be nonnegative integers, got True$"),
+    (lambda: Polynomial(1, {(1.5,): 1.0}), InvariantViolation,
+     r"^exponents must be nonnegative integers, got 1\.5$"),
 ])
 def test_mis_shaped_gaussian_data_raise_typed_errors(make, error, message):
     # the parent raised ValueError, AxisError, LinAlgError or TypeError here,
@@ -306,6 +324,25 @@ def test_constant_states_and_frames_are_shared_and_read_only():
         with pytest.raises(FrozenInstanceError):
             delattr(obj, field)
     assert state.poly.coeffs == {(3, 0): 8.0, (1, 0): -12.0}
+    # and so for every value class: no field can be rebound, every array
+    # field is read-only, and a path keeps a copy of the caller's params
+    params = np.linspace(0.0, 1.0, 3)
+    path = LagrangianPath(np.array([[[1.0], [0.0]]] * 3), params=params)
+    values = (Tolerances(), SymplecticMatrix(I2), UnitaryComplex(I2), l0_frame(2),
+              CoverPoint(np.eye(1), 0.0), DeckAction(1), path, ParamPath([0.0, 1.0]),
+              transport_frame(circle_chart(), ParamPath.circle_arc(0.25, 5)), circle_chart(),
+              state, state.poly, DistributionState(DELTA, 1.0), Dilate(I2, 0), Chirp(I2),
+              JHat(), QuadraticFourier(I2, I2, I2, 0))
+    for obj in values:
+        with pytest.raises(FrozenInstanceError):
+            obj.extra = None
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, value)
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable, f.name
+    params[0] = -1.0
+    assert path.params[0] == 0.0 and params.flags.writeable
 
 
 def reference_images(basis, G, H=None):
@@ -394,8 +431,9 @@ def test_oscillator_level_matches_the_per_coordinate_loops(rng):
         for levels in itertools.product(range(4), repeat=n):
             s = hermite_state(levels, n)
             lifted = lift_frame_path([embed_unitary(np.eye(n)), embed_unitary(U)], s)
-            noisy = GaussianAmplitude(1.0, np.eye(n), Polynomial._dense(
-                s.poly.basis, s.poly.vec + 1e-7 * signed_zeros(rng, s.poly.basis.size)))
+            noisy = GaussianAmplitude(1.0, np.eye(n), _trusted(
+                Polynomial, basis=s.poly.basis,
+                vec=s.poly.vec + 1e-7 * signed_zeros(rng, s.poly.basis.size)))
             for t in (s, lifted, noisy):
                 assert oscillator_level(t) == reference_level(t)
             assert oscillator_level(s) == oscillator_level(lifted) == sum(levels)
@@ -555,7 +593,7 @@ def test_l2_inner_matches_product_route(data):
     s1 = GaussianAmplitude(0.9 - 0.4j, data.draw(gaussian_matrices(n)), data.draw(polynomials(n)))
     s2 = GaussianAmplitude(-0.3 + 1.2j, data.draw(gaussian_matrices(n)),
                            data.draw(polynomials(n)))
-    conj2 = Polynomial._dense(s2.poly.basis, s2.poly.vec.conj())
+    conj2 = _trusted(Polynomial, basis=s2.poly.basis, vec=s2.poly.vec.conj())
     prod = Polynomial(n, dict_product(s1.poly.coeffs, conj2.coeffs, n))
     want = gaussian_integral(GaussianAmplitude(s1.c * np.conj(s2.c), s1.M + s2.M.conj(), prod))
     scale = norm_without_underflow(s1) * norm_without_underflow(s2)  # bounds |<s1, s2>|
@@ -569,7 +607,7 @@ def norm_without_underflow(s):
     a = np.max(np.abs(s.poly.vec))
     if a == 0:
         return 0.0
-    unit = GaussianAmplitude(s.c, s.M, Polynomial._dense(s.poly.basis, s.poly.vec / a))
+    unit = GaussianAmplitude(s.c, s.M, _trusted(Polynomial, basis=s.poly.basis, vec=s.poly.vec / a))
     return np.sqrt(l2_norm_squared(unit)) * a
 
 
